@@ -74,6 +74,10 @@ def _num_list(x):
     )
 
 
+def _positive_int_list(x):
+    return _num_list(x) and all(isinstance(v, int) and v > 0 for v in x)
+
+
 # One documented table of every parameter and default.  Entries are
 # (type, default, check, constraint text); REQUIRED means no default.
 REQUIRED = object()
@@ -121,8 +125,8 @@ DEFAULTS: dict[str, dict[str, tuple]] = {
         "c2": ("number", squire.DEFAULT_WINDOW.c2, _positive, "must be > 0"),
         "c3": ("number", squire.DEFAULT_WINDOW.c3, _positive, "must be > 0"),
         "c4": ("number", squire.DEFAULT_WINDOW.c4, _positive, "must be > 0"),
-        "count_s": ("array", [50, 100, 200, 400], _num_list,
-                    "must be a nonempty number list"),
+        "count_s": ("array", [50, 100, 200, 400], _positive_int_list,
+                    "must be a nonempty list of positive integers"),
         "max_lifts": ("integer", 10, lambda x: x >= 0, "must be >= 0"),
         "gamma": ("number", 0.5, lambda x: 0 < x < 1, "must lie in (0,1)"),
         "c6": ("number", None, lambda x: x is None or x > 0,
@@ -144,6 +148,43 @@ _TYPE_CHECK = {
     "string": lambda v: isinstance(v, str),
     "array": lambda v: isinstance(v, list),
     "boolean": lambda v: isinstance(v, bool),
+}
+
+
+def _check_simulate(p: dict) -> list[str]:
+    grid = spectral.SpectralGrid(p["n_modes"], Fraction(p["dealias_fraction"]))
+    if p["s"] >= grid.dealias_cutoff:
+        return [f"s: must lie below the dealias cutoff {grid.dealias_cutoff} "
+                f"(got {p['s']})"]
+    return []
+
+
+def _check_bounds(p: dict) -> list[str]:
+    errors = {}
+    for g in p["g_values"]:
+        for alpha in p["alpha_values"]:
+            try:
+                _bound_inputs(p, g, alpha)
+            except ValueError as exc:
+                errors[f"g_values/alpha_values: {exc}"] = None
+    return list(errors)
+
+
+def _check_squire(p: dict) -> list[str]:
+    try:
+        _count_window(p)
+    except ValueError as exc:
+        return [f"c2/c3/c4: {exc}"]
+    return []
+
+
+# Rules that involve several fields, checked by the code that owns each rule
+# once every field is valid on its own.
+_CROSS_CHECKS = {
+    "simulate": _check_simulate,
+    "bounds": _check_bounds,
+    "report": _check_bounds,
+    "squire": _check_squire,
 }
 
 
@@ -200,6 +241,11 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"{name}: required for command {command!r}")
         else:
             params[name] = default
+    if not errors and command in _CROSS_CHECKS:
+        try:
+            errors = _CROSS_CHECKS[command](params)
+        except OverflowError as exc:
+            errors = [f"a number is too large: {exc}"]
     if errors:
         raise ConfigError(errors)
     return ExperimentConfig(command=command, parameters=params,
@@ -229,17 +275,19 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: str, rows) -> Path:
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+    return path
 
 
-def _write_json(path: Path, payload) -> None:
+def _write_json(path: Path, payload) -> Path:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return path
 
 
 def _sha256(path: Path) -> str:
@@ -372,7 +420,8 @@ def emit_plot_data(results: list[dict], kind: str, out_dir, basename=None):
 # command implementations
 # ---------------------------------------------------------------------
 
-def _cmd_simulate(p: dict, out: Path, seed: int, threads: int) -> None:
+def _cmd_simulate(p: dict, out: Path, seed: int, threads: int,
+                  written: list[Path]) -> None:
     grid = spectral.SpectralGrid(p["n_modes"], Fraction(p["dealias_fraction"]))
     params = dynamics.ModelParams(nu=p["nu"], alpha=p["alpha"], grid=grid)
     spec = dynamics.ForcingSpec(s=p["s"], lam=p["lambda"])
@@ -384,13 +433,15 @@ def _cmd_simulate(p: dict, out: Path, seed: int, threads: int) -> None:
         state = dynamics.SolverState(psi=psi, time=0.0, params=params)
     diag = dynamics.run(state, p["t_final"], p["dt"], forcing,
                         sample_every=p["sample_every"], cfl=p["cfl"])
-    _write_csv(out / "diagnostics.csv", dynamics.TrajectoryDiagnostics.CSV_HEADER,
-               zip(diag.times, diag.phi_l2, diag.grad_phi_l2, diag.avg_grad_sq))
+    written.append(_write_csv(
+        out / "diagnostics.csv", dynamics.TrajectoryDiagnostics.CSV_HEADER,
+        zip(diag.times, diag.phi_l2, diag.grad_phi_l2, diag.avg_grad_sq)))
     if len(diag):
         report = dynamics.check_asymptotic_bounds(
             diag, f_l2=params.nu**2 * spec.lam * spec.s**2, nu=params.nu)
-        _write_json(out / "bounds_report.json", report.as_dict())
+        written.append(_write_json(out / "bounds_report.json", report.as_dict()))
     spectral.save_field(diag.final_state.psi, out / "final_field.json")
+    written.append(out / "final_field.json")
 
 
 def _sigma_grid_rows(s, alpha, delta, t, r, n_points) -> list[dict]:
@@ -405,7 +456,8 @@ def _sigma_grid_rows(s, alpha, delta, t, r, n_points) -> list[dict]:
     return rows
 
 
-def _cmd_stability(p: dict, out: Path, seed: int, threads: int) -> None:
+def _cmd_stability(p: dict, out: Path, seed: int, threads: int,
+                   written: list[Path]) -> None:
     s, alpha, delta, lam = p["s"], p["alpha"], p["delta"], p["lambda"]
     rows = stability.stability_sweep(s, alpha, delta, lam,
                                      compute_lambda0=False)
@@ -423,10 +475,11 @@ def _cmd_stability(p: dict, out: Path, seed: int, threads: int) -> None:
     for row in rows:
         row["lambda0"] = lam0.get((row["t"], row["r"]), math.nan)
     header = "s,t,r,alpha,delta,lambda,capital_lambda,sigma_hat,lambda0,in_region"
-    _write_csv(out / "sweep.csv", header,
-               [(r["s"], r["t"], r["r"], r["alpha"], r["delta"], r["lambda"],
-                 r["capital_lambda"], r["sigma_hat"], r["lambda0"],
-                 r["in_region"]) for r in rows])
+    written.append(_write_csv(
+        out / "sweep.csv", header,
+        [(r["s"], r["t"], r["r"], r["alpha"], r["delta"], r["lambda"],
+          r["capital_lambda"], r["sigma_hat"], r["lambda0"],
+          r["in_region"]) for r in rows]))
 
     delta_star, adelta_max = stability.optimize_delta()
     g = lam * s**2
@@ -438,54 +491,63 @@ def _cmd_stability(p: dict, out: Path, seed: int, threads: int) -> None:
         "grashof": g,
         "lower_bound_2d": stability.lower_bound_dim2d(g, alpha).as_dict(),
     }
-    _write_json(out / "summary.json", summary)
+    written.append(_write_json(out / "summary.json", summary))
     if pairs:
         t, r = pairs[0]
         grid_rows = _sigma_grid_rows(s, alpha, delta, t, r,
                                      p["sigma_grid_points"])
-        emit_plot_data(grid_rows, "sigma_vs_lambda", out)
+        written += emit_plot_data(grid_rows, "sigma_vs_lambda", out)
+
+
+def _bound_inputs(p: dict, g, alpha) -> bounds_mod.BoundInputs:
+    return bounds_mod.BoundInputs(
+        g=float(g), alpha=float(alpha), lambda1=p["lambda1"],
+        l_const=p["l_const"], eps_g=p["eps_g"], gamma=p.get("gamma", 0.5))
 
 
 def _bounds_rows(p: dict) -> list[dict]:
-    rows = []
-    for g in p["g_values"]:
-        for alpha in p["alpha_values"]:
-            rep = bounds_mod.two_sided_report(bounds_mod.BoundInputs(
-                g=float(g), alpha=float(alpha), lambda1=p["lambda1"],
-                l_const=p["l_const"], eps_g=p["eps_g"],
-                gamma=p.get("gamma", 0.5)))
-            rows.append(rep.as_dict())
-    return rows
+    return [bounds_mod.two_sided_report(_bound_inputs(p, g, alpha)).as_dict()
+            for g in p["g_values"] for alpha in p["alpha_values"]]
 
 
-def _cmd_bounds(p: dict, out: Path, seed: int, threads: int) -> None:
+def _cmd_bounds(p: dict, out: Path, seed: int, threads: int,
+                written: list[Path]) -> None:
     rows = _bounds_rows(p)
-    _write_csv(out / "bounds.csv", "g,alpha,upper1,upper2,lower,ratio",
-               [(r["g"], r["alpha"], r["upper1"], r["upper2"], r["lower"],
-                 r["ratio"]) for r in rows])
-    emit_plot_data(rows, "bounds_vs_g", out)
+    written.append(_write_csv(
+        out / "bounds.csv", "g,alpha,upper1,upper2,lower,ratio",
+        [(r["g"], r["alpha"], r["upper1"], r["upper2"], r["lower"],
+          r["ratio"]) for r in rows]))
+    written += emit_plot_data(rows, "bounds_vs_g", out)
     notes = sorted({n for r in rows for n in r["notes"]})
-    _write_json(out / "summary.json", {"points": len(rows), "notes": notes})
+    written.append(_write_json(out / "summary.json",
+                               {"points": len(rows), "notes": notes}))
 
 
-def _cmd_report(p: dict, out: Path, seed: int, threads: int) -> None:
+def _cmd_report(p: dict, out: Path, seed: int, threads: int,
+                written: list[Path]) -> None:
     rows = _bounds_rows(p)
     header = "g,alpha,lower,upper1,upper2,upper_min,ratio"
-    _write_csv(out / "two_sided.csv", header,
-               [(r["g"], r["alpha"], r["lower"], r["upper1"], r["upper2"],
-                 r["upper_min"], r["ratio"]) for r in rows])
-    emit_plot_data(rows, "bounds_vs_g", out)
-    _write_json(out / "summary.json", {
+    written.append(_write_csv(
+        out / "two_sided.csv", header,
+        [(r["g"], r["alpha"], r["lower"], r["upper1"], r["upper2"],
+          r["upper_min"], r["ratio"]) for r in rows]))
+    written += emit_plot_data(rows, "bounds_vs_g", out)
+    written.append(_write_json(out / "summary.json", {
         "points": len(rows),
         "alpha_regime_forms": rows[0]["alpha_regime_forms"] if rows else {},
         "notes": sorted({n for r in rows for n in r["notes"]}),
-    })
+    }))
 
 
-def _cmd_squire(p: dict, out: Path, seed: int, threads: int) -> None:
+def _count_window(p: dict) -> squire.CountWindow:
+    return squire.CountWindow(c2=p["c2"], c3=p["c3"], c4=p["c4"],
+                              delta_star=p["delta_star"])
+
+
+def _cmd_squire(p: dict, out: Path, seed: int, threads: int,
+                written: list[Path]) -> None:
     s, nu, alpha = p["s"], p["nu"], p["alpha"]
-    window = squire.CountWindow(c2=p["c2"], c3=p["c3"], c4=p["c4"],
-                                delta_star=p["delta_star"])
+    window = _count_window(p)
     lam = p["lambda"]
     if lam is None:
         lam = squire.lambda3_driver(s, alpha, p["delta_star"])
@@ -508,14 +570,15 @@ def _cmd_squire(p: dict, out: Path, seed: int, threads: int) -> None:
     else:
         rows = [lift_row(tr) for tr in triples]
     rows.sort(key=lambda row: (row[1], row[2], row[3]))
-    _write_csv(out / "triples.csv", "s,a,b,r,a_hat,sigma_hat,residual", rows)
+    written.append(_write_csv(out / "triples.csv",
+                              "s,a,b,r,a_hat,sigma_hat,residual", rows))
 
-    counts = [squire.count_triples(int(cs), window) for cs in p["count_s"]]
+    counts = [squire.count_triples(cs, window) for cs in p["count_s"]]
     density_rows = [{"s": c.s, "density": c.c5_fit} for c in counts]
-    emit_plot_data(density_rows, "lattice_density", out)
+    written += emit_plot_data(density_rows, "lattice_density", out)
     a0_vals = squire.a0_stability_spectrum(1, s, lam, nu, alpha,
                                            k_cutoff=4 * s + 16)
-    emit_plot_data(
+    written += emit_plot_data(
         [{"re": float(v.real), "im": float(v.imag)} for v in a0_vals],
         "spectrum_scatter", out, basename="a0_spectrum",
     )
@@ -537,7 +600,7 @@ def _cmd_squire(p: dict, out: Path, seed: int, threads: int) -> None:
             "note": "small-alpha formula c6 G^gamma / alpha^(3(1-gamma)); "
                     "alpha = 0 outside its regime",
         }
-    _write_json(out / "summary.json", summary)
+    written.append(_write_json(out / "summary.json", summary))
 
 
 _DISPATCH = {
@@ -553,9 +616,10 @@ def run_command(config: ExperimentConfig, out_dir=None,
                 threads: int = 1) -> RunManifest:
     """Dispatch a validated config; write artifacts and the manifest.
 
-    Every file in the output directory is listed in the manifest with its
-    sha256.  Computation errors are recorded in the manifest (status
-    "error") and re-raised after it is written.
+    Every file the command wrote, and no other file in the output
+    directory, is listed in the manifest with its sha256.  Computation
+    errors are recorded in the manifest (status "error", with the files
+    written before the error) and re-raised after it is written.
     """
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -569,21 +633,21 @@ def run_command(config: ExperimentConfig, out_dir=None,
         tolerances=dict(_TOLERANCES),
     )
     error: Exception | None = None
+    written: list[Path] = []
     try:
-        _DISPATCH[config.command](config.parameters, out, config.seed, threads)
+        _DISPATCH[config.command](config.parameters, out, config.seed, threads,
+                                  written)
     except Exception as exc:
         manifest.status = "error"
         manifest.error = f"{type(exc).__name__}: {exc}"
         error = exc
     manifest.finished_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    manifest_path = out / "manifest.json"
-    for path in sorted(out.rglob("*")):
-        if path.is_file() and path != manifest_path:
-            manifest.outputs.append({
-                "path": str(path.relative_to(out)),
-                "sha256": _sha256(path),
-            })
-    _write_json(manifest_path, manifest.as_dict())
+    for path in sorted(written):
+        manifest.outputs.append({
+            "path": str(path.relative_to(out)),
+            "sha256": _sha256(path),
+        })
+    _write_json(out / "manifest.json", manifest.as_dict())
     if error is not None:
         raise error
     return manifest

@@ -242,8 +242,6 @@ def step_imex(state: SolverState, dt: float, forcing: ScalarField) -> SolverStat
 
 
 def _sample_invariants(psi: ScalarField, t: float) -> None:
-    if not psi.is_hermitian(tol=1e-10):
-        raise NumericalError(f"Hermitian symmetry lost at t={t}")
     if psi.coeffs[0, 0] != 0:
         raise NumericalError(f"zero mean lost at t={t}")
 

@@ -5,10 +5,13 @@ coefficient convention is
 
     f(x) = sum_k c_k exp(i k.x),   c_{-k} = conj(c_k),   c_0 = 0.
 
-Coefficients are stored in numpy FFT layout (``coeffs[i1, i2]`` holds the
-mode ``(k1[i1], k2[i2])`` with ``k = fftfreq(n) * n``).  All linear
-operators are Fourier multipliers; only the Jacobian goes through physical
-space, with the 2/3-rule (configurable fraction) applied to its result.
+Coefficients are stored in ``numpy.fft.rfft2`` layout, shape (n, n/2 + 1):
+``coeffs[i1, k2]`` holds the mode ``(k1[i1], k2)``, k1 in fftfreq order and
+k2 = 0..n/2.  Modes with k2 < 0 are implied as conjugates, so Hermitian
+symmetry is structural except on the columns k2 = 0 and n/2, which
+``ScalarField`` makes exact at construction.  All linear operators are
+Fourier multipliers; only the Jacobian goes through physical space, with
+the 2/3-rule (configurable fraction) applied to its result.
 """
 
 from __future__ import annotations
@@ -51,17 +54,6 @@ LAMBDA1_TORUS = 1.0
 _MEAN_TOL = 1e-14
 
 
-def _hermitianize(c: np.ndarray) -> np.ndarray:
-    """Project onto exact Hermitian symmetry: c_{-k} = conj(c_k).
-
-    Physical-space transforms of real data are Hermitian only to roundoff;
-    pinning the symmetry exactly makes the half-spectrum representation
-    canonical (and serialization bit-exact).
-    """
-    flipped = np.conj(np.roll(np.flip(c), (1, 1), axis=(0, 1)))
-    return 0.5 * (c + flipped)
-
-
 class GridMismatchError(ValueError):
     """Operands live on different spectral grids."""
 
@@ -101,11 +93,16 @@ class SpectralGrid:
 
     @cached_property
     def k2(self) -> np.ndarray:
-        return self.wavenumbers[None, :].astype(np.float64)
+        return np.arange(self.n_modes // 2 + 1, dtype=np.float64)[None, :]
 
     @cached_property
     def k_sq(self) -> np.ndarray:
         return self.k1**2 + self.k2**2
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Shape of a stored coefficient array (the rfft2 half-spectrum)."""
+        return (self.n_modes, self.n_modes // 2 + 1)
 
     @property
     def dealias_cutoff(self) -> float:
@@ -115,14 +112,14 @@ class SpectralGrid:
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         c = self.dealias_cutoff
-        k = np.abs(self.wavenumbers)
-        return (k[:, None] < c) & (k[None, :] < c)
+        return (np.abs(self.k1) < c) & (self.k2 < c)
 
     def index_of(self, k1: int, k2: int) -> tuple[int, int]:
+        """Storage index of the wavevector (k1, k2), |k1| <= n/2, 0 <= k2 <= n/2."""
         n = self.n_modes
-        if abs(k1) > n // 2 or abs(k2) > n // 2:
-            raise ValueError(f"wavevector ({k1},{k2}) not representable at n_modes={n}")
-        return (k1 % n, k2 % n)
+        if abs(k1) > n // 2 or not 0 <= k2 <= n // 2:
+            raise ValueError(f"wavevector ({k1},{k2}) not stored at n_modes={n}")
+        return (k1 % n, k2)
 
     def physical_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         x = 2.0 * np.pi * np.arange(self.n_modes) / self.n_modes
@@ -141,24 +138,30 @@ class ScalarField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        n = self.grid.n_modes
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (n, n):
-            raise ValueError(f"coeffs shape {c.shape} does not match grid ({n},{n})")
-        scale = max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
+        c = np.array(self.coeffs, dtype=np.complex128)
+        if c.shape != self.grid.shape:
+            raise ValueError(
+                f"coeffs shape {c.shape} does not match grid {self.grid.shape}")
+        scale = max(1.0, float(np.max(np.abs(c))))
         if abs(c[0, 0]) > _MEAN_TOL * scale:
             raise NonZeroMeanError(
                 f"mean coefficient {c[0, 0]} exceeds tolerance {_MEAN_TOL * scale}"
             )
-        c = c.copy()
         c[0, 0] = 0.0
+        # Columns k2 = 0 and k2 = n/2 hold both k and -k: the k1 > 0 half is
+        # authoritative and copied, conjugated, onto k1 < 0; the modes that
+        # are their own conjugate (k1 = 0, n/2) are real.
+        half = self.grid.n_modes // 2
+        edge = c[:, ::half]
+        edge[half + 1:] = np.conj(edge[half - 1:0:-1])
+        edge[::half] = edge[::half].real
         object.__setattr__(self, "coeffs", c)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zeros(cls, grid: SpectralGrid) -> "ScalarField":
-        return cls(grid, np.zeros((grid.n_modes, grid.n_modes), dtype=np.complex128))
+        return cls(grid, np.zeros(grid.shape, dtype=np.complex128))
 
     @classmethod
     def harmonic(cls, grid: SpectralGrid, k1: int, k2: int, amplitude: float = 1.0,
@@ -171,32 +174,34 @@ class ScalarField:
                 f"wavevector ({k1},{k2}) is beyond the dealias cutoff "
                 f"{grid.dealias_cutoff}"
             )
-        c = np.zeros((grid.n_modes, grid.n_modes), dtype=np.complex128)
         if kind == "cos":
             cp = amplitude / 2.0
         elif kind == "sin":
             cp = amplitude / 2.0j
         else:
             raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
-        c[grid.index_of(k1, k2)] += cp
-        c[grid.index_of(-k1, -k2)] += np.conj(cp)
-        return cls(grid, c)
+        return cls.from_modes(grid, {(k1, k2): cp})
 
     @classmethod
     def from_modes(cls, grid: SpectralGrid,
                    modes: dict[tuple[int, int], complex]) -> "ScalarField":
-        """Build from half-spectrum coefficients; conjugates filled in."""
-        c = np.zeros((grid.n_modes, grid.n_modes), dtype=np.complex128)
+        """Build from coefficients c_k, one per conjugate pair, each stored at
+        its pair's representative: k2 > 0, or k1 > 0 when k2 is 0 or n/2."""
+        half = grid.n_modes // 2
+        c = np.zeros(grid.shape, dtype=np.complex128)
         for (k1, k2), val in modes.items():
+            if k2 < 0:
+                k1, k2, val = -k1, -k2, np.conj(val)
+            if k2 in (0, half) and k1 < 0:
+                k1, val = -k1, np.conj(val)
             c[grid.index_of(k1, k2)] = val
-            c[grid.index_of(-k1, -k2)] = np.conj(val)
         return cls(grid, c)
 
     @classmethod
     def from_physical(cls, grid: SpectralGrid, values: np.ndarray,
                       demean: bool = True, dealias: bool = True) -> "ScalarField":
         vals = np.asarray(values, dtype=np.float64)
-        c = _hermitianize(np.fft.fft2(vals) / vals.size)
+        c = np.fft.rfft2(vals) / vals.size
         if demean:
             c[0, 0] = 0.0
         if dealias:
@@ -206,9 +211,9 @@ class ScalarField:
     @classmethod
     def random(cls, grid: SpectralGrid, rng: np.random.Generator,
                amplitude: float = 1.0, decay: float = 1.0) -> "ScalarField":
-        """Random smooth Hermitian field, spectrum ~ exp(-decay * |k|)."""
+        """Random smooth real field, spectrum ~ exp(-decay * |k|)."""
         phys = rng.standard_normal((grid.n_modes, grid.n_modes))
-        c = _hermitianize(np.fft.fft2(phys) / phys.size)
+        c = np.fft.rfft2(phys) / phys.size
         c *= np.exp(-decay * np.sqrt(grid.k_sq))
         c[0, 0] = 0.0
         c = np.where(grid.dealias_mask, c, 0.0)
@@ -219,16 +224,14 @@ class ScalarField:
     # -- basic queries ------------------------------------------------
 
     def coeff(self, k1: int, k2: int) -> complex:
+        """c_k for |k1|, |k2| <= n/2; k2 < 0 reads conj(c_{-k})."""
+        if k2 < 0:
+            return self.coeff(-k1, -k2).conjugate()
         return complex(self.coeffs[self.grid.index_of(k1, k2)])
 
     def to_physical(self) -> np.ndarray:
-        return np.real(np.fft.ifft2(self.coeffs)) * self.coeffs.size
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        c = self.coeffs
-        flipped = np.conj(np.roll(np.flip(c), (1, 1), axis=(0, 1)))
-        scale = max(1.0, float(np.max(np.abs(c))))
-        return bool(np.max(np.abs(c - flipped)) <= tol * scale)
+        n = self.grid.n_modes
+        return np.fft.irfft2(self.coeffs, s=(n, n)) * n**2
 
     # -- arithmetic ---------------------------------------------------
 
@@ -327,17 +330,17 @@ def jacobian(a: ScalarField, b: ScalarField) -> ScalarField:
     a._require_same_grid(b)
     grid = a.grid
     mask = grid.dealias_mask
-    n_sq = a.coeffs.size
+    n = grid.n_modes
 
     def phys(c):
-        return np.real(np.fft.ifft2(np.where(mask, c, 0.0))) * n_sq
+        return np.fft.irfft2(np.where(mask, c, 0.0), s=(n, n)) * n**2
 
     a1 = phys(1j * grid.k1 * a.coeffs)
     a2 = phys(1j * grid.k2 * a.coeffs)
     b1 = phys(1j * grid.k1 * b.coeffs)
     b2 = phys(1j * grid.k2 * b.coeffs)
     prod = a1 * b2 - a2 * b1
-    c = _hermitianize(np.fft.fft2(prod) / n_sq)
+    c = np.fft.rfft2(prod) / n**2
     c = np.where(mask, c, 0.0)
     c[0, 0] = 0.0
     return ScalarField(grid, c)
@@ -352,15 +355,20 @@ def divergence(u: VectorField2) -> ScalarField:
     return deriv(u.u1, 1) + deriv(u.u2, 2)
 
 
+def _full_sum(x: np.ndarray):
+    """Sum over the full spectrum: interior k2 columns also stand for -k2."""
+    return np.sum(x) + np.sum(x[:, 1:-1])
+
+
 def norms(f: ScalarField) -> FieldNorms:
     """Parseval L2, H1- and H2-seminorms (volume (2pi)^2)."""
     w = np.abs(f.coeffs) ** 2
     vol = (2.0 * np.pi) ** 2
     ksq = f.grid.k_sq
     return FieldNorms(
-        l2=float(np.sqrt(vol * np.sum(w))),
-        h1_semi=float(np.sqrt(vol * np.sum(ksq * w))),
-        h2_semi=float(np.sqrt(vol * np.sum(ksq**2 * w))),
+        l2=float(np.sqrt(vol * _full_sum(w))),
+        h1_semi=float(np.sqrt(vol * _full_sum(ksq * w))),
+        h2_semi=float(np.sqrt(vol * _full_sum(ksq**2 * w))),
     )
 
 
@@ -368,7 +376,7 @@ def inner(f: ScalarField, g: ScalarField) -> float:
     """L2 inner product of two real fields."""
     f._require_same_grid(g)
     vol = (2.0 * np.pi) ** 2
-    return float(np.real(np.sum(f.coeffs * np.conj(g.coeffs))) * vol)
+    return float(np.real(_full_sum(f.coeffs * np.conj(g.coeffs))) * vol)
 
 
 # ---------------------------------------------------------------------
@@ -378,27 +386,21 @@ def inner(f: ScalarField, g: ScalarField) -> float:
 FIELD_FORMAT = "mla-field-v1"
 
 
-def _half_spectrum_keys(grid: SpectralGrid):
-    """One representative per conjugate pair: k2 > 0, or k2 == 0 and k1 > 0."""
-    half = grid.n_modes // 2
-    for k2 in range(0, half + 1):
-        for k1 in range(-half, half + 1):
-            if k2 == 0 and k1 <= 0:
-                continue
-            yield (k1, k2)
-
-
 def field_to_json(f: ScalarField) -> str:
     """Serialize the independent half-spectrum (nonzero modes only).
 
-    Floats pass through ``repr`` via the json encoder, so the round trip
-    is bit-exact.
+    Modes are listed k2-major for k2 = 0..n/2: k1 = 1..n/2 on k2 = 0 and
+    k1 = -n/2..n/2 (so k1 = +-n/2 twice) on the other columns.  Floats pass
+    through ``repr`` via the json encoder, so the round trip is bit-exact.
     """
-    modes = []
-    for k1, k2 in _half_spectrum_keys(f.grid):
-        c = f.coeffs[f.grid.index_of(k1, k2)]
-        if c != 0:
-            modes.append([k1, k2, float(c.real), float(c.imag)])
+    half = f.grid.n_modes // 2
+    k1, k2 = np.meshgrid(np.arange(-half, half + 1), np.arange(half + 1))
+    keep = (k2 > 0) | (k1 > 0)
+    k1, k2 = k1[keep], k2[keep]
+    vals = f.coeffs[k1 % f.grid.n_modes, k2]
+    nz = vals != 0
+    modes = [list(m) for m in zip(k1[nz].tolist(), k2[nz].tolist(),
+                                  vals[nz].real.tolist(), vals[nz].imag.tolist())]
     doc = {
         "format": FIELD_FORMAT,
         "n_modes": f.grid.n_modes,
@@ -413,12 +415,9 @@ def field_from_json(text: str) -> ScalarField:
     if doc.get("format") != FIELD_FORMAT:
         raise ValueError(f"unrecognized field container: {doc.get('format')!r}")
     grid = SpectralGrid(int(doc["n_modes"]), Fraction(doc["dealias_fraction"]))
-    c = np.zeros((grid.n_modes, grid.n_modes), dtype=np.complex128)
-    for k1, k2, re, im in doc["modes"]:
-        val = complex(re, im)
-        c[grid.index_of(int(k1), int(k2))] = val
-        c[grid.index_of(-int(k1), -int(k2))] = np.conj(val)
-    return ScalarField(grid, c)
+    return ScalarField.from_modes(grid, {
+        (int(k1), int(k2)): complex(re, im) for k1, k2, re, im in doc["modes"]
+    })
 
 
 def save_field(f: ScalarField, path) -> None:

@@ -654,12 +654,6 @@ def lambda3_driver(s: int, alpha: float, delta: float) -> float:
     return math.sqrt(2.0) * lambda2_threshold(s, alpha, delta)
 
 
-def triple_threshold_margin(triple: SquireTriple) -> float:
-    """sqrt(2) a / a_hat - 1 >= 0 for |b| <= a: the per-triple check that
-    the sqrt(2)-boosted amplitude clears the rescaled threshold."""
-    return math.sqrt(2.0) * triple.a / triple.a_hat - 1.0
-
-
 @dataclass(frozen=True)
 class LowerBound3D:
     g: float

@@ -351,13 +351,6 @@ def build_recurrence_system(prob: RecurrenceProblem,
     )
 
 
-def d_coefficient(prob: RecurrenceProblem, n: int, sigma_hat: float) -> float:
-    """Reconstruct d_n from the assembled system (for cross-checks)."""
-    sys = build_recurrence_system(prob)
-    i = n + prob.n_trunc
-    return (sigma_hat * sys.diag_b[i] - sys.diag_a[i]) / sys.off_a[i]
-
-
 @dataclass(frozen=True, eq=False)
 class StabilityResult:
     """Principal real eigenvalue of a chain, with its decaying eigenvector."""

@@ -7,6 +7,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mla import cli
 from mla.cli import ConfigError, emit_plot_data, parse_config, run_command, serialize_config
@@ -68,6 +70,40 @@ def test_parse_missing_required():
     assert any(e.startswith("lambda:") for e in err.value.errors)
 
 
+# A valid document per command: generated overrides of its keys reach the
+# cross-field checks as well as the per-field ones.
+_VALID = {
+    "simulate": MINIMAL_SIMULATE,
+    "stability": {"command": "stability", "s": 4, "delta": 0.3, "lambda": 1.0},
+    "bounds": {"command": "bounds", "g_values": [1e4], "alpha_values": [0.0]},
+    "report": {"command": "report", "g_values": [1e4], "alpha_values": [0.0]},
+    "squire": {"command": "squire", "s": 6},
+}
+_HUGE = 10**400  # an even integer past the float range
+_NUMBERS = st.integers() | st.floats() | st.sampled_from([_HUGE, -_HUGE])
+_SCALARS = (_NUMBERS | st.none() | st.booleans() | st.text(max_size=4)
+            | st.sampled_from(["2/3", "1/0"]))
+_VALUES = _SCALARS | st.lists(_SCALARS, max_size=3) | st.lists(_NUMBERS, max_size=3)
+_DOCUMENTS = _VALUES | st.sampled_from(sorted(_VALID)).flatmap(
+    lambda command: st.dictionaries(
+        st.sampled_from(sorted(cli.DEFAULTS[command]) + ["seed", "bogus"]),
+        _VALUES, max_size=3,
+    ).map(lambda overrides: dict(_VALID[command], **overrides))
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_DOCUMENTS)
+@example(dict(MINIMAL_SIMULATE, n_modes=_HUGE))
+@example(dict(_VALID["bounds"], g_values=[_HUGE]))
+@example(dict(_VALID["squire"], c2=_HUGE))
+def test_parse_config_returns_or_raises_config_error(doc):
+    try:
+        parse_config(json.dumps(doc))
+    except ConfigError:
+        pass
+
+
 def test_config_roundtrip_semantic_identity():
     doc = dict(MINIMAL_SIMULATE, seed=7, alpha=0.1, output_dir="x")
     cfg = parse_config(json.dumps(doc))
@@ -102,6 +138,19 @@ def test_bounds_grid_rows_and_manifest(tmp_path):
     saved = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert saved["status"] == "ok"
     assert saved["tolerances"]["eigen_residual_tol"] == 1e-8
+
+
+def test_manifest_lists_only_files_the_run_wrote(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "stale.txt").write_text("left by an earlier run\n")
+    doc = {"command": "bounds", "g_values": [1e4], "alpha_values": [0.0]}
+    manifest = run_command(parse_config(json.dumps(doc)), out_dir=out)
+    listed = sorted(o["path"] for o in manifest.outputs)
+    assert listed == ["bounds.csv", "bounds_vs_g.csv", "bounds_vs_g.svg",
+                      "summary.json"]
+    saved = json.loads((out / "manifest.json").read_text())
+    assert "stale.txt" not in {o["path"] for o in saved["outputs"]}
 
 
 def test_stability_sweep_matches_lattice_count(tmp_path):
@@ -286,3 +335,26 @@ def test_main_numerical_failure(tmp_path):
     assert cli.main(["simulate", "--config", str(cfg)]) == 3
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["status"] == "error"
+
+
+@pytest.mark.parametrize("doc", [
+    # forcing wavenumber at or past the dealias cutoff 32/3
+    dict(MINIMAL_SIMULATE, n_modes=32, s=30),
+    dict(MINIMAL_SIMULATE, n_modes=32, s=11),
+    {"command": "bounds", "g_values": [0.0], "alpha_values": [0.0]},
+    {"command": "bounds", "g_values": [1e4], "alpha_values": [-0.1]},
+    {"command": "report", "g_values": [-1e3], "alpha_values": [0.0]},
+    {"command": "report", "g_values": [1e4], "alpha_values": [0.0, -0.5]},
+    # window corners outside the instability region
+    {"command": "squire", "s": 6, "c2": 0.4},
+    {"command": "squire", "s": 6, "count_s": [0]},
+    {"command": "squire", "s": 6, "count_s": [1.5]},
+], ids=["simulate-s30", "simulate-s11", "bounds-g0", "bounds-alpha",
+        "report-g", "report-alpha", "squire-c2", "squire-count0",
+        "squire-count1.5"])
+def test_main_cross_field_config_error(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(doc, output_dir=str(tmp_path / "out"))))
+    assert cli.main([doc["command"], "--config", str(cfg)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

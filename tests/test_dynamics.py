@@ -56,8 +56,11 @@ def test_forcing_coefficients():
     want = -0.5 / SQRT2PI
     assert F.coeff(0, 1) == pytest.approx(want, rel=1e-14)
     assert F.coeff(0, -1) == pytest.approx(want, rel=1e-14)
-    nz = np.nonzero(F.coeffs)
-    assert len(nz[0]) == 2
+    wav = [int(k) for k in GRID.wavenumbers]
+    nonzero = {(k1, k2) for k1 in wav for k2 in wav if F.coeff(k1, k2) != 0}
+    assert nonzero == {(0, 1), (0, -1)}
+    # the stored half holds one of the pair
+    assert np.argwhere(F.coeffs).tolist() == [list(GRID.index_of(0, 1))]
 
 
 @pytest.mark.parametrize("s,lam,nu", [(1, 1.0, 1.0), (3, 2.5, 0.4), (4, 0.7, 2.0)])
@@ -143,12 +146,8 @@ def test_rhs_matches_finite_difference_oracle():
     grid = SpectralGrid(n)
     rng = np.random.default_rng(99)
     base = ScalarField.random(SpectralGrid(32), rng, amplitude=1.0, decay=1.2)
-    keep = {}
-    wav = base.grid.wavenumbers
-    for i, j in zip(*np.nonzero(base.coeffs)):
-        k1, k2 = int(wav[i]), int(wav[j])
-        if abs(k1) <= 4 and abs(k2) <= 4 and (k2 > 0 or (k2 == 0 and k1 > 0)):
-            keep[(k1, k2)] = complex(base.coeffs[i, j])
+    keep = {(k1, k2): base.coeff(k1, k2) for k1 in range(-4, 5)
+            for k2 in range(5) if k2 > 0 or k1 > 0}
     psi = ScalarField.from_modes(grid, keep)
 
     p = ModelParams(nu=0.7, alpha=0.25, grid=grid)

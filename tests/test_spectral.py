@@ -2,6 +2,8 @@
 finite-difference / convolution / quadrature oracles, and the Jacobian
 identity suite."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,13 @@ from mla.spectral import (
     inv_laplacian,
     jacobian,
     laplacian,
+    load_field,
     norms,
     velocity_from_stream,
 )
 
 GRID = SpectralGrid(32)
+DATA = Path(__file__).parent / "data"
 
 
 def rel_err(got, want):
@@ -52,7 +56,7 @@ def test_grid_validation():
 
 
 def test_zero_mean_enforced_by_construction():
-    c = np.zeros((32, 32), dtype=np.complex128)
+    c = np.zeros(GRID.shape, dtype=np.complex128)
     c[0, 0] = 1e-16
     f = ScalarField(GRID, c)
     assert f.coeffs[0, 0] == 0
@@ -72,11 +76,22 @@ def test_harmonic_coefficients():
     assert rel_err(g.to_physical(), 3.0 * np.sin(2 * x2)) < 1e-13
 
 
-def test_random_field_is_hermitian_and_zero_mean():
+def test_self_conjugate_columns_are_exact_mirrors():
+    # k2 = 0 and k2 = n/2 store both k and -k: exact conjugates, not just close
     rng = np.random.default_rng(0)
-    f = ScalarField.random(GRID, rng)
-    assert f.is_hermitian(tol=0.0)  # canonicalized, not just close
-    assert f.coeffs[0, 0] == 0
+    half = GRID.n_modes // 2
+    noise = rng.standard_normal((GRID.n_modes, GRID.n_modes))
+    fields = [
+        ScalarField.random(GRID, rng),
+        ScalarField.from_physical(GRID, noise, dealias=False),
+        jacobian(ScalarField.random(GRID, rng), ScalarField.random(GRID, rng)),
+    ]
+    for f in fields:
+        assert f.coeffs[0, 0] == 0
+        for k2 in (0, half):
+            for k1 in range(-half, half + 1):
+                assert f.coeff(-k1, k2) == np.conj(f.coeff(k1, k2))
+    assert np.count_nonzero(fields[1].coeffs[:, half]) > half  # Nyquist content
 
 
 def test_grid_mismatch_raises():
@@ -209,28 +224,65 @@ def test_jacobian_self_is_zero():
         assert norms(jacobian(a, a)).l2 < 1e-12 * norms(a).l2 ** 2
 
 
+def _full_spectrum(f):
+    """f's coefficients in the n x n fft2 layout, read through coeff."""
+    wav = [int(k) for k in f.grid.wavenumbers]
+    return np.array([[f.coeff(k1, k2) for k2 in wav] for k1 in wav])
+
+
 def _convolution_jacobian(a, b):
     """Term-by-term convolution oracle: J_k = sum_{p+q=k} (p2 q1 - p1 q2) a_p b_q."""
     grid = a.grid
     out = {}
-    nz_a = list(zip(*np.nonzero(a.coeffs)))
-    nz_b = list(zip(*np.nonzero(b.coeffs)))
+    full_a, full_b = _full_spectrum(a), _full_spectrum(b)
+    nz_a = list(zip(*np.nonzero(full_a)))
+    nz_b = list(zip(*np.nonzero(full_b)))
     wav = grid.wavenumbers
     for ia in nz_a:
         p = (wav[ia[0]], wav[ia[1]])
-        ca = a.coeffs[ia]
+        ca = full_a[ia]
         for ib in nz_b:
             q = (wav[ib[0]], wav[ib[1]])
-            cb = b.coeffs[ib]
+            cb = full_b[ib]
             k = (p[0] + q[0], p[1] + q[1])
             out[k] = out.get(k, 0.0) + (p[1] * q[0] - p[0] * q[1]) * ca * cb
-    c = np.zeros_like(a.coeffs)
     cutoff = grid.dealias_cutoff
-    for (k1, k2), val in out.items():
-        if abs(k1) < cutoff and abs(k2) < cutoff:
-            c[grid.index_of(k1, k2)] = val
+    out = {(int(k1), int(k2)): val for (k1, k2), val in out.items()
+           if (k1, k2) != (0, 0) and abs(k1) < cutoff and abs(k2) < cutoff}
+    return ScalarField.from_modes(grid, out)
+
+
+def _full_spectrum_jacobian(a, b):
+    """Oracle: the full-spectrum implementation, fft2/ifft2 on n x n arrays
+    with a 2-D Hermitian projection of the product."""
+    grid = a.grid
+    k = grid.wavenumbers.astype(np.float64)
+    k1, k2 = k[:, None], k[None, :]
+    mask = (np.abs(k1) < grid.dealias_cutoff) & (np.abs(k2) < grid.dealias_cutoff)
+    n_sq = grid.n_modes**2
+    ca, cb = _full_spectrum(a), _full_spectrum(b)
+
+    def phys(c):
+        return np.real(np.fft.ifft2(np.where(mask, c, 0.0))) * n_sq
+
+    prod = (phys(1j * k1 * ca) * phys(1j * k2 * cb)
+            - phys(1j * k2 * ca) * phys(1j * k1 * cb))
+    c = np.fft.fft2(prod) / n_sq
+    c = 0.5 * (c + np.conj(np.roll(np.flip(c), (1, 1), axis=(0, 1))))
+    c = np.where(mask, c, 0.0)
     c[0, 0] = 0.0
-    return ScalarField(grid, c)
+    return c
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_jacobian_matches_full_spectrum_reference(n):
+    grid = SpectralGrid(n)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        a = ScalarField.random(grid, rng, decay=0.5)
+        b = ScalarField.random(grid, rng, decay=0.5)
+        want = _full_spectrum_jacobian(a, b)
+        assert rel_err(_full_spectrum(jacobian(a, b)), want) < 1e-13
 
 
 def test_jacobian_matches_convolution_oracle():
@@ -355,6 +407,14 @@ def test_field_json_roundtrip_bit_exact():
     g = field_from_json(field_to_json(f))
     assert g.grid == f.grid
     assert np.array_equal(g.coeffs, f.coeffs)
+
+
+def test_field_fixture_reserializes_byte_identical():
+    # written by the full-spectrum implementation's save_field: a random
+    # field, unmasked noise, and modes on the k2 = 0 line, the k1 = n/2 row
+    # and the k2 = n/2 column
+    path = DATA / "field_n16_v1.json"
+    assert field_to_json(load_field(path)).encode() == path.read_bytes()
 
 
 def test_field_json_rejects_unknown_format():

@@ -3,6 +3,8 @@ against direct substitution, lifted-mode residuals on the full mode
 equations, the a=0 spectrum against the diffusion oracle and a full
 differential-algebraic pencil, and triple counting against brute force."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -26,7 +28,6 @@ from mla.squire import (
     reconstruct_omega2,
     solve_hat_mode,
     squire_reduce,
-    triple_threshold_margin,
 )
 
 S, ALPHA, NU, DSTAR = 6, 0.0, 1.0, 0.2
@@ -188,6 +189,12 @@ def test_lift_residuals_across_admissible_band():
         mode = lift_mode(triple, res2d, setup)
         assert max(mode.residuals.values()) < 1e-8
         assert mode.incompressibility_residual() < 1e-10
+
+
+def triple_threshold_margin(triple):
+    """sqrt(2) a / a_hat - 1 >= 0 for |b| <= a: the per-triple check that
+    the sqrt(2)-boosted amplitude clears the rescaled threshold."""
+    return math.sqrt(2.0) * triple.a / triple.a_hat - 1.0
 
 
 def test_threshold_wiring_per_triple():

@@ -18,7 +18,6 @@ from mla.stability import (
     build_recurrence_system,
     capital_lambda,
     count_lattice,
-    d_coefficient,
     derived_lower_coefficient,
     full_linearization_matrix,
     full_linearization_spectrum,
@@ -143,6 +142,13 @@ def test_optimize_delta_value():
 # ---------------------------------------------------------------------
 # recurrence system
 # ---------------------------------------------------------------------
+
+def d_coefficient(prob, n, sigma_hat):
+    """Reconstruct d_n from the assembled system."""
+    sys = build_recurrence_system(prob)
+    i = n + prob.n_trunc
+    return (sigma_hat * sys.diag_b[i] - sys.diag_a[i]) / sys.off_a[i]
+
 
 def test_recurrence_d1_direct_substitution():
     # s=2, t=1, r=0, alpha=0, Lambda=1, sigma=0: d_1 = 25/1 = 25
