@@ -4,9 +4,10 @@ run manifest out.
     mla <command> --config <file> [--out <dir>] [--threads N]
 
 Commands: simulate, stability, bounds, squire, report.  Exit codes:
-0 success, 2 validation error, 3 numerical failure.  MLA_THREADS is the
-fallback for --threads.  Identical config + seed produce bit-identical
-CSV outputs (floats are written with repr, rows in fixed order).
+0 success, 2 validation error, 3 numerical failure.  --threads (fallback
+MLA_THREADS) sets the squire lift workers.  Identical config + seed
+produce bit-identical CSV outputs (floats are written with repr, rows in
+fixed order).
 """
 
 from __future__ import annotations
@@ -328,7 +329,8 @@ _TOLERANCES = {
     "sigma_real_tol": stability.SIGMA_REAL_TOL,
     "decay_tail_tol": stability.DECAY_TAIL_TOL,
     "eigen_residual_tol": stability.RESIDUAL_TOL,
-    "lambda0_rel_width": 1e-8,
+    # sigma_hat must change sign across this relative width around Lambda_0
+    "lambda0_rel_width": stability.LAMBDA0_REL_WIDTH,
     "lift_residual_tol": 1e-8,
     "field_mean_tol": 1e-14,
 }
@@ -460,20 +462,8 @@ def _cmd_stability(p: dict, out: Path, seed: int, threads: int,
                    written: list[Path]) -> None:
     s, alpha, delta, lam = p["s"], p["alpha"], p["delta"], p["lambda"]
     rows = stability.stability_sweep(s, alpha, delta, lam,
-                                     compute_lambda0=False)
+                                     compute_lambda0=p["compute_lambda0"])
     pairs = [(row["t"], row["r"]) for row in rows if row["in_region"]]
-    lam0 = {}
-    if p["compute_lambda0"] and pairs:
-        def solve(tr):
-            return tr, stability.lambda0_threshold(s, tr[0], tr[1], alpha, delta)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                lam0 = dict(pool.map(solve, pairs))
-        else:
-            lam0 = dict(map(solve, pairs))
-    for row in rows:
-        row["lambda0"] = lam0.get((row["t"], row["r"]), math.nan)
     header = "s,t,r,alpha,delta,lambda,capital_lambda,sigma_hat,lambda0,in_region"
     written.append(_write_csv(
         out / "sweep.csv", header,
@@ -490,6 +480,8 @@ def _cmd_stability(p: dict, out: Path, seed: int, threads: int,
         "max_a_delta_scaled": adelta_max,
         "grashof": g,
         "lower_bound_2d": stability.lower_bound_dim2d(g, alpha).as_dict(),
+        "skipped": [{"t": r["t"], "r": r["r"], "error": r["error"]}
+                    for r in rows if r["error"] is not None],
     }
     written.append(_write_json(out / "summary.json", summary))
     if pairs:
@@ -664,12 +656,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=None, help="output directory "
                         "(default: output_dir from the config)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: MLA_THREADS or 1)")
+                        help="squire lift workers (default: MLA_THREADS or 1)")
     args = parser.parse_args(argv)
 
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("MLA_THREADS", "1"))
+    raw = os.environ.get("MLA_THREADS", "1") if args.threads is None else args.threads
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0  # reported below with the values < 1
+    if threads < 1:
+        print(f"error: --threads / MLA_THREADS must be an integer >= 1, "
+              f"got {raw!r}", file=sys.stderr)
+        return 2
 
     try:
         config = parse_config(Path(args.config).read_text())
@@ -687,8 +685,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         manifest = run_command(config, out_dir=args.out, threads=threads)
     except (dynamics.NumericalError, dynamics.TimeStepError,
-            stability.EigensolverError, stability.BracketError,
-            bounds_mod.BoundDomainError, ValueError) as exc:
+            stability.EigensolverError, bounds_mod.BoundDomainError,
+            ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     print(f"ok: {len(manifest.outputs)} artifacts in "

@@ -20,12 +20,17 @@ B = diag(kappa^2 + alpha^2 kappa^4) > 0:
 Decaying eigenvectors with sigma_hat > 0 are unstable modes (growth rate
 nu * sigma_hat), each of multiplicity two (the cosine- and sine-family
 coefficients satisfy the same equations).
+
+At sigma_hat = 0 the rows are linear in Lambda instead, C e = (1/Lambda)
+diag(B kappa^2) e with (C e)_n = t (kappa_n^2 - s^2)(e_{n+1} - e_{n-1}).
+As sigma_hat increases with Lambda, the neutral threshold Lambda_0 is 1/mu
+for the largest real mu of that problem with a decaying eigenvector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.integrate
@@ -33,7 +38,6 @@ import scipy.linalg
 
 __all__ = [
     "EigensolverError",
-    "BracketError",
     "RegionSpec",
     "RecurrenceProblem",
     "GeneralizedEigSystem",
@@ -69,6 +73,8 @@ SIGMA_REAL_TOL = 1e-10
 DECAY_TAIL_TOL = 1e-8
 #: Residual ceiling for an accepted eigenpair.
 RESIDUAL_TOL = 1e-8
+#: Relative width across which sigma_hat must change sign at Lambda_0.
+LAMBDA0_REL_WIDTH = 1e-8
 
 #: Two-digit lower-bound coefficients (dimension >= coeff * G^(2/3)).
 LOWER_COEFF_ALPHA0 = 0.006
@@ -81,10 +87,6 @@ _INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
 class EigensolverError(RuntimeError):
     """Dense eigensolve failed or returned no usable eigenpair."""
-
-
-class BracketError(RuntimeError):
-    """Bisection bracket does not straddle a sign change."""
 
 
 def capital_lambda(lam: float, s: int, alpha: float) -> float:
@@ -285,14 +287,6 @@ class GeneralizedEigSystem:
     def size(self) -> int:
         return len(self.diag_a)
 
-    def dense(self) -> tuple[np.ndarray, np.ndarray]:
-        n = self.size
-        A = np.diag(self.diag_a.astype(np.float64))
-        idx = np.arange(n - 1)
-        A[idx, idx + 1] = self.off_a[:-1]
-        A[idx + 1, idx] = -self.off_a[1:]
-        return A, np.diag(self.diag_b.astype(np.float64))
-
     def apply_a(self, e: np.ndarray) -> np.ndarray:
         out = self.diag_a * e
         out[:-1] += self.off_a[:-1] * e[1:]
@@ -312,8 +306,6 @@ class GeneralizedEigSystem:
         a couple of O(n) refinement sweeps push the generalized residual
         to its floating-point floor.
         """
-        import scipy.linalg as sla
-
         n = self.size
         best_sig, best_vec = sigma_hat, e
         best_res = self.residual(sigma_hat, e)
@@ -324,7 +316,7 @@ class GeneralizedEigSystem:
             ab[1, :] = self.diag_a - sig * self.diag_b
             ab[2, :-1] = -self.off_a[1:]
             try:
-                w = sla.solve_banded((1, 1), ab, self.diag_b * vec)
+                w = scipy.linalg.solve_banded((1, 1), ab, self.diag_b * vec)
             except np.linalg.LinAlgError:
                 break  # exactly singular: current pair is already converged
             if not np.all(np.isfinite(w)):
@@ -379,19 +371,35 @@ def _largest_real_decaying(sys: GeneralizedEigSystem):
         vals, vecs = scipy.linalg.eig(m)
     except Exception as exc:  # pragma: no cover - LAPACK failure surface
         raise EigensolverError(f"dense eigensolve failed: {exc}") from exc
-    best = None
-    for j in range(len(vals)):
-        lam = vals[j]
-        if abs(lam.imag) >= SIGMA_REAL_TOL * (1.0 + abs(lam.real)):
-            continue
-        v = vecs[:, j]
-        peak = np.max(np.abs(v))
-        tail = max(abs(v[0]), abs(v[-1]))
-        if tail >= DECAY_TAIL_TOL * peak:
-            continue  # truncation-contaminated
-        if best is None or lam.real > best[0]:
-            best = (float(lam.real), np.real(v / v[np.argmax(np.abs(v))]))
-    return best
+    mags = np.abs(vecs)
+    real = np.abs(vals.imag) < SIGMA_REAL_TOL * (1.0 + np.abs(vals.real))
+    decaying = np.maximum(mags[0], mags[-1]) < DECAY_TAIL_TOL * mags.max(axis=0)
+    keep = np.flatnonzero(real & decaying)  # the rest is truncation-contaminated
+    if keep.size == 0:
+        return None
+    j = keep[np.argmax(vals.real[keep])]
+    v = vecs[:, j]
+    return float(vals[j].real), np.real(v / v[np.argmax(mags[:, j])])
+
+
+def _settled_eigenpair(build, n_trunc: int, max_trunc: int):
+    """(value, vector, system, m) of the refined largest real decaying
+    eigenpair of build(m), doubling m from n_trunc until value settles."""
+    prev = None
+    trunc = n_trunc
+    while trunc <= max_trunc:
+        sys = build(trunc)
+        got = _largest_real_decaying(sys)
+        if got is not None:
+            value, vec = sys.refine(*got)
+            if prev is not None and abs(value - prev) < 1e-10 * (1.0 + abs(value)):
+                return value, vec, sys, trunc
+            prev = value
+        trunc *= 2
+    raise EigensolverError(
+        f"eigenvalue did not converge by n_trunc={max_trunc} "
+        f"(last value={prev})"
+    )
 
 
 def principal_sigma(prob: RecurrenceProblem, max_trunc: int = 1024) -> StabilityResult:
@@ -400,28 +408,15 @@ def principal_sigma(prob: RecurrenceProblem, max_trunc: int = 1024) -> Stability
     Raises EigensolverError if no real decaying eigenvalue exists at any
     truncation or the doubling fails to converge below 1e-10.
     """
-    prev = None
-    trunc = prob.n_trunc
-    while trunc <= max_trunc:
-        sys = build_recurrence_system(prob, trunc)
-        got = _largest_real_decaying(sys)
-        if got is not None:
-            sigma, vec = got
-            sigma, vec = sys.refine(sigma, vec)
-            if prev is not None and abs(sigma - prev) < 1e-10 * (1.0 + abs(sigma)):
-                return StabilityResult(
-                    sigma_hat=sigma,
-                    capital_lambda=prob.capital_lambda,
-                    eigen_residual=sys.residual(sigma, vec),
-                    eigenvector=vec,
-                    offsets=prob.offsets(trunc),
-                    n_trunc_used=trunc,
-                )
-            prev = sigma
-        trunc *= 2
-    raise EigensolverError(
-        f"eigenvalue did not converge by n_trunc={max_trunc} "
-        f"(last sigma_hat={prev})"
+    sigma, vec, sys, trunc = _settled_eigenpair(
+        lambda m: build_recurrence_system(prob, m), prob.n_trunc, max_trunc)
+    return StabilityResult(
+        sigma_hat=sigma,
+        capital_lambda=prob.capital_lambda,
+        eigen_residual=sys.residual(sigma, vec),
+        eigenvector=vec,
+        offsets=prob.offsets(trunc),
+        n_trunc_used=trunc,
     )
 
 
@@ -466,32 +461,33 @@ def lambda_interval(s: int, delta: float, alpha: float) -> tuple[float, float]:
 
 def lambda0_threshold(s: int, t: float, r: int, alpha: float,
                       delta: float) -> float:
-    """Bisection for the Lambda with sigma_hat(Lambda) = 0, to 1e-8 relative.
+    """Neutral threshold Lambda_0 = 1/mu, where sigma_hat(Lambda_0) = 0.
 
-    The bracket is the two-sided window widened by a factor of 10 on each
-    side; a missing sign change raises BracketError rather than guessing.
+    mu comes from the sigma_hat = 0 chain (module docstring), one eigensolve
+    per truncation doubling as in principal_sigma.  Post-checks raise
+    EigensolverError unless Lambda_0 lies in the two-sided window widened
+    10x on each side and sigma_hat changes sign across it at relative width
+    LAMBDA0_REL_WIDTH.
     """
-    lo_ref, hi_ref = lu_interval(s, delta, alpha)
-    lo, hi = lo_ref / 10.0, hi_ref * 10.0
+    prob = RecurrenceProblem(s=s, t=t, r=r, capital_lambda=1.0, alpha=alpha)
 
-    def sig(lam_cap: float) -> float:
-        return principal_sigma(
-            RecurrenceProblem(s=s, t=t, r=r, capital_lambda=lam_cap, alpha=alpha)
-        ).sigma_hat
+    def neutral(m: int) -> GeneralizedEigSystem:
+        unit = build_recurrence_system(prob, m)
+        return GeneralizedEigSystem(diag_a=np.zeros_like(unit.diag_a),
+                                    off_a=unit.off_a, diag_b=-unit.diag_a)
 
-    f_lo, f_hi = sig(lo), sig(hi)
-    if not (f_lo < 0.0 < f_hi):
-        raise BracketError(
-            f"sigma_hat does not change sign on [{lo}, {hi}]: "
-            f"endpoints ({f_lo}, {f_hi})"
-        )
-    while hi - lo > 1e-8 * 0.5 * (hi + lo):
-        mid = 0.5 * (lo + hi)
-        if sig(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    mu = _settled_eigenpair(neutral, prob.n_trunc, 1024)[0]
+    lo, hi = lu_interval(s, delta, alpha)
+    lo, hi = lo / 10.0, hi * 10.0
+    if not 1.0 / hi < mu < 1.0 / lo:
+        raise EigensolverError(f"Lambda_0 = 1/{mu} lies outside [{lo}, {hi}]")
+    lam0, h = 1.0 / mu, 0.5 * LAMBDA0_REL_WIDTH
+    below, above = (principal_sigma(replace(prob, capital_lambda=lam0 * f)).sigma_hat
+                    for f in (1.0 - h, 1.0 + h))
+    if not below < 0.0 < above:
+        raise EigensolverError(f"sigma_hat does not change sign across "
+                               f"Lambda_0 = {lam0}: ({below}, {above})")
+    return lam0
 
 
 # ---------------------------------------------------------------------
@@ -638,6 +634,8 @@ def stability_sweep(s: int, alpha: float, delta: float, lam: float,
 
     One row per (t, r): principal sigma_hat at Lambda(lam), region
     membership, and (for in-region pairs) the neutral threshold Lambda_0.
+    A row whose sigma_hat could not be computed has sigma_hat NaN and
+    ``error`` "<exception class>: <message>"; otherwise ``error`` is None.
     Rows are emitted in fixed (t, r) order for reproducible output.
     """
     spec = RegionSpec(delta=delta, s=s)
@@ -648,13 +646,14 @@ def stability_sweep(s: int, alpha: float, delta: float, lam: float,
     for t in range(1, t_hi + 1):
         for r in range(-r_hi, r_hi + 1):
             in_region = region_contains(spec, t, r)
+            sigma, error = math.nan, None
             try:
                 prob = RecurrenceProblem(
                     s=s, t=t, r=r, capital_lambda=lam_cap, alpha=alpha
                 )
                 sigma = principal_sigma(prob).sigma_hat
-            except (ValueError, EigensolverError):
-                sigma = math.nan
+            except (ValueError, EigensolverError) as exc:
+                error = f"{type(exc).__name__}: {exc}"
             lam0 = math.nan
             if in_region and compute_lambda0:
                 lam0 = lambda0_threshold(s, t, r, alpha, delta)
@@ -662,6 +661,6 @@ def stability_sweep(s: int, alpha: float, delta: float, lam: float,
                 "s": s, "t": t, "r": r, "alpha": alpha, "delta": delta,
                 "lambda": lam, "capital_lambda": lam_cap,
                 "sigma_hat": sigma, "lambda0": lam0,
-                "in_region": in_region,
+                "in_region": in_region, "error": error,
             })
     return rows

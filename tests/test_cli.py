@@ -5,6 +5,7 @@ exit codes."""
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -254,6 +255,25 @@ def test_stability_threaded_output_identical(tmp_path):
     assert a == b
 
 
+def _skipped_matches_blank_rows(out):
+    _, rows = read_csv(out / "sweep.csv")
+    blank = sorted((int(r["t"]), int(r["r"])) for r in rows if r["sigma_hat"] == "")
+    skipped = json.loads((out / "summary.json").read_text())["skipped"]
+    assert sorted((e["t"], e["r"]) for e in skipped) == blank
+    assert all(e["error"] for e in skipped)
+    return blank
+
+
+def test_stability_blank_sigma_rows_are_explained(tmp_path):
+    doc = {"command": "stability", "s": 6, "delta": 0.5, "lambda": 1e308,
+           "output_dir": str(tmp_path / "huge")}
+    run_command(parse_config(json.dumps(doc)))
+    assert len(_skipped_matches_blank_rows(tmp_path / "huge")) > 0
+    shipped = Path(__file__).parents[1] / "configs" / "stability_scan.json"
+    run_command(parse_config(shipped.read_text()), out_dir=tmp_path / "shipped")
+    assert _skipped_matches_blank_rows(tmp_path / "shipped") == []
+
+
 def test_report_command(tmp_path):
     doc = {
         "command": "report",
@@ -335,6 +355,27 @@ def test_main_numerical_failure(tmp_path):
     assert cli.main(["simulate", "--config", str(cfg)]) == 3
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["status"] == "error"
+
+
+@pytest.mark.parametrize("env,flags", [
+    ("abc", []), ("1.5", []), ("0", []), ("-2", []),
+    (None, ["--threads", "0"]), ("4", ["--threads", "-1"]),
+])
+def test_main_bad_threads_is_a_validation_error(tmp_path, capsys, monkeypatch,
+                                                env, flags):
+    if env is None:
+        monkeypatch.delenv("MLA_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("MLA_THREADS", env)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "command": "bounds", "g_values": [1e4], "alpha_values": [0.0],
+        "output_dir": str(tmp_path / "out"),
+    }))
+    assert cli.main(["bounds", "--config", str(cfg)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("doc", [

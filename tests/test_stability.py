@@ -1,7 +1,8 @@
 """Stability machinery tests: region membership against literal
 re-evaluation, lattice counts against area asymptotics, recurrence
 coefficients against direct substitution, the principal eigenvalue
-against the dense full-operator oracle, and threshold windows."""
+against the dense full-operator oracle, and thresholds against their
+windows and a bisection oracle."""
 
 import math
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from mla import stability
 from mla.stability import (
     A_DELTA_MAX,
     EigensolverError,
@@ -188,6 +190,42 @@ def test_truncation_convergence():
     assert abs(s1 - s2) < 1e-10
 
 
+def _largest_real_decaying_loop(vals, vecs):
+    """Per-eigenvalue loop over the output of the dense eigensolve."""
+    from mla.stability import DECAY_TAIL_TOL, SIGMA_REAL_TOL
+
+    best = None
+    for j in range(len(vals)):
+        lam = vals[j]
+        if abs(lam.imag) >= SIGMA_REAL_TOL * (1.0 + abs(lam.real)):
+            continue
+        v = vecs[:, j]
+        if max(abs(v[0]), abs(v[-1])) >= DECAY_TAIL_TOL * np.max(np.abs(v)):
+            continue
+        if best is None or lam.real > best[0]:
+            best = (float(lam.real), np.real(v / v[np.argmax(np.abs(v))]))
+    return best
+
+
+@pytest.mark.parametrize("cap", [1e-3, 2.0, 6.0, 40.0])
+def test_largest_real_decaying_matches_loop_exactly(monkeypatch, cap):
+    from mla.stability import _largest_real_decaying
+
+    solved = []
+    eig = scipy.linalg.eig
+
+    def recording_eig(m):
+        solved.append(eig(m))
+        return solved[-1]
+
+    monkeypatch.setattr(scipy.linalg, "eig", recording_eig)
+    prob = RecurrenceProblem(s=8, t=3, r=-1, capital_lambda=cap, alpha=0.1)
+    got = _largest_real_decaying(build_recurrence_system(prob))
+    want = _largest_real_decaying_loop(*solved[0])
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+
+
 def test_stability_result_residual_invariant():
     with pytest.raises(EigensolverError):
         StabilityResult(
@@ -279,6 +317,62 @@ def test_lambda0_window_holds_at_order_one_alpha(s, delta, t, alpha):
     lam0 = lambda0_threshold(s, t, 0, alpha, delta)
     lo, hi = lu_interval(s, delta, alpha)
     assert lo < lam0 < hi
+
+
+def _bisect_lambda0(s, t, r, alpha, delta):
+    """Bisection for sigma_hat(Lambda) = 0 to 1e-8 relative, on the
+    two-sided window widened by a factor of 10 on each side."""
+    lo_ref, hi_ref = lu_interval(s, delta, alpha)
+    lo, hi = lo_ref / 10.0, hi_ref * 10.0
+
+    def sig(lam_cap):
+        return principal_sigma(
+            RecurrenceProblem(s=s, t=t, r=r, capital_lambda=lam_cap, alpha=alpha)
+        ).sigma_hat
+
+    assert sig(lo) < 0.0 < sig(hi)
+    while hi - lo > 1e-8 * 0.5 * (hi + lo):
+        mid = 0.5 * (lo + hi)
+        if sig(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _criterion_6_cases():
+    cases = []
+    for s, delta in ((4, 0.3), (6, 0.2), (8, 0.3), (10, 0.3)):
+        for (t, r) in lattice_points(RegionSpec(delta=delta, s=s)):
+            for alpha in (0.0, 0.1):
+                cases.append((s, delta, t, r, alpha))
+    return cases[:20]
+
+
+@pytest.mark.parametrize("s,delta,t,r,alpha", _criterion_6_cases()[::3])
+def test_lambda0_matches_bisection_oracle(s, delta, t, r, alpha):
+    direct = lambda0_threshold(s, t, r, alpha, delta)
+    oracle = _bisect_lambda0(s, t, r, alpha, delta)
+    assert abs(direct - oracle) <= 1e-8 * oracle
+
+
+def test_lambda0_out_of_region_chain_raises():
+    # two modes of this chain lie inside |k| < s: no neutral decaying mode
+    with pytest.raises(EigensolverError):
+        lambda0_threshold(8, 1, 2, 0.1, 0.3)
+
+
+def test_lambda0_outside_widened_window_raises(monkeypatch):
+    monkeypatch.setattr(stability, "lu_interval", lambda s, delta, alpha: (1e3, 1e4))
+    with pytest.raises(EigensolverError, match="outside"):
+        lambda0_threshold(4, 2, 0, 0.0, 0.3)
+
+
+def test_lambda0_without_resolved_sign_change_raises(monkeypatch):
+    # a width below the float spacing evaluates sigma_hat at Lambda_0 twice
+    monkeypatch.setattr(stability, "LAMBDA0_REL_WIDTH", 1e-20)
+    with pytest.raises(EigensolverError, match="sign"):
+        lambda0_threshold(4, 2, 0, 0.0, 0.3)
 
 
 def test_lambda_interval_consistent_with_capital_form():
@@ -374,4 +468,14 @@ def test_stability_sweep_region_count():
     assert len(in_region) == count_lattice(RegionSpec(delta=0.5, s=6)) == 1
     assert in_region[0]["t"] == 3 and in_region[0]["r"] == 0
     assert all(np.isfinite(row["sigma_hat"]) or not row["in_region"]
+               for row in rows)
+    assert all(row["error"] is None for row in rows if row["in_region"])
+
+
+def test_stability_sweep_records_why_sigma_is_missing():
+    # the chain coefficients overflow to inf, so every eigensolve fails
+    rows = stability_sweep(s=6, alpha=0.0, delta=0.5, lam=1e308,
+                           compute_lambda0=False)
+    assert rows and all(math.isnan(row["sigma_hat"]) for row in rows)
+    assert all(row["error"].startswith(("EigensolverError: ", "ValueError: "))
                for row in rows)
