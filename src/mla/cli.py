@@ -222,8 +222,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(output_dir, str):
         errors.append("output_dir: must be a string")
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        errors.append("seed: must be an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        errors.append("seed: must be a nonnegative integer")
     params = {}
     for name, (typ, default, check, constraint) in schema.items():
         if name in doc:

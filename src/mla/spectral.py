@@ -11,7 +11,9 @@ k2 = 0..n/2.  Modes with k2 < 0 are implied as conjugates, so Hermitian
 symmetry is structural except on the columns k2 = 0 and n/2, which
 ``ScalarField`` makes exact at construction.  All linear operators are
 Fourier multipliers; only the Jacobian goes through physical space, with
-the 2/3-rule (configurable fraction) applied to its result.
+the 2/3-rule (configurable fraction) applied to its result.  Symbol tables
+and array operators live on ``SpectralGrid``; the stepper in ``mla.dynamics``
+uses them and the array kernel ``_jacobian`` without building fields.
 """
 
 from __future__ import annotations
@@ -99,6 +101,24 @@ class SpectralGrid:
     def k_sq(self) -> np.ndarray:
         return self.k1**2 + self.k2**2
 
+    @cached_property
+    def neg_inv_k_sq(self) -> np.ndarray:
+        """The inverse Laplacian symbol -1/|k|^2, 0 at k = 0."""
+        return np.divide(-1.0, self.k_sq, out=np.zeros(self.shape), where=self.k_sq > 0)
+
+    def helmholtz(self, alpha: float) -> np.ndarray:
+        """The symbol 1 + alpha^2 |k|^2 of I - alpha^2 Lap."""
+        return 1.0 + alpha**2 * self.k_sq
+
+    def velocity(self, stream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficient arrays of u = (-d2, d1) stream."""
+        return -1j * self.k2 * stream, 1j * self.k1 * stream
+
+    def to_physical(self, c: np.ndarray) -> np.ndarray:
+        """Values on ``physical_nodes`` of the coefficient array c."""
+        n = self.n_modes
+        return np.fft.irfft2(c, s=(n, n)) * n**2
+
     @property
     def shape(self) -> tuple[int, int]:
         """Shape of a stored coefficient array (the rfft2 half-spectrum)."""
@@ -113,6 +133,14 @@ class SpectralGrid:
     def dealias_mask(self) -> np.ndarray:
         c = self.dealias_cutoff
         return (np.abs(self.k1) < c) & (self.k2 < c)
+
+    @cached_property
+    def _jacobian_symbols(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Masked i k1 and i k2, and the output symbol mask / n^2, 0 at k = 0."""
+        mask = self.dealias_mask
+        out = np.where(mask & (self.k_sq > 0), 1.0 / self.n_modes**2, 0.0)
+        return (np.where(mask, 1j * self.k1, 0.0),
+                np.where(mask, 1j * self.k2, 0.0), out)
 
     def index_of(self, k1: int, k2: int) -> tuple[int, int]:
         """Storage index of the wavevector (k1, k2), |k1| <= n/2, 0 <= k2 <= n/2."""
@@ -230,8 +258,7 @@ class ScalarField:
         return complex(self.coeffs[self.grid.index_of(k1, k2)])
 
     def to_physical(self) -> np.ndarray:
-        n = self.grid.n_modes
-        return np.fft.irfft2(self.coeffs, s=(n, n)) * n**2
+        return self.grid.to_physical(self.coeffs)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -306,18 +333,21 @@ def inv_laplacian(f: ScalarField) -> ScalarField:
     """Inverse Laplacian on zero-mean fields: c_k -> -c_k / |k|^2."""
     if abs(f.coeffs[0, 0]) > _MEAN_TOL:
         raise NonZeroMeanError("inv_laplacian requires a zero-mean field")
-    ksq = f.grid.k_sq.copy()
-    ksq[0, 0] = 1.0
-    out = -f.coeffs / ksq
-    out[0, 0] = 0.0
-    return ScalarField(f.grid, out)
+    return ScalarField(f.grid, f.coeffs * f.grid.neg_inv_k_sq)
 
 
 def helmholtz_inv(f: ScalarField, alpha: float) -> ScalarField:
     """(I - alpha^2 Laplacian)^{-1}: c_k -> c_k / (1 + alpha^2 |k|^2)."""
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    return ScalarField(f.grid, f.coeffs / (1.0 + alpha**2 * f.grid.k_sq))
+    return ScalarField(f.grid, f.coeffs / f.grid.helmholtz(alpha))
+
+
+def _jacobian(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dealiased J(a, b) of coefficient arrays: the kernel of ``jacobian``."""
+    d1, d2, out = grid._jacobian_symbols
+    a1, a2, b1, b2 = (grid.to_physical(d * c) for c in (a, b) for d in (d1, d2))
+    return np.fft.rfft2(a1 * b2 - a2 * b1) * out
 
 
 def jacobian(a: ScalarField, b: ScalarField) -> ScalarField:
@@ -328,27 +358,13 @@ def jacobian(a: ScalarField, b: ScalarField) -> ScalarField:
     cutoff; the mean of the result is pinned to exactly zero.
     """
     a._require_same_grid(b)
-    grid = a.grid
-    mask = grid.dealias_mask
-    n = grid.n_modes
-
-    def phys(c):
-        return np.fft.irfft2(np.where(mask, c, 0.0), s=(n, n)) * n**2
-
-    a1 = phys(1j * grid.k1 * a.coeffs)
-    a2 = phys(1j * grid.k2 * a.coeffs)
-    b1 = phys(1j * grid.k1 * b.coeffs)
-    b2 = phys(1j * grid.k2 * b.coeffs)
-    prod = a1 * b2 - a2 * b1
-    c = np.fft.rfft2(prod) / n**2
-    c = np.where(mask, c, 0.0)
-    c[0, 0] = 0.0
-    return ScalarField(grid, c)
+    return ScalarField(a.grid, _jacobian(a.grid, a.coeffs, b.coeffs))
 
 
 def velocity_from_stream(psi: ScalarField) -> VectorField2:
     """u = (-d2 psi, d1 psi); divergence-free by construction."""
-    return VectorField2(u1=-deriv(psi, 2), u2=deriv(psi, 1))
+    u1, u2 = psi.grid.velocity(psi.coeffs)
+    return VectorField2(ScalarField(psi.grid, u1), ScalarField(psi.grid, u2))
 
 
 def divergence(u: VectorField2) -> ScalarField:

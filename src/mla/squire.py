@@ -688,6 +688,9 @@ def lower_bound_dim3d(g: float, alpha: float, gamma: float,
         raise ValueError(f"gamma must lie in (0,1), got {gamma}")
     if g <= 0 or c6 <= 0:
         raise ValueError("require G > 0 and c6 > 0")
+    # raw_count divides by alpha^3; value by alpha^(3(1-gamma)), nonzero if alpha^3 is
+    if alpha**3 == 0.0:
+        raise ValueError(f"alpha = {alpha} is so small that alpha^3 underflows to 0")
     return LowerBound3D(
         g=g, alpha=alpha, gamma=gamma, c6=c6,
         value=c6 * g**gamma / alpha ** (3.0 * (1.0 - gamma)),

@@ -382,14 +382,26 @@ def _largest_real_decaying(sys: GeneralizedEigSystem):
     return float(vals[j].real), np.real(v / v[np.argmax(mags[:, j])])
 
 
-def _settled_eigenpair(build, n_trunc: int, max_trunc: int):
+def _settled_eigenpair(build, n_trunc: int, max_trunc: int, sigma_ref: float = 0.0):
     """(value, vector, system, m) of the refined largest real decaying
-    eigenpair of build(m), doubling m from n_trunc until value settles."""
-    prev = None
+    eigenpair of build(m), doubling m from n_trunc until value settles.
+
+    Two misses in a row end the search once 2 |off_a| < |diag_a - sigma_ref
+    diag_b| on both edge rows: the tail of an eigenvector whose eigenvalue is
+    at least sigma_ref then shrinks over 2.4x per row, so a missing pair does
+    not exist rather than being cut off by the truncation.
+    """
+    prev, misses = None, 0
     trunc = n_trunc
     while trunc <= max_trunc:
         sys = build(trunc)
         got = _largest_real_decaying(sys)
+        edge = np.abs(sys.diag_a - sigma_ref * sys.diag_b)[[0, -1]]
+        resolved = np.all(2.0 * np.abs(sys.off_a[[0, -1]]) < edge)
+        misses = misses + 1 if got is None and resolved else 0
+        if misses == 2:
+            raise EigensolverError(
+                f"no real decaying eigenvalue at n_trunc={trunc // 2} or {trunc}")
         if got is not None:
             value, vec = sys.refine(*got)
             if prev is not None and abs(value - prev) < 1e-10 * (1.0 + abs(value)):
@@ -405,8 +417,9 @@ def _settled_eigenpair(build, n_trunc: int, max_trunc: int):
 def principal_sigma(prob: RecurrenceProblem, max_trunc: int = 1024) -> StabilityResult:
     """Track the monotone real branch, doubling n_trunc until it settles.
 
-    Raises EigensolverError if no real decaying eigenvalue exists at any
-    truncation or the doubling fails to converge below 1e-10.
+    Raises EigensolverError if two truncations in a row that resolve the
+    eigenvector tail have no real decaying eigenvalue, or if the doubling
+    fails to converge below 1e-10.
     """
     sigma, vec, sys, trunc = _settled_eigenpair(
         lambda m: build_recurrence_system(prob, m), prob.n_trunc, max_trunc)
@@ -476,9 +489,10 @@ def lambda0_threshold(s: int, t: float, r: int, alpha: float,
         return GeneralizedEigSystem(diag_a=np.zeros_like(unit.diag_a),
                                     off_a=unit.off_a, diag_b=-unit.diag_a)
 
-    mu = _settled_eigenpair(neutral, prob.n_trunc, 1024)[0]
     lo, hi = lu_interval(s, delta, alpha)
     lo, hi = lo / 10.0, hi * 10.0
+    # mu < 1/hi fails the window check, so tails are resolved down to 1/hi
+    mu = _settled_eigenpair(neutral, prob.n_trunc, 1024, 1.0 / hi)[0]
     if not 1.0 / hi < mu < 1.0 / lo:
         raise EigensolverError(f"Lambda_0 = 1/{mu} lies outside [{lo}, {hi}]")
     lam0, h = 1.0 / mu, 0.5 * LAMBDA0_REL_WIDTH

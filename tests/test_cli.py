@@ -5,6 +5,7 @@ exit codes."""
 
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,12 @@ def test_parse_missing_required():
         parse_config(json.dumps({"command": "stability", "s": 4}))
     assert any(e.startswith("delta:") for e in err.value.errors)
     assert any(e.startswith("lambda:") for e in err.value.errors)
+
+
+def test_parse_rejects_negative_seed():
+    # numpy's generator rejects it too, which made the run exit 3
+    with pytest.raises(ConfigError, match="seed: must be a nonnegative integer"):
+        parse_config(json.dumps(dict(MINIMAL_SIMULATE, seed=-1)))
 
 
 # A valid document per command: generated overrides of its keys reach the
@@ -399,3 +406,77 @@ def test_main_cross_field_config_error(tmp_path, capsys, doc):
     assert cli.main([doc["command"], "--config", str(cfg)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# Whole runs: each key is drawn from a bounded range around its valid one,
+# and at most one key is replaced by a value out of range or of the wrong
+# type, so that validation and the numerics both fail sometimes while every
+# run stays small (n_modes <= 16, at most 20 steps, s <= 8, max_lifts <= 2,
+# count_s <= 50; s <= 5 for stability, whose scans grow fastest with s).
+_ODD = st.sampled_from([-1, 0, 1.5, None, "x", True, [1],
+                        float("inf"), float("nan")])
+
+
+def _simulate_doc(steps, dt, **keys):
+    # t_final = steps * dt keeps the step count at most 20 for any dt
+    return dict(keys, command="simulate", dt=dt, t_final=steps * dt)
+
+
+def _nums(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=1, max_size=3)
+
+
+_RUNS = {
+    "simulate": st.builds(
+        _simulate_doc, steps=st.integers(1, 20), dt=st.floats(1e-3, 0.5),
+        nu=st.floats(1e-3, 10.0), alpha=st.floats(0.0, 1.0),
+        n_modes=st.sampled_from([8, 12, 16]), s=st.integers(1, 3),
+        dealias_fraction=st.sampled_from(["2/3", "1/2", "1"]),
+        sample_every=st.integers(1, 25), init_amplitude=st.floats(0.0, 10.0),
+        cfl=st.floats(0.01, 2.0), start_from_stationary=st.booleans(),
+        seed=st.integers(0, 5), **{"lambda": st.floats(1e-3, 200.0)}),
+    "stability": st.fixed_dictionaries({
+        "command": st.just("stability"), "s": st.integers(1, 5),
+        "alpha": st.floats(0.0, 1.0), "delta": st.floats(0.01, 0.57),
+        "lambda": st.floats(1e-3, 200.0), "compute_lambda0": st.booleans(),
+        "sigma_grid_points": st.integers(2, 4)}),
+    "squire": st.fixed_dictionaries({
+        "command": st.just("squire"), "s": st.integers(1, 8),
+        "nu": st.floats(1e-3, 10.0), "alpha": st.floats(0.0, 1.0),
+        "lambda": st.none() | st.floats(1e-3, 200.0),
+        "delta_star": st.floats(0.01, 0.57), "c2": st.floats(0.08, 0.12),
+        "c3": st.floats(0.44, 0.48), "c4": st.floats(0.54, 0.58),
+        "count_s": st.lists(st.integers(1, 50), min_size=1, max_size=3),
+        "max_lifts": st.integers(0, 2), "gamma": st.floats(0.01, 0.99),
+        "c6": st.none() | st.floats(1e-3, 10.0)}),
+}
+_BOUNDS_KEYS = {
+    "g_values": _nums(1e-3, 1e8), "alpha_values": _nums(0.0, 1.0),
+    "lambda1": st.floats(1e-3, 10.0), "l_const": st.floats(1e-3, 10.0),
+    "eps_g": st.floats(0.0, 1.0)}
+_RUNS["bounds"] = st.fixed_dictionaries(
+    dict(_BOUNDS_KEYS, command=st.just("bounds")))
+_RUNS["report"] = st.fixed_dictionaries(
+    dict(_BOUNDS_KEYS, command=st.just("report"), gamma=st.floats(0.01, 0.99)))
+
+
+def _with_one_odd_value(doc):
+    # t_final stays valid so that an odd dt cannot ask for many steps
+    keys = sorted(set(doc) - {"command", "t_final"})
+    return st.dictionaries(st.sampled_from(keys), _ODD, max_size=1).map(
+        lambda odd: dict(doc, **odd))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(sorted(_RUNS)).flatmap(lambda command: _RUNS[command])
+       .flatmap(_with_one_odd_value))
+# alpha^3 underflows to 0 in the 3-D bound: was a ZeroDivisionError traceback
+@example({"command": "squire", "s": 7, "alpha": 5e-324, "max_lifts": 0,
+          "count_s": [9]})
+def test_main_exit_code_on_any_run(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = cli.main([doc["command"], "--config", str(cfg),
+                         "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3)

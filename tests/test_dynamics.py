@@ -13,6 +13,7 @@ from mla.dynamics import (
     ModelParams,
     SolverState,
     TimeStepError,
+    _etd_tables,
     check_asymptotic_bounds,
     dt_max,
     energy,
@@ -26,10 +27,12 @@ from mla.dynamics import (
     step_imex,
 )
 from mla.spectral import (
+    GridMismatchError,
     ScalarField,
     SpectralGrid,
     helmholtz_inv,
     inv_laplacian,
+    jacobian,
     laplacian,
     norms,
 )
@@ -229,12 +232,53 @@ def test_self_convergence_second_order():
     assert 3.3 < ratio < 4.7  # ~4x per halving for a second-order scheme
 
 
+def _reference_step(state, dt, forcing):
+    """The ETD2RK step composed from validated fields, as step_imex was
+    written before it moved onto coefficient arrays: the oracle for it."""
+    p = state.params
+    exp_z, w1, w2 = _etd_tables(p.grid, p.nu, dt)
+
+    def nonlinear(psi):
+        return forcing - jacobian(inv_laplacian(psi), helmholtz_inv(psi, p.alpha))
+
+    n0 = nonlinear(state.psi)
+    a = ScalarField(p.grid, exp_z * state.psi.coeffs + w1 * n0.coeffs)
+    new = ScalarField(p.grid, a.coeffs + w2 * (nonlinear(a).coeffs - n0.coeffs))
+    return SolverState(psi=new, time=state.time + dt, params=p)
+
+
+@pytest.mark.parametrize("n", [32, 48, 64])
+@pytest.mark.parametrize("alpha", [0.0, 0.1])
+def test_step_matches_field_composed_reference(n, alpha):
+    # 48 is not a power of two, so the array path rounds differently there
+    p = params(nu=0.05, alpha=alpha, grid=SpectralGrid(n))
+    spec = ForcingSpec(s=2, lam=40.0)
+    F = kolmogorov_forcing(spec, p)
+    psi0 = stationary_psi(spec, p) + initial_state(p, seed=3, amplitude=0.5).psi
+    got = want = SolverState(psi=psi0, time=0.0, params=p)
+    for _ in range(20):
+        got, want = step_imex(got, 0.01, F), _reference_step(want, 0.01, F)
+        assert dist(got.psi, want.psi) <= 1e-13 * norms(want.psi).l2
+        assert got.time == want.time
+    assert dist(got.psi, psi0) > 1e-3 * norms(psi0).l2  # the state moved
+
+
 def test_step_rejects_bad_dt_and_detects_blowup():
     p = params()
     state = initial_state(p, seed=1)
     F = ScalarField.zeros(GRID)
     with pytest.raises(ValueError):
         step_imex(state, -0.1, F)
+
+
+@pytest.mark.parametrize("other", [SpectralGrid(32, "1/2"), SpectralGrid(16)])
+def test_step_and_rhs_reject_forcing_on_another_grid(other):
+    state = initial_state(params(), seed=1)
+    F = ScalarField.zeros(other)
+    for call in (lambda: step_imex(state, 0.01, F), lambda: rhs(state, F),
+                 lambda: run(state, t_final=0.02, dt=0.01, forcing=F)):
+        with pytest.raises(GridMismatchError):
+            call()
 
 
 # ---------------------------------------------------------------------

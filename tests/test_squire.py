@@ -358,5 +358,7 @@ def test_lower_bound_3d_validation():
         lower_bound_dim3d(10.0, 0.0, 0.5, 1.0)
     with pytest.raises(ValueError):
         lower_bound_dim3d(10.0, 0.1, 1.5, 1.0)
+    with pytest.raises(ValueError, match="underflows"):  # was a ZeroDivisionError
+        lower_bound_dim3d(10.0, 5e-324, 0.5, 1.0)
     rep = lower_bound_dim3d(10.0, 0.1, 0.5, 1.0)
     assert "(G/alpha)^(3/2)" in rep.upper_form

@@ -358,8 +358,38 @@ def test_lambda0_matches_bisection_oracle(s, delta, t, r, alpha):
 
 def test_lambda0_out_of_region_chain_raises():
     # two modes of this chain lie inside |k| < s: no neutral decaying mode
-    with pytest.raises(EigensolverError):
+    with pytest.raises(EigensolverError, match="no real decaying"):
         lambda0_threshold(8, 1, 2, 0.1, 0.3)
+
+
+def test_eigenpair_search_stops_after_two_truncations_without_one(monkeypatch):
+    real = stability._largest_real_decaying
+    sizes = []
+
+    def every_other(sys):  # none at the 1st and 3rd truncation: search goes on
+        sizes.append(sys.size)
+        return None if len(sizes) in (1, 3) else real(sys)
+
+    prob = RecurrenceProblem(s=4, t=2, r=0, capital_lambda=5.0)
+    monkeypatch.setattr(stability, "_largest_real_decaying", every_other)
+    assert principal_sigma(prob).n_trunc_used == 512
+    assert len(sizes) == 4
+    sizes.clear()
+    monkeypatch.setattr(stability, "_largest_real_decaying",
+                        lambda sys: sizes.append(sys.size))
+    with pytest.raises(EigensolverError, match="n_trunc=64 or 128"):
+        principal_sigma(prob)
+    assert len(sizes) == 2
+
+
+def test_unresolved_misses_do_not_stop_the_search():
+    # edge coupling Lambda t (kappa^2 - s^2) / (B kappa^2) is 2.2 at n_trunc
+    # 64 and 0.55 at 128: neither resolves the tail, so their misses do not
+    # end the search, and 256 finds a real decaying eigenvalue
+    prob = RecurrenceProblem(s=1, t=3, r=0, capital_lambda=3000.0)
+    with pytest.raises(EigensolverError,
+                       match=r"did not converge by n_trunc=256 \(last value=-"):
+        principal_sigma(prob, max_trunc=256)
 
 
 def test_lambda0_outside_widened_window_raises(monkeypatch):
