@@ -173,9 +173,15 @@ def _check_bounds(p: dict) -> list[str]:
 
 def _check_squire(p: dict) -> list[str]:
     try:
-        _count_window(p)
+        window = _count_window(p)
     except ValueError as exc:
         return [f"c2/c3/c4: {exc}"]
+    if p["lambda"] is None:  # the default amplitude may overflow a float
+        squire.lambda3_driver(p["s"], p["alpha"], p["delta_star"])
+    if (p["c6"] is None and p["alpha"] > 0
+            and squire.count_triples(p["count_s"][-1], window).count == 0):
+        return [f"count_s: no triples at s={p['count_s'][-1]}, so the default "
+                "c6 (the c5 fit there) is 0; use a larger last s or set c6"]
     return []
 
 

@@ -174,24 +174,14 @@ def _modes(m_max: int) -> np.ndarray:
 def _conv_sin(amp: float, s: int, m_max: int) -> np.ndarray:
     """Multiplication by amp sin(s x3) as a matrix on mode coefficients."""
     n = 2 * m_max + 1
-    c = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        if i - s >= 0:
-            c[i, i - s] += amp / 2j       # e^{+is x3} shifts m-s -> m
-        if i + s < n:
-            c[i, i + s] -= amp / 2j
-    return c
+    # e^{+is x3} shifts m-s -> m
+    return (amp / 2j) * (np.eye(n, k=-s) - np.eye(n, k=s))
 
 
 def _conv_cos(amp: float, s: int, m_max: int) -> np.ndarray:
     n = 2 * m_max + 1
-    c = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        if i - s >= 0:
-            c[i, i - s] += amp / 2.0
-        if i + s < n:
-            c[i, i + s] += amp / 2.0
-    return c
+    return (amp / 2.0) * (np.eye(n, k=-s, dtype=np.complex128)
+                          + np.eye(n, k=s, dtype=np.complex128))
 
 
 def _wave_tables(setup: Setup3D, a_hat_sq: float, m_max: int):
@@ -379,14 +369,18 @@ def reconstruct_omega2(triple: SquireTriple, q: np.ndarray, setup: Setup3D,
             f"reconstruction requires Re(iac) < 0, got {np.real(1j * a * c)}"
         )
     _, D, H, cu, _ = _wave_tables(setup, triple.a_hat**2, m_max)
-    n = 2 * m_max + 1
-    T = (np.diag(setup.nu * D + 1j * a * c * np.ones(n))
-         - 1j * a * (cu * H[None, :]))
+    s, diag = setup.s, setup.nu * D + 1j * a * c
+    # the shear couples only modes s apart: bands (s, s) in solve_banded form
+    bands = np.zeros((2 * s + 1, 2 * m_max + 1), dtype=np.complex128)
+    bands[0, s:] = -1j * a * np.diagonal(cu, s) * H[s:]
+    bands[s] = diag
+    bands[2 * s, :-s] = -1j * a * np.diagonal(cu, -s) * H[:-s]
     rhs = 1j * b * q
-    w2 = np.linalg.solve(T, rhs)
+    w2 = scipy.linalg.solve_banded((s, s), bands, rhs)
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm > 0:
-        res = float(np.linalg.norm(T @ w2 - rhs)) / rhs_norm
+        t_w2 = diag * w2 - 1j * a * (cu @ (H * w2))
+        res = float(np.linalg.norm(t_w2 - rhs)) / rhs_norm
         if res > 1e-10:
             raise EigensolverError(
                 f"omega2 solve residual {res} (near-singular system; "
@@ -625,15 +619,18 @@ def admissible_triples(s: int, window: CountWindow = DEFAULT_WINDOW
 
 
 def count_triples(s: int, window: CountWindow = DEFAULT_WINDOW) -> TripleCount:
-    """Exact enumeration (vectorized) plus the density fit count/s^3."""
+    """Exact enumeration, one row of b per a in integer arithmetic (O(s)
+    time and memory), plus the density fit count/s^3."""
     eps = 1e-9
-    lo = (window.c3 * s) ** 2 * (1 - eps)
-    hi = (window.c4 * s) ** 2 * (1 + eps)
-    a_max = int(math.floor(window.c4 * s * (1 + eps))) + 1
-    a = np.arange(1, a_max + 1)[:, None]
-    b = np.arange(-a_max, a_max + 1)[None, :]
-    ssq = a * a + b * b
-    pairs = int(np.sum((np.abs(b) <= a) & (ssq >= lo) & (ssq <= hi)))
+    lo = math.ceil((window.c3 * s) ** 2 * (1 - eps))
+    hi = math.floor((window.c4 * s) ** 2 * (1 + eps))
+    pairs = 0
+    for a in range(1, math.isqrt(hi) + 1):
+        # 0 <= b_lo <= |b| <= b_hi: |b| <= a and lo <= a^2 + b^2 <= hi
+        b_hi = min(a, math.isqrt(hi - a * a))
+        b_lo = math.isqrt(lo - a * a - 1) + 1 if lo > a * a else 0
+        if b_lo <= b_hi:
+            pairs += 2 * (b_hi - b_lo + 1) - (b_lo == 0)
     r_values = 2 * int(math.floor(window.c2 * s * (1 + eps))) + 1
     count = pairs * r_values
     return TripleCount(

@@ -25,6 +25,10 @@ At sigma_hat = 0 the rows are linear in Lambda instead, C e = (1/Lambda)
 diag(B kappa^2) e with (C e)_n = t (kappa_n^2 - s^2)(e_{n+1} - e_{n-1}).
 As sigma_hat increases with Lambda, the neutral threshold Lambda_0 is 1/mu
 for the largest real mu of that problem with a decaying eigenvector.
+
+Both pick the eigenpair alike: a dense solve of the balanced B^{-1} A gives
+the eigenvalues only; each real one, largest first, gets its eigenvector by
+O(n) banded inverse iteration until one decays at the truncation edge.
 """
 
 from __future__ import annotations
@@ -298,6 +302,14 @@ class GeneralizedEigSystem:
         return float(np.linalg.norm(self.apply_a(e) - sigma_hat * be)
                      / np.linalg.norm(be))
 
+    def shifted(self, sigma_hat: float) -> np.ndarray:
+        """A - sigma_hat B in the (1, 1) band storage of solve_banded."""
+        ab = np.zeros((3, self.size))
+        ab[0, 1:] = self.off_a[:-1]
+        ab[1, :] = self.diag_a - sigma_hat * self.diag_b
+        ab[2, :-1] = -self.off_a[1:]
+        return ab
+
     def refine(self, sigma_hat: float, e: np.ndarray,
                iterations: int = 2) -> tuple[float, np.ndarray]:
         """Banded inverse iteration + Rayleigh quotient on (A, B).
@@ -306,17 +318,13 @@ class GeneralizedEigSystem:
         a couple of O(n) refinement sweeps push the generalized residual
         to its floating-point floor.
         """
-        n = self.size
         best_sig, best_vec = sigma_hat, e
         best_res = self.residual(sigma_hat, e)
         sig, vec = sigma_hat, e
         for _ in range(iterations):
-            ab = np.zeros((3, n))
-            ab[0, 1:] = self.off_a[:-1]
-            ab[1, :] = self.diag_a - sig * self.diag_b
-            ab[2, :-1] = -self.off_a[1:]
             try:
-                w = scipy.linalg.solve_banded((1, 1), ab, self.diag_b * vec)
+                w = scipy.linalg.solve_banded((1, 1), self.shifted(sig),
+                                              self.diag_b * vec)
             except np.linalg.LinAlgError:
                 break  # exactly singular: current pair is already converged
             if not np.all(np.isfinite(w)):
@@ -361,25 +369,42 @@ class StabilityResult:
             )
 
 
+def _inverse_iteration(sys: GeneralizedEigSystem, sigma_hat: float) -> np.ndarray:
+    """Eigenvector of A e = sigma_hat B e, scaled to 1 at its largest entry,
+    by fixed-shift banded inverse iteration from a vector of ones (at most 8
+    solves: the shift is an eigenvalue to rounding, so 2 or 3 usually do)."""
+    vec = np.ones(sys.size)
+    for _ in range(8):
+        try:
+            w = scipy.linalg.solve_banded((1, 1), sys.shifted(sigma_hat),
+                                          sys.diag_b * vec, check_finite=False)
+        except np.linalg.LinAlgError:  # exactly singular: nudge the shift
+            sigma_hat += 4.0 * np.spacing(max(abs(sigma_hat), 1.0))
+            continue
+        w /= w[np.argmax(np.abs(w))]
+        if np.max(np.abs(np.abs(w) - np.abs(vec))) <= 1e-12:
+            return w
+        vec = w
+    return vec
+
+
 def _largest_real_decaying(sys: GeneralizedEigSystem):
-    """Largest real eigenvalue whose eigenvector decays at the truncation edge."""
+    """Largest real eigenvalue whose eigenvector decays at the truncation
+    edge: eigenvalues from one dense solve, eigenvectors by inverse iteration."""
     m = (sys.diag_a / sys.diag_b)[:, None] * np.eye(sys.size)
     idx = np.arange(sys.size - 1)
     m[idx, idx + 1] = sys.off_a[:-1] / sys.diag_b[:-1]
     m[idx + 1, idx] = -sys.off_a[1:] / sys.diag_b[1:]
     try:
-        vals, vecs = scipy.linalg.eig(m)
+        vals = scipy.linalg.eig(m, right=False)
     except Exception as exc:  # pragma: no cover - LAPACK failure surface
         raise EigensolverError(f"dense eigensolve failed: {exc}") from exc
-    mags = np.abs(vecs)
     real = np.abs(vals.imag) < SIGMA_REAL_TOL * (1.0 + np.abs(vals.real))
-    decaying = np.maximum(mags[0], mags[-1]) < DECAY_TAIL_TOL * mags.max(axis=0)
-    keep = np.flatnonzero(real & decaying)  # the rest is truncation-contaminated
-    if keep.size == 0:
-        return None
-    j = keep[np.argmax(vals.real[keep])]
-    v = vecs[:, j]
-    return float(vals[j].real), np.real(v / v[np.argmax(mags[:, j])])
+    for value in np.sort(vals.real[real])[::-1]:
+        vec = _inverse_iteration(sys, value)
+        if max(abs(vec[0]), abs(vec[-1])) < DECAY_TAIL_TOL:  # else cut off
+            return float(value), vec
+    return None
 
 
 def _settled_eigenpair(build, n_trunc: int, max_trunc: int, sigma_ref: float = 0.0):

@@ -408,6 +408,34 @@ def test_main_cross_field_config_error(tmp_path, capsys, doc):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("doc,field", [
+    # (1 + alpha^2 s^2)^2 of the default driver amplitude overflows a float
+    ({"s": 2, "alpha": 1e120, "max_lifts": 0, "count_s": [3]}, "too large"),
+    ({"s": 2, "alpha": 1e200, "max_lifts": 0, "count_s": [3]}, "too large"),
+    # no triples at s = 1, so the default c6 would be 0
+    ({"s": 6, "alpha": 0.1, "max_lifts": 0, "count_s": [1]}, "count_s:"),
+], ids=["alpha1e120", "alpha1e200", "c6-default-0"])
+def test_main_squire_config_at_fault_is_one_error_line(tmp_path, capsys, doc,
+                                                        field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(doc, command="squire",
+                                   output_dir=str(tmp_path / "out"))))
+    assert cli.main(["squire", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert field in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_squire_default_c6_needs_triples_only_when_used(tmp_path):
+    # alpha = 0 has no small-alpha bound, so c6 is unused and s = 1 is fine
+    doc = {"command": "squire", "s": 6, "max_lifts": 0, "count_s": [1]}
+    run_command(parse_config(json.dumps(doc)), out_dir=tmp_path)
+    with pytest.raises(ConfigError):
+        parse_config(json.dumps(dict(doc, alpha=0.1)))
+    parse_config(json.dumps(dict(doc, alpha=0.1, c6=0.5)))
+
+
 # Whole runs: each key is drawn from a bounded range around its valid one,
 # and at most one key is replaced by a value out of range or of the wrong
 # type, so that validation and the numerics both fail sometimes while every

@@ -133,6 +133,22 @@ def test_reconstruct_requires_unstable_phase():
                            c=-0.5j, m_max=20)
 
 
+@pytest.mark.parametrize("s,alpha,a,b", [(6, 0.0, 3, 1), (20, 0.05, 7, -6)])
+def test_reconstruct_matches_dense_solve(s, alpha, a, b):
+    # oracle: the dense operator -(nu D + i a c - i a u0 H) solved densely
+    from mla.squire import _wave_tables
+
+    setup = driver_setup(s=s, alpha=alpha)
+    triple = SquireTriple(a=a, b=b, r=0)
+    c, m_max = 0.7j / a, 4 * s + 16
+    q = np.random.default_rng(1).standard_normal(2 * m_max + 1) + 0j
+    _, D, H, cu, _ = _wave_tables(setup, triple.a_hat**2, m_max)
+    dense = np.diag(setup.nu * D + 1j * a * c) - 1j * a * (cu * H[None, :])
+    want = np.linalg.solve(dense, 1j * b * q)
+    got = reconstruct_omega2(triple, q, setup, c, m_max)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_reconstruct_truncation_converged():
     setup = driver_setup()
     triple = SquireTriple(a=3, b=1, r=0)
@@ -314,6 +330,26 @@ def test_count_matches_bruteforce():
     assert count_triples(s, w).count == brute
     trs = admissible_triples(s, w)
     assert len(trs) == brute
+
+
+def _dense_count(s, w):
+    """The (a, b) grid count on a dense array, as counted before the
+    integer row count."""
+    eps = 1e-9
+    lo, hi = (w.c3 * s) ** 2 * (1 - eps), (w.c4 * s) ** 2 * (1 + eps)
+    a_max = int(math.floor(w.c4 * s * (1 + eps))) + 1
+    a = np.arange(1, a_max + 1)[:, None]
+    b = np.arange(-a_max, a_max + 1)[None, :]
+    ssq = a * a + b * b
+    pairs = int(np.sum((np.abs(b) <= a) & (ssq >= lo) & (ssq <= hi)))
+    return pairs * (2 * int(math.floor(w.c2 * s * (1 + eps))) + 1)
+
+
+@pytest.mark.parametrize("w", [DEFAULT_WINDOW,
+                               CountWindow(c2=0.08, c3=0.45, c4=0.5)])
+def test_count_matches_dense_grid_oracle(w):
+    for s in list(range(1, 300)) + [1000, 1600]:
+        assert count_triples(s, w).count == _dense_count(s, w)
 
 
 def test_count_b_reflection_symmetry():

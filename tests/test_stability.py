@@ -1,8 +1,9 @@
 """Stability machinery tests: region membership against literal
 re-evaluation, lattice counts against area asymptotics, recurrence
 coefficients against direct substitution, the principal eigenvalue
-against the dense full-operator oracle, and thresholds against their
-windows and a bisection oracle."""
+against the dense full-operator oracle, the eigenpair selection against
+the dense-eigenvector oracle, and thresholds against their windows and a
+bisection oracle."""
 
 import math
 
@@ -207,23 +208,64 @@ def _largest_real_decaying_loop(vals, vecs):
     return best
 
 
-@pytest.mark.parametrize("cap", [1e-3, 2.0, 6.0, 40.0])
-def test_largest_real_decaying_matches_loop_exactly(monkeypatch, cap):
-    from mla.stability import _largest_real_decaying
+def _dense_largest_real_decaying(sys):
+    """The dense-eigenvector selection: every eigenvector of the balanced
+    B^-1 A from one scipy.linalg.eig, then the per-eigenvalue loop."""
+    m = np.diag(sys.diag_a / sys.diag_b)
+    idx = np.arange(sys.size - 1)
+    m[idx, idx + 1] = sys.off_a[:-1] / sys.diag_b[:-1]
+    m[idx + 1, idx] = -sys.off_a[1:] / sys.diag_b[1:]
+    try:
+        return _largest_real_decaying_loop(*scipy.linalg.eig(m))
+    except ValueError as exc:  # a non-finite chain
+        raise EigensolverError(f"dense eigensolve failed: {exc}") from exc
 
-    solved = []
+
+@pytest.mark.parametrize("cap", [1e-3, 2.0, 6.0, 40.0])
+def test_largest_real_decaying_matches_dense_oracle(cap):
+    sys = build_recurrence_system(
+        RecurrenceProblem(s=8, t=3, r=-1, capital_lambda=cap, alpha=0.1))
+    got = stability._largest_real_decaying(sys)
+    want = _dense_largest_real_decaying(sys)
+    assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
+    assert np.max(np.abs(got[1] - want[1])) <= 1e-8
+
+
+def test_largest_real_decaying_rejects_a_cut_off_eigenvector():
+    # the only real eigenvalue at n_trunc 64 has a tail the truncation edge
+    # cuts off (test_unresolved_misses_do_not_stop_the_search)
+    sys = build_recurrence_system(
+        RecurrenceProblem(s=1, t=3, r=0, capital_lambda=3000.0), 64)
+    assert _dense_largest_real_decaying(sys) is None
+    assert stability._largest_real_decaying(sys) is None
+
+
+@pytest.mark.parametrize("cap", [1e-3, 40.0])
+def test_largest_real_decaying_solves_eigenvalues_only_once(monkeypatch, cap):
+    calls = []
     eig = scipy.linalg.eig
 
-    def recording_eig(m):
-        solved.append(eig(m))
-        return solved[-1]
+    def recording_eig(m, *args, **kwargs):
+        calls.append((args, kwargs))
+        return eig(m, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "eig", recording_eig)
-    prob = RecurrenceProblem(s=8, t=3, r=-1, capital_lambda=cap, alpha=0.1)
-    got = _largest_real_decaying(build_recurrence_system(prob))
-    want = _largest_real_decaying_loop(*solved[0])
-    assert got[0] == want[0]
-    assert np.array_equal(got[1], want[1])
+    sys = build_recurrence_system(
+        RecurrenceProblem(s=8, t=3, r=-1, capital_lambda=cap, alpha=0.1))
+    assert stability._largest_real_decaying(sys) is not None
+    assert calls == [((), {"right": False})]
+
+
+def test_inverse_iteration_nudges_an_exactly_singular_shift():
+    # zero diagonal of odd size: A itself is singular, with null vector
+    # (1, 0, 1, 0, 1), so the shift 0 stops the banded LU at a zero pivot
+    sys = stability.GeneralizedEigSystem(
+        diag_a=np.zeros(5), off_a=np.array([1.0, 2.0, 1.0, 3.0, 1.0]),
+        diag_b=np.arange(1.0, 6.0))
+    with pytest.raises(np.linalg.LinAlgError):
+        scipy.linalg.solve_banded((1, 1), sys.shifted(0.0), np.ones(5))
+    vec = stability._inverse_iteration(sys, 0.0)
+    assert np.max(np.abs(vec - [1.0, 0.0, 1.0, 0.0, 1.0])) < 1e-12
 
 
 def test_stability_result_residual_invariant():
@@ -354,6 +396,65 @@ def test_lambda0_matches_bisection_oracle(s, delta, t, r, alpha):
     direct = lambda0_threshold(s, t, r, alpha, delta)
     oracle = _bisect_lambda0(s, t, r, alpha, delta)
     assert abs(direct - oracle) <= 1e-8 * oracle
+
+
+def _seeded_in_region_chains():
+    """Eight in-region chains with s <= 12 drawn with a fixed seed, each at
+    both alpha of criterion 6 and at a Lambda drawn log-uniformly from the
+    widened threshold window."""
+    rng = np.random.default_rng(5)
+    chains = [(s, t, r) for s in range(2, 13)
+              for (t, r) in lattice_points(RegionSpec(delta=0.3, s=s))]
+    cases = []
+    for i in rng.choice(len(chains), 8, replace=False):
+        for alpha in (0.0, 0.1):
+            s, t, r = chains[i]
+            lo, hi = lu_interval(s, 0.3, alpha)
+            cap = math.exp(rng.uniform(math.log(lo / 10), math.log(hi * 10)))
+            cap = float(f"{cap:.4g}")  # short test ids
+            cases.append((s, t, r, alpha, cap))
+    return cases
+
+
+def _fast_and_dense(monkeypatch, solve):
+    """solve() with the fast and with the dense-eigenvector selection; None
+    where it raises EigensolverError."""
+    out = []
+    for dense in (False, True):
+        with monkeypatch.context() as mp:
+            if dense:
+                mp.setattr(stability, "_largest_real_decaying",
+                           _dense_largest_real_decaying)
+            try:
+                out.append(solve())
+            except EigensolverError:
+                out.append(None)
+    return out
+
+
+def _agree(fast, dense):
+    return fast is dense is None or (
+        None not in (fast, dense) and abs(fast - dense) <= 1e-9 * (1.0 + abs(dense)))
+
+
+@pytest.mark.parametrize("s,t,r,alpha,cap", _seeded_in_region_chains())
+def test_fast_selection_agrees_with_dense_oracle(monkeypatch, s, t, r, alpha, cap):
+    prob = RecurrenceProblem(s=s, t=t, r=r, capital_lambda=cap, alpha=alpha)
+    assert _agree(*_fast_and_dense(
+        monkeypatch, lambda: principal_sigma(prob).sigma_hat))
+    assert _agree(*_fast_and_dense(
+        monkeypatch, lambda: lambda0_threshold(s, t, r, alpha, 0.3)))
+
+
+def test_fast_selection_agrees_with_dense_oracle_on_squire_hat_chains(monkeypatch):
+    from mla import squire
+
+    lam = squire.lambda3_driver(20, 0.05, 0.2)
+    triples = squire.admissible_triples(20)
+    for i in np.random.default_rng(5).choice(len(triples), 3, replace=False):
+        prob = squire.hat_problem(triples[i], 20, lam, 0.05)
+        assert _agree(*_fast_and_dense(
+            monkeypatch, lambda: principal_sigma(prob).sigma_hat))
 
 
 def test_lambda0_out_of_region_chain_raises():
