@@ -171,13 +171,22 @@ def _check_bounds(p: dict) -> list[str]:
     return list(errors)
 
 
+def _check_stability(p: dict) -> list[str]:
+    # alpha^2 s^2 of the rescaled amplitude and its window may overflow a float
+    stability.capital_lambda(p["lambda"], p["s"], p["alpha"])
+    stability.lu_interval(p["s"], p["delta"], p["alpha"])
+    return []
+
+
 def _check_squire(p: dict) -> list[str]:
     try:
         window = _count_window(p)
     except ValueError as exc:
         return [f"c2/c3/c4: {exc}"]
-    if p["lambda"] is None:  # the default amplitude may overflow a float
+    if p["lambda"] is None:  # the amplitude, default or given, may overflow a float
         squire.lambda3_driver(p["s"], p["alpha"], p["delta_star"])
+    else:
+        stability.capital_lambda(p["lambda"], p["s"], p["alpha"])
     if (p["c6"] is None and p["alpha"] > 0
             and squire.count_triples(p["count_s"][-1], window).count == 0):
         return [f"count_s: no triples at s={p['count_s'][-1]}, so the default "
@@ -189,6 +198,7 @@ def _check_squire(p: dict) -> list[str]:
 # once every field is valid on its own.
 _CROSS_CHECKS = {
     "simulate": _check_simulate,
+    "stability": _check_stability,
     "bounds": _check_bounds,
     "report": _check_bounds,
     "squire": _check_squire,

@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
 __all__ = [
@@ -87,6 +86,9 @@ LOWER_COEFF_SMALL_ALPHA = 0.0018
 A_DELTA_MAX = 0.012
 
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
+_X_TRIPLE = math.sqrt(11.0) / 6.0  # where the three section bounds all equal 1/6
+#: Coarse scan points and golden-section bracket width of optimize_delta.
+_DELTA_SCAN_POINTS, _DELTA_TOL = 80, 1e-7
 
 
 class EigensolverError(RuntimeError):
@@ -117,13 +119,11 @@ class RegionSpec:
         if self.s < 1:
             raise ValueError(f"s must be a positive integer, got {self.s}")
 
-    @property
-    def r_min(self) -> float:
-        return -self.s / 6.0
-
-    @property
-    def r_max(self) -> float:
-        return self.s / 6.0
+    def box(self) -> list[tuple[int, int]]:
+        """Integer (t, r) of the bounding box, in (t, r) order."""
+        t_hi = int(math.floor(self.s * _INV_SQRT3)) + 1
+        r_hi = self.s // 6 + 1
+        return [(t, r) for t in range(1, t_hi + 1) for r in range(-r_hi, r_hi + 1)]
 
 
 def region_contains_point(delta: float, s: float, t: float, r: float) -> bool:
@@ -151,72 +151,62 @@ def region_contains(spec: RegionSpec, t: int, r: int) -> bool:
 
 
 def lattice_points(spec: RegionSpec) -> list[tuple[int, int]]:
-    """All integer pairs in the region, enumerated over the bounding box."""
-    s = spec.s
-    t_hi = int(math.floor(s * _INV_SQRT3)) + 1
-    r_hi = s // 6 + 1
-    t = np.arange(1, t_hi + 1)
-    r = np.arange(-r_hi, r_hi + 1)
-    T, R = np.meshgrid(t, r, indexing="ij")
-    mask = (
-        (3 * (T * T + R * R) < s * s)
-        & (T * T + (R - s) ** 2 > s * s)
-        & (T * T + (R + s) ** 2 > s * s)
-        & (T >= spec.delta * s)
-        & (-s < 6 * R)
-        & (6 * R < s)
-    )
-    return [(int(a), int(b)) for a, b in zip(T[mask], R[mask])]
+    """The integer pairs of the bounding box that region_contains accepts."""
+    return [(t, r) for t, r in spec.box() if region_contains(spec, t, r)]
 
 
 def count_lattice(spec: RegionSpec) -> int:
     return len(lattice_points(spec))
 
 
-def _section_halfwidth(x: float) -> float:
-    """Half-width of the (s-normalized) region section at abscissa x."""
-    inner = 1.0 / 3.0 - x * x
-    if inner <= 0.0:
-        return 0.0
-    return min(1.0 / 6.0, math.sqrt(inner), 1.0 - math.sqrt(max(0.0, 1.0 - x * x)))
+def _segment(c: float, d: float) -> float:
+    """Area of the part x > d of the disk x^2 + y^2 < c^2 (0 <= d <= c):
+    (c^2/2)(u - sin u) for the central angle u = 2 phi, cos phi = d/c."""
+    u = 2.0 * math.atan2(math.sqrt((c - d) * (c + d)), d)
+    if u < 0.1:  # u - sin u to a relative 2e-15, without the cancellation
+        v = u * u
+        return c * c * u * v / 12.0 * (1 - v / 20 * (1 - v / 42 * (1 - v / 72)))
+    return 0.5 * c * c * (u - math.sin(u))
 
 
 def region_area(delta: float) -> float:
     """Area a(delta) of the s-normalized region (so |A(delta)| = a * s^2).
 
-    The x-section of the region is the symmetric interval |y| <
-    min(1/6, sqrt(1/3 - x^2), 1 - sqrt(1 - x^2)), so the area reduces to a
-    1-D adaptive quadrature with the section crossover listed as a
-    breakpoint (relative accuracy well below 1e-6).
+    The x-section |y| < min(1/6, sqrt(1/3 - x^2), 1 - sqrt(1 - x^2)) is
+    1 - sqrt(1 - x^2) below the triple point x = sqrt(11)/6, where all three
+    bounds are 1/6, and sqrt(1/3 - x^2) above it.  So a(delta) is a segment
+    of the disk of radius 1/sqrt(3) plus, below sqrt(11)/6, a strip less a
+    slice of the unit disk; each segment (c^2/2)(u - sin u) is taken from its
+    central angle u, never as a difference of antiderivatives.
     """
     if not (0.0 < delta < _INV_SQRT3):
         raise ValueError(f"delta must lie in (0, 1/sqrt(3)), got {delta}")
-    crossover = math.sqrt(11.0) / 6.0
-    pts = [crossover] if delta < crossover else []
-    val, _ = scipy.integrate.quad(
-        lambda x: 2.0 * _section_halfwidth(x), delta, _INV_SQRT3,
-        points=pts, limit=200, epsabs=1e-13, epsrel=1e-10,
-    )
-    return val
+    area = _segment(_INV_SQRT3, max(delta, _X_TRIPLE))
+    if delta < _X_TRIPLE:
+        area += 2.0 * (_X_TRIPLE - delta) - (_segment(1.0, delta)
+                                             - _segment(1.0, _X_TRIPLE))
+    return area
 
 
-def optimize_delta(n_coarse: int = 80, tol: float = 1e-7) -> tuple[float, float]:
-    """Maximize a(delta) * delta^(4/3): coarse scan then golden-section."""
+def optimize_delta() -> tuple[float, float]:
+    """(delta*, a(delta*) delta*^(4/3)): the maximum of a(delta) delta^(4/3)
+    from an 80-point scan of (0, 1/sqrt(3)) and a golden-section search to a
+    1e-7 bracket, on region_area's closed segment form."""
 
     def h(d: float) -> float:
         return region_area(d) * d ** (4.0 / 3.0)
 
-    deltas = np.linspace(1e-3, _INV_SQRT3 - 1e-9, n_coarse)
+    deltas = np.linspace(1e-3, _INV_SQRT3 - 1e-9, _DELTA_SCAN_POINTS)
     values = [h(d) for d in deltas]
     i = int(np.argmax(values))
     lo = deltas[max(0, i - 1)]
-    hi = deltas[min(n_coarse - 1, i + 1)]
+    hi = deltas[min(_DELTA_SCAN_POINTS - 1, i + 1)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = h(c), h(d)
-    while b - a > tol:
+    while b - a > _DELTA_TOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -679,27 +669,22 @@ def stability_sweep(s: int, alpha: float, delta: float, lam: float,
     """
     spec = RegionSpec(delta=delta, s=s)
     lam_cap = capital_lambda(lam, s, alpha)
-    t_hi = int(math.floor(s * _INV_SQRT3)) + 1
-    r_hi = s // 6 + 1
     rows = []
-    for t in range(1, t_hi + 1):
-        for r in range(-r_hi, r_hi + 1):
-            in_region = region_contains(spec, t, r)
-            sigma, error = math.nan, None
-            try:
-                prob = RecurrenceProblem(
-                    s=s, t=t, r=r, capital_lambda=lam_cap, alpha=alpha
-                )
-                sigma = principal_sigma(prob).sigma_hat
-            except (ValueError, EigensolverError) as exc:
-                error = f"{type(exc).__name__}: {exc}"
-            lam0 = math.nan
-            if in_region and compute_lambda0:
-                lam0 = lambda0_threshold(s, t, r, alpha, delta)
-            rows.append({
-                "s": s, "t": t, "r": r, "alpha": alpha, "delta": delta,
-                "lambda": lam, "capital_lambda": lam_cap,
-                "sigma_hat": sigma, "lambda0": lam0,
-                "in_region": in_region, "error": error,
-            })
+    for t, r in spec.box():
+        in_region = region_contains(spec, t, r)
+        sigma, error = math.nan, None
+        try:
+            prob = RecurrenceProblem(s=s, t=t, r=r, capital_lambda=lam_cap, alpha=alpha)
+            sigma = principal_sigma(prob).sigma_hat
+        except (ValueError, EigensolverError) as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        lam0 = math.nan
+        if in_region and compute_lambda0:
+            lam0 = lambda0_threshold(s, t, r, alpha, delta)
+        rows.append({
+            "s": s, "t": t, "r": r, "alpha": alpha, "delta": delta,
+            "lambda": lam, "capital_lambda": lam_cap,
+            "sigma_hat": sigma, "lambda0": lam0,
+            "in_region": in_region, "error": error,
+        })
     return rows

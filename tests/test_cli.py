@@ -5,6 +5,9 @@ exit codes."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -397,9 +400,12 @@ def test_main_bad_threads_is_a_validation_error(tmp_path, capsys, monkeypatch,
     {"command": "squire", "s": 6, "c2": 0.4},
     {"command": "squire", "s": 6, "count_s": [0]},
     {"command": "squire", "s": 6, "count_s": [1.5]},
+    # alpha^2 s^2 of the rescaled amplitude overflows a float
+    {"command": "stability", "s": 4, "alpha": 1e200, "delta": 0.3,
+     "lambda": 1.0},
 ], ids=["simulate-s30", "simulate-s11", "bounds-g0", "bounds-alpha",
         "report-g", "report-alpha", "squire-c2", "squire-count0",
-        "squire-count1.5"])
+        "squire-count1.5", "stability-alpha1e200"])
 def test_main_cross_field_config_error(tmp_path, capsys, doc):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(doc, output_dir=str(tmp_path / "out"))))
@@ -412,9 +418,15 @@ def test_main_cross_field_config_error(tmp_path, capsys, doc):
     # (1 + alpha^2 s^2)^2 of the default driver amplitude overflows a float
     ({"s": 2, "alpha": 1e120, "max_lifts": 0, "count_s": [3]}, "too large"),
     ({"s": 2, "alpha": 1e200, "max_lifts": 0, "count_s": [3]}, "too large"),
+    # and so does alpha^2 s^2 of a given amplitude
+    ({"s": 2, "alpha": 1e200, "lambda": 1.0, "max_lifts": 0, "count_s": [30]},
+     "too large"),
+    ({"s": 2, "alpha": 1e200, "lambda": 1.0, "max_lifts": 2, "count_s": [30]},
+     "too large"),
     # no triples at s = 1, so the default c6 would be 0
     ({"s": 6, "alpha": 0.1, "max_lifts": 0, "count_s": [1]}, "count_s:"),
-], ids=["alpha1e120", "alpha1e200", "c6-default-0"])
+], ids=["alpha1e120", "alpha1e200", "alpha1e200-lambda", "alpha1e200-lambda-lifts",
+        "c6-default-0"])
 def test_main_squire_config_at_fault_is_one_error_line(tmp_path, capsys, doc,
                                                         field):
     cfg = tmp_path / "cfg.json"
@@ -501,6 +513,11 @@ def _with_one_odd_value(doc):
 # alpha^3 underflows to 0 in the 3-D bound: was a ZeroDivisionError traceback
 @example({"command": "squire", "s": 7, "alpha": 5e-324, "max_lifts": 0,
           "count_s": [9]})
+# alpha^2 overflows a Python float: was an OverflowError traceback
+@example({"command": "stability", "s": 4, "alpha": 1e200, "delta": 0.3,
+          "lambda": 1.0})
+@example({"command": "squire", "s": 2, "alpha": 1e200, "lambda": 1.0,
+          "max_lifts": 0, "count_s": [30]})
 def test_main_exit_code_on_any_run(doc):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
@@ -508,3 +525,11 @@ def test_main_exit_code_on_any_run(doc):
         code = cli.main([doc["command"], "--config", str(cfg),
                          "--out", str(Path(tmp) / "out")])
     assert code in (0, 2, 3)
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # every run imports mla.cli; scipy.integrate alone took about 0.3 s
+    src = str(Path(cli.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", "import mla.cli, sys; "
+                    "assert 'scipy.integrate' not in sys.modules"],
+                   check=True, env={**os.environ, "PYTHONPATH": src})

@@ -1,14 +1,17 @@
 """Stability machinery tests: region membership against literal
-re-evaluation, lattice counts against area asymptotics, recurrence
-coefficients against direct substitution, the principal eigenvalue
-against the dense full-operator oracle, the eigenpair selection against
-the dense-eigenvector oracle, and thresholds against their windows and a
-bisection oracle."""
+re-evaluation, the lattice against a NumPy mask oracle, the closed-form
+area against adaptive quadrature and a 40-digit reference, lattice counts
+against area asymptotics, recurrence coefficients against direct
+substitution, the principal eigenvalue against the dense full-operator
+oracle, the eigenpair selection against the dense-eigenvector oracle, and
+thresholds against their windows and a bisection oracle."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 
 from mla import stability
@@ -131,6 +134,87 @@ def test_region_area_against_lattice_count():
         a = region_area(delta)
         d = count_lattice(RegionSpec(delta=delta, s=500)) / 500**2
         assert abs(d - a) / a < 0.02
+
+
+def _mask_lattice_points(spec):
+    """Oracle: the region as one NumPy mask over the bounding box."""
+    s = spec.s
+    t_hi = int(math.floor(s / math.sqrt(3.0))) + 1
+    r_hi = s // 6 + 1
+    T, R = np.meshgrid(np.arange(1, t_hi + 1), np.arange(-r_hi, r_hi + 1),
+                       indexing="ij")
+    mask = (
+        (3 * (T * T + R * R) < s * s)
+        & (T * T + (R - s) ** 2 > s * s)
+        & (T * T + (R + s) ** 2 > s * s)
+        & (T >= spec.delta * s)
+        & (-s < 6 * R)
+        & (6 * R < s)
+    )
+    return [(int(a), int(b)) for a, b in zip(T[mask], R[mask])]
+
+
+@pytest.mark.parametrize("s", [4, 8, 200, 500])
+@pytest.mark.parametrize("delta", [0.25, 0.3, 0.5])
+def test_lattice_points_match_mask_oracle(s, delta):
+    spec = RegionSpec(delta=delta, s=s)
+    assert lattice_points(spec) == _mask_lattice_points(spec)
+
+
+def _section_halfwidth(x):
+    """Half-width of the (s-normalized) region section at abscissa x."""
+    inner = 1.0 / 3.0 - x * x
+    if inner <= 0.0:
+        return 0.0
+    return min(1.0 / 6.0, math.sqrt(inner), 1.0 - math.sqrt(max(0.0, 1.0 - x * x)))
+
+
+def _quad_region_area(delta):
+    """Oracle: a(delta) by adaptive quadrature of the section width, with
+    the section crossover sqrt(11)/6 as a breakpoint."""
+    crossover = math.sqrt(11.0) / 6.0
+    pts = [crossover] if delta < crossover else []
+    val, _ = scipy.integrate.quad(
+        lambda x: 2.0 * _section_halfwidth(x), delta, 1.0 / math.sqrt(3.0),
+        points=pts, limit=200, epsabs=1e-13, epsrel=1e-10,
+    )
+    return val
+
+
+def _mp_region_area(delta):
+    """Reference: a(delta) from the antiderivatives at 40 digits, with the
+    exact 1/sqrt(3) and sqrt(11)/6 (delta itself is taken as given)."""
+    with mpmath.workdps(40):
+        c, x0, d = 1 / mpmath.sqrt(3), mpmath.sqrt(11) / 6, mpmath.mpf(delta)
+
+        def disk(r, x):  # integral of 2 sqrt(r^2 - x^2)
+            return x * mpmath.sqrt(r * r - x * x) + r * r * mpmath.asin(x / r)
+
+        area = disk(c, c) - disk(c, max(d, x0))
+        if d < x0:
+            area += 2 * (x0 - d) - (disk(1, x0) - disk(1, d))
+        return area
+
+
+_INV_SQRT3 = 1.0 / math.sqrt(3.0)
+# 399 delta evenly across (0, 1/sqrt(3)), then up to 1e-7 from its end
+_AREA_DELTAS = ([_INV_SQRT3 * i / 400 for i in range(1, 400)]
+                + [_INV_SQRT3 - h for h in (1e-4, 1e-5, 1e-6, 5e-7, 2e-7, 1e-7)])
+
+
+def test_region_area_matches_quadrature_oracle():
+    for delta in _AREA_DELTAS:
+        if delta <= 0.57:
+            want = _quad_region_area(delta)
+            assert abs(region_area(delta) - want) <= 1e-10 * want, delta
+
+
+def test_region_area_matches_40_digit_reference():
+    for delta in _AREA_DELTAS:
+        want = _mp_region_area(delta)
+        err = abs(mpmath.mpf(region_area(delta)) - want) / want
+        # beyond 0.57 the rounding of 1/sqrt(3) itself dominates
+        assert err <= (1e-12 if delta <= 0.57 else 1e-8), delta
 
 
 def test_optimize_delta_value():
