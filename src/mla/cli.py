@@ -171,11 +171,20 @@ def _check_bounds(p: dict) -> list[str]:
     return list(errors)
 
 
+def _amplitude_errors(lam: float, s: int, alpha: float) -> list[str]:
+    # alpha^2 s^2 may turn to inf without raising: capital_lambda is then 0,
+    # or nan for the default squire driver amplitude, itself inf
+    cap = stability.capital_lambda(lam, s, alpha)
+    if 0 < cap < math.inf:
+        return []
+    return [f"alpha: lambda = {lam!r} rescales to capital_lambda = {cap!r}, "
+            "which is not finite and > 0 (alpha^2 s^2 is too large)"]
+
+
 def _check_stability(p: dict) -> list[str]:
     # alpha^2 s^2 of the rescaled amplitude and its window may overflow a float
-    stability.capital_lambda(p["lambda"], p["s"], p["alpha"])
     stability.lu_interval(p["s"], p["delta"], p["alpha"])
-    return []
+    return _amplitude_errors(p["lambda"], p["s"], p["alpha"])
 
 
 def _check_squire(p: dict) -> list[str]:
@@ -183,15 +192,14 @@ def _check_squire(p: dict) -> list[str]:
         window = _count_window(p)
     except ValueError as exc:
         return [f"c2/c3/c4: {exc}"]
-    if p["lambda"] is None:  # the amplitude, default or given, may overflow a float
-        squire.lambda3_driver(p["s"], p["alpha"], p["delta_star"])
-    else:
-        stability.capital_lambda(p["lambda"], p["s"], p["alpha"])
-    if (p["c6"] is None and p["alpha"] > 0
+    # the amplitude, given (then > 0) or the default driver, may overflow a float
+    lam = p["lambda"] or squire.lambda3_driver(p["s"], p["alpha"], p["delta_star"])
+    errors = _amplitude_errors(lam, p["s"], p["alpha"])
+    if (not errors and p["c6"] is None and p["alpha"] > 0
             and squire.count_triples(p["count_s"][-1], window).count == 0):
-        return [f"count_s: no triples at s={p['count_s'][-1]}, so the default "
-                "c6 (the c5 fit there) is 0; use a larger last s or set c6"]
-    return []
+        errors = [f"count_s: no triples at s={p['count_s'][-1]}, so the default "
+                  "c6 (the c5 fit there) is 0; use a larger last s or set c6"]
+    return errors
 
 
 # Rules that involve several fields, checked by the code that owns each rule

@@ -14,14 +14,15 @@ unstable 3-D modes: omega2 solves a coercive 1-D system and
 omega1 = (a_hat omega1_hat - b omega2)/a completes incompressibility.
 
 Everything here works on x3-Fourier coefficient arrays indexed by
-m in [-m_max, m_max]; the shear multiplies by sin/cos(s x3), i.e. couples
-m -> m +- s only.
+m in [-m_max, m_max].  The shear is a single +-s mode, so multiplying by
+sin/cos(s x3) is the two-shift stencil ``_shift`` (w[m-s] -+ w[m+s]),
+and the omega2 solve is banded with bandwidth s.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -39,22 +40,17 @@ from .stability import (
 __all__ = [
     "SquireTriple",
     "Setup3D",
-    "Profile1D",
     "Mode1DProfile",
-    "Reduced2D",
     "CountWindow",
     "TripleCount",
     "LowerBound3D",
     "build_3d_setup",
     "hat_problem",
     "solve_hat_mode",
-    "squire_reduce",
     "reconstruct_omega2",
     "lift_mode",
     "lineareq3_residuals",
-    "lineareq2_residuals",
     "a0_stability_spectrum",
-    "a0_mode_pressure_norms",
     "admissible_triples",
     "count_triples",
     "lambda2_threshold",
@@ -84,44 +80,21 @@ class SquireTriple:
         return math.hypot(self.a, self.b)
 
 
-@dataclass(frozen=True, eq=False)
-class Profile1D:
-    """x3-profile as Fourier coefficients on integer modes |m| <= m_max."""
-
-    m_max: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (2 * self.m_max + 1,):
-            raise ValueError("coefficient array length must be 2*m_max + 1")
-        object.__setattr__(self, "coeffs", c)
-
-    def l2_section(self) -> float:
-        """L2 norm over a 2pi x 2pi section (the 2-D convention, under
-        which the forcing norm is nu^2 lam s^2)."""
-        return float(2.0 * math.pi * np.linalg.norm(self.coeffs))
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Setup3D:
-    """Shear-flow data: forcing and stationary profiles plus amplitudes.
+    """Shear-flow amplitudes: forcing f1 = (1/(sqrt2 pi)) nu^2 lam s^2
+    sin(s x3), stationary profile v0 = v0_amp sin(s x3), and its filtered
+    form u0 = (I - alpha^2 Lap)^{-1} v0 = u0_amp sin(s x3).
 
-    u0 = (I - alpha^2 Lap)^{-1} v0 divides the single +-s mode by
-    (1 + alpha^2 s^2); both profiles depend on x3 only, so the stationary
-    advection term vanishes structurally.
+    Both profiles depend on x3 only, so the stationary advection term
+    vanishes structurally; the mode operators below apply the shear as a
+    stencil on any truncation.
     """
 
     s: int
     lam: float
     nu: float
     alpha: float
-    forcing: Profile1D
-    stationary: Profile1D
-
-    @property
-    def f_amp(self) -> float:
-        return self.nu**2 * self.lam * self.s**2 / _SQRT2PI
 
     @property
     def v0_amp(self) -> float:
@@ -132,35 +105,15 @@ class Setup3D:
         return self.v0_amp / (1.0 + self.alpha**2 * self.s**2)
 
     @property
-    def f_l2(self) -> float:
-        return self.nu**2 * self.lam * self.s**2
-
-    @property
     def grashof(self) -> float:
         return self.lam * self.s**2
 
 
-def _sin_profile(amp: float, s: int, m_max: int) -> Profile1D:
-    c = np.zeros(2 * m_max + 1, dtype=np.complex128)
-    c[m_max + s] = amp / 2j
-    c[m_max - s] = -amp / 2j
-    return Profile1D(m_max, c)
-
-
-def build_3d_setup(s: int, lam: float, nu: float, alpha: float,
-                   m_max: int | None = None) -> Setup3D:
-    """Forcing f1 = (1/(sqrt2 pi)) nu^2 lam s^2 sin(s x3) and the
-    stationary profile v0 = (1/(sqrt2 pi)) nu lam sin(s x3)."""
+def build_3d_setup(s: int, lam: float, nu: float, alpha: float) -> Setup3D:
+    """The Kolmogorov shear setup at forcing wavenumber s and amplitude lam."""
     if s < 1 or lam <= 0 or nu <= 0 or alpha < 0:
         raise ValueError("require s >= 1, lam > 0, nu > 0, alpha >= 0")
-    M = 4 * s + 16 if m_max is None else m_max
-    f_amp = nu**2 * lam * s**2 / _SQRT2PI
-    v_amp = nu * lam / _SQRT2PI
-    return Setup3D(
-        s=s, lam=lam, nu=nu, alpha=alpha,
-        forcing=_sin_profile(f_amp, s, M),
-        stationary=_sin_profile(v_amp, s, M),
-    )
+    return Setup3D(s=s, lam=lam, nu=nu, alpha=alpha)
 
 
 # ---------------------------------------------------------------------
@@ -171,29 +124,32 @@ def _modes(m_max: int) -> np.ndarray:
     return np.arange(-m_max, m_max + 1)
 
 
-def _conv_sin(amp: float, s: int, m_max: int) -> np.ndarray:
-    """Multiplication by amp sin(s x3) as a matrix on mode coefficients."""
-    n = 2 * m_max + 1
-    # e^{+is x3} shifts m-s -> m
-    return (amp / 2j) * (np.eye(n, k=-s) - np.eye(n, k=s))
-
-
-def _conv_cos(amp: float, s: int, m_max: int) -> np.ndarray:
-    n = 2 * m_max + 1
-    return (amp / 2.0) * (np.eye(n, k=-s, dtype=np.complex128)
-                          + np.eye(n, k=s, dtype=np.complex128))
+def _shift(x: np.ndarray, s: int, sign: int) -> np.ndarray:
+    """x[m - s] + sign x[m + s] along axis 0, zero past |m| = m_max: the
+    mode coefficients of (e^{is x3} + sign e^{-is x3}) times x."""
+    out = np.zeros_like(x)
+    out[s:] += x[:-s]
+    out[:-s] += sign * x[s:]
+    return out
 
 
 def _wave_tables(setup: Setup3D, a_hat_sq: float, m_max: int):
-    """Diagonal symbols and shear convolutions for a wave with a^2+b^2 =
-    a_hat_sq: mode Laplacian D, filter H, u0- and u0'-multiplication."""
+    """Diagonal symbols and shear products for a wave with a^2+b^2 =
+    a_hat_sq: modes m, mode Laplacian D, filter H, and the maps
+    w -> u0 H w and w -> u0' H w."""
     m = _modes(m_max)
     ksq = a_hat_sq + m.astype(np.float64) ** 2
     D = -ksq
     H = 1.0 / (1.0 + setup.alpha**2 * ksq)
-    conv_u0 = _conv_sin(setup.u0_amp, setup.s, m_max)
-    conv_du0 = _conv_cos(setup.u0_amp * setup.s, setup.s, m_max)
-    return m, D, H, conv_u0, conv_du0
+    s, amp = setup.s, setup.u0_amp
+
+    def u0_h(w):  # u0 = amp sin(s x3)
+        return (amp / 2j) * _shift(H * w, s, -1)
+
+    def du0_h(w):  # u0' = amp s cos(s x3)
+        return (amp * s / 2.0) * _shift(H * w, s, 1)
+
+    return m, D, H, u0_h, du0_h
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +165,6 @@ class Mode1DProfile:
     omega3: np.ndarray
     q: np.ndarray
     c: complex
-    sigma_hat: float = math.nan
     residuals: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -231,35 +186,6 @@ class Mode1DProfile:
     def growth_rate(self) -> float:
         """-Re(i a c): positive for unstable modes."""
         return float(-np.real(1j * self.a * self.c))
-
-
-@dataclass(frozen=True, eq=False)
-class Reduced2D:
-    """Squire-reduced data (omega1_hat, omega3_hat, q_hat, c_hat) with the
-    dissipation rescale a_hat/a recorded."""
-
-    a_hat: float
-    delta_scale: float
-    m_max: int
-    omega1_hat: np.ndarray
-    omega3_hat: np.ndarray
-    q_hat: np.ndarray
-    c_hat: complex
-
-
-def squire_reduce(triple: SquireTriple, mode: Mode1DProfile) -> Reduced2D:
-    """(omega1_hat, omega3_hat, q_hat, c_hat) from a 3-D mode; a != 0."""
-    a, b = triple.a, triple.b
-    ah = triple.a_hat
-    return Reduced2D(
-        a_hat=ah,
-        delta_scale=ah / a,
-        m_max=mode.m_max,
-        omega1_hat=(a * mode.omega1 + b * mode.omega2) / ah,
-        omega3_hat=mode.omega3.copy(),
-        q_hat=mode.q * (ah / a),
-        c_hat=mode.c,
-    )
 
 
 # ---------------------------------------------------------------------
@@ -287,67 +213,37 @@ def lineareq3_residuals(mode: Mode1DProfile, setup: Setup3D) -> dict:
     """
     a, b = mode.a, mode.b
     ah_sq = float(a * a + b * b)
-    m, D, H, cu, cdu = _wave_tables(setup, ah_sq, mode.m_max)
+    m, D, H, u0_h, du0_h = _wave_tables(setup, ah_sq, mode.m_max)
     nu, c = setup.nu, mode.c
     w1, w2, w3, q = mode.omega1, mode.omega2, mode.omega3, mode.q
 
     eq1 = _relative([
-        nu * D * w1, -1j * a * (cu @ (H * w1)), 1j * a * c * w1,
-        -1j * a * q, -(cdu @ (H * w3)),
+        nu * D * w1, -1j * a * u0_h(w1), 1j * a * c * w1,
+        -1j * a * q, -du0_h(w3),
     ])
     eq2 = _relative([
-        nu * D * w2, -1j * a * (cu @ (H * w2)), 1j * a * c * w2,
+        nu * D * w2, -1j * a * u0_h(w2), 1j * a * c * w2,
         -1j * b * q,
     ])
     eq3 = _relative([
-        nu * D * w3, -1j * a * (cu @ (H * w3)), 1j * a * c * w3,
+        nu * D * w3, -1j * a * u0_h(w3), 1j * a * c * w3,
         -1j * m * q,
     ])
     eq4 = mode.incompressibility_residual()
     return {"eq1": eq1, "eq2": eq2, "eq3": eq3, "eq4": eq4}
 
 
-def lineareq2_residuals(reduced: Reduced2D, setup: Setup3D) -> dict:
-    """Relative residuals of the reduced system (dissipation scaled by
-    a_hat/a, filter unchanged):
-
-        nu (ah/a) D w1h - i ah (u0 H w1h - c w1h) - i ah qh - u0' H w3h = 0
-        nu (ah/a) D w3h - i ah (u0 H w3h - c w3h) - qh'                 = 0
-        i ah w1h + w3h'                                                 = 0
-    """
-    ah = reduced.a_hat
-    m, D, H, cu, cdu = _wave_tables(setup, ah * ah, reduced.m_max)
-    nu_eff = setup.nu * reduced.delta_scale
-    c = reduced.c_hat
-    w1, w3, q = reduced.omega1_hat, reduced.omega3_hat, reduced.q_hat
-
-    eq1 = _relative([
-        nu_eff * D * w1, -1j * ah * (cu @ (H * w1)), 1j * ah * c * w1,
-        -1j * ah * q, -(cdu @ (H * w3)),
-    ])
-    eq2 = _relative([
-        nu_eff * D * w3, -1j * ah * (cu @ (H * w3)), 1j * ah * c * w3,
-        -1j * m * q,
-    ])
-    div = 1j * ah * w1 + 1j * m * w3
-    eq3 = float(np.linalg.norm(div)
-                / max(np.linalg.norm(w1), np.linalg.norm(w3), 1e-300))
-    return {"eq1": eq1, "eq2": eq2, "eq3": eq3}
-
-
 # ---------------------------------------------------------------------
 # the 2-D hat problem and the lift
 # ---------------------------------------------------------------------
 
-def hat_problem(triple: SquireTriple, s: int, lam: float, alpha: float,
-                n_trunc: int = 64) -> RecurrenceProblem:
+def hat_problem(triple: SquireTriple, s: int, lam: float,
+                alpha: float) -> RecurrenceProblem:
     """Chain problem of the reduced 2-D operator: column wavenumber
     t' = a_hat and amplitude Lambda_eff = (a/a_hat) Lambda."""
     cap_eff = (triple.a / triple.a_hat) * capital_lambda(lam, s, alpha)
-    return RecurrenceProblem(
-        s=s, t=triple.a_hat, r=triple.r, capital_lambda=cap_eff,
-        alpha=alpha, n_trunc=n_trunc,
-    )
+    return RecurrenceProblem(s=s, t=triple.a_hat, r=triple.r,
+                             capital_lambda=cap_eff, alpha=alpha)
 
 
 def solve_hat_mode(triple: SquireTriple, setup: Setup3D) -> StabilityResult:
@@ -368,18 +264,20 @@ def reconstruct_omega2(triple: SquireTriple, q: np.ndarray, setup: Setup3D,
         raise ValueError(
             f"reconstruction requires Re(iac) < 0, got {np.real(1j * a * c)}"
         )
-    _, D, H, cu, _ = _wave_tables(setup, triple.a_hat**2, m_max)
+    _, D, H, u0_h, _ = _wave_tables(setup, triple.a_hat**2, m_max)
     s, diag = setup.s, setup.nu * D + 1j * a * c
-    # the shear couples only modes s apart: bands (s, s) in solve_banded form
+    # -i a u0 H couples only modes s apart: bands (s, s) in solve_banded
+    # form, +(a u0_amp/2) H above the diagonal and -(a u0_amp/2) H below
+    half = 0.5 * a * setup.u0_amp
     bands = np.zeros((2 * s + 1, 2 * m_max + 1), dtype=np.complex128)
-    bands[0, s:] = -1j * a * np.diagonal(cu, s) * H[s:]
+    bands[0, s:] = half * H[s:]
     bands[s] = diag
-    bands[2 * s, :-s] = -1j * a * np.diagonal(cu, -s) * H[:-s]
+    bands[2 * s, :-s] = -half * H[:-s]
     rhs = 1j * b * q
     w2 = scipy.linalg.solve_banded((s, s), bands, rhs)
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm > 0:
-        t_w2 = diag * w2 - 1j * a * (cu @ (H * w2))
+        t_w2 = diag * w2 - 1j * a * u0_h(w2)
         res = float(np.linalg.norm(t_w2 - rhs)) / rhs_norm
         if res > 1e-10:
             raise EigensolverError(
@@ -422,7 +320,7 @@ def lift_mode(triple: SquireTriple, two_d: StabilityResult, setup: Setup3D,
     c = 1j * sigma / ah
 
     M = m_max if m_max is not None else _profile_m_max(two_d, s, r, 4 * s + 16)
-    m, D, H, cu, cdu = _wave_tables(setup, ah * ah, M)
+    m, D, H, u0_h, du0_h = _wave_tables(setup, ah * ah, M)
 
     # vorticity coefficients w_m from the chain eigenvector
     w = np.zeros(2 * M + 1, dtype=np.complex128)
@@ -438,24 +336,22 @@ def lift_mode(triple: SquireTriple, two_d: StabilityResult, setup: Setup3D,
     w3h = -1j * ah * w / ksq
 
     # q_hat from the omega3_hat equation for m != 0
-    rhs3 = nu_eff * D * w3h - 1j * ah * (cu @ (H * w3h)) + 1j * ah * c * w3h
+    rhs3 = nu_eff * D * w3h - 1j * ah * u0_h(w3h) + 1j * ah * c * w3h
     qh = np.zeros_like(w)
     nz = m != 0
     qh[nz] = rhs3[nz] / (1j * m[nz])
     # m = 0 row of the omega1_hat equation pins q_hat(0)
     i0 = M
-    rhs1_0 = (nu_eff * D[i0] * w1h[i0] - 1j * ah * (cu @ (H * w1h))[i0]
-              + 1j * ah * c * w1h[i0] - (cdu @ (H * w3h))[i0])
+    rhs1_0 = (nu_eff * D[i0] * w1h[i0] - 1j * ah * u0_h(w1h)[i0]
+              + 1j * ah * c * w1h[i0] - du0_h(w3h)[i0])
     qh[i0] = rhs1_0 / (1j * ah)
 
     q = qh * (a / ah)
     w2 = reconstruct_omega2(triple, q, setup, c, M)
     w1 = (ah * w1h - b * w2) / a
 
-    mode = Mode1DProfile(
-        a=a, b=b, m_max=M, omega1=w1, omega2=w2, omega3=w3h.copy(), q=q,
-        c=c, sigma_hat=two_d.sigma_hat,
-    )
+    mode = Mode1DProfile(a=a, b=b, m_max=M, omega1=w1, omega2=w2,
+                         omega3=w3h.copy(), q=q, c=c)
     res = lineareq3_residuals(mode, setup)
     if max(res.values()) > residual_tol:
         raise EigensolverError(
@@ -469,69 +365,33 @@ def lift_mode(triple: SquireTriple, two_d: StabilityResult, setup: Setup3D,
 # a = 0 stability
 # ---------------------------------------------------------------------
 
-def a0_stability_spectrum(b: int, s: int, lam: float, nu: float, alpha: float,
-                          k_cutoff: int,
-                          return_modes: bool = False):
-    """Spectrum of the a = 0 linearized generator on divergence-free modes.
+def _a0_generator(b: int, s: int, lam: float, nu: float, alpha: float,
+                  k_cutoff: int) -> np.ndarray:
+    """The a = 0 linearized generator on divergence-free modes.
 
     For b != 0 the states are (omega1, omega3) on |m| <= k_cutoff with
     omega2 = -(m/b) omega3 and the pressure eliminated; for b = 0 the
     states are (omega1, omega2) with the m = 0 means removed (zero-mean
-    condition).  Eigenvalues are returned sorted by descending real part.
+    condition).
     """
-    setup = build_3d_setup(s, lam, nu, alpha, m_max=k_cutoff)
-    M = k_cutoff
-    m = _modes(M).astype(np.float64)
-    n = 2 * M + 1
-    if b != 0:
-        ksq = b * b + m**2
-        D = -nu * ksq
-        H = 1.0 / (1.0 + alpha**2 * ksq)
-        cdu = _conv_cos(setup.u0_amp * s, s, M)
-        gen = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-        gen[:n, :n] = np.diag(D)
-        gen[:n, n:] = -(cdu * H[None, :])
-        gen[n:, n:] = np.diag(D)
-    else:
-        keep = m != 0
-        D = -nu * m[keep] ** 2
-        k = len(D)
-        gen = np.zeros((2 * k, 2 * k), dtype=np.complex128)
-        gen[:k, :k] = np.diag(D)
-        gen[k:, k:] = np.diag(D)
-    vals, vecs = scipy.linalg.eig(gen)
-    order = np.argsort(-vals.real)
-    vals, vecs = vals[order], vecs[:, order]
-    if return_modes:
-        return vals, vecs
-    return vals
-
-
-def a0_mode_pressure_norms(b: int, s: int, lam: float, nu: float, alpha: float,
-                           k_cutoff: int) -> np.ndarray:
-    """Least-squares pressure per a = 0 eigenmode (should vanish: the
-    periodic pressure solving both momentum rows is q = 0)."""
+    u0_amp = build_3d_setup(s, lam, nu, alpha).u0_amp
+    m = _modes(k_cutoff).astype(np.float64)
     if b == 0:
-        return np.zeros(2 * (2 * k_cutoff))
-    vals, vecs = a0_stability_spectrum(b, s, lam, nu, alpha, k_cutoff,
-                                       return_modes=True)
-    M = k_cutoff
-    m = _modes(M).astype(np.float64)
-    n = 2 * M + 1
+        return np.diag(np.tile(-nu * m[m != 0] ** 2, 2)).astype(np.complex128)
     ksq = b * b + m**2
-    D = -nu * ksq
-    out = np.empty(len(vals))
-    for j, mu in enumerate(vals):
-        w1 = vecs[:n, j]
-        w3 = vecs[n:, j]
-        w2 = -(m / b) * w3
-        rhs2 = (D - mu) * w2   # = i b q
-        rhs3 = (D - mu) * w3   # = i m q
-        # least squares for q_m over the two rows
-        q = (np.conj(1j * b) * rhs2 + np.conj(1j * m) * rhs3) / (b * b + m**2)
-        scale = max(np.linalg.norm(w1), np.linalg.norm(w3), 1e-300)
-        out[j] = np.linalg.norm(q) / scale
-    return out
+    H = 1.0 / (1.0 + alpha**2 * ksq)
+    n = len(m)
+    gen = np.diag(np.tile(-nu * ksq, 2)).astype(np.complex128)
+    gen[:n, n:] = -(u0_amp * s / 2.0) * _shift(np.diag(H), s, 1)
+    return gen
+
+
+def a0_stability_spectrum(b: int, s: int, lam: float, nu: float, alpha: float,
+                          k_cutoff: int) -> np.ndarray:
+    """Eigenvalues of the a = 0 generator (``_a0_generator``), sorted by
+    descending real part."""
+    vals = scipy.linalg.eigvals(_a0_generator(b, s, lam, nu, alpha, k_cutoff))
+    return vals[np.argsort(-vals.real)]
 
 
 # ---------------------------------------------------------------------
@@ -662,11 +522,7 @@ class LowerBound3D:
     upper_form: str
 
     def as_dict(self) -> dict:
-        return {
-            "g": self.g, "alpha": self.alpha, "gamma": self.gamma,
-            "c6": self.c6, "value": self.value, "raw_count": self.raw_count,
-            "upper_form": self.upper_form,
-        }
+        return asdict(self)
 
 
 def lower_bound_dim3d(g: float, alpha: float, gamma: float,

@@ -403,9 +403,17 @@ def test_main_bad_threads_is_a_validation_error(tmp_path, capsys, monkeypatch,
     # alpha^2 s^2 of the rescaled amplitude overflows a float
     {"command": "stability", "s": 4, "alpha": 1e200, "delta": 0.3,
      "lambda": 1.0},
+    # alpha^2 s^2 turns to inf without raising: Lambda is 0, the driver inf
+    {"command": "stability", "s": 4, "alpha": 1e154, "delta": 0.3,
+     "lambda": 1.0},
+    {"command": "squire", "s": 2, "alpha": 1e154, "lambda": 1.0,
+     "max_lifts": 2, "count_s": [3]},
+    {"command": "squire", "s": 2, "alpha": 1e154, "max_lifts": 2,
+     "count_s": [3]},
 ], ids=["simulate-s30", "simulate-s11", "bounds-g0", "bounds-alpha",
         "report-g", "report-alpha", "squire-c2", "squire-count0",
-        "squire-count1.5", "stability-alpha1e200"])
+        "squire-count1.5", "stability-alpha1e200", "stability-alpha1e154",
+        "squire-alpha1e154-lambda", "squire-alpha1e154-driver"])
 def test_main_cross_field_config_error(tmp_path, capsys, doc):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(doc, output_dir=str(tmp_path / "out"))))

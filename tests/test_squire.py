@@ -1,9 +1,12 @@
 """Oblique-wave pipeline tests: setup closed forms, reduction identities
-against direct substitution, lifted-mode residuals on the full mode
-equations, the a=0 spectrum against the diffusion oracle and a full
+against direct substitution, the shear stencil against dense convolution
+matrices, lifted-mode residuals on the full mode equations and a lift's
+memory, the a=0 spectrum against the diffusion oracle and a full
 differential-algebraic pencil, and triple counting against brute force."""
 
 import math
+import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,8 +16,12 @@ from mla.squire import (
     CountWindow,
     DEFAULT_WINDOW,
     Mode1DProfile,
+    Setup3D,
     SquireTriple,
-    a0_mode_pressure_norms,
+    _a0_generator,
+    _relative,
+    _shift,
+    _wave_tables,
     a0_stability_spectrum,
     admissible_triples,
     build_3d_setup,
@@ -23,11 +30,9 @@ from mla.squire import (
     lambda2_threshold,
     lambda3_driver,
     lift_mode,
-    lineareq2_residuals,
     lower_bound_dim3d,
     reconstruct_omega2,
     solve_hat_mode,
-    squire_reduce,
 )
 
 S, ALPHA, NU, DSTAR = 6, 0.0, 1.0, 0.2
@@ -38,13 +43,114 @@ def driver_setup(s=S, alpha=ALPHA, nu=NU, delta=DSTAR):
 
 
 # ---------------------------------------------------------------------
+# oracles: the shear as dense matrices on mode coefficients, the Squire
+# reduction, the reduced equations and the a = 0 pressure
+# ---------------------------------------------------------------------
+
+def _conv_sin(amp: float, s: int, m_max: int) -> np.ndarray:
+    """Multiplication by amp sin(s x3) as a matrix on mode coefficients."""
+    n = 2 * m_max + 1
+    # e^{+is x3} shifts m-s -> m
+    return (amp / 2j) * (np.eye(n, k=-s) - np.eye(n, k=s))
+
+
+def _conv_cos(amp: float, s: int, m_max: int) -> np.ndarray:
+    n = 2 * m_max + 1
+    return (amp / 2.0) * (np.eye(n, k=-s, dtype=np.complex128)
+                          + np.eye(n, k=s, dtype=np.complex128))
+
+
+@dataclass(frozen=True, eq=False)
+class Reduced2D:
+    """Squire-reduced data (omega1_hat, omega3_hat, q_hat, c_hat) with the
+    dissipation rescale a_hat/a recorded."""
+
+    a_hat: float
+    delta_scale: float
+    m_max: int
+    omega1_hat: np.ndarray
+    omega3_hat: np.ndarray
+    q_hat: np.ndarray
+    c_hat: complex
+
+
+def squire_reduce(triple: SquireTriple, mode: Mode1DProfile) -> Reduced2D:
+    """(omega1_hat, omega3_hat, q_hat, c_hat) from a 3-D mode; a != 0."""
+    a, b = triple.a, triple.b
+    ah = triple.a_hat
+    return Reduced2D(
+        a_hat=ah,
+        delta_scale=ah / a,
+        m_max=mode.m_max,
+        omega1_hat=(a * mode.omega1 + b * mode.omega2) / ah,
+        omega3_hat=mode.omega3.copy(),
+        q_hat=mode.q * (ah / a),
+        c_hat=mode.c,
+    )
+
+
+def lineareq2_residuals(reduced: Reduced2D, setup: Setup3D) -> dict:
+    """Relative residuals of the reduced system (dissipation scaled by
+    a_hat/a, filter unchanged):
+
+        nu (ah/a) D w1h - i ah (u0 H w1h - c w1h) - i ah qh - u0' H w3h = 0
+        nu (ah/a) D w3h - i ah (u0 H w3h - c w3h) - qh'                 = 0
+        i ah w1h + w3h'                                                 = 0
+    """
+    ah = reduced.a_hat
+    m, D, H, u0_h, du0_h = _wave_tables(setup, ah * ah, reduced.m_max)
+    nu_eff = setup.nu * reduced.delta_scale
+    c = reduced.c_hat
+    w1, w3, q = reduced.omega1_hat, reduced.omega3_hat, reduced.q_hat
+
+    eq1 = _relative([
+        nu_eff * D * w1, -1j * ah * u0_h(w1), 1j * ah * c * w1,
+        -1j * ah * q, -du0_h(w3),
+    ])
+    eq2 = _relative([
+        nu_eff * D * w3, -1j * ah * u0_h(w3), 1j * ah * c * w3,
+        -1j * m * q,
+    ])
+    div = 1j * ah * w1 + 1j * m * w3
+    eq3 = float(np.linalg.norm(div)
+                / max(np.linalg.norm(w1), np.linalg.norm(w3), 1e-300))
+    return {"eq1": eq1, "eq2": eq2, "eq3": eq3}
+
+
+def a0_mode_pressure_norms(b: int, s: int, lam: float, nu: float, alpha: float,
+                           k_cutoff: int) -> np.ndarray:
+    """Least-squares pressure per a = 0 eigenmode (should vanish: the
+    periodic pressure solving both momentum rows is q = 0)."""
+    if b == 0:
+        return np.zeros(2 * (2 * k_cutoff))
+    vals, vecs = scipy.linalg.eig(_a0_generator(b, s, lam, nu, alpha, k_cutoff))
+    M = k_cutoff
+    m = np.arange(-M, M + 1).astype(np.float64)
+    n = 2 * M + 1
+    ksq = b * b + m**2
+    D = -nu * ksq
+    out = np.empty(len(vals))
+    for j, mu in enumerate(vals):
+        w1 = vecs[:n, j]
+        w3 = vecs[n:, j]
+        w2 = -(m / b) * w3
+        rhs2 = (D - mu) * w2   # = i b q
+        rhs3 = (D - mu) * w3   # = i m q
+        # least squares for q_m over the two rows
+        q = (np.conj(1j * b) * rhs2 + np.conj(1j * m) * rhs3) / (b * b + m**2)
+        scale = max(np.linalg.norm(w1), np.linalg.norm(w3), 1e-300)
+        out[j] = np.linalg.norm(q) / scale
+    return out
+
+
+# ---------------------------------------------------------------------
 # setup
 # ---------------------------------------------------------------------
 
 def test_setup_norms_and_grashof():
     setup = build_3d_setup(3, 2.5, 0.4, 0.1)
-    assert setup.forcing.l2_section() == pytest.approx(0.4**2 * 2.5 * 9, rel=1e-12)
-    assert setup.f_l2 == pytest.approx(0.4**2 * 2.5 * 9, rel=1e-12)
+    assert setup.v0_amp == pytest.approx(0.4 * 2.5 / (math.sqrt(2) * math.pi),
+                                         rel=1e-14)
     assert setup.grashof == pytest.approx(2.5 * 9)
 
 
@@ -53,12 +159,6 @@ def test_setup_u0_is_filtered_v0():
     assert setup.u0_amp == pytest.approx(setup.v0_amp / (1 + 0.09 * 16), rel=1e-14)
     zero_alpha = build_3d_setup(4, 1.0, 1.0, 0.0)
     assert zero_alpha.u0_amp == zero_alpha.v0_amp
-
-
-def test_setup_profiles_are_single_mode():
-    setup = build_3d_setup(2, 1.0, 1.0, 0.0)
-    nz = np.nonzero(setup.stationary.coeffs)[0] - setup.stationary.m_max
-    assert sorted(nz) == [-2, 2]
 
 
 def test_triple_validation():
@@ -114,6 +214,59 @@ def test_reduced_true_mode_satisfies_hat_equations():
 
 
 # ---------------------------------------------------------------------
+# shear stencil against the dense matrices
+# ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("s,m_max", [(2, 10), (20, 96), (20, 12), (20, 5), (2, 1)])
+def test_shift_matches_dense_matvec(s, m_max):
+    # m_max = 12 and 5 lie below s = 20: part or all of the shift falls off
+    n = 2 * m_max + 1
+    rng = np.random.default_rng(s + m_max)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    cols = rng.standard_normal((n, 3))
+    for sign, dense in ((-1, _conv_sin(2j, s, m_max)), (1, _conv_cos(2.0, s, m_max))):
+        assert np.array_equal(_shift(x, s, sign), dense @ x)
+        assert np.array_equal(_shift(cols, s, sign), (dense @ cols).real)
+
+
+@pytest.mark.parametrize("s,alpha,a_hat_sq", [(6, 0.0, 10.0), (20, 0.05, 85.0)])
+def test_wave_table_products_match_dense(s, alpha, a_hat_sq):
+    setup = driver_setup(s=s, alpha=alpha)
+    m_max = 4 * s + 16
+    _, _, H, u0_h, du0_h = _wave_tables(setup, a_hat_sq, m_max)
+    w = np.random.default_rng(2).standard_normal((2 * m_max + 1, 2)) @ [1, 1j]
+    want_u0 = _conv_sin(setup.u0_amp, s, m_max) @ (H * w)
+    want_du0 = _conv_cos(setup.u0_amp * s, s, m_max) @ (H * w)
+    scale = np.max(np.abs(H * w)) * setup.u0_amp * s
+    assert np.max(np.abs(u0_h(w) - want_u0)) <= 1e-15 * scale
+    assert np.max(np.abs(du0_h(w) - want_du0)) <= 1e-15 * scale
+
+
+def test_a0_generator_matches_dense_coupling():
+    b, s, lam, nu, alpha, M = 1, 3, 40.0, 1.0, 0.2, 10
+    n = 2 * M + 1
+    H = 1.0 / (1.0 + alpha**2 * (b * b + np.arange(-M, M + 1.0) ** 2))
+    u0_amp = build_3d_setup(s, lam, nu, alpha).u0_amp
+    gen = _a0_generator(b, s, lam, nu, alpha, M)
+    assert np.array_equal(gen[:n, n:], -(_conv_cos(u0_amp * s, s, M) * H[None, :]))
+
+
+def test_lift_memory_is_linear_in_truncation():
+    # the dense shear matrices needed about 80 MB at m_max = 500
+    setup = driver_setup()
+    triple = SquireTriple(a=3, b=1, r=0)
+    res2d = solve_hat_mode(triple, setup)
+    tracemalloc.start()
+    try:
+        mode = lift_mode(triple, res2d, setup, m_max=500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mode.m_max == 500 and max(mode.residuals.values()) < 1e-8
+    assert peak < 8e6
+
+
+# ---------------------------------------------------------------------
 # omega2 reconstruction
 # ---------------------------------------------------------------------
 
@@ -136,13 +289,12 @@ def test_reconstruct_requires_unstable_phase():
 @pytest.mark.parametrize("s,alpha,a,b", [(6, 0.0, 3, 1), (20, 0.05, 7, -6)])
 def test_reconstruct_matches_dense_solve(s, alpha, a, b):
     # oracle: the dense operator -(nu D + i a c - i a u0 H) solved densely
-    from mla.squire import _wave_tables
-
     setup = driver_setup(s=s, alpha=alpha)
     triple = SquireTriple(a=a, b=b, r=0)
     c, m_max = 0.7j / a, 4 * s + 16
     q = np.random.default_rng(1).standard_normal(2 * m_max + 1) + 0j
-    _, D, H, cu, _ = _wave_tables(setup, triple.a_hat**2, m_max)
+    _, D, H, _, _ = _wave_tables(setup, triple.a_hat**2, m_max)
+    cu = _conv_sin(setup.u0_amp, s, m_max)
     dense = np.diag(setup.nu * D + 1j * a * c) - 1j * a * (cu * H[None, :])
     want = np.linalg.solve(dense, 1j * b * q)
     got = reconstruct_omega2(triple, q, setup, c, m_max)
@@ -266,7 +418,7 @@ def test_a0_no_unstable_at_twice_threshold(b):
 def test_a0_matches_full_pencil_oracle():
     # independent route: the constrained (omega, q) pencil solved by QZ
     b, s, lam, nu, alpha, M = 1, 2, 40.0, 1.0, 0.2, 8
-    setup = build_3d_setup(s, lam, nu, alpha, m_max=M)
+    setup = build_3d_setup(s, lam, nu, alpha)
     m = np.arange(-M, M + 1).astype(float)
     n = 2 * M + 1
     ksq = b * b + m**2
