@@ -35,8 +35,7 @@ class BoundInputs:
     g: Grashof number; alpha: filter length; lambda1: first Stokes
     eigenvalue (1 on the torus, 2 = 1*(1+1) on the sphere); l_const: the
     geometric constant L (pi for the sphere); eps_g: the vanishing-as-G
-    slack in the first bound (default 0, with the asymptotic caveat);
-    gamma: free exponent in (0,1) used by the 3-D reports.
+    slack in the first bound (default 0, with the asymptotic caveat).
     """
 
     g: float
@@ -44,7 +43,6 @@ class BoundInputs:
     lambda1: float = 1.0
     l_const: float = math.pi
     eps_g: float = 0.0
-    gamma: float = 0.5
 
     def __post_init__(self):
         if self.g <= 0:
@@ -57,8 +55,6 @@ class BoundInputs:
             raise ValueError(f"L must be positive, got {self.l_const}")
         if self.eps_g < 0:
             raise ValueError(f"eps_G must be nonnegative, got {self.eps_g}")
-        if not (0.0 < self.gamma < 1.0):
-            raise ValueError(f"gamma must lie in (0,1), got {self.gamma}")
 
 
 def upper_bound_1(inputs: BoundInputs) -> float:
@@ -105,19 +101,6 @@ class TwoSidedReport:
     ratio: float | None
     alpha_regime_forms: dict
     notes: tuple[str, ...] = field(default_factory=tuple)
-
-    def as_dict(self) -> dict:
-        return {
-            "g": self.g,
-            "alpha": self.alpha,
-            "lower": self.lower,
-            "upper1": self.upper1,
-            "upper2": self.upper2,
-            "upper_min": self.upper_min,
-            "ratio": self.ratio,
-            "alpha_regime_forms": self.alpha_regime_forms,
-            "notes": list(self.notes),
-        }
 
 
 def two_sided_report(inputs: BoundInputs) -> TwoSidedReport:

@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -335,19 +335,6 @@ class RunManifest:
     status: str = "ok"
     error: str | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "version": self.version,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "tolerances": self.tolerances,
-            "outputs": self.outputs,
-            "status": self.status,
-            "error": self.error,
-        }
-
 
 _TOLERANCES = {
     "sigma_real_tol": stability.SIGMA_REAL_TOL,
@@ -355,8 +342,8 @@ _TOLERANCES = {
     "eigen_residual_tol": stability.RESIDUAL_TOL,
     # sigma_hat must change sign across this relative width around Lambda_0
     "lambda0_rel_width": stability.LAMBDA0_REL_WIDTH,
-    "lift_residual_tol": 1e-8,
-    "field_mean_tol": 1e-14,
+    "lift_residual_tol": squire.LIFT_RESIDUAL_TOL,
+    "field_mean_tol": spectral._MEAN_TOL,
 }
 
 
@@ -465,7 +452,8 @@ def _cmd_simulate(p: dict, out: Path, seed: int, threads: int,
     if len(diag):
         report = dynamics.check_asymptotic_bounds(
             diag, f_l2=params.nu**2 * spec.lam * spec.s**2, nu=params.nu)
-        written.append(_write_json(out / "bounds_report.json", report.as_dict()))
+        written.append(_write_json(out / "bounds_report.json",
+                                   {**asdict(report), "ok": report.ok}))
     spectral.save_field(diag.final_state.psi, out / "final_field.json")
     written.append(out / "final_field.json")
 
@@ -496,14 +484,14 @@ def _cmd_stability(p: dict, out: Path, seed: int, threads: int,
           r["in_region"]) for r in rows]))
 
     delta_star, adelta_max = stability.optimize_delta()
-    g = lam * s**2
+    g = dynamics.grashof(dynamics.ForcingSpec(s=s, lam=lam))
     summary = {
         "d_s": stability.count_lattice(stability.RegionSpec(delta=delta, s=s)),
         "a_delta": stability.region_area(delta),
         "delta_star": delta_star,
         "max_a_delta_scaled": adelta_max,
         "grashof": g,
-        "lower_bound_2d": stability.lower_bound_dim2d(g, alpha).as_dict(),
+        "lower_bound_2d": asdict(stability.lower_bound_dim2d(g, alpha)),
         "skipped": [{"t": r["t"], "r": r["r"], "error": r["error"]}
                     for r in rows if r["error"] is not None],
     }
@@ -518,11 +506,11 @@ def _cmd_stability(p: dict, out: Path, seed: int, threads: int,
 def _bound_inputs(p: dict, g, alpha) -> bounds_mod.BoundInputs:
     return bounds_mod.BoundInputs(
         g=float(g), alpha=float(alpha), lambda1=p["lambda1"],
-        l_const=p["l_const"], eps_g=p["eps_g"], gamma=p.get("gamma", 0.5))
+        l_const=p["l_const"], eps_g=p["eps_g"])
 
 
 def _bounds_rows(p: dict) -> list[dict]:
-    return [bounds_mod.two_sided_report(_bound_inputs(p, g, alpha)).as_dict()
+    return [asdict(bounds_mod.two_sided_report(_bound_inputs(p, g, alpha)))
             for g in p["g_values"] for alpha in p["alpha_values"]]
 
 
@@ -608,9 +596,9 @@ def _cmd_squire(p: dict, out: Path, seed: int, threads: int,
         "lifted": len(rows),
     }
     if alpha > 0:
-        g = lam * s**2
-        summary["lower_bound_3d"] = squire.lower_bound_dim3d(
-            g, alpha, p["gamma"], c6).as_dict()
+        g = dynamics.grashof(dynamics.ForcingSpec(s=s, lam=lam))
+        summary["lower_bound_3d"] = asdict(squire.lower_bound_dim3d(
+            g, alpha, p["gamma"], c6))
     else:
         summary["lower_bound_3d"] = {
             "note": "small-alpha formula c6 G^gamma / alpha^(3(1-gamma)); "
@@ -663,7 +651,7 @@ def run_command(config: ExperimentConfig, out_dir=None,
             "path": str(path.relative_to(out)),
             "sha256": _sha256(path),
         })
-    _write_json(out / "manifest.json", manifest.as_dict())
+    _write_json(out / "manifest.json", asdict(manifest))
     if error is not None:
         raise error
     return manifest

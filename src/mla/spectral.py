@@ -48,11 +48,8 @@ __all__ = [
     "load_field",
 ]
 
-#: First eigenvalue of the Stokes operator on the 2pi square torus
-#: (least nonzero integer |k|^2).  Overridable in the bound evaluators,
-#: where sphere eigenvalues n(n+1) enter instead.
-LAMBDA1_TORUS = 1.0
-
+#: Tolerance on a field's mean coefficient (ScalarField scales it by
+#: max(1, largest |coefficient|)).
 _MEAN_TOL = 1e-14
 
 

@@ -22,7 +22,7 @@ and the omega2 solve is banded with bandwidth s.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -60,6 +60,8 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2.0) * math.pi
+#: Ceiling on each relative residual of a lifted mode's four equations.
+LIFT_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -103,10 +105,6 @@ class Setup3D:
     @property
     def u0_amp(self) -> float:
         return self.v0_amp / (1.0 + self.alpha**2 * self.s**2)
-
-    @property
-    def grashof(self) -> float:
-        return self.lam * self.s**2
 
 
 def build_3d_setup(s: int, lam: float, nu: float, alpha: float) -> Setup3D:
@@ -298,8 +296,7 @@ def _profile_m_max(two_d: StabilityResult, s: int, r: int,
 
 
 def lift_mode(triple: SquireTriple, two_d: StabilityResult, setup: Setup3D,
-              m_max: int | None = None,
-              residual_tol: float = 1e-8) -> Mode1DProfile:
+              m_max: int | None = None) -> Mode1DProfile:
     """Lift an unstable reduced-chain mode to the full 3-torus.
 
     The chain eigenvector gives the reduced vorticity profile; the
@@ -307,7 +304,7 @@ def lift_mode(triple: SquireTriple, two_d: StabilityResult, setup: Setup3D,
     function, q_hat from the omega3_hat equation (row m = 0 from the
     omega1_hat equation), omega2 from the coercive solve, and omega1
     from the reduction identity.  All four mode equations are then
-    evaluated and must hold to ``residual_tol``.
+    evaluated and must hold to LIFT_RESIDUAL_TOL.
     """
     if two_d.sigma_hat <= 0:
         raise ValueError("lift requires an unstable 2-D mode (sigma_hat > 0)")
@@ -353,9 +350,9 @@ def lift_mode(triple: SquireTriple, two_d: StabilityResult, setup: Setup3D,
     mode = Mode1DProfile(a=a, b=b, m_max=M, omega1=w1, omega2=w2,
                          omega3=w3h.copy(), q=q, c=c)
     res = lineareq3_residuals(mode, setup)
-    if max(res.values()) > residual_tol:
+    if max(res.values()) > LIFT_RESIDUAL_TOL:
         raise EigensolverError(
-            f"lifted mode residuals {res} exceed {residual_tol}"
+            f"lifted mode residuals {res} exceed {LIFT_RESIDUAL_TOL}"
         )
     object.__setattr__(mode, "residuals", res)
     return mode
@@ -520,9 +517,6 @@ class LowerBound3D:
     value: float
     raw_count: float
     upper_form: str
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def lower_bound_dim3d(g: float, alpha: float, gamma: float,

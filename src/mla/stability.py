@@ -28,7 +28,8 @@ for the largest real mu of that problem with a decaying eigenvector.
 
 Both pick the eigenpair alike: a dense solve of the balanced B^{-1} A gives
 the eigenvalues only; each real one, largest first, gets its eigenvector by
-O(n) banded inverse iteration until one decays at the truncation edge.
+O(n) banded inverse iteration until one decays at the truncation edge, and
+sigma_hat is the Rayleigh quotient e.Ae / e.Be of that converged vector.
 """
 
 from __future__ import annotations
@@ -78,6 +79,8 @@ DECAY_TAIL_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
 #: Relative width across which sigma_hat must change sign at Lambda_0.
 LAMBDA0_REL_WIDTH = 1e-8
+#: Largest chain truncation the eigenpair search doubles up to.
+MAX_TRUNC = 1024
 
 #: Two-digit lower-bound coefficients (dimension >= coeff * G^(2/3)).
 LOWER_COEFF_ALPHA0 = 0.006
@@ -287,6 +290,10 @@ class GeneralizedEigSystem:
         out[1:] -= self.off_a[1:] * e[:-1]
         return out
 
+    def rayleigh_quotient(self, e: np.ndarray) -> float:
+        """e.Ae / e.Be: the eigenvalue of a converged eigenvector e."""
+        return float(e @ self.apply_a(e)) / float(e @ (self.diag_b * e))
+
     def residual(self, sigma_hat: float, e: np.ndarray) -> float:
         be = self.diag_b * e
         return float(np.linalg.norm(self.apply_a(e) - sigma_hat * be)
@@ -299,35 +306,6 @@ class GeneralizedEigSystem:
         ab[1, :] = self.diag_a - sigma_hat * self.diag_b
         ab[2, :-1] = -self.off_a[1:]
         return ab
-
-    def refine(self, sigma_hat: float, e: np.ndarray,
-               iterations: int = 2) -> tuple[float, np.ndarray]:
-        """Banded inverse iteration + Rayleigh quotient on (A, B).
-
-        The dense eigensolve runs in the balanced B^{-1}A coordinates;
-        a couple of O(n) refinement sweeps push the generalized residual
-        to its floating-point floor.
-        """
-        best_sig, best_vec = sigma_hat, e
-        best_res = self.residual(sigma_hat, e)
-        sig, vec = sigma_hat, e
-        for _ in range(iterations):
-            try:
-                w = scipy.linalg.solve_banded((1, 1), self.shifted(sig),
-                                              self.diag_b * vec)
-            except np.linalg.LinAlgError:
-                break  # exactly singular: current pair is already converged
-            if not np.all(np.isfinite(w)):
-                break
-            vec = w / np.max(np.abs(w))
-            denom = float(vec @ (self.diag_b * vec))
-            sig = float(vec @ self.apply_a(vec)) / denom
-            res = self.residual(sig, vec)
-            if res < best_res:
-                best_sig, best_vec, best_res = sig, vec, res
-            if best_res < 1e-13:
-                break
-        return best_sig, best_vec
 
 
 def build_recurrence_system(prob: RecurrenceProblem,
@@ -379,8 +357,9 @@ def _inverse_iteration(sys: GeneralizedEigSystem, sigma_hat: float) -> np.ndarra
 
 
 def _largest_real_decaying(sys: GeneralizedEigSystem):
-    """Largest real eigenvalue whose eigenvector decays at the truncation
-    edge: eigenvalues from one dense solve, eigenvectors by inverse iteration."""
+    """Largest real eigenpair whose eigenvector decays at the truncation
+    edge: eigenvalues from one dense solve, eigenvectors by inverse iteration,
+    and the returned value the Rayleigh quotient of the converged vector."""
     m = (sys.diag_a / sys.diag_b)[:, None] * np.eye(sys.size)
     idx = np.arange(sys.size - 1)
     m[idx, idx + 1] = sys.off_a[:-1] / sys.diag_b[:-1]
@@ -393,13 +372,13 @@ def _largest_real_decaying(sys: GeneralizedEigSystem):
     for value in np.sort(vals.real[real])[::-1]:
         vec = _inverse_iteration(sys, value)
         if max(abs(vec[0]), abs(vec[-1])) < DECAY_TAIL_TOL:  # else cut off
-            return float(value), vec
+            return sys.rayleigh_quotient(vec), vec
     return None
 
 
-def _settled_eigenpair(build, n_trunc: int, max_trunc: int, sigma_ref: float = 0.0):
-    """(value, vector, system, m) of the refined largest real decaying
-    eigenpair of build(m), doubling m from n_trunc until value settles.
+def _settled_eigenpair(build, n_trunc: int, sigma_ref: float = 0.0):
+    """(value, vector, system, m) of the largest real decaying eigenpair of
+    build(m), doubling m from n_trunc up to MAX_TRUNC until value settles.
 
     Two misses in a row end the search once 2 |off_a| < |diag_a - sigma_ref
     diag_b| on both edge rows: the tail of an eigenvector whose eigenvalue is
@@ -408,7 +387,7 @@ def _settled_eigenpair(build, n_trunc: int, max_trunc: int, sigma_ref: float = 0
     """
     prev, misses = None, 0
     trunc = n_trunc
-    while trunc <= max_trunc:
+    while trunc <= MAX_TRUNC:
         sys = build(trunc)
         got = _largest_real_decaying(sys)
         edge = np.abs(sys.diag_a - sigma_ref * sys.diag_b)[[0, -1]]
@@ -418,18 +397,18 @@ def _settled_eigenpair(build, n_trunc: int, max_trunc: int, sigma_ref: float = 0
             raise EigensolverError(
                 f"no real decaying eigenvalue at n_trunc={trunc // 2} or {trunc}")
         if got is not None:
-            value, vec = sys.refine(*got)
+            value, vec = got
             if prev is not None and abs(value - prev) < 1e-10 * (1.0 + abs(value)):
                 return value, vec, sys, trunc
             prev = value
         trunc *= 2
     raise EigensolverError(
-        f"eigenvalue did not converge by n_trunc={max_trunc} "
+        f"eigenvalue did not converge by n_trunc={MAX_TRUNC} "
         f"(last value={prev})"
     )
 
 
-def principal_sigma(prob: RecurrenceProblem, max_trunc: int = 1024) -> StabilityResult:
+def principal_sigma(prob: RecurrenceProblem) -> StabilityResult:
     """Track the monotone real branch, doubling n_trunc until it settles.
 
     Raises EigensolverError if two truncations in a row that resolve the
@@ -437,7 +416,7 @@ def principal_sigma(prob: RecurrenceProblem, max_trunc: int = 1024) -> Stability
     fails to converge below 1e-10.
     """
     sigma, vec, sys, trunc = _settled_eigenpair(
-        lambda m: build_recurrence_system(prob, m), prob.n_trunc, max_trunc)
+        lambda m: build_recurrence_system(prob, m), prob.n_trunc)
     return StabilityResult(
         sigma_hat=sigma,
         capital_lambda=prob.capital_lambda,
@@ -507,7 +486,7 @@ def lambda0_threshold(s: int, t: float, r: int, alpha: float,
     lo, hi = lu_interval(s, delta, alpha)
     lo, hi = lo / 10.0, hi * 10.0
     # mu < 1/hi fails the window check, so tails are resolved down to 1/hi
-    mu = _settled_eigenpair(neutral, prob.n_trunc, 1024, 1.0 / hi)[0]
+    mu = _settled_eigenpair(neutral, prob.n_trunc, 1.0 / hi)[0]
     if not 1.0 / hi < mu < 1.0 / lo:
         raise EigensolverError(f"Lambda_0 = 1/{mu} lies outside [{lo}, {hi}]")
     lam0, h = 1.0 / mu, 0.5 * LAMBDA0_REL_WIDTH
@@ -600,16 +579,6 @@ class LowerBound2D:
     value: float
     regime: str
     alpha_regime_forms: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "g": self.g,
-            "alpha": self.alpha,
-            "coefficient": self.coefficient,
-            "value": self.value,
-            "regime": self.regime,
-            "alpha_regime_forms": self.alpha_regime_forms,
-        }
 
 
 def lower_bound_dim2d(g: float, alpha: float) -> LowerBound2D:

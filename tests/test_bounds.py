@@ -115,8 +115,6 @@ def test_bound_inputs_validation():
     with pytest.raises(ValueError):
         BoundInputs(g=-1.0)
     with pytest.raises(ValueError):
-        BoundInputs(g=1.0, gamma=1.5)
-    with pytest.raises(ValueError):
         BoundInputs(g=1.0, l_const=-1.0)
 
 

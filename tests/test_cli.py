@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mla import cli
+from mla import cli, spectral, squire, stability
 from mla.cli import ConfigError, emit_plot_data, parse_config, run_command, serialize_config
 
 
@@ -149,6 +149,15 @@ def test_bounds_grid_rows_and_manifest(tmp_path):
     saved = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert saved["status"] == "ok"
     assert saved["tolerances"]["eigen_residual_tol"] == 1e-8
+    # each reported tolerance is the constant the code enforces
+    assert saved["tolerances"] == {
+        "sigma_real_tol": stability.SIGMA_REAL_TOL,
+        "decay_tail_tol": stability.DECAY_TAIL_TOL,
+        "eigen_residual_tol": stability.RESIDUAL_TOL,
+        "lambda0_rel_width": stability.LAMBDA0_REL_WIDTH,
+        "lift_residual_tol": squire.LIFT_RESIDUAL_TOL,
+        "field_mean_tol": spectral._MEAN_TOL,
+    }
 
 
 def test_manifest_lists_only_files_the_run_wrote(tmp_path):

@@ -147,11 +147,10 @@ def a0_mode_pressure_norms(b: int, s: int, lam: float, nu: float, alpha: float,
 # setup
 # ---------------------------------------------------------------------
 
-def test_setup_norms_and_grashof():
+def test_setup_v0_amp():
     setup = build_3d_setup(3, 2.5, 0.4, 0.1)
     assert setup.v0_amp == pytest.approx(0.4 * 2.5 / (math.sqrt(2) * math.pi),
                                          rel=1e-14)
-    assert setup.grashof == pytest.approx(2.5 * 9)
 
 
 def test_setup_u0_is_filtered_v0():

@@ -6,6 +6,7 @@ substitution, the principal eigenvalue against the dense full-operator
 oracle, the eigenpair selection against the dense-eigenvector oracle, and
 thresholds against their windows and a bisection oracle."""
 
+import inspect
 import math
 
 import mpmath
@@ -292,17 +293,45 @@ def _largest_real_decaying_loop(vals, vecs):
     return best
 
 
+def _polish(sys, sigma_hat, e):
+    """Banded inverse iteration + Rayleigh quotient on (A, B), keeping the
+    pair of smallest residual: a dense eigenvector of the balanced B^-1 A is
+    not at the generalized residual's floor, and a couple of O(n) sweeps
+    push it there.  The vector is scaled to +1 at its signed peak."""
+    best_sig, best_vec = sigma_hat, e
+    best_res = sys.residual(sigma_hat, e)
+    sig, vec = sigma_hat, e
+    for _ in range(2):
+        try:
+            w = scipy.linalg.solve_banded((1, 1), sys.shifted(sig),
+                                          sys.diag_b * vec)
+        except np.linalg.LinAlgError:
+            break  # exactly singular: current pair is already converged
+        if not np.all(np.isfinite(w)):
+            break
+        vec = w / w[np.argmax(np.abs(w))]
+        sig = sys.rayleigh_quotient(vec)
+        res = sys.residual(sig, vec)
+        if res < best_res:
+            best_sig, best_vec, best_res = sig, vec, res
+        if best_res < 1e-13:
+            break
+    return best_sig, best_vec
+
+
 def _dense_largest_real_decaying(sys):
     """The dense-eigenvector selection: every eigenvector of the balanced
-    B^-1 A from one scipy.linalg.eig, then the per-eigenvalue loop."""
+    B^-1 A from one scipy.linalg.eig, the per-eigenvalue loop, then the
+    banded polish of the chosen pair."""
     m = np.diag(sys.diag_a / sys.diag_b)
     idx = np.arange(sys.size - 1)
     m[idx, idx + 1] = sys.off_a[:-1] / sys.diag_b[:-1]
     m[idx + 1, idx] = -sys.off_a[1:] / sys.diag_b[1:]
     try:
-        return _largest_real_decaying_loop(*scipy.linalg.eig(m))
+        best = _largest_real_decaying_loop(*scipy.linalg.eig(m))
     except ValueError as exc:  # a non-finite chain
         raise EigensolverError(f"dense eigensolve failed: {exc}") from exc
+    return None if best is None else _polish(sys, *best)
 
 
 @pytest.mark.parametrize("cap", [1e-3, 2.0, 6.0, 40.0])
@@ -338,6 +367,24 @@ def test_largest_real_decaying_solves_eigenvalues_only_once(monkeypatch, cap):
         RecurrenceProblem(s=8, t=3, r=-1, capital_lambda=cap, alpha=0.1))
     assert stability._largest_real_decaying(sys) is not None
     assert calls == [((), {"right": False})]
+
+
+def test_principal_sigma_solves_banded_only_in_inverse_iteration(monkeypatch):
+    # shipped scan chain (s, t, r) = (8, 3, 0): the Rayleigh quotient of the
+    # inverse-iteration vector is the eigenvalue, with no second polish
+    callers = []
+    solve_banded = scipy.linalg.solve_banded
+
+    def recording(*args, **kwargs):
+        callers.append(inspect.currentframe().f_back.f_code.co_name)
+        return solve_banded(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "solve_banded", recording)
+    cap = capital_lambda(120.0, 8, 0.1)
+    res = principal_sigma(RecurrenceProblem(s=8, t=3, r=0, capital_lambda=cap,
+                                            alpha=0.1))
+    assert res.eigen_residual < 1e-12
+    assert callers and set(callers) == {"_inverse_iteration"}
 
 
 def test_inverse_iteration_nudges_an_exactly_singular_shift():
@@ -567,14 +614,15 @@ def test_eigenpair_search_stops_after_two_truncations_without_one(monkeypatch):
     assert len(sizes) == 2
 
 
-def test_unresolved_misses_do_not_stop_the_search():
+def test_unresolved_misses_do_not_stop_the_search(monkeypatch):
     # edge coupling Lambda t (kappa^2 - s^2) / (B kappa^2) is 2.2 at n_trunc
     # 64 and 0.55 at 128: neither resolves the tail, so their misses do not
     # end the search, and 256 finds a real decaying eigenvalue
     prob = RecurrenceProblem(s=1, t=3, r=0, capital_lambda=3000.0)
+    monkeypatch.setattr(stability, "MAX_TRUNC", 256)
     with pytest.raises(EigensolverError,
                        match=r"did not converge by n_trunc=256 \(last value=-"):
-        principal_sigma(prob, max_trunc=256)
+        principal_sigma(prob)
 
 
 def test_lambda0_outside_widened_window_raises(monkeypatch):
