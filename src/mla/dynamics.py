@@ -23,13 +23,10 @@ import numpy as np
 from .spectral import (
     ScalarField,
     SpectralGrid,
-    VectorField2,
     _jacobian,
     helmholtz_inv,
-    inv_laplacian,
     laplacian,
     norms,
-    velocity_from_stream,
 )
 
 __all__ = [
@@ -41,7 +38,6 @@ __all__ = [
     "NumericalError",
     "TimeStepError",
     "kolmogorov_forcing",
-    "forcing_velocity",
     "stationary_psi",
     "grashof",
     "rhs",
@@ -50,7 +46,6 @@ __all__ = [
     "run",
     "check_asymptotic_bounds",
     "initial_state",
-    "energy",
 ]
 
 
@@ -132,11 +127,6 @@ def kolmogorov_forcing(spec: ForcingSpec, params: ModelParams) -> ScalarField:
     _check_spec_on_grid(spec, params.grid)
     amp = -(params.nu**2) * spec.lam * spec.s**3 / (math.sqrt(2.0) * math.pi)
     return ScalarField.harmonic(params.grid, 0, spec.s, amplitude=amp)
-
-
-def forcing_velocity(spec: ForcingSpec, params: ModelParams) -> VectorField2:
-    """The divergence-free velocity forcing whose curl is the scalar forcing."""
-    return velocity_from_stream(inv_laplacian(kolmogorov_forcing(spec, params)))
 
 
 def stationary_psi(spec: ForcingSpec, params: ModelParams) -> ScalarField:
@@ -338,12 +328,3 @@ def initial_state(params: ModelParams, seed: int = 0,
     psi = ScalarField.random(params.grid, rng, amplitude=amplitude)
     return SolverState(psi=psi, time=0.0, params=params)
 
-
-def energy(psi: ScalarField, alpha: float) -> float:
-    """|phi|^2 + alpha^2 |grad phi|^2 for phi = (I - a^2 Lap)^{-1} psi.
-
-    This alpha-weighted functional is the one that decays monotonically
-    under zero forcing.
-    """
-    m = norms(helmholtz_inv(psi, alpha))
-    return m.l2**2 + alpha**2 * m.h1_semi**2

@@ -30,6 +30,9 @@ Both pick the eigenpair alike: a dense solve of the balanced B^{-1} A gives
 the eigenvalues only; each real one, largest first, gets its eigenvector by
 O(n) banded inverse iteration until one decays at the truncation edge, and
 sigma_hat is the Rayleigh quotient e.Ae / e.Be of that converged vector.
+The truncation then doubles, and each doubling first runs inverse iteration
+from the zero-padded vector at the value found, so a chain that settles
+makes one dense solve, at its first truncation.
 """
 
 from __future__ import annotations
@@ -56,14 +59,10 @@ __all__ = [
     "optimize_delta",
     "build_recurrence_system",
     "principal_sigma",
-    "unstable_sigma",
     "lambda0_threshold",
     "lu_interval",
     "lambda_interval",
-    "full_linearization_matrix",
-    "full_linearization_spectrum",
     "lower_bound_dim2d",
-    "derived_lower_coefficient",
     "stability_sweep",
     "LOWER_COEFF_ALPHA0",
     "LOWER_COEFF_SMALL_ALPHA",
@@ -337,11 +336,13 @@ class StabilityResult:
             )
 
 
-def _inverse_iteration(sys: GeneralizedEigSystem, sigma_hat: float) -> np.ndarray:
+def _inverse_iteration(sys: GeneralizedEigSystem, sigma_hat: float,
+                       start: np.ndarray | None = None) -> np.ndarray:
     """Eigenvector of A e = sigma_hat B e, scaled to 1 at its largest entry,
-    by fixed-shift banded inverse iteration from a vector of ones (at most 8
-    solves: the shift is an eigenvalue to rounding, so 2 or 3 usually do)."""
-    vec = np.ones(sys.size)
+    by fixed-shift banded inverse iteration from ``start`` (a vector of ones
+    by default) in at most 8 solves: the shift is an eigenvalue to rounding,
+    so 2 or 3 usually do from ones, and fewer from a settled vector."""
+    vec = np.ones(sys.size) if start is None else start
     for _ in range(8):
         try:
             w = scipy.linalg.solve_banded((1, 1), sys.shifted(sigma_hat),
@@ -356,10 +357,32 @@ def _inverse_iteration(sys: GeneralizedEigSystem, sigma_hat: float) -> np.ndarra
     return vec
 
 
-def _largest_real_decaying(sys: GeneralizedEigSystem):
+def _decays(vec: np.ndarray) -> bool:
+    return max(abs(vec[0]), abs(vec[-1])) < DECAY_TAIL_TOL  # else cut off
+
+
+def _settles(value: float, prev: float) -> bool:
+    return abs(value - prev) < 1e-10 * (1.0 + abs(value))
+
+
+def _edges_resolved(sys: GeneralizedEigSystem, sigma_hat: float) -> bool:
+    """2 |off_a| < |diag_a - sigma_hat diag_b| on both edge rows."""
+    edge = np.abs(sys.diag_a - sigma_hat * sys.diag_b)[[0, -1]]
+    return bool(np.all(2.0 * np.abs(sys.off_a[[0, -1]]) < edge))
+
+
+def _largest_real_decaying(sys: GeneralizedEigSystem, guess=None):
     """Largest real eigenpair whose eigenvector decays at the truncation
     edge: eigenvalues from one dense solve, eigenvectors by inverse iteration,
-    and the returned value the Rayleigh quotient of the converged vector."""
+    and the returned value the Rayleigh quotient of the converged vector.
+
+    A ``guess`` (value, start) skips the dense solve when inverse iteration
+    at that value from that start vector decays and settles against it."""
+    if guess is not None:
+        vec = _inverse_iteration(sys, *guess)
+        value = sys.rayleigh_quotient(vec)
+        if _decays(vec) and _settles(value, guess[0]):
+            return value, vec
     m = (sys.diag_a / sys.diag_b)[:, None] * np.eye(sys.size)
     idx = np.arange(sys.size - 1)
     m[idx, idx + 1] = sys.off_a[:-1] / sys.diag_b[:-1]
@@ -371,7 +394,7 @@ def _largest_real_decaying(sys: GeneralizedEigSystem):
     real = np.abs(vals.imag) < SIGMA_REAL_TOL * (1.0 + np.abs(vals.real))
     for value in np.sort(vals.real[real])[::-1]:
         vec = _inverse_iteration(sys, value)
-        if max(abs(vec[0]), abs(vec[-1])) < DECAY_TAIL_TOL:  # else cut off
+        if _decays(vec):
             return sys.rayleigh_quotient(vec), vec
     return None
 
@@ -384,23 +407,29 @@ def _settled_eigenpair(build, n_trunc: int, sigma_ref: float = 0.0):
     diag_b| on both edge rows: the tail of an eigenvector whose eigenvalue is
     at least sigma_ref then shrinks over 2.4x per row, so a missing pair does
     not exist rather than being cut off by the truncation.
+
+    By the same bound, a pair found where the edge rows are resolved at its
+    own value v has no larger real decaying pair beyond the truncation.  The
+    next doubling then guesses v and the zero-padded vector, and solves
+    densely only if inverse iteration from there does not settle against v.
     """
-    prev, misses = None, 0
+    prev, guess, misses = None, None, 0
     trunc = n_trunc
     while trunc <= MAX_TRUNC:
         sys = build(trunc)
-        got = _largest_real_decaying(sys)
-        edge = np.abs(sys.diag_a - sigma_ref * sys.diag_b)[[0, -1]]
-        resolved = np.all(2.0 * np.abs(sys.off_a[[0, -1]]) < edge)
-        misses = misses + 1 if got is None and resolved else 0
+        got = _largest_real_decaying(sys, guess)
+        misses = misses + 1 if got is None and _edges_resolved(sys, sigma_ref) else 0
         if misses == 2:
             raise EigensolverError(
                 f"no real decaying eigenvalue at n_trunc={trunc // 2} or {trunc}")
+        guess = None
         if got is not None:
             value, vec = got
-            if prev is not None and abs(value - prev) < 1e-10 * (1.0 + abs(value)):
+            if prev is not None and _settles(value, prev):
                 return value, vec, sys, trunc
             prev = value
+            if _edges_resolved(sys, value):
+                guess = (value, np.pad(vec, trunc))
         trunc *= 2
     raise EigensolverError(
         f"eigenvalue did not converge by n_trunc={MAX_TRUNC} "
@@ -425,12 +454,6 @@ def principal_sigma(prob: RecurrenceProblem) -> StabilityResult:
         offsets=prob.offsets(trunc),
         n_trunc_used=trunc,
     )
-
-
-def unstable_sigma(prob: RecurrenceProblem) -> StabilityResult | None:
-    """Principal eigenvalue if it is unstable (sigma_hat > 0), else None."""
-    res = principal_sigma(prob)
-    return res if res.sigma_hat > 0.0 else None
 
 
 def lu_interval(s: int, delta: float, alpha: float) -> tuple[float, float]:
@@ -470,8 +493,8 @@ def lambda0_threshold(s: int, t: float, r: int, alpha: float,
                       delta: float) -> float:
     """Neutral threshold Lambda_0 = 1/mu, where sigma_hat(Lambda_0) = 0.
 
-    mu comes from the sigma_hat = 0 chain (module docstring), one eigensolve
-    per truncation doubling as in principal_sigma.  Post-checks raise
+    mu comes from the sigma_hat = 0 chain (module docstring), by the same
+    truncation doubling as principal_sigma.  Post-checks raise
     EigensolverError unless Lambda_0 lies in the two-sided window widened
     10x on each side and sigma_hat changes sign across it at relative width
     LAMBDA0_REL_WIDTH.
@@ -496,72 +519,6 @@ def lambda0_threshold(s: int, t: float, r: int, alpha: float,
         raise EigensolverError(f"sigma_hat does not change sign across "
                                f"Lambda_0 = {lam0}: ({below}, {above})")
     return lam0
-
-
-# ---------------------------------------------------------------------
-# dense oracle: the full linearization over the half-lattice
-# ---------------------------------------------------------------------
-
-def _half_lattice(k_cutoff: int) -> list[tuple[int, int]]:
-    ks = []
-    for k2 in range(1, k_cutoff + 1):
-        ks.append((0, k2))
-    for k1 in range(1, k_cutoff + 1):
-        for k2 in range(-k_cutoff, k_cutoff + 1):
-            ks.append((k1, k2))
-    return ks
-
-
-def full_linearization_matrix(s: int, lam: float, alpha: float,
-                              k_cutoff: int):
-    """Coefficient matrix of the linearization on the half-lattice box.
-
-    Valid for both the cosine- and sine-family coefficient vectors (the
-    two families satisfy identical equations); eigenvalues are sigma_hat.
-    Requires k_cutoff >= 3s so each in-region chain keeps at least the
-    |n| <= 1 neighbours.
-    """
-    if k_cutoff < 3 * s:
-        raise ValueError(f"k_cutoff={k_cutoff} too small, need >= 3s = {3 * s}")
-    lam_cap = capital_lambda(lam, s, alpha)
-    keys = _half_lattice(k_cutoff)
-    index = {k: i for i, k in enumerate(keys)}
-    n = len(keys)
-    m = np.zeros((n, n))
-
-    def g(k1: int, k2: int) -> float:
-        ksq = k1 * k1 + k2 * k2
-        return (ksq - s * s) / (ksq + alpha**2 * ksq**2)
-
-    for (k1, k2), i in index.items():
-        m[i, i] = -(k1 * k1 + k2 * k2)
-        if k1 == 0:
-            continue  # single-variable modes: no coupling, neutral/stable line
-        up = (k1, k2 + s)
-        dn = (k1, k2 - s)
-        if up in index:
-            m[i, index[up]] += lam_cap * k1 * g(*up)
-        if dn in index:
-            m[i, index[dn]] -= lam_cap * k1 * g(*dn)
-    return m, index
-
-
-def full_linearization_spectrum(s: int, lam: float, nu: float, alpha: float,
-                                k_cutoff: int) -> np.ndarray:
-    """All sigma_hat eigenvalues of the dense linearization matrix.
-
-    Each eigenvalue of the coefficient matrix is reported twice: the
-    cosine and sine coefficient families obey the same equation, so the
-    operator carries every chain eigenvalue with multiplicity two.
-    ``nu`` only sets the dimensional growth rate sigma = nu * sigma_hat
-    and does not affect sigma_hat.
-    """
-    if nu <= 0:
-        raise ValueError(f"nu must be positive, got {nu}")
-    m, _ = full_linearization_matrix(s, lam, alpha, k_cutoff)
-    vals = scipy.linalg.eigvals(m)
-    both = np.concatenate([vals, vals])
-    return both[np.argsort(-both.real)]
 
 
 # ---------------------------------------------------------------------
@@ -606,20 +563,6 @@ def lower_bound_dim2d(g: float, alpha: float) -> LowerBound2D:
         g=g, alpha=alpha, coefficient=coeff, value=coeff * g ** (2.0 / 3.0),
         regime=regime, alpha_regime_forms=forms,
     )
-
-
-def derived_lower_coefficient(alpha_zero: bool,
-                              a_delta_max: float = A_DELTA_MAX) -> float:
-    """Provenance of the two-digit coefficients:
-
-    2 (3 sqrt6 / (20 pi))^(2/3) * max a(delta) delta^(4/3)  for alpha = 0,
-    2 (63 / (440 sqrt5 pi))^(2/3) * the same max              for small alpha.
-    """
-    if alpha_zero:
-        base = 3.0 * math.sqrt(6.0) / (20.0 * math.pi)
-    else:
-        base = 63.0 / (440.0 * math.sqrt(5.0) * math.pi)
-    return 2.0 * base ** (2.0 / 3.0) * a_delta_max
 
 
 # ---------------------------------------------------------------------

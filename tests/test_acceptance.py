@@ -10,6 +10,7 @@ import pytest
 
 from mla import bounds as bounds_mod
 from mla import dynamics, spectral, squire, stability
+from test_stability import derived_lower_coefficient, full_linearization_spectrum
 
 mp.mp.dps = 60
 
@@ -166,7 +167,7 @@ def test_criterion_5_recurrence_vs_dense_oracle():
     worst = 0.0
     for alpha, cap in cap_by_alpha.items():
         lam = cap * 2 * math.sqrt(2) * math.pi * (1 + alpha**2 * s**2)
-        vals = stability.full_linearization_spectrum(s, lam, 1.0, alpha, 3 * s)
+        vals = full_linearization_spectrum(s, lam, 1.0, alpha, 3 * s)
         real = vals[np.abs(vals.imag) < 1e-10 * (1 + np.abs(vals.real))].real
         for (t, r) in pairs:
             res = stability.principal_sigma(stability.RecurrenceProblem(
@@ -238,8 +239,8 @@ def test_criterion_8_lower_coefficients():
         0.006 * 1000.0 ** (2.0 / 3.0), rel=1e-15)
     assert stability.lower_bound_dim2d(1000.0, 0.01).value == pytest.approx(
         0.0018 * 1000.0 ** (2.0 / 3.0), rel=1e-15)
-    derived0 = stability.derived_lower_coefficient(True)
-    derived_a = stability.derived_lower_coefficient(False)
+    derived0 = derived_lower_coefficient(True)
+    derived_a = derived_lower_coefficient(False)
     assert abs(derived0 - 0.006) < 5e-4    # rounds to 0.006 at two digits
     assert abs(derived_a - 0.0018) < 5e-5
     _report(8, f"coefficients 0.006/0.0018 exact; derivations give "

@@ -16,8 +16,6 @@ from mla.dynamics import (
     _etd_tables,
     check_asymptotic_bounds,
     dt_max,
-    energy,
-    forcing_velocity,
     grashof,
     initial_state,
     kolmogorov_forcing,
@@ -35,6 +33,7 @@ from mla.spectral import (
     jacobian,
     laplacian,
     norms,
+    velocity_from_stream,
 )
 
 GRID = SpectralGrid(32)
@@ -47,6 +46,18 @@ def params(nu=1.0, alpha=0.0, grid=GRID):
 
 def dist(f, g):
     return norms(f - g).l2
+
+
+def forcing_velocity(spec, params):
+    """The divergence-free velocity forcing whose curl is the scalar forcing."""
+    return velocity_from_stream(inv_laplacian(kolmogorov_forcing(spec, params)))
+
+
+def energy(psi, alpha):
+    """|phi|^2 + alpha^2 |grad phi|^2 for phi = (I - a^2 Lap)^{-1} psi: the
+    alpha-weighted functional that decays monotonically under zero forcing."""
+    m = norms(helmholtz_inv(psi, alpha))
+    return m.l2**2 + alpha**2 * m.h1_semi**2
 
 
 # ---------------------------------------------------------------------

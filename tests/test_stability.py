@@ -3,8 +3,9 @@ re-evaluation, the lattice against a NumPy mask oracle, the closed-form
 area against adaptive quadrature and a 40-digit reference, lattice counts
 against area asymptotics, recurrence coefficients against direct
 substitution, the principal eigenvalue against the dense full-operator
-oracle, the eigenpair selection against the dense-eigenvector oracle, and
-thresholds against their windows and a bisection oracle."""
+oracle, the eigenpair selection against the dense-eigenvector oracle, the
+warm-started truncation doubling against a dense selection at every
+doubling, and thresholds against their windows and a bisection oracle."""
 
 import inspect
 import math
@@ -25,9 +26,6 @@ from mla.stability import (
     build_recurrence_system,
     capital_lambda,
     count_lattice,
-    derived_lower_coefficient,
-    full_linearization_matrix,
-    full_linearization_spectrum,
     lambda0_threshold,
     lambda_interval,
     lattice_points,
@@ -39,7 +37,6 @@ from mla.stability import (
     region_contains,
     region_contains_point,
     stability_sweep,
-    unstable_sigma,
 )
 
 SQRT2PI2 = 2.0 * math.sqrt(2.0) * math.pi
@@ -411,6 +408,12 @@ def test_stability_result_residual_invariant():
 # principal / unstable eigenvalue
 # ---------------------------------------------------------------------
 
+def unstable_sigma(prob):
+    """Principal eigenvalue if it is unstable (sigma_hat > 0), else None."""
+    res = principal_sigma(prob)
+    return res if res.sigma_hat > 0.0 else None
+
+
 def test_sigma_small_lambda_limit():
     prob = RecurrenceProblem(s=4, t=2, r=0, capital_lambda=1e-9, alpha=0.0)
     res = principal_sigma(prob)
@@ -547,15 +550,41 @@ def _seeded_in_region_chains():
     return cases
 
 
+def _dense_settled_eigenpair(build, n_trunc, sigma_ref=0.0):
+    """The doubling loop with a dense selection at every truncation: the
+    dense-eigenvector oracle, without the warm start from the vector that
+    the previous truncation settled."""
+    prev, misses = None, 0
+    trunc = n_trunc
+    while trunc <= stability.MAX_TRUNC:
+        sys = build(trunc)
+        got = _dense_largest_real_decaying(sys)
+        edge = np.abs(sys.diag_a - sigma_ref * sys.diag_b)[[0, -1]]
+        resolved = np.all(2.0 * np.abs(sys.off_a[[0, -1]]) < edge)
+        misses = misses + 1 if got is None and resolved else 0
+        if misses == 2:
+            raise EigensolverError(
+                f"no real decaying eigenvalue at n_trunc={trunc // 2} or {trunc}")
+        if got is not None:
+            value, vec = got
+            if prev is not None and abs(value - prev) < 1e-10 * (1.0 + abs(value)):
+                return value, vec, sys, trunc
+            prev = value
+        trunc *= 2
+    raise EigensolverError(
+        f"eigenvalue did not converge by n_trunc={stability.MAX_TRUNC} "
+        f"(last value={prev})")
+
+
 def _fast_and_dense(monkeypatch, solve):
-    """solve() with the fast and with the dense-eigenvector selection; None
-    where it raises EigensolverError."""
+    """solve() with the warm-started search and with a dense selection at
+    every doubling; None where it raises EigensolverError."""
     out = []
     for dense in (False, True):
         with monkeypatch.context() as mp:
             if dense:
-                mp.setattr(stability, "_largest_real_decaying",
-                           _dense_largest_real_decaying)
+                mp.setattr(stability, "_settled_eigenpair",
+                           _dense_settled_eigenpair)
             try:
                 out.append(solve())
             except EigensolverError:
@@ -588,6 +617,83 @@ def test_fast_selection_agrees_with_dense_oracle_on_squire_hat_chains(monkeypatc
             monkeypatch, lambda: principal_sigma(prob).sigma_hat))
 
 
+def _seeded_grid_cases():
+    """A seeded sample of chains (s 3-12, both alpha, Lambda = 0.5 s, 2 s
+    and 10 s over the delta = 0.05 box) and of in-region Lambda_0 chains at
+    delta = 0.3."""
+    rng = np.random.default_rng(9)
+    chains = []
+    for s in range(3, 13):
+        for alpha in (0.0, 0.1):
+            for cap in (0.5 * s, 2.0 * s, 10.0 * s):
+                for (t, r) in RegionSpec(delta=0.05, s=s).box():
+                    try:
+                        chains.append(RecurrenceProblem(
+                            s=s, t=t, r=r, capital_lambda=cap, alpha=alpha))
+                    except ValueError:  # singular chain: kappa_n^2 = s^2
+                        pass
+    thresholds = [(s, t, r, alpha) for s in range(3, 13) for alpha in (0.0, 0.1)
+                  for (t, r) in lattice_points(RegionSpec(delta=0.3, s=s))]
+    return ([chains[i] for i in rng.choice(len(chains), 24, replace=False)],
+            [thresholds[i] for i in rng.choice(len(thresholds), 4, replace=False)])
+
+
+def test_warm_start_matches_dense_solve_at_every_doubling(monkeypatch):
+    chains, thresholds = _seeded_grid_cases()
+    for prob in chains:
+        def solve():
+            res = principal_sigma(prob)
+            return res.sigma_hat, res.n_trunc_used
+
+        warm, dense = _fast_and_dense(monkeypatch, solve)
+        assert (warm is None) == (dense is None), prob
+        if warm is not None:
+            assert _agree(warm[0], dense[0]), prob
+            assert warm[1] == dense[1], prob
+    for s, t, r, alpha in thresholds:
+        assert _agree(*_fast_and_dense(
+            monkeypatch, lambda: lambda0_threshold(s, t, r, alpha, 0.3)))
+
+
+def _recorded_eig_sizes(monkeypatch):
+    sizes = []
+    eig = scipy.linalg.eig
+
+    def recording_eig(m, *args, **kwargs):
+        sizes.append(len(m))
+        return eig(m, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eig", recording_eig)
+    return sizes
+
+
+def test_settled_chain_makes_one_dense_solve(monkeypatch):
+    # shipped scan chain (s, t, r) = (8, 3, 0): the dense solve at n_trunc 64
+    # finds the pair, and 128 confirms it from the zero-padded vector
+    sizes = _recorded_eig_sizes(monkeypatch)
+    cap = capital_lambda(120.0, 8, 0.1)
+    res = principal_sigma(RecurrenceProblem(s=8, t=3, r=0, capital_lambda=cap,
+                                            alpha=0.1))
+    assert res.n_trunc_used == 128
+    assert sizes == [129]
+    sizes.clear()
+    lambda0_threshold(8, 3, 0, 0.1, 0.3)  # the mu chain and two sign checks
+    assert sizes == [129, 129, 129]
+
+
+def test_a_guess_that_does_not_settle_falls_back_to_the_dense_solve(monkeypatch):
+    sys = build_recurrence_system(
+        RecurrenceProblem(s=8, t=3, r=-1, capital_lambda=6.0, alpha=0.1))
+    want = stability._largest_real_decaying(sys)
+    sizes = _recorded_eig_sizes(monkeypatch)
+    # inverse iteration at a value off by 1 cannot settle against it
+    got = stability._largest_real_decaying(sys, (want[0] + 1.0, np.ones(sys.size)))
+    assert sizes == [sys.size] and got[0] == want[0]
+    sizes.clear()
+    got = stability._largest_real_decaying(sys, want)
+    assert sizes == [] and abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
+
+
 def test_lambda0_out_of_region_chain_raises():
     # two modes of this chain lie inside |k| < s: no neutral decaying mode
     with pytest.raises(EigensolverError, match="no real decaying"):
@@ -595,20 +701,22 @@ def test_lambda0_out_of_region_chain_raises():
 
 
 def test_eigenpair_search_stops_after_two_truncations_without_one(monkeypatch):
+    # the misses replace the whole selection, the warm start included
     real = stability._largest_real_decaying
-    sizes = []
+    sizes, guessed = [], []
 
-    def every_other(sys):  # none at the 1st and 3rd truncation: search goes on
+    def every_other(sys, guess=None):  # none at the 1st and 3rd truncation
         sizes.append(sys.size)
-        return None if len(sizes) in (1, 3) else real(sys)
+        guessed.append(guess is not None)
+        return None if len(sizes) in (1, 3) else real(sys, guess)
 
     prob = RecurrenceProblem(s=4, t=2, r=0, capital_lambda=5.0)
     monkeypatch.setattr(stability, "_largest_real_decaying", every_other)
-    assert principal_sigma(prob).n_trunc_used == 512
-    assert len(sizes) == 4
+    assert principal_sigma(prob).n_trunc_used == 512  # one miss: search goes on
+    assert guessed == [False, False, True, False]  # the 3rd was warm-started
     sizes.clear()
     monkeypatch.setattr(stability, "_largest_real_decaying",
-                        lambda sys: sizes.append(sys.size))
+                        lambda sys, guess=None: sizes.append(sys.size))
     with pytest.raises(EigensolverError, match="n_trunc=64 or 128"):
         principal_sigma(prob)
     assert len(sizes) == 2
@@ -650,8 +758,56 @@ def test_lambda_interval_consistent_with_capital_form():
 
 
 # ---------------------------------------------------------------------
-# dense operator
+# dense operator: the full linearization over the half-lattice
 # ---------------------------------------------------------------------
+
+def _half_lattice(k_cutoff):
+    return ([(0, k2) for k2 in range(1, k_cutoff + 1)]
+            + [(k1, k2) for k1 in range(1, k_cutoff + 1)
+               for k2 in range(-k_cutoff, k_cutoff + 1)])
+
+
+def full_linearization_matrix(s, lam, alpha, k_cutoff):
+    """Coefficient matrix of the linearization on the half-lattice box.
+
+    Valid for both the cosine- and sine-family coefficient vectors (the
+    two families satisfy identical equations); eigenvalues are sigma_hat.
+    Requires k_cutoff >= 3s so each in-region chain keeps at least the
+    |n| <= 1 neighbours.
+    """
+    if k_cutoff < 3 * s:
+        raise ValueError(f"k_cutoff={k_cutoff} too small, need >= 3s = {3 * s}")
+    lam_cap = capital_lambda(lam, s, alpha)
+    index = {k: i for i, k in enumerate(_half_lattice(k_cutoff))}
+    m = np.zeros((len(index), len(index)))
+
+    def g(k1, k2):
+        ksq = k1 * k1 + k2 * k2
+        return (ksq - s * s) / (ksq + alpha**2 * ksq**2)
+
+    for (k1, k2), i in index.items():
+        m[i, i] = -(k1 * k1 + k2 * k2)
+        if k1 == 0:
+            continue  # single-variable modes: no coupling, neutral/stable line
+        up, dn = (k1, k2 + s), (k1, k2 - s)
+        if up in index:
+            m[i, index[up]] += lam_cap * k1 * g(*up)
+        if dn in index:
+            m[i, index[dn]] -= lam_cap * k1 * g(*dn)
+    return m, index
+
+
+def full_linearization_spectrum(s, lam, nu, alpha, k_cutoff):
+    """All sigma_hat eigenvalues of the dense linearization matrix, each
+    twice: the cosine and sine coefficient families obey the same equation.
+    ``nu`` only sets the dimensional growth rate nu * sigma_hat."""
+    if nu <= 0:
+        raise ValueError(f"nu must be positive, got {nu}")
+    m, _ = full_linearization_matrix(s, lam, alpha, k_cutoff)
+    vals = scipy.linalg.eigvals(m)
+    both = np.concatenate([vals, vals])
+    return both[np.argsort(-both.real)]
+
 
 def test_full_spectrum_subcritical_all_stable():
     # lam below every threshold: every eigenvalue strictly negative
@@ -707,6 +863,19 @@ def test_lower_bound_values():
     res = lower_bound_dim2d(10.0, 0.05)
     assert res.regime == "small-alpha"
     assert res.alpha_regime_forms["C1"] is None
+
+
+def derived_lower_coefficient(alpha_zero):
+    """Provenance of the two-digit coefficients:
+
+    2 (3 sqrt6 / (20 pi))^(2/3) * max a(delta) delta^(4/3)  for alpha = 0,
+    2 (63 / (440 sqrt5 pi))^(2/3) * the same max              for small alpha.
+    """
+    if alpha_zero:
+        base = 3.0 * math.sqrt(6.0) / (20.0 * math.pi)
+    else:
+        base = 63.0 / (440.0 * math.sqrt(5.0) * math.pi)
+    return 2.0 * base ** (2.0 / 3.0) * A_DELTA_MAX
 
 
 def test_lower_bound_coefficient_provenance():
