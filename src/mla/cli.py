@@ -301,7 +301,7 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path: Path, header: str, rows) -> Path:
-    with open(path, "w") as fh:
+    with spectral._atomic_open(path) as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -309,7 +309,7 @@ def _write_csv(path: Path, header: str, rows) -> Path:
 
 
 def _write_json(path: Path, payload) -> Path:
-    with open(path, "w") as fh:
+    with spectral._atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
@@ -421,7 +421,7 @@ def emit_plot_data(results: list[dict], kind: str, out_dir, basename=None):
                     f'{", ".join(s[0] for s in series)}: [{y0:.4g}, {y1:.4g}]'
                     f'{" (log10)" if logscale else ""}</text>')
     svg_path = out_dir / f"{base}.svg"
-    with open(svg_path, "w") as fh:
+    with spectral._atomic_open(svg_path) as fh:
         fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
                  f'height="{height}" viewBox="0 0 {width} {height}">\n')
         fh.write("\n".join(body))

@@ -14,11 +14,23 @@ Fourier multipliers; only the Jacobian goes through physical space, with
 the 2/3-rule (configurable fraction) applied to its result.  Symbol tables
 and array operators live on ``SpectralGrid``; the stepper in ``mla.dynamics``
 uses them and the array kernel ``_jacobian`` without building fields.
+
+Each 2-D transform of the Jacobian is two 1-D passes with the scaling
+inside (``norm="forward"``), so dealiasing the result only zeroes the modes
+outside the mask.  The masked derivative symbols leave only the columns
+k2 < cutoff nonzero, so the complex pass along k1 runs on those
+ceil(cutoff) columns alone, in both directions.  Every pass writes into
+work arrays from ``_jacobian_buffers``: a stepper run allocates them once
+and drops them when it returns, and ``jacobian`` makes its own per call.
+No work array is cached on ``SpectralGrid``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -132,12 +144,10 @@ class SpectralGrid:
         return (np.abs(self.k1) < c) & (self.k2 < c)
 
     @cached_property
-    def _jacobian_symbols(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Masked i k1 and i k2, and the output symbol mask / n^2, 0 at k = 0."""
+    def _jacobian_symbols(self) -> tuple[np.ndarray, np.ndarray]:
+        """Masked i k1 and i k2."""
         mask = self.dealias_mask
-        out = np.where(mask & (self.k_sq > 0), 1.0 / self.n_modes**2, 0.0)
-        return (np.where(mask, 1j * self.k1, 0.0),
-                np.where(mask, 1j * self.k2, 0.0), out)
+        return np.where(mask, 1j * self.k1, 0j), np.where(mask, 1j * self.k2, 0j)
 
     def index_of(self, k1: int, k2: int) -> tuple[int, int]:
         """Storage index of the wavevector (k1, k2), |k1| <= n/2, 0 <= k2 <= n/2."""
@@ -340,11 +350,49 @@ def helmholtz_inv(f: ScalarField, alpha: float) -> ScalarField:
     return ScalarField(f.grid, f.coeffs / f.grid.helmholtz(alpha))
 
 
-def _jacobian(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dealiased J(a, b) of coefficient arrays: the kernel of ``jacobian``."""
-    d1, d2, out = grid._jacobian_symbols
-    a1, a2, b1, b2 = (grid.to_physical(d * c) for c in (a, b) for d in (d1, d2))
-    return np.fft.rfft2(a1 * b2 - a2 * b1) * out
+def _jacobian_buffers(grid: SpectralGrid) -> tuple[np.ndarray, ...]:
+    """Work arrays of ``_jacobian``: a half-spectrum whose columns past the
+    dealias band stay 0, and three physical arrays."""
+    n = grid.n_modes
+    return (np.zeros(grid.shape, dtype=np.complex128),
+            np.empty((n, n)), np.empty((n, n)), np.empty((n, n)))
+
+
+def _jacobian(grid: SpectralGrid, a: np.ndarray, b: np.ndarray,
+              buffers: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+    """Dealiased J(a, b) of coefficient arrays: the kernel of ``jacobian``.
+
+    Each 2-D transform is two 1-D passes, and the pass along k1 runs only
+    on the columns k2 < cutoff, where the masked symbols leave anything
+    nonzero.  All work happens in ``buffers`` (from ``_jacobian_buffers``,
+    allocated here if not given); the result is a fresh array, with the
+    modes outside the dealias mask and the mean set to 0.
+    """
+    n, m = grid.n_modes, math.ceil(grid.dealias_cutoff)
+    d1, d2 = grid._jacobian_symbols
+    spec, p, q, r = buffers or _jacobian_buffers(grid)
+    band = spec[:, :m]
+
+    def to_physical(d, c, phys):
+        np.multiply(d, c, out=spec)
+        np.fft.ifft(band, axis=0, norm="forward", out=band)
+        np.fft.irfft(spec, n, axis=1, norm="forward", out=phys)
+
+    to_physical(d1, a, p)
+    to_physical(d2, b, q)
+    p *= q
+    to_physical(d2, a, q)
+    to_physical(d1, b, r)
+    q *= r
+    p -= q
+    res = np.fft.rfft(p, axis=1, norm="forward")
+    band = res[:, :m]
+    np.fft.fft(band, axis=0, norm="forward", out=band)
+    # outside the mask: columns k2 >= m and rows |k1| >= m; then the mean
+    res[:, m:] = 0
+    res[m:n - m + 1] = 0
+    res[0, 0] = 0
+    return res
 
 
 def jacobian(a: ScalarField, b: ScalarField) -> ScalarField:
@@ -375,9 +423,14 @@ def _full_sum(x: np.ndarray):
 
 def norms(f: ScalarField) -> FieldNorms:
     """Parseval L2, H1- and H2-seminorms (volume (2pi)^2)."""
-    w = np.abs(f.coeffs) ** 2
+    return _norms(f.grid, f.coeffs)
+
+
+def _norms(grid: SpectralGrid, c: np.ndarray) -> FieldNorms:
+    """``norms`` of the coefficient array c."""
+    w = np.abs(c) ** 2
     vol = (2.0 * np.pi) ** 2
-    ksq = f.grid.k_sq
+    ksq = grid.k_sq
     return FieldNorms(
         l2=float(np.sqrt(vol * _full_sum(w))),
         h1_semi=float(np.sqrt(vol * _full_sum(ksq * w))),
@@ -433,8 +486,24 @@ def field_from_json(text: str) -> ScalarField:
     })
 
 
+@contextlib.contextmanager
+def _atomic_open(path):
+    """Open ``path``.tmp for writing text and rename it onto ``path`` when the
+    block ends; if the block raises, delete it.  ``path`` is never left half
+    written, and a failed write leaves no file behind."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_field(f: ScalarField, path) -> None:
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         fh.write(field_to_json(f))
 
 

@@ -173,6 +173,41 @@ def test_manifest_lists_only_files_the_run_wrote(tmp_path):
     assert "stale.txt" not in {o["path"] for o in saved["outputs"]}
 
 
+def _one_row_then_failure():
+    yield (1.0, 2.0)
+    raise RuntimeError("row source failed")
+
+
+def test_failed_writes_leave_no_file(tmp_path, monkeypatch):
+    # each writer streams into a temp file and renames it only on success
+    with pytest.raises(RuntimeError):
+        cli._write_csv(tmp_path / "rows.csv", "x,y", _one_row_then_failure())
+    with pytest.raises(TypeError):
+        cli._write_json(tmp_path / "doc.json", {"a": 1.0, "z": object()})
+    with pytest.raises(RuntimeError):
+        with spectral._atomic_open(tmp_path / "plot.svg") as fh:
+            fh.write("<svg")
+            raise RuntimeError("plot failed")
+
+    def fail(f):
+        raise RuntimeError("encoding failed")
+
+    field = spectral.ScalarField.harmonic(spectral.SpectralGrid(16), 1, 2)
+    monkeypatch.setattr(spectral, "field_to_json", fail)
+    with pytest.raises(RuntimeError):
+        spectral.save_field(field, tmp_path / "field.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_overwrite_keeps_the_old_file(tmp_path):
+    path = cli._write_csv(tmp_path / "rows.csv", "x,y", [(1.0, 2.0)])
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        cli._write_csv(path, "x,y", _one_row_then_failure())
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_stability_sweep_matches_lattice_count(tmp_path):
     doc = {
         "command": "stability",

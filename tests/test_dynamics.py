@@ -317,6 +317,26 @@ def test_run_sampling_sparser_than_steps():
         check_asymptotic_bounds(diag, f_l2=1.0, nu=1.0)
 
 
+def test_run_diagnostics_match_field_norms_bit_for_bit():
+    # run reads the norms of phi off its coefficient array; the field-built
+    # norms(helmholtz_inv(psi)) is the oracle, to the bit as CSVs need
+    p = params(nu=0.05, alpha=0.1)
+    spec = ForcingSpec(s=2, lam=40.0)
+    F = kolmogorov_forcing(spec, p)
+    psi0 = stationary_psi(spec, p) + initial_state(p, seed=5, amplitude=0.5).psi
+    state = SolverState(psi=psi0, time=0.0, params=p)
+    diag = run(state, t_final=0.1, dt=0.01, forcing=F, sample_every=1)
+    acc, g_prev = 0.0, norms(helmholtz_inv(state.psi, p.alpha)).h1_semi ** 2
+    for i in range(10):
+        state = step_imex(state, 0.01, F)
+        m = norms(helmholtz_inv(state.psi, p.alpha))
+        acc += 0.5 * (g_prev + m.h1_semi ** 2) * 0.01
+        g_prev = m.h1_semi ** 2
+        assert (diag.phi_l2[i], diag.grad_phi_l2[i]) == (m.l2, m.h1_semi)
+        assert diag.avg_grad_sq[i] == acc / state.time
+    assert np.array_equal(diag.final_state.psi.coeffs, state.psi.coeffs)
+
+
 def test_decay_run_monotone():
     p = params(nu=0.5, alpha=0.2)
     state = initial_state(p, seed=3, amplitude=0.5)

@@ -2,6 +2,8 @@
 finite-difference / convolution / quadrature oracles, and the Jacobian
 identity suite."""
 
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,8 @@ from mla.spectral import (
     NonZeroMeanError,
     ScalarField,
     SpectralGrid,
+    _jacobian,
+    _jacobian_buffers,
     deriv,
     divergence,
     field_from_json,
@@ -272,6 +276,64 @@ def _full_spectrum_jacobian(a, b):
     c = np.where(mask, c, 0.0)
     c[0, 0] = 0.0
     return c
+
+
+def _jacobian_2d(grid, a, b):
+    """Oracle: the 2-D kernel, irfft2/rfft2 on every column, scaled by n^2
+    on the way in and masked with mask / n^2 on the way out."""
+    d1, d2 = grid._jacobian_symbols
+    out = np.where(grid.dealias_mask & (grid.k_sq > 0), 1.0 / grid.n_modes**2, 0.0)
+    a1, a2, b1, b2 = (grid.to_physical(d * c) for c in (a, b) for d in (d1, d2))
+    return np.fft.rfft2(a1 * b2 - a2 * b1) * out
+
+
+def _random_pair(grid, seed):
+    rng = np.random.default_rng(seed)
+    return (ScalarField.random(grid, rng, decay=0.2).coeffs,
+            ScalarField.random(grid, rng, decay=0.2).coeffs)
+
+
+FRACTIONS = [Fraction(2, 3), Fraction(1, 2), Fraction(1)]
+
+
+@pytest.mark.parametrize("frac", FRACTIONS)
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_band_pruned_jacobian_is_bit_identical_to_2d_kernel(n, frac):
+    # 1/n is exact for a power of two, so moving the scaling into the
+    # transforms and pruning zero columns changes no bit of any nonzero
+    # mode; the modes outside the mask are +0, where the 2-D kernel's
+    # product with the mask left some -0
+    grid = SpectralGrid(n, frac)
+    a, b = _random_pair(grid, n)
+    assert np.array_equal(_jacobian(grid, a, b), _jacobian_2d(grid, a, b))
+
+
+@pytest.mark.parametrize("frac", FRACTIONS)
+@pytest.mark.parametrize("n", [10, 48])
+def test_band_pruned_jacobian_matches_2d_kernel_to_rounding(n, frac):
+    grid = SpectralGrid(n, frac)
+    a, b = _random_pair(grid, n)
+    want = _jacobian_2d(grid, a, b)
+    assert rel_err(_jacobian(grid, a, b), want) <= 1e-15
+
+
+def test_jacobian_buffers_are_reused_without_allocation():
+    grid = SpectralGrid(256)
+    a, b = _random_pair(grid, 1)
+    buffers = _jacobian_buffers(grid)
+    first = _jacobian(grid, a, b, buffers)
+    kept = first.copy()
+    tracemalloc.start()
+    try:
+        second = _jacobian(grid, b, a, buffers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result array, plus the small bookkeeping of the FFT calls
+    assert peak <= second.nbytes + 16 * 1024
+    assert not any(np.shares_memory(second, buf) for buf in buffers)
+    assert np.array_equal(first, kept)
+    assert np.array_equal(second, _jacobian(grid, b, a))
 
 
 @pytest.mark.parametrize("n", [32, 64])
