@@ -16,7 +16,8 @@ omega1 = (a_hat omega1_hat - b omega2)/a completes incompressibility.
 Everything here works on x3-Fourier coefficient arrays indexed by
 m in [-m_max, m_max].  The shear is a single +-s mode, so multiplying by
 sin/cos(s x3) is the two-shift stencil ``_shift`` (w[m-s] -+ w[m+s]),
-and the omega2 solve is banded with bandwidth s.
+and the omega2 solve splits into s tridiagonal lanes, one per residue of
+m mod s.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .stability import (
     EigensolverError,
     RecurrenceProblem,
     StabilityResult,
+    _gtsv,
     capital_lambda,
     lambda_interval,
     principal_sigma,
@@ -264,20 +265,21 @@ def reconstruct_omega2(triple: SquireTriple, q: np.ndarray, setup: Setup3D,
         )
     _, D, H, u0_h, _ = _wave_tables(setup, triple.a_hat**2, m_max)
     s, diag = setup.s, setup.nu * D + 1j * a * c
-    # -i a u0 H couples only modes s apart: bands (s, s) in solve_banded
-    # form, +(a u0_amp/2) H above the diagonal and -(a u0_amp/2) H below
+    # -i a u0 H couples only modes s apart: row j holds +(a u0_amp/2) H w at
+    # j + s and -(a u0_amp/2) H w at j - s, so each residue class mod s is
+    # a tridiagonal lane of its own
     half = 0.5 * a * setup.u0_amp
-    bands = np.zeros((2 * s + 1, 2 * m_max + 1), dtype=np.complex128)
-    bands[0, s:] = half * H[s:]
-    bands[s] = diag
-    bands[2 * s, :-s] = -half * H[:-s]
     rhs = 1j * b * q
-    w2 = scipy.linalg.solve_banded((s, s), bands, rhs)
+    w2 = np.empty_like(rhs)
+    for lane in range(min(s, len(rhs))):
+        h = half * H[lane::s]
+        w2[lane::s] = _gtsv((-h[:-1]).tolist(), diag[lane::s].tolist(),
+                            h[1:].tolist(), rhs[lane::s].tolist())
     rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm > 0:
+    if rhs_norm != 0:  # a non-finite q or solve fails here, as a NaN residual
         t_w2 = diag * w2 - 1j * a * u0_h(w2)
         res = float(np.linalg.norm(t_w2 - rhs)) / rhs_norm
-        if res > 1e-10:
+        if not res <= 1e-10:
             raise EigensolverError(
                 f"omega2 solve residual {res} (near-singular system; "
                 "parameters contradict coercivity)"
@@ -362,32 +364,24 @@ def lift_mode(triple: SquireTriple, two_d: StabilityResult, setup: Setup3D,
 # a = 0 stability
 # ---------------------------------------------------------------------
 
-def _a0_generator(b: int, s: int, lam: float, nu: float, alpha: float,
-                  k_cutoff: int) -> np.ndarray:
-    """The a = 0 linearized generator on divergence-free modes.
-
-    For b != 0 the states are (omega1, omega3) on |m| <= k_cutoff with
-    omega2 = -(m/b) omega3 and the pressure eliminated; for b = 0 the
-    states are (omega1, omega2) with the m = 0 means removed (zero-mean
-    condition).
-    """
-    u0_amp = build_3d_setup(s, lam, nu, alpha).u0_amp
-    m = _modes(k_cutoff).astype(np.float64)
-    if b == 0:
-        return np.diag(np.tile(-nu * m[m != 0] ** 2, 2)).astype(np.complex128)
-    ksq = b * b + m**2
-    H = 1.0 / (1.0 + alpha**2 * ksq)
-    n = len(m)
-    gen = np.diag(np.tile(-nu * ksq, 2)).astype(np.complex128)
-    gen[:n, n:] = -(u0_amp * s / 2.0) * _shift(np.diag(H), s, 1)
-    return gen
-
-
 def a0_stability_spectrum(b: int, s: int, lam: float, nu: float, alpha: float,
                           k_cutoff: int) -> np.ndarray:
-    """Eigenvalues of the a = 0 generator (``_a0_generator``), sorted by
-    descending real part."""
-    vals = scipy.linalg.eigvals(_a0_generator(b, s, lam, nu, alpha, k_cutoff))
+    """Eigenvalues of the a = 0 linearized generator on divergence-free
+    modes, sorted by descending real part.
+
+    For b != 0 the states are (omega1, omega3) on |m| <= k_cutoff, with
+    omega2 = -(m/b) omega3 and the pressure eliminated; for b = 0 they are
+    (omega1, omega2) with the m = 0 means removed.  The shear feeds omega3
+    into the omega1 equation only, so the generator is block upper
+    triangular with diagonal blocks -nu (b^2 + m^2), and those values, each
+    twice, are its spectrum.  The parameters are checked as for the shear
+    setup, though the spectrum does not depend on s, lam or alpha.
+    """
+    build_3d_setup(s, lam, nu, alpha)
+    m = _modes(k_cutoff).astype(np.float64)
+    if b == 0:
+        m = m[m != 0]
+    vals = np.tile(-nu * (b * b + m**2), 2).astype(np.complex128)
     return vals[np.argsort(-vals.real)]
 
 

@@ -28,11 +28,14 @@ for the largest real mu of that problem with a decaying eigenvector.
 
 Both pick the eigenpair alike: a dense solve of the balanced B^{-1} A gives
 the eigenvalues only; each real one, largest first, gets its eigenvector by
-O(n) banded inverse iteration until one decays at the truncation edge, and
+O(n) inverse iteration until one decays at the truncation edge, and
 sigma_hat is the Rayleigh quotient e.Ae / e.Be of that converged vector.
 The truncation then doubles, and each doubling first runs inverse iteration
 from the zero-padded vector at the value found, so a chain that settles
-makes one dense solve, at its first truncation.
+makes one dense solve, at its first truncation.  The dense solve is
+``numpy.linalg.eigvals``; each tridiagonal solve of the inverse iteration
+is ``_gtsv``, a plain-Python port of LAPACK's dgtsv, so the module needs
+no SciPy.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "EigensolverError",
@@ -298,14 +300,6 @@ class GeneralizedEigSystem:
         return float(np.linalg.norm(self.apply_a(e) - sigma_hat * be)
                      / np.linalg.norm(be))
 
-    def shifted(self, sigma_hat: float) -> np.ndarray:
-        """A - sigma_hat B in the (1, 1) band storage of solve_banded."""
-        ab = np.zeros((3, self.size))
-        ab[0, 1:] = self.off_a[:-1]
-        ab[1, :] = self.diag_a - sigma_hat * self.diag_b
-        ab[2, :-1] = -self.off_a[1:]
-        return ab
-
 
 def build_recurrence_system(prob: RecurrenceProblem,
                             n_trunc: int | None = None) -> GeneralizedEigSystem:
@@ -336,17 +330,62 @@ class StabilityResult:
             )
 
 
+def _gtsv(dl: list, d: list, du: list, b: list) -> list:
+    """Solve the tridiagonal system with sub-, main and super-diagonal
+    (dl, d, du) for right-hand side b, all Python lists of floats or
+    complexes, which it overwrites; returns b, holding the solution.
+
+    Gaussian elimination with partial pivoting, operation for operation as
+    LAPACK's dgtsv, so on floats it reproduces that routine bit for bit: an
+    interchange moves the fill-in of the second superdiagonal into dl.  The
+    pivot row's d and b, and the last two unknowns, ride in locals.
+    Raises LinAlgError on an exactly zero pivot.
+    """
+    n = len(d)
+    di, bi = d[0], b[0]
+    for i in range(n - 1):
+        li = dl[i]
+        if abs(di) < abs(li):  # interchange rows i and i + 1
+            fact = di / li
+            d[i], temp = li, d[i + 1]
+            di = d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], bi = b[i + 1], bi - fact * b[i + 1]
+            b[i + 1] = bi
+        elif di == 0:
+            raise np.linalg.LinAlgError("singular tridiagonal system")
+        else:
+            fact = li / di
+            di = d[i + 1] = d[i + 1] - fact * du[i]
+            bi = b[i + 1] = b[i + 1] - fact * bi
+            dl[i] = 0.0
+    if di == 0:
+        raise np.linalg.LinAlgError("singular tridiagonal system")
+    x2 = x1 = b[-1] = bi / di
+    if n > 1:
+        x1 = b[-2] = (b[-2] - du[-1] * x1) / d[-2]
+    for i in range(n - 3, -1, -1):
+        x2, x1 = x1, (b[i] - du[i] * x1 - dl[i] * x2) / d[i]
+        b[i] = x1
+    return b
+
+
 def _inverse_iteration(sys: GeneralizedEigSystem, sigma_hat: float,
                        start: np.ndarray | None = None) -> np.ndarray:
     """Eigenvector of A e = sigma_hat B e, scaled to 1 at its largest entry,
-    by fixed-shift banded inverse iteration from ``start`` (a vector of ones
-    by default) in at most 8 solves: the shift is an eigenvalue to rounding,
-    so 2 or 3 usually do from ones, and fewer from a settled vector."""
+    by fixed-shift tridiagonal inverse iteration from ``start`` (a vector of
+    ones by default) in at most 8 solves: the shift is an eigenvalue to
+    rounding, so 2 or 3 usually do from ones, and fewer from a settled
+    vector."""
     vec = np.ones(sys.size) if start is None else start
+    dl, du = (-sys.off_a[1:]).tolist(), sys.off_a[:-1].tolist()
     for _ in range(8):
         try:
-            w = scipy.linalg.solve_banded((1, 1), sys.shifted(sigma_hat),
-                                          sys.diag_b * vec, check_finite=False)
+            w = np.array(_gtsv(dl[:], (sys.diag_a - sigma_hat * sys.diag_b).tolist(),
+                               du[:], (sys.diag_b * vec).tolist()))
         except np.linalg.LinAlgError:  # exactly singular: nudge the shift
             sigma_hat += 4.0 * np.spacing(max(abs(sigma_hat), 1.0))
             continue
@@ -388,7 +427,7 @@ def _largest_real_decaying(sys: GeneralizedEigSystem, guess=None):
     m[idx, idx + 1] = sys.off_a[:-1] / sys.diag_b[:-1]
     m[idx + 1, idx] = -sys.off_a[1:] / sys.diag_b[1:]
     try:
-        vals = scipy.linalg.eig(m, right=False)
+        vals = np.linalg.eigvals(m)
     except Exception as exc:  # pragma: no cover - LAPACK failure surface
         raise EigensolverError(f"dense eigensolve failed: {exc}") from exc
     real = np.abs(vals.imag) < SIGMA_REAL_TOL * (1.0 + np.abs(vals.real))
@@ -429,7 +468,9 @@ def _settled_eigenpair(build, n_trunc: int, sigma_ref: float = 0.0):
                 return value, vec, sys, trunc
             prev = value
             if _edges_resolved(sys, value):
-                guess = (value, np.pad(vec, trunc))
+                start = np.zeros(4 * trunc + 1)  # vec, zero-padded
+                start[trunc:-trunc] = vec
+                guess = (value, start)
         trunc *= 2
     raise EigensolverError(
         f"eigenvalue did not converge by n_trunc={MAX_TRUNC} "
@@ -578,21 +619,33 @@ def stability_sweep(s: int, alpha: float, delta: float, lam: float,
     A row whose sigma_hat could not be computed has sigma_hat NaN and
     ``error`` "<exception class>: <message>"; otherwise ``error`` is None.
     Rows are emitted in fixed (t, r) order for reproducible output.
+
+    Row (t, -r) repeats the values of row (t, r): kappa^2 of the chain
+    (t, -r) at n is that of (t, r) at -n, and conjugating the reflected
+    chain by diag((-1)^n) restores the sign of its off-diagonal pattern, so
+    both chains (and both sigma_hat = 0 chains) have the same spectrum,
+    edge rows and truncation decisions.  The box and the region are
+    symmetric in r.
     """
     spec = RegionSpec(delta=delta, s=s)
     lam_cap = capital_lambda(lam, s, alpha)
-    rows = []
+    rows, solved = [], {}
     for t, r in spec.box():
         in_region = region_contains(spec, t, r)
-        sigma, error = math.nan, None
-        try:
-            prob = RecurrenceProblem(s=s, t=t, r=r, capital_lambda=lam_cap, alpha=alpha)
-            sigma = principal_sigma(prob).sigma_hat
-        except (ValueError, EigensolverError) as exc:
-            error = f"{type(exc).__name__}: {exc}"
-        lam0 = math.nan
-        if in_region and compute_lambda0:
-            lam0 = lambda0_threshold(s, t, r, alpha, delta)
+        if (t, -r) in solved:
+            sigma, error, lam0 = solved[t, -r]
+        else:
+            sigma, error = math.nan, None
+            try:
+                prob = RecurrenceProblem(s=s, t=t, r=r, capital_lambda=lam_cap,
+                                         alpha=alpha)
+                sigma = principal_sigma(prob).sigma_hat
+            except (ValueError, EigensolverError) as exc:
+                error = f"{type(exc).__name__}: {exc}"
+            lam0 = math.nan
+            if in_region and compute_lambda0:
+                lam0 = lambda0_threshold(s, t, r, alpha, delta)
+            solved[t, r] = sigma, error, lam0
         rows.append({
             "s": s, "t": t, "r": r, "alpha": alpha, "delta": delta,
             "lambda": lam, "capital_lambda": lam_cap,

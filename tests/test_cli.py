@@ -11,6 +11,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -328,6 +329,22 @@ def test_stability_blank_sigma_rows_are_explained(tmp_path):
     assert _skipped_matches_blank_rows(tmp_path / "shipped") == []
 
 
+def test_shipped_scan_solve_counts(tmp_path, monkeypatch):
+    # 15 of the 25 box chains are solved, as row (t, -r) repeats row (t, r);
+    # the 3 in the region add a mu chain and two sign checks each, and
+    # sigma_vs_lambda 20 chains: each settles after one dense solve
+    sizes, solves = [], []
+    eigvals, gtsv = np.linalg.eigvals, stability._gtsv
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda m: sizes.append(len(m)) or eigvals(m))
+    monkeypatch.setattr(stability, "_gtsv",
+                        lambda *args: solves.append(1) or gtsv(*args))
+    shipped = Path(__file__).parents[1] / "configs" / "stability_scan.json"
+    run_command(parse_config(shipped.read_text()), out_dir=tmp_path)
+    assert sizes == [129] * 44
+    assert len(solves) == 136
+
+
 def test_report_command(tmp_path):
     doc = {
         "command": "report",
@@ -579,9 +596,11 @@ def test_main_exit_code_on_any_run(doc):
     assert code in (0, 2, 3)
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # every run imports mla.cli; scipy.integrate alone took about 0.3 s
+def test_cli_import_leaves_out_scipy():
+    # every run imports mla.cli; scipy.integrate took about 0.3 s of it, and
+    # scipy.linalg about 0.3 s more
     src = str(Path(cli.__file__).parents[1])
     subprocess.run([sys.executable, "-c", "import mla.cli, sys; "
-                    "assert 'scipy.integrate' not in sys.modules"],
+                    "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+                    "assert not loaded, loaded"],
                    check=True, env={**os.environ, "PYTHONPATH": src})

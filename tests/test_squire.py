@@ -1,7 +1,8 @@
 """Oblique-wave pipeline tests: setup closed forms, reduction identities
 against direct substitution, the shear stencil against dense convolution
-matrices, lifted-mode residuals on the full mode equations and a lift's
-memory, the a=0 spectrum against the diffusion oracle and a full
+matrices, the omega2 lanes against LAPACK's banded solve, lifted-mode
+residuals on the full mode equations and a lift's memory, the closed-form
+a=0 spectrum against the dense generator, the diffusion oracle and a full
 differential-algebraic pencil, and triple counting against brute force."""
 
 import math
@@ -18,7 +19,7 @@ from mla.squire import (
     Mode1DProfile,
     Setup3D,
     SquireTriple,
-    _a0_generator,
+    _modes,
     _relative,
     _shift,
     _wave_tables,
@@ -34,6 +35,7 @@ from mla.squire import (
     reconstruct_omega2,
     solve_hat_mode,
 )
+from mla.stability import EigensolverError
 
 S, ALPHA, NU, DSTAR = 6, 0.0, 1.0, 0.2
 
@@ -58,6 +60,40 @@ def _conv_cos(amp: float, s: int, m_max: int) -> np.ndarray:
     n = 2 * m_max + 1
     return (amp / 2.0) * (np.eye(n, k=-s, dtype=np.complex128)
                           + np.eye(n, k=s, dtype=np.complex128))
+
+
+def _a0_generator(b: int, s: int, lam: float, nu: float, alpha: float,
+                  k_cutoff: int) -> np.ndarray:
+    """The a = 0 linearized generator on divergence-free modes.
+
+    For b != 0 the states are (omega1, omega3) on |m| <= k_cutoff with
+    omega2 = -(m/b) omega3 and the pressure eliminated; for b = 0 the
+    states are (omega1, omega2) with the m = 0 means removed (zero-mean
+    condition).
+    """
+    u0_amp = build_3d_setup(s, lam, nu, alpha).u0_amp
+    m = _modes(k_cutoff).astype(np.float64)
+    if b == 0:
+        return np.diag(np.tile(-nu * m[m != 0] ** 2, 2)).astype(np.complex128)
+    ksq = b * b + m**2
+    H = 1.0 / (1.0 + alpha**2 * ksq)
+    n = len(m)
+    gen = np.diag(np.tile(-nu * ksq, 2)).astype(np.complex128)
+    gen[:n, n:] = -(u0_amp * s / 2.0) * _shift(np.diag(H), s, 1)
+    return gen
+
+
+def _banded_omega2(triple: SquireTriple, q: np.ndarray, setup: Setup3D,
+                   c: complex, m_max: int) -> np.ndarray:
+    """The omega2 solve as one (s, s) banded system for solve_banded."""
+    a, s = triple.a, setup.s
+    _, D, H, _, _ = _wave_tables(setup, triple.a_hat**2, m_max)
+    half = 0.5 * a * setup.u0_amp
+    bands = np.zeros((2 * s + 1, 2 * m_max + 1), dtype=np.complex128)
+    bands[0, s:] = half * H[s:]
+    bands[s] = setup.nu * D + 1j * a * c
+    bands[2 * s, :-s] = -half * H[:-s]
+    return scipy.linalg.solve_banded((s, s), bands, 1j * triple.b * q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,6 +321,15 @@ def test_reconstruct_requires_unstable_phase():
                            c=-0.5j, m_max=20)
 
 
+def test_reconstruct_rejects_a_non_finite_solve():
+    setup = driver_setup()
+    triple = SquireTriple(a=3, b=1, r=0)
+    q = np.ones(41, dtype=complex)
+    q[7] = np.nan
+    with pytest.raises(EigensolverError, match="residual nan"):
+        reconstruct_omega2(triple, q, setup, c=0.5j, m_max=20)
+
+
 @pytest.mark.parametrize("s,alpha,a,b", [(6, 0.0, 3, 1), (20, 0.05, 7, -6)])
 def test_reconstruct_matches_dense_solve(s, alpha, a, b):
     # oracle: the dense operator -(nu D + i a c - i a u0 H) solved densely
@@ -298,6 +343,22 @@ def test_reconstruct_matches_dense_solve(s, alpha, a, b):
     want = np.linalg.solve(dense, 1j * b * q)
     got = reconstruct_omega2(triple, q, setup, c, m_max)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("s,alpha,a,b,m_max", [
+    (6, 0.0, 3, 1, 40), (20, 0.05, 7, -6, 96), (20, 0.05, 9, 2, 222), (5, 0.3, 2, 2, 3),
+])
+def test_reconstruct_lanes_match_banded_solve(s, alpha, a, b, m_max):
+    # oracle: LAPACK's general banded solve of the whole (s, s) system;
+    # its complex pivot test uses |Re| + |Im|, the lanes' the modulus
+    setup = driver_setup(s=s, alpha=alpha)
+    triple = SquireTriple(a=a, b=b, r=0)
+    c = 0.7j / a + 0.3
+    rng = np.random.default_rng(s + m_max)
+    q = rng.standard_normal(2 * m_max + 1) + 1j * rng.standard_normal(2 * m_max + 1)
+    want = _banded_omega2(triple, q, setup, c, m_max)
+    got = reconstruct_omega2(triple, q, setup, c, m_max)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_reconstruct_truncation_converged():
@@ -412,6 +473,18 @@ def test_a0_no_unstable_at_twice_threshold(b):
     assert np.max(vals.real) < 1e-10
     qn = a0_mode_pressure_norms(b, 2, lam, 1.0, 0.0, 24)
     assert np.max(qn) < 1e-10
+
+
+@pytest.mark.parametrize("b,s,lam,nu,alpha,k_cutoff", [
+    (0, 6, 100.0, 1.0, 0.0, 12), (1, 6, 150.0, 1.0, 0.05, 40),
+    (2, 2, 40.0, 0.5, 0.2, 8), (-3, 4, 900.0, 2.0, 0.0, 25),
+])
+def test_a0_closed_form_matches_dense_generator(b, s, lam, nu, alpha, k_cutoff):
+    vals = a0_stability_spectrum(b, s, lam, nu, alpha, k_cutoff)
+    dense = scipy.linalg.eigvals(_a0_generator(b, s, lam, nu, alpha, k_cutoff))
+    assert np.array_equal(np.sort(vals.real), np.sort(dense.real))
+    assert not vals.imag.any() and not dense.imag.any()
+    assert np.all(np.diff(vals.real) <= 0)
 
 
 def test_a0_matches_full_pencil_oracle():

@@ -4,8 +4,9 @@ area against adaptive quadrature and a 40-digit reference, lattice counts
 against area asymptotics, recurrence coefficients against direct
 substitution, the principal eigenvalue against the dense full-operator
 oracle, the eigenpair selection against the dense-eigenvector oracle, the
-warm-started truncation doubling against a dense selection at every
-doubling, and thresholds against their windows and a bisection oracle."""
+tridiagonal solve against LAPACK's, the warm-started truncation doubling
+against a dense selection at every doubling, mirrored chains against each
+other, and thresholds against their windows and a bisection oracle."""
 
 import inspect
 import math
@@ -290,6 +291,15 @@ def _largest_real_decaying_loop(vals, vecs):
     return best
 
 
+def _shifted(sys, sigma_hat):
+    """A - sigma_hat B in the (1, 1) band storage of solve_banded."""
+    ab = np.zeros((3, sys.size))
+    ab[0, 1:] = sys.off_a[:-1]
+    ab[1, :] = sys.diag_a - sigma_hat * sys.diag_b
+    ab[2, :-1] = -sys.off_a[1:]
+    return ab
+
+
 def _polish(sys, sigma_hat, e):
     """Banded inverse iteration + Rayleigh quotient on (A, B), keeping the
     pair of smallest residual: a dense eigenvector of the balanced B^-1 A is
@@ -300,7 +310,7 @@ def _polish(sys, sigma_hat, e):
     sig, vec = sigma_hat, e
     for _ in range(2):
         try:
-            w = scipy.linalg.solve_banded((1, 1), sys.shifted(sig),
+            w = scipy.linalg.solve_banded((1, 1), _shifted(sys, sig),
                                           sys.diag_b * vec)
         except np.linalg.LinAlgError:
             break  # exactly singular: current pair is already converged
@@ -353,30 +363,30 @@ def test_largest_real_decaying_rejects_a_cut_off_eigenvector():
 @pytest.mark.parametrize("cap", [1e-3, 40.0])
 def test_largest_real_decaying_solves_eigenvalues_only_once(monkeypatch, cap):
     calls = []
-    eig = scipy.linalg.eig
+    eigvals = np.linalg.eigvals
 
-    def recording_eig(m, *args, **kwargs):
+    def recording_eigvals(m, *args, **kwargs):
         calls.append((args, kwargs))
-        return eig(m, *args, **kwargs)
+        return eigvals(m, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eig", recording_eig)
+    monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
     sys = build_recurrence_system(
         RecurrenceProblem(s=8, t=3, r=-1, capital_lambda=cap, alpha=0.1))
     assert stability._largest_real_decaying(sys) is not None
-    assert calls == [((), {"right": False})]
+    assert calls == [((), {})]
 
 
 def test_principal_sigma_solves_banded_only_in_inverse_iteration(monkeypatch):
     # shipped scan chain (s, t, r) = (8, 3, 0): the Rayleigh quotient of the
     # inverse-iteration vector is the eigenvalue, with no second polish
     callers = []
-    solve_banded = scipy.linalg.solve_banded
+    gtsv = stability._gtsv
 
-    def recording(*args, **kwargs):
+    def recording(*args):
         callers.append(inspect.currentframe().f_back.f_code.co_name)
-        return solve_banded(*args, **kwargs)
+        return gtsv(*args)
 
-    monkeypatch.setattr(scipy.linalg, "solve_banded", recording)
+    monkeypatch.setattr(stability, "_gtsv", recording)
     cap = capital_lambda(120.0, 8, 0.1)
     res = principal_sigma(RecurrenceProblem(s=8, t=3, r=0, capital_lambda=cap,
                                             alpha=0.1))
@@ -384,14 +394,58 @@ def test_principal_sigma_solves_banded_only_in_inverse_iteration(monkeypatch):
     assert callers and set(callers) == {"_inverse_iteration"}
 
 
+def _gtsv_of(ab, b):
+    """stability._gtsv on the (1, 1) band storage of solve_banded."""
+    return np.array(stability._gtsv(ab[2, :-1].tolist(), ab[1].tolist(),
+                                    ab[0, 1:].tolist(), b.tolist()))
+
+
+def test_gtsv_matches_lapack_on_random_systems():
+    # oracle: LAPACK dgtsv, which solve_banded calls for bands (1, 1);
+    # rounded entries make ties and exact zeros in the pivot test
+    rng = np.random.default_rng(13)
+    for trial in range(400):
+        n = int(rng.integers(2, 60))
+        ab = rng.standard_normal((3, n)) * np.exp(rng.uniform(-4, 4, (3, n)))
+        if trial % 4 == 0:
+            ab = np.round(ab)
+        b = rng.standard_normal(n)
+        try:
+            want = scipy.linalg.solve_banded((1, 1), ab, b)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                _gtsv_of(ab, b)
+            continue
+        assert np.array_equal(_gtsv_of(ab, b), want), trial
+
+
+@pytest.mark.parametrize("n_trunc", [64, 128, 512])
+def test_gtsv_matches_lapack_on_shipped_chain(n_trunc):
+    # shipped scan chain (s, t, r) = (8, 3, 0) at sizes 129, 257 and 1025,
+    # shifted to its eigenvalue as inverse iteration shifts it
+    cap = capital_lambda(120.0, 8, 0.1)
+    sys = build_recurrence_system(
+        RecurrenceProblem(s=8, t=3, r=0, capital_lambda=cap, alpha=0.1), n_trunc)
+    sigma = principal_sigma(RecurrenceProblem(s=8, t=3, r=0, capital_lambda=cap,
+                                              alpha=0.1)).sigma_hat
+    rng = np.random.default_rng(n_trunc)
+    for shift in (sigma, sigma + 0.5, -3.0):
+        ab = _shifted(sys, shift)
+        for b in (sys.diag_b.copy(), rng.standard_normal(sys.size)):
+            assert np.array_equal(_gtsv_of(ab, b),
+                                  scipy.linalg.solve_banded((1, 1), ab, b))
+
+
 def test_inverse_iteration_nudges_an_exactly_singular_shift():
     # zero diagonal of odd size: A itself is singular, with null vector
-    # (1, 0, 1, 0, 1), so the shift 0 stops the banded LU at a zero pivot
+    # (1, 0, 1, 0, 1), so the shift 0 stops the elimination at a zero pivot
     sys = stability.GeneralizedEigSystem(
         diag_a=np.zeros(5), off_a=np.array([1.0, 2.0, 1.0, 3.0, 1.0]),
         diag_b=np.arange(1.0, 6.0))
     with pytest.raises(np.linalg.LinAlgError):
-        scipy.linalg.solve_banded((1, 1), sys.shifted(0.0), np.ones(5))
+        scipy.linalg.solve_banded((1, 1), _shifted(sys, 0.0), np.ones(5))
+    with pytest.raises(np.linalg.LinAlgError):
+        _gtsv_of(_shifted(sys, 0.0), np.ones(5))
     vec = stability._inverse_iteration(sys, 0.0)
     assert np.max(np.abs(vec - [1.0, 0.0, 1.0, 0.0, 1.0])) < 1e-12
 
@@ -657,13 +711,13 @@ def test_warm_start_matches_dense_solve_at_every_doubling(monkeypatch):
 
 def _recorded_eig_sizes(monkeypatch):
     sizes = []
-    eig = scipy.linalg.eig
+    eigvals = np.linalg.eigvals
 
-    def recording_eig(m, *args, **kwargs):
+    def recording_eigvals(m, *args, **kwargs):
         sizes.append(len(m))
-        return eig(m, *args, **kwargs)
+        return eigvals(m, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eig", recording_eig)
+    monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
     return sizes
 
 
@@ -911,3 +965,60 @@ def test_stability_sweep_records_why_sigma_is_missing():
     assert rows and all(math.isnan(row["sigma_hat"]) for row in rows)
     assert all(row["error"].startswith(("EigensolverError: ", "ValueError: "))
                for row in rows)
+
+
+def test_stability_sweep_solves_each_mirrored_pair_once(monkeypatch):
+    # row (t, -r) repeats row (t, r); the in-region rows carry Lambda_0
+    sizes = _recorded_eig_sizes(monkeypatch)
+    rows = stability_sweep(s=8, alpha=0.1, delta=0.3, lam=120.0)
+    by_pair = {(row["t"], row["r"]): row for row in rows}
+    keys = ("sigma_hat", "lambda0", "in_region", "error")
+    mirrored = [(t, r) for t, r in by_pair if r > 0]
+    assert len(mirrored) == 10
+    for t, r in mirrored:
+        assert [by_pair[t, r][k] for k in keys] == [by_pair[t, -r][k] for k in keys]
+    assert len(sizes) == 24
+
+
+def _mirror_chain_cases():
+    """A seeded sample of chains (t, r > 0) over the delta = 0.05 box, s 3-12,
+    both alpha and Lambda = 0.5 s, 2 s and 10 s."""
+    cases = [(s, t, r, alpha, cap) for s in range(3, 13) for alpha in (0.0, 0.1)
+             for cap in (0.5 * s, 2.0 * s, 10.0 * s)
+             for (t, r) in RegionSpec(delta=0.05, s=s).box() if r > 0]
+    rng = np.random.default_rng(21)
+    return [cases[i] for i in rng.choice(len(cases), 100, replace=False)]
+
+
+def test_mirrored_chains_share_their_eigenpair():
+    # kappa^2 of (t, -r) at n is kappa^2 of (t, r) at -n, and diag((-1)^n)
+    # restores the off-diagonal sign: e'_n = (-1)^n e_{-n}, up to the sign
+    # that scaling to 1 at the peak fixes
+    for s, t, r, alpha, cap in _mirror_chain_cases():
+        got = []
+        for rr in (r, -r):
+            try:
+                got.append(principal_sigma(RecurrenceProblem(
+                    s=s, t=t, r=rr, capital_lambda=cap, alpha=alpha)))
+            except (ValueError, EigensolverError) as exc:
+                got.append(type(exc))
+        plus, minus = got
+        if isinstance(plus, type) or isinstance(minus, type):
+            assert plus is minus, (s, t, r)
+            continue
+        assert plus.n_trunc_used == minus.n_trunc_used
+        assert abs(plus.sigma_hat - minus.sigma_hat) <= 1e-14 * max(
+            1.0, abs(plus.sigma_hat)), (s, t, r)
+        flip = (-1.0) ** plus.offsets * plus.eigenvector[::-1]
+        flip /= flip[np.argmax(np.abs(flip))]
+        assert np.max(np.abs(flip - minus.eigenvector)) <= 1e-12, (s, t, r)
+
+
+def test_mirrored_chains_share_their_threshold():
+    # the sigma_hat = 0 chains mirror the same way
+    pairs = [(s, t, r, alpha) for s in range(3, 13) for alpha in (0.0, 0.1)
+             for (t, r) in lattice_points(RegionSpec(delta=0.3, s=s)) if r > 0]
+    assert len(pairs) == 14
+    for s, t, r, alpha in pairs:
+        plus, minus = (lambda0_threshold(s, t, rr, alpha, 0.3) for rr in (r, -r))
+        assert abs(plus - minus) <= 1e-14 * plus, (s, t, r, alpha)
