@@ -1,13 +1,12 @@
 """Batch CLI: validated JSON configs in, CSV/JSON artifacts plus a hashed
 run manifest out.
 
-    mla <command> --config <file> [--out <dir>] [--threads N]
+    mla <command> --config <file> [--out <dir>]
 
 Commands: simulate, stability, bounds, squire, report.  Exit codes:
-0 success, 2 validation error, 3 numerical failure.  --threads (fallback
-MLA_THREADS) sets the squire lift workers.  Identical config + seed
-produce bit-identical CSV outputs (floats are written with repr, rows in
-fixed order).
+0 success, 2 validation error, 3 numerical failure.  Identical config +
+seed produce bit-identical CSV outputs (floats are written with repr, rows
+in fixed order).
 """
 
 from __future__ import annotations
@@ -17,9 +16,7 @@ import datetime
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -433,8 +430,7 @@ def emit_plot_data(results: list[dict], kind: str, out_dir, basename=None):
 # command implementations
 # ---------------------------------------------------------------------
 
-def _cmd_simulate(p: dict, out: Path, seed: int, threads: int,
-                  written: list[Path]) -> None:
+def _cmd_simulate(p: dict, out: Path, seed: int, written: list[Path]) -> None:
     grid = spectral.SpectralGrid(p["n_modes"], Fraction(p["dealias_fraction"]))
     params = dynamics.ModelParams(nu=p["nu"], alpha=p["alpha"], grid=grid)
     spec = dynamics.ForcingSpec(s=p["s"], lam=p["lambda"])
@@ -470,8 +466,7 @@ def _sigma_grid_rows(s, alpha, delta, t, r, n_points) -> list[dict]:
     return rows
 
 
-def _cmd_stability(p: dict, out: Path, seed: int, threads: int,
-                   written: list[Path]) -> None:
+def _cmd_stability(p: dict, out: Path, seed: int, written: list[Path]) -> None:
     s, alpha, delta, lam = p["s"], p["alpha"], p["delta"], p["lambda"]
     rows = stability.stability_sweep(s, alpha, delta, lam,
                                      compute_lambda0=p["compute_lambda0"])
@@ -514,8 +509,7 @@ def _bounds_rows(p: dict) -> list[dict]:
             for g in p["g_values"] for alpha in p["alpha_values"]]
 
 
-def _cmd_bounds(p: dict, out: Path, seed: int, threads: int,
-                written: list[Path]) -> None:
+def _cmd_bounds(p: dict, out: Path, seed: int, written: list[Path]) -> None:
     rows = _bounds_rows(p)
     written.append(_write_csv(
         out / "bounds.csv", "g,alpha,upper1,upper2,lower,ratio",
@@ -527,8 +521,7 @@ def _cmd_bounds(p: dict, out: Path, seed: int, threads: int,
                                {"points": len(rows), "notes": notes}))
 
 
-def _cmd_report(p: dict, out: Path, seed: int, threads: int,
-                written: list[Path]) -> None:
+def _cmd_report(p: dict, out: Path, seed: int, written: list[Path]) -> None:
     rows = _bounds_rows(p)
     header = "g,alpha,lower,upper1,upper2,upper_min,ratio"
     written.append(_write_csv(
@@ -548,40 +541,30 @@ def _count_window(p: dict) -> squire.CountWindow:
                               delta_star=p["delta_star"])
 
 
-def _cmd_squire(p: dict, out: Path, seed: int, threads: int,
-                written: list[Path]) -> None:
+def _cmd_squire(p: dict, out: Path, seed: int, written: list[Path]) -> None:
     s, nu, alpha = p["s"], p["nu"], p["alpha"]
     window = _count_window(p)
     lam = p["lambda"]
     if lam is None:
         lam = squire.lambda3_driver(s, alpha, p["delta_star"])
-    setup = squire.build_3d_setup(s, lam, nu, alpha)
+    setup = squire.Setup3D(s, lam, nu, alpha)
 
-    triples = squire.admissible_triples(s, window)[: p["max_lifts"]]
-
-    def lift_row(tr):
+    rows = []
+    for tr in squire.admissible_triples(s, window)[: p["max_lifts"]]:
         res2d = squire.solve_hat_mode(tr, setup)
         if res2d.sigma_hat > 0:
             mode = squire.lift_mode(tr, res2d, setup)
             residual = max(mode.residuals.values())
         else:
             residual = math.nan
-        return (s, tr.a, tr.b, tr.r, tr.a_hat, res2d.sigma_hat, residual)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lift_row, triples))
-    else:
-        rows = [lift_row(tr) for tr in triples]
-    rows.sort(key=lambda row: (row[1], row[2], row[3]))
+        rows.append((s, tr.a, tr.b, tr.r, tr.a_hat, res2d.sigma_hat, residual))
     written.append(_write_csv(out / "triples.csv",
                               "s,a,b,r,a_hat,sigma_hat,residual", rows))
 
     counts = [squire.count_triples(cs, window) for cs in p["count_s"]]
     density_rows = [{"s": c.s, "density": c.c5_fit} for c in counts]
     written += emit_plot_data(density_rows, "lattice_density", out)
-    a0_vals = squire.a0_stability_spectrum(1, s, lam, nu, alpha,
-                                           k_cutoff=4 * s + 16)
+    a0_vals = squire.a0_stability_spectrum(1, nu, k_cutoff=4 * s + 16)
     written += emit_plot_data(
         [{"re": float(v.real), "im": float(v.imag)} for v in a0_vals],
         "spectrum_scatter", out, basename="a0_spectrum",
@@ -624,6 +607,7 @@ def run_command(config: ExperimentConfig, out_dir=None,
     directory, is listed in the manifest with its sha256.  Computation
     errors are recorded in the manifest (status "error", with the files
     written before the error) and re-raised after it is written.
+    ``threads`` is accepted and ignored: commands run in one thread.
     """
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -639,8 +623,7 @@ def run_command(config: ExperimentConfig, out_dir=None,
     error: Exception | None = None
     written: list[Path] = []
     try:
-        _DISPATCH[config.command](config.parameters, out, config.seed, threads,
-                                  written)
+        _DISPATCH[config.command](config.parameters, out, config.seed, written)
     except Exception as exc:
         manifest.status = "error"
         manifest.error = f"{type(exc).__name__}: {exc}"
@@ -667,19 +650,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default=None, help="output directory "
                         "(default: output_dir from the config)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="squire lift workers (default: MLA_THREADS or 1)")
     args = parser.parse_args(argv)
-
-    raw = os.environ.get("MLA_THREADS", "1") if args.threads is None else args.threads
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0  # reported below with the values < 1
-    if threads < 1:
-        print(f"error: --threads / MLA_THREADS must be an integer >= 1, "
-              f"got {raw!r}", file=sys.stderr)
-        return 2
 
     try:
         config = parse_config(Path(args.config).read_text())
@@ -695,7 +666,10 @@ def main(argv: list[str] | None = None) -> int:
               f"invoked as {args.command!r}", file=sys.stderr)
         return 2
     try:
-        manifest = run_command(config, out_dir=args.out, threads=threads)
+        manifest = run_command(config, out_dir=args.out)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     except (dynamics.NumericalError, dynamics.TimeStepError,
             stability.EigensolverError, bounds_mod.BoundDomainError,
             ValueError) as exc:

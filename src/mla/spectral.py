@@ -43,14 +43,11 @@ __all__ = [
     "NonZeroMeanError",
     "SpectralGrid",
     "ScalarField",
-    "VectorField2",
     "FieldNorms",
     "laplacian",
     "inv_laplacian",
     "helmholtz_inv",
     "jacobian",
-    "velocity_from_stream",
-    "divergence",
     "norms",
     "inner",
     "deriv",
@@ -292,25 +289,6 @@ class ScalarField:
         return ScalarField(self.grid, -self.coeffs)
 
 
-@dataclass(frozen=True, eq=False)
-class VectorField2:
-    """Tangent vector field (u1, u2); divergence-free when stream-derived."""
-
-    u1: ScalarField
-    u2: ScalarField
-
-    def __post_init__(self):
-        if self.u1.grid != self.u2.grid:
-            raise GridMismatchError("vector components on different grids")
-
-    @property
-    def grid(self) -> SpectralGrid:
-        return self.u1.grid
-
-    def l2(self) -> float:
-        return float(np.sqrt(norms(self.u1).l2 ** 2 + norms(self.u2).l2 ** 2))
-
-
 class FieldNorms(NamedTuple):
     l2: float
     h1_semi: float
@@ -404,16 +382,6 @@ def jacobian(a: ScalarField, b: ScalarField) -> ScalarField:
     """
     a._require_same_grid(b)
     return ScalarField(a.grid, _jacobian(a.grid, a.coeffs, b.coeffs))
-
-
-def velocity_from_stream(psi: ScalarField) -> VectorField2:
-    """u = (-d2 psi, d1 psi); divergence-free by construction."""
-    u1, u2 = psi.grid.velocity(psi.coeffs)
-    return VectorField2(ScalarField(psi.grid, u1), ScalarField(psi.grid, u2))
-
-
-def divergence(u: VectorField2) -> ScalarField:
-    return deriv(u.u1, 1) + deriv(u.u2, 2)
 
 
 def _full_sum(x: np.ndarray):

@@ -45,7 +45,6 @@ __all__ = [
     "CountWindow",
     "TripleCount",
     "LowerBound3D",
-    "build_3d_setup",
     "hat_problem",
     "solve_hat_mode",
     "reconstruct_omega2",
@@ -99,6 +98,10 @@ class Setup3D:
     nu: float
     alpha: float
 
+    def __post_init__(self):
+        if self.s < 1 or self.lam <= 0 or self.nu <= 0 or self.alpha < 0:
+            raise ValueError("require s >= 1, lam > 0, nu > 0, alpha >= 0")
+
     @property
     def v0_amp(self) -> float:
         return self.nu * self.lam / _SQRT2PI
@@ -106,13 +109,6 @@ class Setup3D:
     @property
     def u0_amp(self) -> float:
         return self.v0_amp / (1.0 + self.alpha**2 * self.s**2)
-
-
-def build_3d_setup(s: int, lam: float, nu: float, alpha: float) -> Setup3D:
-    """The Kolmogorov shear setup at forcing wavenumber s and amplitude lam."""
-    if s < 1 or lam <= 0 or nu <= 0 or alpha < 0:
-        raise ValueError("require s >= 1, lam > 0, nu > 0, alpha >= 0")
-    return Setup3D(s=s, lam=lam, nu=nu, alpha=alpha)
 
 
 # ---------------------------------------------------------------------
@@ -364,8 +360,7 @@ def lift_mode(triple: SquireTriple, two_d: StabilityResult, setup: Setup3D,
 # a = 0 stability
 # ---------------------------------------------------------------------
 
-def a0_stability_spectrum(b: int, s: int, lam: float, nu: float, alpha: float,
-                          k_cutoff: int) -> np.ndarray:
+def a0_stability_spectrum(b: int, nu: float, k_cutoff: int) -> np.ndarray:
     """Eigenvalues of the a = 0 linearized generator on divergence-free
     modes, sorted by descending real part.
 
@@ -374,10 +369,8 @@ def a0_stability_spectrum(b: int, s: int, lam: float, nu: float, alpha: float,
     (omega1, omega2) with the m = 0 means removed.  The shear feeds omega3
     into the omega1 equation only, so the generator is block upper
     triangular with diagonal blocks -nu (b^2 + m^2), and those values, each
-    twice, are its spectrum.  The parameters are checked as for the shear
-    setup, though the spectrum does not depend on s, lam or alpha.
+    twice, are its spectrum, whatever the shear's s, lam and alpha.
     """
-    build_3d_setup(s, lam, nu, alpha)
     m = _modes(k_cutoff).astype(np.float64)
     if b == 0:
         m = m[m != 0]

@@ -80,6 +80,8 @@ DECAY_TAIL_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
 #: Relative width across which sigma_hat must change sign at Lambda_0.
 LAMBDA0_REL_WIDTH = 1e-8
+#: Chain truncation the eigenpair search starts from.
+N_TRUNC = 64
 #: Largest chain truncation the eigenpair search doubles up to.
 MAX_TRUNC = 1024
 
@@ -229,7 +231,7 @@ def optimize_delta() -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class RecurrenceProblem:
-    """Chain parameters (s, t, r, Lambda, alpha) and index truncation.
+    """Chain parameters (s, t, r, Lambda, alpha).
 
     ``t`` is the column wavenumber of the chain: a positive integer for
     the plain torus analysis, and the real value a_hat = sqrt(a^2 + b^2)
@@ -241,7 +243,6 @@ class RecurrenceProblem:
     r: int
     capital_lambda: float
     alpha: float = 0.0
-    n_trunc: int = 64
 
     def __post_init__(self):
         if self.s < 1:
@@ -252,19 +253,16 @@ class RecurrenceProblem:
             raise ValueError(f"capital_lambda must be positive, got {self.capital_lambda}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.n_trunc < 1:
-            raise ValueError(f"n_trunc must be >= 1, got {self.n_trunc}")
-        k2 = self.kappa_sq(self.n_trunc)
+        k2 = self.kappa_sq(N_TRUNC)
         if np.any(np.abs(k2 - self.s**2) <= 1e-12 * self.s**2):
             raise ValueError(
-                f"singular chain: kappa_n^2 = s^2 for some |n| <= {self.n_trunc}"
+                f"singular chain: kappa_n^2 = s^2 for some |n| <= {N_TRUNC}"
             )
 
-    def offsets(self, n_trunc: int | None = None) -> np.ndarray:
-        m = self.n_trunc if n_trunc is None else n_trunc
-        return np.arange(-m, m + 1)
+    def offsets(self, n_trunc: int) -> np.ndarray:
+        return np.arange(-n_trunc, n_trunc + 1)
 
-    def kappa_sq(self, n_trunc: int | None = None) -> np.ndarray:
+    def kappa_sq(self, n_trunc: int) -> np.ndarray:
         n = self.offsets(n_trunc)
         return self.t**2 + (self.s * n + self.r) ** 2
 
@@ -302,7 +300,7 @@ class GeneralizedEigSystem:
 
 
 def build_recurrence_system(prob: RecurrenceProblem,
-                            n_trunc: int | None = None) -> GeneralizedEigSystem:
+                            n_trunc: int) -> GeneralizedEigSystem:
     k2 = prob.kappa_sq(n_trunc)
     b = k2 + prob.alpha**2 * k2**2
     return GeneralizedEigSystem(
@@ -486,7 +484,7 @@ def principal_sigma(prob: RecurrenceProblem) -> StabilityResult:
     fails to converge below 1e-10.
     """
     sigma, vec, sys, trunc = _settled_eigenpair(
-        lambda m: build_recurrence_system(prob, m), prob.n_trunc)
+        lambda m: build_recurrence_system(prob, m), N_TRUNC)
     return StabilityResult(
         sigma_hat=sigma,
         capital_lambda=prob.capital_lambda,
@@ -550,7 +548,7 @@ def lambda0_threshold(s: int, t: float, r: int, alpha: float,
     lo, hi = lu_interval(s, delta, alpha)
     lo, hi = lo / 10.0, hi * 10.0
     # mu < 1/hi fails the window check, so tails are resolved down to 1/hi
-    mu = _settled_eigenpair(neutral, prob.n_trunc, 1.0 / hi)[0]
+    mu = _settled_eigenpair(neutral, N_TRUNC, 1.0 / hi)[0]
     if not 1.0 / hi < mu < 1.0 / lo:
         raise EigensolverError(f"Lambda_0 = 1/{mu} lies outside [{lo}, {hi}]")
     lam0, h = 1.0 / mu, 0.5 * LAMBDA0_REL_WIDTH

@@ -289,25 +289,14 @@ def test_squire_command(tmp_path):
     run_command(parse_config(json.dumps(doc)))
     _, rows = read_csv(tmp_path / "out" / "triples.csv")
     assert len(rows) == 3
+    keys = [(int(r["a"]), int(r["b"]), int(r["r"])) for r in rows]
+    assert keys == sorted(keys)
     for r in rows:
         assert float(r["sigma_hat"]) > 0
         assert float(r["residual"]) < 1e-8
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["c5_fullwindow"] == pytest.approx(2 * summary["c5_halfwindow"])
     assert "20" in summary["count"]
-
-
-def test_stability_threaded_output_identical(tmp_path):
-    doc = {
-        "command": "stability",
-        "s": 6, "delta": 0.5, "lambda": 40.0,
-    }
-    for sub, threads in (("serial", 1), ("pooled", 3)):
-        cfg = parse_config(json.dumps(dict(doc, output_dir=str(tmp_path / sub))))
-        run_command(cfg, threads=threads)
-    a = (tmp_path / "serial" / "sweep.csv").read_bytes()
-    b = (tmp_path / "pooled" / "sweep.csv").read_bytes()
-    assert a == b
 
 
 def _skipped_matches_blank_rows(out):
@@ -428,25 +417,40 @@ def test_main_numerical_failure(tmp_path):
     assert manifest["status"] == "error"
 
 
-@pytest.mark.parametrize("env,flags", [
-    ("abc", []), ("1.5", []), ("0", []), ("-2", []),
-    (None, ["--threads", "0"]), ("4", ["--threads", "-1"]),
-])
-def test_main_bad_threads_is_a_validation_error(tmp_path, capsys, monkeypatch,
-                                                env, flags):
-    if env is None:
-        monkeypatch.delenv("MLA_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("MLA_THREADS", env)
+def test_threads_is_not_an_option(tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "command": "bounds", "g_values": [1e4], "alpha_values": [0.0],
-        "output_dir": str(tmp_path / "out"),
     }))
-    assert cli.main(["bounds", "--config", str(cfg)] + flags) == 2
+    args = ["bounds", "--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args + ["--threads", "2"])
+    assert exc.value.code == 2
+    a, b = tmp_path / "a", tmp_path / "b"
+    monkeypatch.delenv("MLA_THREADS", raising=False)
+    assert cli.main(args + ["--out", str(a)]) == 0
+    monkeypatch.setenv("MLA_THREADS", "abc")
+    assert cli.main(args + ["--out", str(b)]) == 0
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        if name != "manifest.json":  # differs in its timestamps
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_main_unusable_out_is_a_validation_error(tmp_path, capsys, sub):
+    # --out names an existing file, or a directory under one
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "command": "bounds", "g_values": [1e4], "alpha_values": [0.0],
+    }))
+    assert cli.main(["bounds", "--config", str(cfg), "--out", str(taken / sub)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert not (tmp_path / "out").exists()
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("doc", [
@@ -597,10 +601,11 @@ def test_main_exit_code_on_any_run(doc):
 
 
 def test_cli_import_leaves_out_scipy():
-    # every run imports mla.cli; scipy.integrate took about 0.3 s of it, and
-    # scipy.linalg about 0.3 s more
+    # every run imports mla.cli; scipy.integrate took about 0.3 s of it,
+    # scipy.linalg about 0.3 s more, and concurrent.futures about 0.01 s
     src = str(Path(cli.__file__).parents[1])
     subprocess.run([sys.executable, "-c", "import mla.cli, sys; "
-                    "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+                    "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy'"
+                    " or m.startswith('concurrent.futures')]; "
                     "assert not loaded, loaded"],
                    check=True, env={**os.environ, "PYTHONPATH": src})

@@ -25,7 +25,6 @@ from mla.squire import (
     _wave_tables,
     a0_stability_spectrum,
     admissible_triples,
-    build_3d_setup,
     count_triples,
     hat_problem,
     lambda2_threshold,
@@ -41,7 +40,7 @@ S, ALPHA, NU, DSTAR = 6, 0.0, 1.0, 0.2
 
 
 def driver_setup(s=S, alpha=ALPHA, nu=NU, delta=DSTAR):
-    return build_3d_setup(s, lambda3_driver(s, alpha, delta), nu, alpha)
+    return Setup3D(s, lambda3_driver(s, alpha, delta), nu, alpha)
 
 
 # ---------------------------------------------------------------------
@@ -71,7 +70,7 @@ def _a0_generator(b: int, s: int, lam: float, nu: float, alpha: float,
     states are (omega1, omega2) with the m = 0 means removed (zero-mean
     condition).
     """
-    u0_amp = build_3d_setup(s, lam, nu, alpha).u0_amp
+    u0_amp = Setup3D(s, lam, nu, alpha).u0_amp
     m = _modes(k_cutoff).astype(np.float64)
     if b == 0:
         return np.diag(np.tile(-nu * m[m != 0] ** 2, 2)).astype(np.complex128)
@@ -184,15 +183,24 @@ def a0_mode_pressure_norms(b: int, s: int, lam: float, nu: float, alpha: float,
 # ---------------------------------------------------------------------
 
 def test_setup_v0_amp():
-    setup = build_3d_setup(3, 2.5, 0.4, 0.1)
+    setup = Setup3D(3, 2.5, 0.4, 0.1)
     assert setup.v0_amp == pytest.approx(0.4 * 2.5 / (math.sqrt(2) * math.pi),
                                          rel=1e-14)
 
 
+@pytest.mark.parametrize("s,lam,nu,alpha", [
+    (0, 1.0, 1.0, 0.0), (3, 0.0, 1.0, 0.0), (3, -1.0, 1.0, 0.0),
+    (3, 1.0, 0.0, 0.0), (3, 1.0, -1.0, 0.0), (3, 1.0, 1.0, -0.1),
+])
+def test_setup_rejects_out_of_range_parameters(s, lam, nu, alpha):
+    with pytest.raises(ValueError, match="require s >= 1"):
+        Setup3D(s, lam, nu, alpha)
+
+
 def test_setup_u0_is_filtered_v0():
-    setup = build_3d_setup(4, 1.0, 1.0, 0.3)
+    setup = Setup3D(4, 1.0, 1.0, 0.3)
     assert setup.u0_amp == pytest.approx(setup.v0_amp / (1 + 0.09 * 16), rel=1e-14)
-    zero_alpha = build_3d_setup(4, 1.0, 1.0, 0.0)
+    zero_alpha = Setup3D(4, 1.0, 1.0, 0.0)
     assert zero_alpha.u0_amp == zero_alpha.v0_amp
 
 
@@ -281,7 +289,7 @@ def test_a0_generator_matches_dense_coupling():
     b, s, lam, nu, alpha, M = 1, 3, 40.0, 1.0, 0.2, 10
     n = 2 * M + 1
     H = 1.0 / (1.0 + alpha**2 * (b * b + np.arange(-M, M + 1.0) ** 2))
-    u0_amp = build_3d_setup(s, lam, nu, alpha).u0_amp
+    u0_amp = Setup3D(s, lam, nu, alpha).u0_amp
     gen = _a0_generator(b, s, lam, nu, alpha, M)
     assert np.array_equal(gen[:n, n:], -(_conv_cos(u0_amp * s, s, M) * H[None, :]))
 
@@ -399,7 +407,7 @@ def test_lift_reflection_same_growth():
 
 
 def test_lift_rejects_stable_input():
-    setup = build_3d_setup(S, 1.0, NU, ALPHA)  # tiny amplitude: stable
+    setup = Setup3D(S, 1.0, NU, ALPHA)  # tiny amplitude: stable
     triple = SquireTriple(a=3, b=0, r=0)
     res = solve_hat_mode(triple, setup)
     assert res.sigma_hat < 0
@@ -458,7 +466,7 @@ def test_hat_problem_uses_rescaled_amplitude():
 # ---------------------------------------------------------------------
 
 def test_a0_b0_pure_diffusion():
-    vals = a0_stability_spectrum(0, S, 100.0, NU, ALPHA, k_cutoff=12)
+    vals = a0_stability_spectrum(0, NU, k_cutoff=12)
     m = np.arange(-12, 13)
     targets = np.sort(np.concatenate([-NU * m[m != 0] ** 2.0] * 2))
     got = np.sort(vals.real)
@@ -469,7 +477,7 @@ def test_a0_b0_pure_diffusion():
 @pytest.mark.parametrize("b", [1, 2])
 def test_a0_no_unstable_at_twice_threshold(b):
     lam = 2.0 * lambda2_threshold(2, 0.0, 0.3)
-    vals = a0_stability_spectrum(b, 2, lam, 1.0, 0.0, k_cutoff=24)
+    vals = a0_stability_spectrum(b, 1.0, k_cutoff=24)
     assert np.max(vals.real) < 1e-10
     qn = a0_mode_pressure_norms(b, 2, lam, 1.0, 0.0, 24)
     assert np.max(qn) < 1e-10
@@ -480,7 +488,7 @@ def test_a0_no_unstable_at_twice_threshold(b):
     (2, 2, 40.0, 0.5, 0.2, 8), (-3, 4, 900.0, 2.0, 0.0, 25),
 ])
 def test_a0_closed_form_matches_dense_generator(b, s, lam, nu, alpha, k_cutoff):
-    vals = a0_stability_spectrum(b, s, lam, nu, alpha, k_cutoff)
+    vals = a0_stability_spectrum(b, nu, k_cutoff)
     dense = scipy.linalg.eigvals(_a0_generator(b, s, lam, nu, alpha, k_cutoff))
     assert np.array_equal(np.sort(vals.real), np.sort(dense.real))
     assert not vals.imag.any() and not dense.imag.any()
@@ -490,7 +498,7 @@ def test_a0_closed_form_matches_dense_generator(b, s, lam, nu, alpha, k_cutoff):
 def test_a0_matches_full_pencil_oracle():
     # independent route: the constrained (omega, q) pencil solved by QZ
     b, s, lam, nu, alpha, M = 1, 2, 40.0, 1.0, 0.2, 8
-    setup = build_3d_setup(s, lam, nu, alpha)
+    setup = Setup3D(s, lam, nu, alpha)
     m = np.arange(-M, M + 1).astype(float)
     n = 2 * M + 1
     ksq = b * b + m**2
@@ -524,7 +532,7 @@ def test_a0_matches_full_pencil_oracle():
 
     vals = scipy.linalg.eigvals(A, B)
     finite = np.sort(vals[np.isfinite(vals)].real)
-    reduced = np.sort(a0_stability_spectrum(b, s, lam, nu, alpha, M).real)
+    reduced = np.sort(a0_stability_spectrum(b, nu, M).real)
     assert len(finite) == len(reduced)
     assert np.max(np.abs(finite - reduced)) < 1e-8
 

@@ -231,8 +231,8 @@ def test_optimize_delta_value():
 
 def d_coefficient(prob, n, sigma_hat):
     """Reconstruct d_n from the assembled system."""
-    sys = build_recurrence_system(prob)
-    i = n + prob.n_trunc
+    sys = build_recurrence_system(prob, 64)
+    i = n + 64
     return (sigma_hat * sys.diag_b[i] - sys.diag_a[i]) / sys.off_a[i]
 
 
@@ -254,8 +254,8 @@ def test_recurrence_d_matches_formula_generic():
 
 def test_diag_b_alpha0_reduces_to_kappa_sq():
     prob = RecurrenceProblem(s=2, t=1, r=0, capital_lambda=1.0, alpha=0.0)
-    sys = build_recurrence_system(prob)
-    assert np.allclose(sys.diag_b, prob.kappa_sq(), rtol=0, atol=0)
+    sys = build_recurrence_system(prob, 64)
+    assert np.allclose(sys.diag_b, prob.kappa_sq(64), rtol=0, atol=0)
 
 
 def test_singular_chain_rejected():
@@ -265,8 +265,7 @@ def test_singular_chain_rejected():
 
 
 def test_truncation_convergence():
-    prob = RecurrenceProblem(s=4, t=2, r=0, capital_lambda=5.0, alpha=0.0,
-                             n_trunc=40)
+    prob = RecurrenceProblem(s=4, t=2, r=0, capital_lambda=5.0, alpha=0.0)
     from mla.stability import _largest_real_decaying
 
     s1, _ = _largest_real_decaying(build_recurrence_system(prob, 40))
@@ -344,7 +343,7 @@ def _dense_largest_real_decaying(sys):
 @pytest.mark.parametrize("cap", [1e-3, 2.0, 6.0, 40.0])
 def test_largest_real_decaying_matches_dense_oracle(cap):
     sys = build_recurrence_system(
-        RecurrenceProblem(s=8, t=3, r=-1, capital_lambda=cap, alpha=0.1))
+        RecurrenceProblem(s=8, t=3, r=-1, capital_lambda=cap, alpha=0.1), 64)
     got = stability._largest_real_decaying(sys)
     want = _dense_largest_real_decaying(sys)
     assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
@@ -371,7 +370,7 @@ def test_largest_real_decaying_solves_eigenvalues_only_once(monkeypatch, cap):
 
     monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
     sys = build_recurrence_system(
-        RecurrenceProblem(s=8, t=3, r=-1, capital_lambda=cap, alpha=0.1))
+        RecurrenceProblem(s=8, t=3, r=-1, capital_lambda=cap, alpha=0.1), 64)
     assert stability._largest_real_decaying(sys) is not None
     assert calls == [((), {})]
 
@@ -737,7 +736,7 @@ def test_settled_chain_makes_one_dense_solve(monkeypatch):
 
 def test_a_guess_that_does_not_settle_falls_back_to_the_dense_solve(monkeypatch):
     sys = build_recurrence_system(
-        RecurrenceProblem(s=8, t=3, r=-1, capital_lambda=6.0, alpha=0.1))
+        RecurrenceProblem(s=8, t=3, r=-1, capital_lambda=6.0, alpha=0.1), 64)
     want = stability._largest_real_decaying(sys)
     sizes = _recorded_eig_sizes(monkeypatch)
     # inverse iteration at a value off by 1 cannot settle against it
