@@ -417,19 +417,32 @@ def test_main_numerical_failure(tmp_path):
     assert manifest["status"] == "error"
 
 
-def test_threads_is_not_an_option(tmp_path, monkeypatch):
+@pytest.mark.parametrize("env,flags", [
+    ("abc", []), ("1.5", []), ("0", []), ("-2", []),
+    (None, ["--threads", "0"]), ("4", ["--threads", "-1"]),
+])
+def test_main_bad_threads_is_a_validation_error(tmp_path, capsys, monkeypatch,
+                                                env, flags):
+    # There is no thread count to set: --threads is an unknown argument, and
+    # MLA_THREADS is not read, so even a malformed value changes nothing.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "command": "bounds", "g_values": [1e4], "alpha_values": [0.0],
     }))
     args = ["bounds", "--config", str(cfg)]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(args + ["--threads", "2"])
-    assert exc.value.code == 2
     a, b = tmp_path / "a", tmp_path / "b"
     monkeypatch.delenv("MLA_THREADS", raising=False)
     assert cli.main(args + ["--out", str(a)]) == 0
-    monkeypatch.setenv("MLA_THREADS", "abc")
+    capsys.readouterr()
+    if env is not None:
+        monkeypatch.setenv("MLA_THREADS", env)
+    if flags:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args + ["--out", str(b)] + flags)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+        assert not b.exists()
+        return
     assert cli.main(args + ["--out", str(b)]) == 0
     names = sorted(p.name for p in a.iterdir())
     assert names == sorted(p.name for p in b.iterdir())
