@@ -4,9 +4,9 @@ run manifest out.
     mla <command> --config <file> [--out <dir>]
 
 Commands: simulate, stability, bounds, squire, report.  Exit codes:
-0 success, 2 validation error, 3 numerical failure.  Identical config +
-seed produce bit-identical CSV outputs (floats are written with repr, rows
-in fixed order).
+0 success, 2 validation error, 3 numerical failure or out of memory.
+Identical config + seed produce bit-identical CSV outputs (floats are
+written with repr, rows in fixed order).
 """
 
 from __future__ import annotations
@@ -130,14 +130,11 @@ DEFAULTS: dict[str, dict[str, tuple]] = {
         "c6": ("number", None, lambda x: x is None or x > 0,
                "must be > 0 when given (default: the measured c5 fit)"),
     },
-    "report": {
-        "g_values": ("array", REQUIRED, _num_list, "must be a nonempty number list"),
-        "alpha_values": ("array", REQUIRED, _num_list, "must be a nonempty number list"),
-        "lambda1": ("number", 1.0, _positive, "must be > 0"),
-        "l_const": ("number", math.pi, _positive, "must be > 0"),
-        "eps_g": ("number", 0.0, _nonneg, "must be >= 0"),
-        "gamma": ("number", 0.5, lambda x: 0 < x < 1, "must lie in (0,1)"),
-    },
+}
+# report takes the bounds keys, and a gamma that no output reads
+DEFAULTS["report"] = {
+    **DEFAULTS["bounds"],
+    "gamma": ("number", 0.5, lambda x: 0 < x < 1, "must lie in (0,1)"),
 }
 
 _TYPE_CHECK = {
@@ -158,11 +155,12 @@ def _check_simulate(p: dict) -> list[str]:
 
 
 def _check_bounds(p: dict) -> list[str]:
+    # each point's bounds are evaluated: finite inputs can still overflow them
     errors = {}
     for g in p["g_values"]:
         for alpha in p["alpha_values"]:
             try:
-                _bound_inputs(p, g, alpha)
+                bounds_mod.two_sided_report(_bound_inputs(p, g, alpha))
             except ValueError as exc:
                 errors[f"g_values/alpha_values: {exc}"] = None
     return list(errors)
@@ -218,10 +216,22 @@ class ExperimentConfig:
     seed: int
 
 
+def _reject_non_finite(token: str):
+    raise ConfigError([f"non-finite number {token}: every number must be finite"])
+
+
+def _finite_float(token: str) -> float:
+    x = float(token)
+    if not math.isfinite(x):  # a literal beyond the float range reads as inf
+        _reject_non_finite(token)
+    return x
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Validate a JSON config, reporting every violation at once."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_non_finite,
+                         parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             [f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
@@ -674,6 +684,9 @@ def main(argv: list[str] | None = None) -> int:
             stability.EigensolverError, bounds_mod.BoundDomainError,
             ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
     print(f"ok: {len(manifest.outputs)} artifacts in "
           f"{args.out or config.output_dir}")

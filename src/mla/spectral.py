@@ -196,9 +196,9 @@ class ScalarField:
         return cls(grid, np.zeros(grid.shape, dtype=np.complex128))
 
     @classmethod
-    def harmonic(cls, grid: SpectralGrid, k1: int, k2: int, amplitude: float = 1.0,
-                 kind: str = "cos") -> "ScalarField":
-        """amplitude * cos(k.x) or amplitude * sin(k.x) as a field."""
+    def harmonic(cls, grid: SpectralGrid, k1: int, k2: int,
+                 amplitude: float = 1.0) -> "ScalarField":
+        """amplitude * cos(k.x) as a field."""
         if (k1, k2) == (0, 0):
             raise ValueError("harmonic requires a nonzero wavevector")
         if abs(k1) >= grid.dealias_cutoff or abs(k2) >= grid.dealias_cutoff:
@@ -206,13 +206,7 @@ class ScalarField:
                 f"wavevector ({k1},{k2}) is beyond the dealias cutoff "
                 f"{grid.dealias_cutoff}"
             )
-        if kind == "cos":
-            cp = amplitude / 2.0
-        elif kind == "sin":
-            cp = amplitude / 2.0j
-        else:
-            raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
-        return cls.from_modes(grid, {(k1, k2): cp})
+        return cls.from_modes(grid, {(k1, k2): amplitude / 2.0})
 
     @classmethod
     def from_modes(cls, grid: SpectralGrid,
@@ -227,17 +221,6 @@ class ScalarField:
             if k2 in (0, half) and k1 < 0:
                 k1, val = -k1, np.conj(val)
             c[grid.index_of(k1, k2)] = val
-        return cls(grid, c)
-
-    @classmethod
-    def from_physical(cls, grid: SpectralGrid, values: np.ndarray,
-                      demean: bool = True, dealias: bool = True) -> "ScalarField":
-        vals = np.asarray(values, dtype=np.float64)
-        c = np.fft.rfft2(vals) / vals.size
-        if demean:
-            c[0, 0] = 0.0
-        if dealias:
-            c = np.where(grid.dealias_mask, c, 0.0)
         return cls(grid, c)
 
     @classmethod
@@ -285,14 +268,10 @@ class ScalarField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "ScalarField":
-        return ScalarField(self.grid, -self.coeffs)
-
 
 class FieldNorms(NamedTuple):
     l2: float
     h1_semi: float
-    h2_semi: float
 
 
 # ---------------------------------------------------------------------
@@ -390,7 +369,7 @@ def _full_sum(x: np.ndarray):
 
 
 def norms(f: ScalarField) -> FieldNorms:
-    """Parseval L2, H1- and H2-seminorms (volume (2pi)^2)."""
+    """Parseval L2 norm and H1 seminorm (volume (2pi)^2)."""
     return _norms(f.grid, f.coeffs)
 
 
@@ -398,11 +377,9 @@ def _norms(grid: SpectralGrid, c: np.ndarray) -> FieldNorms:
     """``norms`` of the coefficient array c."""
     w = np.abs(c) ** 2
     vol = (2.0 * np.pi) ** 2
-    ksq = grid.k_sq
     return FieldNorms(
         l2=float(np.sqrt(vol * _full_sum(w))),
-        h1_semi=float(np.sqrt(vol * _full_sum(ksq * w))),
-        h2_semi=float(np.sqrt(vol * _full_sum(ksq**2 * w))),
+        h1_semi=float(np.sqrt(vol * _full_sum(grid.k_sq * w))),
     )
 
 

@@ -33,7 +33,6 @@ from .stability import (
     StabilityResult,
     _gtsv,
     capital_lambda,
-    lambda_interval,
     principal_sigma,
     region_contains_point,
 )
@@ -176,11 +175,6 @@ class Mode1DProfile:
             np.linalg.norm(self.omega3), 1e-300,
         )
         return float(np.linalg.norm(div) / scale)
-
-    @property
-    def growth_rate(self) -> float:
-        """-Re(i a c): positive for unstable modes."""
-        return float(-np.real(1j * self.a * self.c))
 
 
 # ---------------------------------------------------------------------
@@ -428,65 +422,73 @@ class TripleCount:
     s: int
     count: int
     c5_fit: float
-    c5_halfwindow: float
-    c5_fullwindow: float
+
+
+def _window_r_max(s: int, window: CountWindow) -> int:
+    """Largest |r| in the window: floor(c2 s), with a tiny tolerance
+    against float boundaries."""
+    return int(math.floor(window.c2 * s * (1 + 1e-9)))
+
+
+def _window_rows(s: int, window: CountWindow):
+    """Rows (a, b_lo, b_hi), a ascending: the integer (a, b) with |b| <= a
+    and c3 s <= sqrt(a^2+b^2) <= c4 s (inclusive bounds, tiny tolerance
+    against float boundaries) are those with b_lo <= |b| <= b_hi.  The
+    bounds on a^2 + b^2 are rounded inward once, so every comparison after
+    that is exact in integers."""
+    eps = 1e-9
+    lo = math.ceil((window.c3 * s) ** 2 * (1 - eps))
+    hi = math.floor((window.c4 * s) ** 2 * (1 + eps))
+    for a in range(1, math.isqrt(hi) + 1):
+        b_hi = min(a, math.isqrt(hi - a * a))
+        b_lo = math.isqrt(lo - a * a - 1) + 1 if lo > a * a else 0
+        if b_lo <= b_hi:
+            yield a, b_lo, b_hi
 
 
 def admissible_triples(s: int, window: CountWindow = DEFAULT_WINDOW
                        ) -> list[SquireTriple]:
-    """Integer (a, b, r) with c3 s <= sqrt(a^2+b^2) <= c4 s, |r| <= c2 s,
-    |b| <= a (inclusive bounds, tiny tolerance against float boundaries).
+    """Integer (a, b, r) of the window rows (``_window_rows``) with
+    |r| <= c2 s, in (a, b, r) order.
 
     Each emitted chain (a_hat, r) is re-verified against the region at
     this s; the rectangle-in-region construction guarantee makes a
     failure here a geometry bug worth surfacing loudly.
     """
-    eps = 1e-9
-    lo = (window.c3 * s) ** 2 * (1 - eps)
-    hi = (window.c4 * s) ** 2 * (1 + eps)
-    r_hi = int(math.floor(window.c2 * s * (1 + eps)))
-    a_max = int(math.floor(window.c4 * s * (1 + eps))) + 1
+    r_max = _window_r_max(s, window)
     out = []
-    for a in range(1, a_max + 1):
-        for b in range(-a, a + 1):
-            if lo <= a * a + b * b <= hi:
-                for r in range(-r_hi, r_hi + 1):
-                    tr = SquireTriple(a=a, b=b, r=r)
-                    if not region_contains_point(window.delta_star, s,
-                                                 tr.a_hat, r):
-                        raise RuntimeError(
-                            f"window triple {tr} fell outside the region "
-                            f"at s={s}; window {window} is inconsistent"
-                        )
-                    out.append(tr)
+    for a, b_lo, b_hi in _window_rows(s, window):
+        # b ascending: -b_hi..-b_lo, then b_lo..b_hi, with b = 0 once
+        for b in [*range(-b_hi, -b_lo + 1), *range(max(b_lo, 1), b_hi + 1)]:
+            for r in range(-r_max, r_max + 1):
+                tr = SquireTriple(a=a, b=b, r=r)
+                if not region_contains_point(window.delta_star, s,
+                                             tr.a_hat, r):
+                    raise RuntimeError(
+                        f"window triple {tr} fell outside the region "
+                        f"at s={s}; window {window} is inconsistent"
+                    )
+                out.append(tr)
     return out
 
 
 def count_triples(s: int, window: CountWindow = DEFAULT_WINDOW) -> TripleCount:
-    """Exact enumeration, one row of b per a in integer arithmetic (O(s)
+    """Exact count of ``admissible_triples`` from the window rows (O(s)
     time and memory), plus the density fit count/s^3."""
-    eps = 1e-9
-    lo = math.ceil((window.c3 * s) ** 2 * (1 - eps))
-    hi = math.floor((window.c4 * s) ** 2 * (1 + eps))
-    pairs = 0
-    for a in range(1, math.isqrt(hi) + 1):
-        # 0 <= b_lo <= |b| <= b_hi: |b| <= a and lo <= a^2 + b^2 <= hi
-        b_hi = min(a, math.isqrt(hi - a * a))
-        b_lo = math.isqrt(lo - a * a - 1) + 1 if lo > a * a else 0
-        if b_lo <= b_hi:
-            pairs += 2 * (b_hi - b_lo + 1) - (b_lo == 0)
-    r_values = 2 * int(math.floor(window.c2 * s * (1 + eps))) + 1
-    count = pairs * r_values
-    return TripleCount(
-        s=s, count=count, c5_fit=count / s**3,
-        c5_halfwindow=window.c5_halfwindow(), c5_fullwindow=window.c5_fullwindow(),
-    )
+    pairs = sum(2 * (b_hi - b_lo + 1) - (b_lo == 0)
+                for _, b_lo, b_hi in _window_rows(s, window))
+    count = pairs * (2 * _window_r_max(s, window) + 1)
+    return TripleCount(s=s, count=count, c5_fit=count / s**3)
 
 
 def lambda2_threshold(s: int, alpha: float, delta: float) -> float:
-    """Amplitude above which every in-region chain is unstable (the upper
-    edge of the neutral-threshold window)."""
-    return lambda_interval(s, delta, alpha)[1]
+    """Amplitude above which every in-region chain is unstable: the upper
+    edge of the ``lu_interval`` window for Lambda_0, stated for the
+    amplitude lam = 2 sqrt2 pi (1 + alpha^2 s^2) Lambda."""
+    if alpha == 0.0:
+        return 20.0 * math.pi / (3.0 * math.sqrt(6.0)) * s / delta**2
+    fac = (1.0 + alpha**2 * s**2) ** 2
+    return 110.0 * math.sqrt(5.0) * math.pi / 63.0 * s * fac / delta**2
 
 
 def lambda3_driver(s: int, alpha: float, delta: float) -> float:

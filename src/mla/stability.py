@@ -63,7 +63,6 @@ __all__ = [
     "principal_sigma",
     "lambda0_threshold",
     "lu_interval",
-    "lambda_interval",
     "lower_bound_dim2d",
     "stability_sweep",
     "LOWER_COEFF_ALPHA0",
@@ -315,7 +314,6 @@ class StabilityResult:
     """Principal real eigenvalue of a chain, with its decaying eigenvector."""
 
     sigma_hat: float
-    capital_lambda: float
     eigen_residual: float
     eigenvector: np.ndarray
     offsets: np.ndarray
@@ -436,9 +434,9 @@ def _largest_real_decaying(sys: GeneralizedEigSystem, guess=None):
     return None
 
 
-def _settled_eigenpair(build, n_trunc: int, sigma_ref: float = 0.0):
+def _settled_eigenpair(build, sigma_ref: float = 0.0):
     """(value, vector, system, m) of the largest real decaying eigenpair of
-    build(m), doubling m from n_trunc up to MAX_TRUNC until value settles.
+    build(m), doubling m from N_TRUNC up to MAX_TRUNC until value settles.
 
     Two misses in a row end the search once 2 |off_a| < |diag_a - sigma_ref
     diag_b| on both edge rows: the tail of an eigenvector whose eigenvalue is
@@ -451,7 +449,7 @@ def _settled_eigenpair(build, n_trunc: int, sigma_ref: float = 0.0):
     densely only if inverse iteration from there does not settle against v.
     """
     prev, guess, misses = None, None, 0
-    trunc = n_trunc
+    trunc = N_TRUNC
     while trunc <= MAX_TRUNC:
         sys = build(trunc)
         got = _largest_real_decaying(sys, guess)
@@ -484,10 +482,9 @@ def principal_sigma(prob: RecurrenceProblem) -> StabilityResult:
     fails to converge below 1e-10.
     """
     sigma, vec, sys, trunc = _settled_eigenpair(
-        lambda m: build_recurrence_system(prob, m), N_TRUNC)
+        lambda m: build_recurrence_system(prob, m))
     return StabilityResult(
         sigma_hat=sigma,
-        capital_lambda=prob.capital_lambda,
         eigen_residual=sys.residual(sigma, vec),
         eigenvector=vec,
         offsets=prob.offsets(trunc),
@@ -514,20 +511,6 @@ def lu_interval(s: int, delta: float, alpha: float) -> tuple[float, float]:
     )
 
 
-def lambda_interval(s: int, delta: float, alpha: float) -> tuple[float, float]:
-    """The same window stated for the amplitude lam instead of Lambda."""
-    if alpha == 0.0:
-        return (
-            2.0 * math.pi * delta**2 * s,
-            20.0 * math.pi / (3.0 * math.sqrt(6.0)) * s / delta**2,
-        )
-    fac = (1.0 + alpha**2 * s**2) ** 2
-    return (
-        2.0 * math.pi * delta**2 * s * fac,
-        110.0 * math.sqrt(5.0) * math.pi / 63.0 * s * fac / delta**2,
-    )
-
-
 def lambda0_threshold(s: int, t: float, r: int, alpha: float,
                       delta: float) -> float:
     """Neutral threshold Lambda_0 = 1/mu, where sigma_hat(Lambda_0) = 0.
@@ -548,7 +531,7 @@ def lambda0_threshold(s: int, t: float, r: int, alpha: float,
     lo, hi = lu_interval(s, delta, alpha)
     lo, hi = lo / 10.0, hi * 10.0
     # mu < 1/hi fails the window check, so tails are resolved down to 1/hi
-    mu = _settled_eigenpair(neutral, N_TRUNC, 1.0 / hi)[0]
+    mu = _settled_eigenpair(neutral, 1.0 / hi)[0]
     if not 1.0 / hi < mu < 1.0 / lo:
         raise EigensolverError(f"Lambda_0 = 1/{mu} lies outside [{lo}, {hi}]")
     lam0, h = 1.0 / mu, 0.5 * LAMBDA0_REL_WIDTH

@@ -525,6 +525,58 @@ def test_main_squire_config_at_fault_is_one_error_line(tmp_path, capsys, doc,
     assert not (tmp_path / "out").exists()
 
 
+_NON_FINITE_DOCS = {
+    "scalar": dict(MINIMAL_SIMULATE, t_final="@"),
+    "list": {"command": "bounds", "g_values": ["@", 100.0], "alpha_values": [0.0]},
+}
+
+
+@pytest.mark.parametrize("where", ["scalar", "list"])
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_main_non_finite_number_is_one_config_error(tmp_path, capsys, token, where):
+    # json reads these tokens as floats, and 1e400 as inf
+    doc = dict(_NON_FINITE_DOCS[where], output_dir=str(tmp_path / "out"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc).replace('"@"', token))
+    assert cli.main([doc["command"], "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: non-finite number {token}: every number must be finite\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["bounds", "report"])
+@pytest.mark.parametrize("keys", [
+    {"eps_g": 1e200}, {"alpha_values": [1e200]}, {"alpha_values": [1e154]},
+], ids=["eps_g1e200", "alpha1e200", "alpha1e154"])
+def test_main_bound_overflow_is_one_config_error(tmp_path, capsys, command, keys):
+    # every input is finite and in range, but a bound formula overflows
+    doc = {"command": command, "g_values": [100.0], "alpha_values": [0.0],
+           "output_dir": str(tmp_path / "out"), **keys}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_out_of_memory_is_exit_3(tmp_path, capsys, monkeypatch):
+    # a grid too large to allocate fails at its first array; no large array
+    # is made here
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setattr(cli.dynamics, "kolmogorov_forcing", no_memory)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(MINIMAL_SIMULATE, output_dir=str(tmp_path / "out"))))
+    assert cli.main(["simulate", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 8.00 TiB for an array\n")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+
+
 def test_squire_default_c6_needs_triples_only_when_used(tmp_path):
     # alpha = 0 has no small-alpha bound, so c6 is unused and s = 1 is fine
     doc = {"command": "squire", "s": 6, "max_lifts": 0, "count_s": [1]}

@@ -402,8 +402,10 @@ def test_lift_reflection_same_growth():
     dn = SquireTriple(a=3, b=-1, r=0)
     mode_up = lift_mode(up, solve_hat_mode(up, setup), setup)
     mode_dn = lift_mode(dn, solve_hat_mode(dn, setup), setup)
-    assert mode_up.growth_rate == pytest.approx(mode_dn.growth_rate, rel=1e-12)
-    assert mode_up.growth_rate > 0
+    growth_up, growth_dn = (float(-np.real(1j * m.a * m.c))
+                            for m in (mode_up, mode_dn))
+    assert growth_up == pytest.approx(growth_dn, rel=1e-12)
+    assert growth_up > 0
 
 
 def test_lift_rejects_stable_input():
@@ -564,6 +566,31 @@ def test_count_matches_bruteforce():
     assert len(trs) == brute
 
 
+def _float_admissible_triples(s, w):
+    """The triple window with float bounds widened by a relative eps, as
+    enumerated before the integer window rows."""
+    eps = 1e-9
+    lo = (w.c3 * s) ** 2 * (1 - eps)
+    hi = (w.c4 * s) ** 2 * (1 + eps)
+    r_hi = int(math.floor(w.c2 * s * (1 + eps)))
+    a_max = int(math.floor(w.c4 * s * (1 + eps))) + 1
+    return [(a, b, r)
+            for a in range(1, a_max + 1)
+            for b in range(-a, a + 1) if lo <= a * a + b * b <= hi
+            for r in range(-r_hi, r_hi + 1)]
+
+
+@pytest.mark.parametrize("w", [DEFAULT_WINDOW,
+                               CountWindow(c2=0.08, c3=0.45, c4=0.5),
+                               CountWindow(c2=0.02, c3=0.3, c4=0.55)])
+def test_window_rows_match_float_window_oracle(w):
+    # the same triples in the same (a, b, r) order, and a count that agrees
+    for s in range(1, 121):
+        got = [(t.a, t.b, t.r) for t in admissible_triples(s, w)]
+        assert got == _float_admissible_triples(s, w)
+        assert count_triples(s, w).count == len(got)
+
+
 def _dense_count(s, w):
     """The (a, b) grid count on a dense array, as counted before the
     integer row count."""
@@ -597,9 +624,9 @@ def test_count_density_converges():
         assert abs(fits[s] / fits[400] - 1.0) < 0.10
     # the empirical density lands on the full-window candidate, twice the
     # half-window one; both are reported, neither adjudicated
-    tc = count_triples(400)
-    assert tc.c5_fit == pytest.approx(tc.c5_fullwindow, rel=0.05)
-    assert tc.c5_fullwindow == pytest.approx(2.0 * tc.c5_halfwindow, rel=1e-12)
+    w = DEFAULT_WINDOW
+    assert count_triples(400).c5_fit == pytest.approx(w.c5_fullwindow(), rel=0.05)
+    assert w.c5_fullwindow() == pytest.approx(2.0 * w.c5_halfwindow(), rel=1e-12)
 
 
 # ---------------------------------------------------------------------

@@ -28,7 +28,6 @@ from mla.stability import (
     capital_lambda,
     count_lattice,
     lambda0_threshold,
-    lambda_interval,
     lattice_points,
     lower_bound_dim2d,
     lu_interval,
@@ -39,6 +38,7 @@ from mla.stability import (
     region_contains_point,
     stability_sweep,
 )
+from mla.squire import lambda2_threshold
 
 SQRT2PI2 = 2.0 * math.sqrt(2.0) * math.pi
 
@@ -452,7 +452,7 @@ def test_inverse_iteration_nudges_an_exactly_singular_shift():
 def test_stability_result_residual_invariant():
     with pytest.raises(EigensolverError):
         StabilityResult(
-            sigma_hat=1.0, capital_lambda=1.0, eigen_residual=1e-6,
+            sigma_hat=1.0, eigen_residual=1e-6,
             eigenvector=np.ones(3), offsets=np.arange(-1, 2), n_trunc_used=1,
         )
 
@@ -603,12 +603,12 @@ def _seeded_in_region_chains():
     return cases
 
 
-def _dense_settled_eigenpair(build, n_trunc, sigma_ref=0.0):
+def _dense_settled_eigenpair(build, sigma_ref=0.0):
     """The doubling loop with a dense selection at every truncation: the
     dense-eigenvector oracle, without the warm start from the vector that
     the previous truncation settled."""
     prev, misses = None, 0
-    trunc = n_trunc
+    trunc = stability.N_TRUNC
     while trunc <= stability.MAX_TRUNC:
         sys = build(trunc)
         got = _dense_largest_real_decaying(sys)
@@ -799,15 +799,13 @@ def test_lambda0_without_resolved_sign_change_raises(monkeypatch):
         lambda0_threshold(4, 2, 0, 0.0, 0.3)
 
 
-def test_lambda_interval_consistent_with_capital_form():
-    # the amplitude-form window equals the Lambda-form window scaled by
+def test_lambda2_threshold_consistent_with_capital_form():
+    # the amplitude-form upper edge equals the Lambda-form one scaled by
     # 2 sqrt2 pi (1 + alpha^2 s^2) -- checked for both transcriptions
     for s, delta, alpha in ((4, 0.3, 0.0), (6, 0.25, 0.2), (9, 0.4, 0.05)):
-        cap = lu_interval(s, delta, alpha)
-        lamw = lambda_interval(s, delta, alpha)
         scale = SQRT2PI2 * (1 + alpha**2 * s**2)
-        assert lamw[0] == pytest.approx(cap[0] * scale, rel=1e-12)
-        assert lamw[1] == pytest.approx(cap[1] * scale, rel=1e-12)
+        assert lambda2_threshold(s, alpha, delta) == pytest.approx(
+            lu_interval(s, delta, alpha)[1] * scale, rel=1e-12)
 
 
 # ---------------------------------------------------------------------
