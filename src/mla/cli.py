@@ -79,6 +79,8 @@ def _positive_int_list(x):
 # One documented table of every parameter and default.  Entries are
 # (type, default, check, constraint text); REQUIRED means no default.
 REQUIRED = object()
+#: Ceiling on the step count t_final / dt of a simulate run.
+MAX_STEPS = 10**7
 DEFAULTS: dict[str, dict[str, tuple]] = {
     "simulate": {
         "nu": ("number", REQUIRED, _positive, "must be > 0"),
@@ -90,7 +92,8 @@ DEFAULTS: dict[str, dict[str, tuple]] = {
         "s": ("integer", REQUIRED, lambda x: x >= 1, "must be >= 1"),
         "lambda": ("number", REQUIRED, _positive, "must be > 0"),
         "dt": ("number", REQUIRED, _positive, "must be > 0"),
-        "t_final": ("number", REQUIRED, _positive, "must be > 0"),
+        "t_final": ("number", REQUIRED, _positive,
+                    f"must be > 0, and t_final / dt at most {MAX_STEPS:,} steps"),
         "sample_every": ("integer", 10, lambda x: x >= 1, "must be >= 1"),
         "init_amplitude": ("number", 1e-3, _nonneg, "must be >= 0"),
         "cfl": ("number", 0.5, _positive, "must be > 0"),
@@ -148,10 +151,15 @@ _TYPE_CHECK = {
 
 def _check_simulate(p: dict) -> list[str]:
     grid = spectral.SpectralGrid(p["n_modes"], Fraction(p["dealias_fraction"]))
+    errors = []
     if p["s"] >= grid.dealias_cutoff:
-        return [f"s: must lie below the dealias cutoff {grid.dealias_cutoff} "
-                f"(got {p['s']})"]
-    return []
+        errors.append(f"s: must lie below the dealias cutoff {grid.dealias_cutoff} "
+                      f"(got {p['s']})")
+    # run takes round(t_final / dt) steps; the quotient may overflow to inf
+    if p["t_final"] / p["dt"] > MAX_STEPS:
+        errors.append(f"t_final: t_final / dt = {p['t_final'] / p['dt']:.3g} "
+                      f"exceeds the ceiling of {MAX_STEPS:,} steps")
+    return errors
 
 
 def _check_bounds(p: dict) -> list[str]:
@@ -176,10 +184,24 @@ def _amplitude_errors(lam: float, s: int, alpha: float) -> list[str]:
             "which is not finite and > 0 (alpha^2 s^2 is too large)"]
 
 
+def _window_error(name: str, value: float) -> list[str]:
+    return [f"{name}: the upper edge of the Lambda_0 window, which grows as "
+            f"1/{name}^2, is not finite (got {value!r})"]
+
+
 def _check_stability(p: dict) -> list[str]:
-    # alpha^2 s^2 of the rescaled amplitude and its window may overflow a float
-    stability.lu_interval(p["s"], p["delta"], p["alpha"])
-    return _amplitude_errors(p["lambda"], p["s"], p["alpha"])
+    # alpha^2 s^2 of the rescaled amplitude and its window may overflow a
+    # float.  With the amplitude finite only 1/delta^2 can make the window
+    # infinite, or divide by 0 where delta^2 underflows.
+    errors = _amplitude_errors(p["lambda"], p["s"], p["alpha"])
+    if not errors:
+        try:
+            upper = stability.lu_interval(p["s"], p["delta"], p["alpha"])[1]
+        except ZeroDivisionError:
+            upper = math.inf
+        if upper == math.inf:
+            errors = _window_error("delta", p["delta"])
+    return errors
 
 
 def _check_squire(p: dict) -> list[str]:
@@ -187,8 +209,18 @@ def _check_squire(p: dict) -> list[str]:
         window = _count_window(p)
     except ValueError as exc:
         return [f"c2/c3/c4: {exc}"]
-    # the amplitude, given (then > 0) or the default driver, may overflow a float
-    lam = p["lambda"] or squire.lambda3_driver(p["s"], p["alpha"], p["delta_star"])
+    # the amplitude, given (then > 0) or the default driver, may overflow a
+    # float; the driver also grows as 1/delta_star^2, which may divide by 0
+    lam = p["lambda"]
+    if lam is None:
+        try:
+            lam = squire.lambda3_driver(p["s"], p["alpha"], p["delta_star"])
+        except ZeroDivisionError:
+            lam = math.inf
+        # an inf driver whose rescaled form is inf, not nan, has a finite
+        # 1 + alpha^2 s^2: 1/delta_star^2 overflowed
+        if stability.capital_lambda(lam, p["s"], p["alpha"]) == math.inf:
+            return _window_error("delta_star", p["delta_star"])
     errors = _amplitude_errors(lam, p["s"], p["alpha"])
     if (not errors and p["c6"] is None and p["alpha"] > 0
             and squire.count_triples(p["count_s"][-1], window).count == 0):
@@ -465,14 +497,16 @@ def _cmd_simulate(p: dict, out: Path, seed: int, written: list[Path]) -> None:
 
 
 def _sigma_grid_rows(s, alpha, delta, t, r, n_points) -> list[dict]:
+    """sigma_hat of chain (t, r) across the Lambda_0 window; NaN, with its
+    reason in ``error``, where it could not be computed."""
     lo, hi = stability.lu_interval(s, delta, alpha)
-    caps = np.geomspace(lo / 2, hi, n_points)
     rows = []
-    for cap in caps:
-        res = stability.principal_sigma(
-            stability.RecurrenceProblem(s=s, t=t, r=r,
-                                        capital_lambda=float(cap), alpha=alpha))
-        rows.append({"capital_lambda": float(cap), "sigma_hat": res.sigma_hat})
+    for cap in np.geomspace(lo / 2, hi, n_points):
+        sigma, error = stability._solve_or_reason(
+            lambda: stability.principal_sigma(stability.RecurrenceProblem(
+                s=s, t=t, r=r, capital_lambda=float(cap), alpha=alpha)).sigma_hat)
+        rows.append({"capital_lambda": float(cap), "sigma_hat": sigma,
+                     "error": error})
     return rows
 
 
@@ -488,6 +522,21 @@ def _cmd_stability(p: dict, out: Path, seed: int, written: list[Path]) -> None:
           r["capital_lambda"], r["sigma_hat"], r["lambda0"],
           r["in_region"]) for r in rows]))
 
+    grid_rows = []
+    if pairs:
+        t, r = pairs[0]
+        grid_rows = _sigma_grid_rows(s, alpha, delta, t, r,
+                                     p["sigma_grid_points"])
+    # one entry per blank cell: sweep.csv's sigma_hat and lambda0, and the
+    # sigma_hat of sigma_vs_lambda.csv, which also names its capital_lambda
+    skipped = [{"t": r["t"], "r": r["r"], "column": column, "error": error}
+               for r in rows
+               for column, error in (("sigma_hat", r["error"]),
+                                     ("lambda0", r["lambda0_error"]))
+               if error is not None]
+    skipped += [{"t": pairs[0][0], "r": pairs[0][1],
+                 "capital_lambda": row["capital_lambda"], "column": "sigma_hat",
+                 "error": row["error"]} for row in grid_rows if row["error"] is not None]
     delta_star, adelta_max = stability.optimize_delta()
     g = dynamics.grashof(dynamics.ForcingSpec(s=s, lam=lam))
     summary = {
@@ -497,14 +546,10 @@ def _cmd_stability(p: dict, out: Path, seed: int, written: list[Path]) -> None:
         "max_a_delta_scaled": adelta_max,
         "grashof": g,
         "lower_bound_2d": asdict(stability.lower_bound_dim2d(g, alpha)),
-        "skipped": [{"t": r["t"], "r": r["r"], "error": r["error"]}
-                    for r in rows if r["error"] is not None],
+        "skipped": skipped,
     }
     written.append(_write_json(out / "summary.json", summary))
     if pairs:
-        t, r = pairs[0]
-        grid_rows = _sigma_grid_rows(s, alpha, delta, t, r,
-                                     p["sigma_grid_points"])
         written += emit_plot_data(grid_rows, "sigma_vs_lambda", out)
 
 
@@ -559,14 +604,15 @@ def _cmd_squire(p: dict, out: Path, seed: int, written: list[Path]) -> None:
         lam = squire.lambda3_driver(s, alpha, p["delta_star"])
     setup = squire.Setup3D(s, lam, nu, alpha)
 
-    rows = []
+    rows, stable = [], 0
     for tr in squire.admissible_triples(s, window)[: p["max_lifts"]]:
         res2d = squire.solve_hat_mode(tr, setup)
         if res2d.sigma_hat > 0:
             mode = squire.lift_mode(tr, res2d, setup)
             residual = max(mode.residuals.values())
-        else:
+        else:  # a stable hat mode has no lift: its residual stays blank
             residual = math.nan
+            stable += 1
         rows.append((s, tr.a, tr.b, tr.r, tr.a_hat, res2d.sigma_hat, residual))
     written.append(_write_csv(out / "triples.csv",
                               "s,a,b,r,a_hat,sigma_hat,residual", rows))
@@ -586,7 +632,8 @@ def _cmd_squire(p: dict, out: Path, seed: int, written: list[Path]) -> None:
         "c5_fit": {str(c.s): c.c5_fit for c in counts},
         "c5_halfwindow": window.c5_halfwindow(),
         "c5_fullwindow": window.c5_fullwindow(),
-        "lifted": len(rows),
+        "lifted": len(rows) - stable,
+        "stable": stable,
     }
     if alpha > 0:
         g = dynamics.grashof(dynamics.ForcingSpec(s=s, lam=lam))

@@ -30,9 +30,12 @@ Both pick the eigenpair alike: a dense solve of the balanced B^{-1} A gives
 the eigenvalues only; each real one, largest first, gets its eigenvector by
 O(n) inverse iteration until one decays at the truncation edge, and
 sigma_hat is the Rayleigh quotient e.Ae / e.Be of that converged vector.
-The truncation then doubles, and each doubling first runs inverse iteration
-from the zero-padded vector at the value found, so a chain that settles
-makes one dense solve, at its first truncation.  The dense solve is
+The truncation starts at 16 and doubles.  Where a tail certificate (a bound
+on the edge entries of every eigenvector with a larger value, proved from
+the per-row coupling ratios) shows that no larger pair lies beyond the
+truncation, the next doubling first runs inverse iteration from the
+zero-padded vector at the value found, so a chain that settles makes one
+dense solve, at its first truncation.  The dense solve is
 ``numpy.linalg.eigvals``; each tridiagonal solve of the inverse iteration
 is ``_gtsv``, a plain-Python port of LAPACK's dgtsv, so the module needs
 no SciPy.
@@ -80,7 +83,7 @@ RESIDUAL_TOL = 1e-8
 #: Relative width across which sigma_hat must change sign at Lambda_0.
 LAMBDA0_REL_WIDTH = 1e-8
 #: Chain truncation the eigenpair search starts from.
-N_TRUNC = 64
+N_TRUNC = 16
 #: Largest chain truncation the eigenpair search doubles up to.
 MAX_TRUNC = 1024
 
@@ -252,6 +255,8 @@ class RecurrenceProblem:
             raise ValueError(f"capital_lambda must be positive, got {self.capital_lambda}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
+        # kappa_n^2 = s^2 needs |s n + r| < s, so |n| <= 1 when |r| <= s, as
+        # for every chain built here: the scan over |n| <= N_TRUNC is exhaustive
         k2 = self.kappa_sq(N_TRUNC)
         if np.any(np.abs(k2 - self.s**2) <= 1e-12 * self.s**2):
             raise ValueError(
@@ -400,10 +405,24 @@ def _settles(value: float, prev: float) -> bool:
     return abs(value - prev) < 1e-10 * (1.0 + abs(value))
 
 
-def _edges_resolved(sys: GeneralizedEigSystem, sigma_hat: float) -> bool:
-    """2 |off_a| < |diag_a - sigma_hat diag_b| on both edge rows."""
-    edge = np.abs(sys.diag_a - sigma_hat * sys.diag_b)[[0, -1]]
-    return bool(np.all(2.0 * np.abs(sys.off_a[[0, -1]]) < edge))
+def _tail_bound(sys: GeneralizedEigSystem, sigma: float) -> float:
+    """Bound on the edge entries of every eigenvector of value >= sigma, at
+    any longer truncation, scaled to 1 at its largest entry (inf if none):
+    the largest, over the two edges, of the product of rho / (1 - rho) over
+    the run of rows from the edge inward whose ratio rho = |off_a| /
+    |diag_a - sigma diag_b| is at most 1/4 with diag_a - sigma diag_b < 0.
+    The proof is in _settled_eigenpair's docstring."""
+    d = sys.diag_a - sigma * sys.diag_b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.where(d < 0.0, np.abs(sys.off_a) / -d, np.inf)
+    bound = 0.0
+    for tail in (rho[::-1], rho):  # the rows from each edge inward
+        ok = tail <= 0.25
+        run = len(tail) if ok.all() else int(np.argmin(ok))
+        if run == 0:
+            return math.inf
+        bound = max(bound, float(np.prod(tail[:run] / (1.0 - tail[:run]))))
+    return bound
 
 
 def _largest_real_decaying(sys: GeneralizedEigSystem, guess=None):
@@ -438,22 +457,47 @@ def _settled_eigenpair(build, sigma_ref: float = 0.0):
     """(value, vector, system, m) of the largest real decaying eigenpair of
     build(m), doubling m from N_TRUNC up to MAX_TRUNC until value settles.
 
-    Two misses in a row end the search once 2 |off_a| < |diag_a - sigma_ref
-    diag_b| on both edge rows: the tail of an eigenvector whose eigenvalue is
-    at least sigma_ref then shrinks over 2.4x per row, so a missing pair does
-    not exist rather than being cut off by the truncation.
-
-    By the same bound, a pair found where the edge rows are resolved at its
-    own value v has no larger real decaying pair beyond the truncation.  The
-    next doubling then guesses v and the zero-padded vector, and solves
-    densely only if inverse iteration from there does not settle against v.
+    Tail certificate.  Write row n of A e = lam B e as D_n(lam) e_n =
+    -c_n (e_{n+1} - e_{n-1}), with D_n = diag_a - lam diag_b and c_n = off_a,
+    and rho_n(lam) = |c_n| / |D_n(lam)|.  diag_b > 0, so where D_n(sigma) < 0,
+    |D_n(lam)| >= |D_n(sigma)| and rho_n(lam) <= rho_n(sigma) for every
+    lam >= sigma.  Let rows k..m be the run of _tail_bound at the upper edge
+    m (the lower edge mirrors it), and e an eigenvector of value lam >= sigma
+    of any truncation M > m, with max |e| = 1 and e_{M+1} = 0.
+    - Rows beyond the edge are resolved: rho_n(lam) <= 1/2 for m < n <= M.
+      Both chain families here have c_n = C (kappa_n^2 - s^2) and
+      D_n = -B_n (kappa_n^2 + lam) resp. -lam B_n kappa_n^2, where
+      B_n / kappa_n^2 = 1 + alpha^2 kappa_n^2 and kappa_n^2 grow with n > m
+      (their |r| <= s), and kappa_m^2 + lam > 0 resp. lam > 0 as
+      D_m(sigma) < 0.  So rho_n(lam) <= rho_m(lam) / (1 - s^2 / kappa_m^2),
+      kappa_m^2 >= (s (m - 1))^2 >= 2 s^2 for m >= 3, and
+      rho_n(lam) <= 2 rho_m(sigma) <= 1/2.
+    - Induction down from M: |e_n| <= g_n |e_{n-1}| with g_n <= 1 and, on
+      rows with rho_n <= 1/2, g_n = rho_n / (1 - rho_n g_{n+1}) <=
+      rho_n / (1 - rho_n), because |e_n| <= rho_n (|e_{n-1}| + |e_{n+1}|)
+      <= rho_n |e_{n-1}| + rho_n g_{n+1} |e_n|, and g_{M+1} = 0.
+    - So |e_m| <= prod_{n=k..m} rho_n / (1 - rho_n) |e_{k-1}|, and with
+      |e_{k-1}| <= 1 and rho_n(lam) <= rho_n(sigma) this is _tail_bound.
+    Where the bound is below DECAY_TAIL_TOL, such an e restricted to the rows
+    of truncation m is an eigenvector of it up to the edge residuals
+    |c_m e_{m+1}| <= |c_m e_m|: a pair of value >= sigma would decay there
+    rather than be cut off by the truncation.  Two claims follow:
+    - Two misses in a row end the search only where the bound holds at
+      sigma_ref: a pair of value >= sigma_ref that both truncations miss does
+      not exist rather than being cut off.
+    - A pair found where the bound holds at its own value v has no larger
+      real decaying pair beyond the truncation.  The next doubling then
+      guesses v and the zero-padded vector, and solves densely only if
+      inverse iteration from there does not settle against v.  A pair
+      without the bound gets a dense solve at the next doubling.
     """
     prev, guess, misses = None, None, 0
     trunc = N_TRUNC
     while trunc <= MAX_TRUNC:
         sys = build(trunc)
         got = _largest_real_decaying(sys, guess)
-        misses = misses + 1 if got is None and _edges_resolved(sys, sigma_ref) else 0
+        misses = misses + 1 if got is None and _tail_bound(
+            sys, sigma_ref) < DECAY_TAIL_TOL else 0
         if misses == 2:
             raise EigensolverError(
                 f"no real decaying eigenvalue at n_trunc={trunc // 2} or {trunc}")
@@ -463,7 +507,7 @@ def _settled_eigenpair(build, sigma_ref: float = 0.0):
             if prev is not None and _settles(value, prev):
                 return value, vec, sys, trunc
             prev = value
-            if _edges_resolved(sys, value):
+            if _tail_bound(sys, value) < DECAY_TAIL_TOL:
                 start = np.zeros(4 * trunc + 1)  # vec, zero-padded
                 start[trunc:-trunc] = vec
                 guess = (value, start)
@@ -591,6 +635,15 @@ def lower_bound_dim2d(g: float, alpha: float) -> LowerBound2D:
 # sweep driver
 # ---------------------------------------------------------------------
 
+def _solve_or_reason(solve) -> tuple[float, str | None]:
+    """(solve(), None), or (NaN, "<exception class>: <message>") where
+    solve() raises ValueError or EigensolverError."""
+    try:
+        return solve(), None
+    except (ValueError, EigensolverError) as exc:
+        return math.nan, f"{type(exc).__name__}: {exc}"
+
+
 def stability_sweep(s: int, alpha: float, delta: float, lam: float,
                     compute_lambda0: bool = True) -> list[dict]:
     """Chain scan over the region bounding box.
@@ -599,7 +652,9 @@ def stability_sweep(s: int, alpha: float, delta: float, lam: float,
     membership, and (for in-region pairs) the neutral threshold Lambda_0.
     A row whose sigma_hat could not be computed has sigma_hat NaN and
     ``error`` "<exception class>: <message>"; otherwise ``error`` is None.
-    Rows are emitted in fixed (t, r) order for reproducible output.
+    Likewise a Lambda_0 that could not be computed is NaN, with its reason
+    in ``lambda0_error``.  Rows are emitted in fixed (t, r) order for
+    reproducible output.
 
     Row (t, -r) repeats the values of row (t, r): kappa^2 of the chain
     (t, -r) at n is that of (t, r) at -n, and conjugating the reflected
@@ -614,23 +669,20 @@ def stability_sweep(s: int, alpha: float, delta: float, lam: float,
     for t, r in spec.box():
         in_region = region_contains(spec, t, r)
         if (t, -r) in solved:
-            sigma, error, lam0 = solved[t, -r]
+            sigma, error, lam0, lam0_error = solved[t, -r]
         else:
-            sigma, error = math.nan, None
-            try:
-                prob = RecurrenceProblem(s=s, t=t, r=r, capital_lambda=lam_cap,
-                                         alpha=alpha)
-                sigma = principal_sigma(prob).sigma_hat
-            except (ValueError, EigensolverError) as exc:
-                error = f"{type(exc).__name__}: {exc}"
-            lam0 = math.nan
+            sigma, error = _solve_or_reason(lambda: principal_sigma(
+                RecurrenceProblem(s=s, t=t, r=r, capital_lambda=lam_cap,
+                                  alpha=alpha)).sigma_hat)
+            lam0, lam0_error = math.nan, None
             if in_region and compute_lambda0:
-                lam0 = lambda0_threshold(s, t, r, alpha, delta)
-            solved[t, r] = sigma, error, lam0
+                lam0, lam0_error = _solve_or_reason(
+                    lambda: lambda0_threshold(s, t, r, alpha, delta))
+            solved[t, r] = sigma, error, lam0, lam0_error
         rows.append({
             "s": s, "t": t, "r": r, "alpha": alpha, "delta": delta,
             "lambda": lam, "capital_lambda": lam_cap,
             "sigma_hat": sigma, "lambda0": lam0,
-            "in_region": in_region, "error": error,
+            "in_region": in_region, "error": error, "lambda0_error": lam0_error,
         })
     return rows

@@ -109,6 +109,10 @@ _DOCUMENTS = _VALUES | st.sampled_from(sorted(_VALID)).flatmap(
 @example(dict(MINIMAL_SIMULATE, n_modes=_HUGE))
 @example(dict(_VALID["bounds"], g_values=[_HUGE]))
 @example(dict(_VALID["squire"], c2=_HUGE))
+# delta^2 underflows to 0 in the Lambda_0 window: was a ZeroDivisionError
+@example({"command": "stability", "s": 8, "alpha": 0.1,
+          "delta": 1.9448369489134733e-188, "lambda": 120.0})
+@example({"command": "squire", "s": 6, "delta_star": 1e-200})
 def test_parse_config_returns_or_raises_config_error(doc):
     try:
         parse_config(json.dumps(doc))
@@ -299,11 +303,28 @@ def test_squire_command(tmp_path):
     assert "20" in summary["count"]
 
 
-def _skipped_matches_blank_rows(out):
+@pytest.mark.parametrize("doc,lifted,stable", [
+    # every hat mode of this amplitude is stable: no row is lifted
+    ({"command": "squire", "s": 6, "alpha": 0.05, "lambda": 50.0,
+      "max_lifts": 10, "count_s": [50]}, 0, 5),
+    ({"command": "squire", "s": 6, "max_lifts": 3, "count_s": [20]}, 3, 0),
+], ids=["all-stable", "all-lifted"])
+def test_squire_summary_counts_lifts_not_rows(tmp_path, doc, lifted, stable):
+    run_command(parse_config(json.dumps(doc)), out_dir=tmp_path)
+    _, rows = read_csv(tmp_path / "triples.csv")
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert (summary["lifted"], summary["stable"]) == (lifted, stable)
+    assert sum(r["residual"] != "" for r in rows) == lifted
+    assert sum(float(r["sigma_hat"]) <= 0 for r in rows) == stable
+
+
+def _skipped_matches_blank_rows(out, column="sigma_hat"):
     _, rows = read_csv(out / "sweep.csv")
-    blank = sorted((int(r["t"]), int(r["r"])) for r in rows if r["sigma_hat"] == "")
+    blank = sorted((int(r["t"]), int(r["r"])) for r in rows
+                   if r[column] == "" and (column == "sigma_hat" or r["in_region"] == "true"))
     skipped = json.loads((out / "summary.json").read_text())["skipped"]
-    assert sorted((e["t"], e["r"]) for e in skipped) == blank
+    assert sorted((e["t"], e["r"]) for e in skipped if e["column"] == column
+                  and "capital_lambda" not in e) == blank
     assert all(e["error"] for e in skipped)
     return blank
 
@@ -318,20 +339,51 @@ def test_stability_blank_sigma_rows_are_explained(tmp_path):
     assert _skipped_matches_blank_rows(tmp_path / "shipped") == []
 
 
+def test_failed_lambda0_and_sigma_grid_cells_are_blank_and_explained(tmp_path,
+                                                                     monkeypatch):
+    # a failed Lambda_0 or sigma_vs_lambda solve blanks its cell, not the run
+    threshold, principal = stability.lambda0_threshold, stability.principal_sigma
+
+    def failing_threshold(s, t, r, alpha, delta):
+        if r != 0:  # solved once for the mirrored pair (4, +-1)
+            raise stability.EigensolverError("no Lambda_0 here")
+        return threshold(s, t, r, alpha, delta)
+
+    def failing_sigma(prob):  # the grid's top caps; the sweep stays below 20
+        if prob.capital_lambda > 100.0:
+            raise stability.EigensolverError("no sigma_hat here")
+        return principal(prob)
+
+    monkeypatch.setattr(stability, "lambda0_threshold", failing_threshold)
+    monkeypatch.setattr(stability, "principal_sigma", failing_sigma)
+    shipped = Path(__file__).parents[1] / "configs" / "stability_scan.json"
+    run_command(parse_config(shipped.read_text()), out_dir=tmp_path)
+    assert _skipped_matches_blank_rows(tmp_path) == []
+    assert _skipped_matches_blank_rows(tmp_path, "lambda0") == [(4, -1), (4, 1)]
+    _, grid = read_csv(tmp_path / "sigma_vs_lambda.csv")
+    blank = [float(r["capital_lambda"]) for r in grid if r["sigma_hat"] == ""]
+    skipped = json.loads((tmp_path / "summary.json").read_text())["skipped"]
+    assert blank and [e["capital_lambda"] for e in skipped
+                      if "capital_lambda" in e] == blank
+    assert all(e["error"] == "EigensolverError: no sigma_hat here"
+               for e in skipped if "capital_lambda" in e)
+
+
 def test_shipped_scan_solve_counts(tmp_path, monkeypatch):
     # 15 of the 25 box chains are solved, as row (t, -r) repeats row (t, r);
     # the 3 in the region add a mu chain and two sign checks each, and
-    # sigma_vs_lambda 20 chains: each settles after one dense solve
+    # sigma_vs_lambda 20 chains: each settles after one dense solve, at the
+    # start truncation 16, and a warm-started confirmation at 32
     sizes, solves = [], []
     eigvals, gtsv = np.linalg.eigvals, stability._gtsv
     monkeypatch.setattr(np.linalg, "eigvals",
                         lambda m: sizes.append(len(m)) or eigvals(m))
     monkeypatch.setattr(stability, "_gtsv",
-                        lambda *args: solves.append(1) or gtsv(*args))
+                        lambda dl, d, du, b: solves.append(len(d)) or gtsv(dl, d, du, b))
     shipped = Path(__file__).parents[1] / "configs" / "stability_scan.json"
     run_command(parse_config(shipped.read_text()), out_dir=tmp_path)
-    assert sizes == [129] * 44
-    assert len(solves) == 136
+    assert sizes == [33] * 44
+    assert sorted(solves) == [33] * 91 + [65] * 44
 
 
 def test_report_command(tmp_path):
@@ -542,6 +594,35 @@ def test_main_non_finite_number_is_one_config_error(tmp_path, capsys, token, whe
     assert capsys.readouterr().err == (
         f"config error: non-finite number {token}: every number must be finite\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"command": "stability", "s": 8, "alpha": 0.1,
+      "delta": 1.9448369489134733e-188, "lambda": 120.0}, "delta"),
+    ({"command": "squire", "s": 6, "delta_star": 1e-200}, "delta_star"),
+    # delta^2 is subnormal and 1/delta^2 overflows to inf
+    ({"command": "stability", "s": 8, "delta": 1e-160, "lambda": 120.0}, "delta"),
+    ({"command": "squire", "s": 6, "delta_star": 1e-160}, "delta_star"),
+    (dict(MINIMAL_SIMULATE, t_final=1e300, dt=0.01), "t_final"),
+    (dict(MINIMAL_SIMULATE, t_final=1e300, dt=1e-300), "t_final"),
+], ids=["delta", "delta_star", "delta_inf", "delta_star_inf", "steps", "steps_inf"])
+def test_main_underflow_and_step_count_are_one_config_error(tmp_path, capsys,
+                                                            doc, field):
+    # parse_config only: none of these runs is started
+    doc = dict(doc, output_dir=str(tmp_path / "out"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main([doc["command"], "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_step_count_ceiling_is_inclusive():
+    at = dict(MINIMAL_SIMULATE, dt=0.5, t_final=0.5 * cli.MAX_STEPS)
+    assert parse_config(json.dumps(at)).parameters["t_final"] == 0.5 * cli.MAX_STEPS
+    with pytest.raises(ConfigError, match="t_final: t_final / dt"):
+        parse_config(json.dumps(dict(at, t_final=0.5 * cli.MAX_STEPS + 1.0)))
 
 
 @pytest.mark.parametrize("command", ["bounds", "report"])

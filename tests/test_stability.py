@@ -604,11 +604,12 @@ def _seeded_in_region_chains():
 
 
 def _dense_settled_eigenpair(build, sigma_ref=0.0):
-    """The doubling loop with a dense selection at every truncation: the
-    dense-eigenvector oracle, without the warm start from the vector that
-    the previous truncation settled."""
+    """The doubling loop with a dense selection at every truncation, from a
+    fixed start of 64 and with the edge-row miss rule: the dense-eigenvector
+    oracle, without the warm start from the vector that the previous
+    truncation settled, and without the tail certificate."""
     prev, misses = None, 0
-    trunc = stability.N_TRUNC
+    trunc = 64
     while trunc <= stability.MAX_TRUNC:
         sys = build(trunc)
         got = _dense_largest_real_decaying(sys)
@@ -629,15 +630,24 @@ def _dense_settled_eigenpair(build, sigma_ref=0.0):
         f"(last value={prev})")
 
 
-def _fast_and_dense(monkeypatch, solve):
-    """solve() with the warm-started search and with a dense selection at
-    every doubling; None where it raises EigensolverError."""
+_REAL_LARGEST_REAL_DECAYING = stability._largest_real_decaying
+
+
+def _cold_largest_real_decaying(sys, guess=None):
+    """The selection with its guess dropped: a dense solve at every call."""
+    return _REAL_LARGEST_REAL_DECAYING(sys)
+
+
+def _fast_and_dense(monkeypatch, solve, name="_settled_eigenpair",
+                    oracle=_dense_settled_eigenpair):
+    """solve() as shipped and with ``oracle`` in place of stability.<name>
+    (by default the fixed-64 dense search); None where it raises
+    EigensolverError."""
     out = []
     for dense in (False, True):
         with monkeypatch.context() as mp:
             if dense:
-                mp.setattr(stability, "_settled_eigenpair",
-                           _dense_settled_eigenpair)
+                mp.setattr(stability, name, oracle)
             try:
                 out.append(solve())
             except EigensolverError:
@@ -670,11 +680,11 @@ def test_fast_selection_agrees_with_dense_oracle_on_squire_hat_chains(monkeypatc
             monkeypatch, lambda: principal_sigma(prob).sigma_hat))
 
 
-def _seeded_grid_cases():
-    """A seeded sample of chains (s 3-12, both alpha, Lambda = 0.5 s, 2 s
-    and 10 s over the delta = 0.05 box) and of in-region Lambda_0 chains at
-    delta = 0.3."""
-    rng = np.random.default_rng(9)
+def _seeded_grid_cases(seed=9, n_chains=24, n_thresholds=4):
+    """A seeded sample of the agreement grid: n_chains of its chains (s 3-12,
+    both alpha, Lambda = 0.5 s, 2 s and 10 s over the delta = 0.05 box) and
+    n_thresholds of its in-region Lambda_0 chains at delta = 0.3."""
+    rng = np.random.default_rng(seed)
     chains = []
     for s in range(3, 13):
         for alpha in (0.0, 0.1):
@@ -687,22 +697,59 @@ def _seeded_grid_cases():
                         pass
     thresholds = [(s, t, r, alpha) for s in range(3, 13) for alpha in (0.0, 0.1)
                   for (t, r) in lattice_points(RegionSpec(delta=0.3, s=s))]
-    return ([chains[i] for i in rng.choice(len(chains), 24, replace=False)],
-            [thresholds[i] for i in rng.choice(len(thresholds), 4, replace=False)])
+    return ([chains[i] for i in rng.choice(len(chains), n_chains, replace=False)],
+            [thresholds[i] for i in rng.choice(len(thresholds), n_thresholds,
+                                               replace=False)])
 
 
 def test_warm_start_matches_dense_solve_at_every_doubling(monkeypatch):
+    # the same search, with the guess of every doubling dropped
+    cold = {"name": "_largest_real_decaying", "oracle": _cold_largest_real_decaying}
     chains, thresholds = _seeded_grid_cases()
     for prob in chains:
         def solve():
             res = principal_sigma(prob)
             return res.sigma_hat, res.n_trunc_used
 
-        warm, dense = _fast_and_dense(monkeypatch, solve)
+        warm, dense = _fast_and_dense(monkeypatch, solve, **cold)
         assert (warm is None) == (dense is None), prob
         if warm is not None:
             assert _agree(warm[0], dense[0]), prob
             assert warm[1] == dense[1], prob
+    for s, t, r, alpha in thresholds:
+        assert _agree(*_fast_and_dense(
+            monkeypatch, lambda: lambda0_threshold(s, t, r, alpha, 0.3), **cold))
+
+
+def test_tail_bound_holds_for_every_eigenvector_of_a_longer_truncation():
+    # the bound at n_trunc 16 and value lam caps the rows +-16 of each real
+    # eigenvector of value lam at n_trunc 64; it is tight where the vector
+    # peaks next to the resolved run
+    checked = 0
+    for prob in _seeded_grid_cases(3, 12, 1)[0]:
+        short, long = (build_recurrence_system(prob, m) for m in (16, 64))
+        dense = np.diag(long.diag_a / long.diag_b)
+        idx = np.arange(long.size - 1)
+        dense[idx, idx + 1] = long.off_a[:-1] / long.diag_b[:-1]
+        dense[idx + 1, idx] = -long.off_a[1:] / long.diag_b[1:]
+        vals, vecs = scipy.linalg.eig(dense)
+        for lam, e in zip(vals, vecs.T):
+            if abs(lam.imag) > 1e-10 * (1.0 + abs(lam.real)):
+                continue
+            e = np.real(e / e[np.argmax(np.abs(e))])
+            bound = stability._tail_bound(short, lam.real)
+            assert max(abs(e[64 - 16]), abs(e[64 + 16])) <= bound + 1e-13, prob
+            checked += 1e-13 < bound < 1.0
+    assert checked > 50
+
+
+def test_start_at_16_agrees_with_the_fixed_64_oracle(monkeypatch):
+    # the same chains raise, and the values agree within 1e-9 (1 + |v|);
+    # n_trunc_used may differ
+    chains, thresholds = _seeded_grid_cases(16, 64, 8)
+    for prob in chains:
+        assert _agree(*_fast_and_dense(
+            monkeypatch, lambda: principal_sigma(prob).sigma_hat)), prob
     for s, t, r, alpha in thresholds:
         assert _agree(*_fast_and_dense(
             monkeypatch, lambda: lambda0_threshold(s, t, r, alpha, 0.3)))
@@ -721,17 +768,17 @@ def _recorded_eig_sizes(monkeypatch):
 
 
 def test_settled_chain_makes_one_dense_solve(monkeypatch):
-    # shipped scan chain (s, t, r) = (8, 3, 0): the dense solve at n_trunc 64
-    # finds the pair, and 128 confirms it from the zero-padded vector
+    # shipped scan chain (s, t, r) = (8, 3, 0): the dense solve at n_trunc 16
+    # finds the pair, and 32 confirms it from the zero-padded vector
     sizes = _recorded_eig_sizes(monkeypatch)
     cap = capital_lambda(120.0, 8, 0.1)
     res = principal_sigma(RecurrenceProblem(s=8, t=3, r=0, capital_lambda=cap,
                                             alpha=0.1))
-    assert res.n_trunc_used == 128
-    assert sizes == [129]
+    assert res.n_trunc_used == 32
+    assert sizes == [33]
     sizes.clear()
     lambda0_threshold(8, 3, 0, 0.1, 0.3)  # the mu chain and two sign checks
-    assert sizes == [129, 129, 129]
+    assert sizes == [33, 33, 33]
 
 
 def test_a_guess_that_does_not_settle_falls_back_to_the_dense_solve(monkeypatch):
@@ -745,6 +792,20 @@ def test_a_guess_that_does_not_settle_falls_back_to_the_dense_solve(monkeypatch)
     sizes.clear()
     got = stability._largest_real_decaying(sys, want)
     assert sizes == [] and abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
+
+
+def test_chain_the_certificate_refuses_at_16_solves_densely_further(monkeypatch):
+    # alpha = 0 and Lambda 10x the top of the delta = 0.05 window: the edge
+    # coupling Lambda t / kappa^2 at n_trunc 16 is 5.6, so no row there is
+    # resolved, and each doubling solves densely until one certifies its pair
+    cap = 10.0 * lu_interval(8, 0.05, 0.0)[1]
+    prob = RecurrenceProblem(s=8, t=3, r=0, capital_lambda=cap)
+    assert stability._tail_bound(build_recurrence_system(prob, 16), 0.0) == math.inf
+    fast, dense = _fast_and_dense(monkeypatch, lambda: principal_sigma(prob).sigma_hat)
+    sizes = _recorded_eig_sizes(monkeypatch)
+    assert principal_sigma(prob).n_trunc_used == 64
+    assert sizes == [33, 65, 129]
+    assert _agree(fast, dense)
 
 
 def test_lambda0_out_of_region_chain_raises():
@@ -765,20 +826,20 @@ def test_eigenpair_search_stops_after_two_truncations_without_one(monkeypatch):
 
     prob = RecurrenceProblem(s=4, t=2, r=0, capital_lambda=5.0)
     monkeypatch.setattr(stability, "_largest_real_decaying", every_other)
-    assert principal_sigma(prob).n_trunc_used == 512  # one miss: search goes on
+    assert principal_sigma(prob).n_trunc_used == 128  # one miss: search goes on
     assert guessed == [False, False, True, False]  # the 3rd was warm-started
     sizes.clear()
     monkeypatch.setattr(stability, "_largest_real_decaying",
                         lambda sys, guess=None: sizes.append(sys.size))
-    with pytest.raises(EigensolverError, match="n_trunc=64 or 128"):
+    with pytest.raises(EigensolverError, match="n_trunc=16 or 32"):
         principal_sigma(prob)
     assert len(sizes) == 2
 
 
 def test_unresolved_misses_do_not_stop_the_search(monkeypatch):
-    # edge coupling Lambda t (kappa^2 - s^2) / (B kappa^2) is 2.2 at n_trunc
-    # 64 and 0.55 at 128: neither resolves the tail, so their misses do not
-    # end the search, and 256 finds a real decaying eigenvalue
+    # edge coupling Lambda t (kappa^2 - s^2) / (B kappa^2) is 34, 8.7, 2.2
+    # and 0.55 at n_trunc 16 to 128: none resolves the tail, so their misses
+    # do not end the search, and 256 finds a real decaying eigenvalue
     prob = RecurrenceProblem(s=1, t=3, r=0, capital_lambda=3000.0)
     monkeypatch.setattr(stability, "MAX_TRUNC", 256)
     with pytest.raises(EigensolverError,
