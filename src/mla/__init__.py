@@ -2,3 +2,8 @@
 stability analysis, and global-attractor dimension bounds."""
 
 __version__ = "0.1.0"
+
+
+class NumericalError(RuntimeError):
+    """A result that could not be computed: a non-finite state, a step past
+    the CFL limit, a failed solve or a formula outside its domain (exit 3)."""

@@ -2,8 +2,9 @@
 two-sided report.
 
 Both upper-bound formulas are asymptotic in the Grashof number G; the
-log-brackets must be positive, and inputs violating that raise a typed
-domain error (the formulas say nothing about small G).  The constant L
+log-brackets must be positive, and inputs violating that raise
+``mla.NumericalError`` (the formulas say nothing about small G), which
+``two_sided_report`` records as a note beside a blank bound.  The constant L
 is a free input: pi on the sphere, unspecified on the torus.
 """
 
@@ -12,20 +13,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from . import NumericalError
 from .stability import lower_bound_dim2d
 
 __all__ = [
-    "BoundDomainError",
     "BoundInputs",
     "TwoSidedReport",
     "upper_bound_1",
     "upper_bound_2",
     "two_sided_report",
 ]
-
-
-class BoundDomainError(ValueError):
-    """Log-bracket non-positive: G too small for the asymptotic formula."""
 
 
 @dataclass(frozen=True)
@@ -63,9 +60,8 @@ def upper_bound_1(inputs: BoundInputs) -> float:
     la = inputs.l_const * (1.0 + inputs.alpha**2 * inputs.lambda1)
     bracket = math.log(g) - 0.5 * math.log(inputs.l_const / 2.0)
     if bracket <= 0.0:
-        raise BoundDomainError(
-            f"log G - (1/2) log(L/2) = {bracket} <= 0 at G={g}, L={inputs.l_const}"
-        )
+        raise NumericalError(
+            f"log G - (1/2) log(L/2) = {bracket} <= 0 at G={g}, L={inputs.l_const}")
     return g ** (2.0 / 3.0) * ((4.0 + eps) ** 3 / (3.0 * la) * bracket) ** (1.0 / 3.0)
 
 
@@ -76,10 +72,9 @@ def upper_bound_2(inputs: BoundInputs) -> float:
     la = inputs.l_const * (1.0 + inputs.alpha**2 * inputs.lambda1)
     bracket = math.log(g) + 0.5 + math.log(3.0 * math.sqrt(2.0) / math.sqrt(la))
     if bracket <= 0.0:
-        raise BoundDomainError(
+        raise NumericalError(
             f"log G + 1/2 + log(3 sqrt2/sqrt(L(1+a^2 l1))) = {bracket} <= 0 "
-            f"at G={g}, L={inputs.l_const}, alpha={inputs.alpha}"
-        )
+            f"at G={g}, L={inputs.l_const}, alpha={inputs.alpha}")
     return (12.0 / math.sqrt(la)) ** (2.0 / 3.0) * g ** (2.0 / 3.0) * bracket ** (1.0 / 3.0)
 
 
@@ -118,11 +113,11 @@ def two_sided_report(inputs: BoundInputs) -> TwoSidedReport:
     u1 = u2 = None
     try:
         u1 = upper_bound_1(inputs)
-    except BoundDomainError as exc:
+    except NumericalError as exc:
         notes.append(f"upper1 domain error: {exc}")
     try:
         u2 = upper_bound_2(inputs)
-    except BoundDomainError as exc:
+    except NumericalError as exc:
         notes.append(f"upper2 domain error: {exc}")
     candidates = [u for u in (u1, u2) if u is not None]
     upper_min = min(candidates) if candidates else None

@@ -3,8 +3,10 @@ run manifest out.
 
     mla <command> --config <file> [--out <dir>]
 
-Commands: simulate, stability, bounds, squire, report.  Exit codes:
-0 success, 2 validation error, 3 numerical failure or out of memory.
+Commands: simulate, stability, bounds, squire, report.  Exit codes: 0
+success; 1 internal error, a defect (any exception not named here), in one
+line; 2 validation error, an unreadable config or an unusable --out; 3
+``mla.NumericalError`` (a result that could not be computed) or out of memory.
 Identical config + seed produce bit-identical CSV outputs (floats are
 written with repr, rows in fixed order).
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -23,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import NumericalError, __version__
 from . import bounds as bounds_mod
 from . import dynamics, spectral, squire, stability
 
@@ -151,10 +154,21 @@ _TYPE_CHECK = {
 
 def _check_simulate(p: dict) -> list[str]:
     grid = spectral.SpectralGrid(p["n_modes"], Fraction(p["dealias_fraction"]))
+    spec = dynamics.ForcingSpec(s=p["s"], lam=p["lambda"])
     errors = []
-    if p["s"] >= grid.dealias_cutoff:
-        errors.append(f"s: must lie below the dealias cutoff {grid.dealias_cutoff} "
-                      f"(got {p['s']})")
+    try:
+        dynamics._check_spec_on_grid(spec, grid)
+    except ValueError as exc:
+        errors.append(f"s: {exc}")
+    # the forcing amplitude may overflow, to inf or in nu**2; the steady
+    # state's nu lam s is at most max(lam, nu^2 lam s^3), so it is finite then
+    try:
+        amplitude = dynamics._forcing_amplitude(spec, p["nu"])
+    except OverflowError:
+        amplitude = math.inf
+    if not math.isfinite(amplitude):
+        errors.append(f"lambda: the forcing amplitude nu^2 lambda s^3 / (sqrt2 pi) "
+                      f"is not finite (nu = {p['nu']!r}, lambda = {p['lambda']!r})")
     # run takes round(t_final / dt) steps; the quotient may overflow to inf
     if p["t_final"] / p["dt"] > MAX_STEPS:
         errors.append(f"t_final: t_final / dt = {p['t_final'] / p['dt']:.3g} "
@@ -163,15 +177,17 @@ def _check_simulate(p: dict) -> list[str]:
 
 
 def _check_bounds(p: dict) -> list[str]:
-    # each point's bounds are evaluated: finite inputs can still overflow them
+    # each point's bounds are evaluated: finite inputs can still overflow
+    # them.  Each cause is named once, at the first point that shows it.
     errors = {}
     for g in p["g_values"]:
         for alpha in p["alpha_values"]:
             try:
                 bounds_mod.two_sided_report(_bound_inputs(p, g, alpha))
             except ValueError as exc:
-                errors[f"g_values/alpha_values: {exc}"] = None
-    return list(errors)
+                errors.setdefault(str(exc), (g, alpha))
+    return [f"g_values/alpha_values: {cause} at (g, alpha) = ({g!r}, {alpha!r})"
+            for cause, (g, alpha) in errors.items()]
 
 
 def _amplitude_errors(lam: float, s: int, alpha: float) -> list[str]:
@@ -226,6 +242,8 @@ def _check_squire(p: dict) -> list[str]:
             and squire.count_triples(p["count_s"][-1], window).count == 0):
         errors = [f"count_s: no triples at s={p['count_s'][-1]}, so the default "
                   "c6 (the c5 fit there) is 0; use a larger last s or set c6"]
+    if p["alpha"] > 0 and p["alpha"] ** 3 == 0:  # the 3-D bound divides by it
+        errors.append(f"alpha: alpha^3 underflows to 0 (got {p['alpha']!r})")
     return errors
 
 
@@ -605,7 +623,8 @@ def _cmd_squire(p: dict, out: Path, seed: int, written: list[Path]) -> None:
     setup = squire.Setup3D(s, lam, nu, alpha)
 
     rows, stable = [], 0
-    for tr in squire.admissible_triples(s, window)[: p["max_lifts"]]:
+    for tr in itertools.islice(squire.admissible_triples(s, window),
+                               p["max_lifts"]):
         res2d = squire.solve_hat_mode(tr, setup)
         if res2d.sigma_hat > 0:
             mode = squire.lift_mode(tr, res2d, setup)
@@ -697,6 +716,35 @@ def run_command(config: ExperimentConfig, out_dir=None,
     return manifest
 
 
+def _main(args: argparse.Namespace) -> int:
+    try:
+        config = parse_config(Path(args.config).read_text())
+        if config.command != args.command:
+            raise ConfigError([f"config is for command {config.command!r}, "
+                               f"invoked as {args.command!r}"])
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return 2
+    except ConfigError as exc:
+        for e in exc.errors:
+            print(f"config error: {e}", file=sys.stderr)
+        return 2
+    try:
+        manifest = run_command(config, out_dir=args.out)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 3
+    print(f"ok: {len(manifest.outputs)} artifacts in "
+          f"{args.out or config.output_dir}")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="mla",
@@ -707,37 +755,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default=None, help="output directory "
                         "(default: output_dir from the config)")
-    args = parser.parse_args(argv)
-
     try:
-        config = parse_config(Path(args.config).read_text())
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        for e in exc.errors:
-            print(f"config error: {e}", file=sys.stderr)
-        return 2
-    if config.command != args.command:
-        print(f"config error: config is for command {config.command!r}, "
-              f"invoked as {args.command!r}", file=sys.stderr)
-        return 2
-    try:
-        manifest = run_command(config, out_dir=args.out)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 2
-    except (dynamics.NumericalError, dynamics.TimeStepError,
-            stability.EigensolverError, bounds_mod.BoundDomainError,
-            ValueError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 3
-    print(f"ok: {len(manifest.outputs)} artifacts in "
-          f"{args.out or config.output_dir}")
-    return 0
+        return _main(parser.parse_args(argv))
+    except Exception as exc:  # a defect: _main handles every expected cause
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import NumericalError
 from .spectral import (
     ScalarField,
     SpectralGrid,
@@ -36,8 +37,6 @@ __all__ = [
     "SolverState",
     "TrajectoryDiagnostics",
     "AsymptoticReport",
-    "NumericalError",
-    "TimeStepError",
     "kolmogorov_forcing",
     "stationary_psi",
     "grashof",
@@ -48,14 +47,6 @@ __all__ = [
     "check_asymptotic_bounds",
     "initial_state",
 ]
-
-
-class NumericalError(RuntimeError):
-    """NaN/Inf encountered or a solver invariant broke during stepping."""
-
-
-class TimeStepError(ValueError):
-    """Requested dt violates the advective CFL heuristic."""
 
 
 @dataclass(frozen=True)
@@ -123,11 +114,15 @@ def _check_spec_on_grid(spec: ForcingSpec, grid: SpectralGrid) -> None:
         )
 
 
+def _forcing_amplitude(spec: ForcingSpec, nu: float) -> float:
+    return -(nu**2) * spec.lam * spec.s**3 / (math.sqrt(2.0) * math.pi)
+
+
 def kolmogorov_forcing(spec: ForcingSpec, params: ModelParams) -> ScalarField:
     """F = -(1/(sqrt(2) pi)) nu^2 lam s^3 cos(s x2): two nonzero modes."""
     _check_spec_on_grid(spec, params.grid)
-    amp = -(params.nu**2) * spec.lam * spec.s**3 / (math.sqrt(2.0) * math.pi)
-    return ScalarField.harmonic(params.grid, 0, spec.s, amplitude=amp)
+    return ScalarField.harmonic(params.grid, 0, spec.s,
+                                amplitude=_forcing_amplitude(spec, params.nu))
 
 
 def stationary_psi(spec: ForcingSpec, params: ModelParams) -> ScalarField:
@@ -257,10 +252,8 @@ def step_imex(state: SolverState, dt: float, forcing: ScalarField, *,
     a += n1
     new = ScalarField(params.grid, a)
     if not np.all(np.isfinite(new.coeffs)):
-        raise NumericalError(
-            f"non-finite coefficients after step at t={state.time}: "
-            f"max|psi|={np.max(np.abs(psi))}, dt={dt}"
-        )
+        raise NumericalError(f"non-finite coefficients after step at t={state.time}: "
+                             f"max|psi|={np.max(np.abs(psi))}, dt={dt}")
     return SolverState(psi=new, time=state.time + dt, params=params)
 
 
@@ -270,7 +263,7 @@ def run(state: SolverState, t_final: float, dt: float, forcing: ScalarField,
 
     The number of steps is round((t_final - t0)/dt); there is no partial
     final step.  The CFL heuristic is enforced at the start and at every
-    sample.  Returns diagnostics with the final state attached.
+    sample (NumericalError).  Returns diagnostics with the final state attached.
     """
     if sample_every < 1:
         raise ValueError("sample_every must be a positive integer")
@@ -286,9 +279,8 @@ def run(state: SolverState, t_final: float, dt: float, forcing: ScalarField,
 
     buffers = _run_buffers(state.params)
     if dt > dt_max(state, cfl):
-        raise TimeStepError(
-            f"dt={dt} exceeds advective limit {dt_max(state, cfl)} at start"
-        )
+        raise NumericalError(
+            f"dt={dt} exceeds advective limit {dt_max(state, cfl)} at start")
     acc = 0.0
     # norms of phi = (I - alpha^2 Lap)^{-1} psi
     g_prev = _norms(grid, state.psi.coeffs / buffers.helmholtz).h1_semi ** 2
@@ -299,9 +291,8 @@ def run(state: SolverState, t_final: float, dt: float, forcing: ScalarField,
         g_prev = m.h1_semi ** 2
         if (i + 1) % sample_every == 0:
             if dt > dt_max(state, cfl):
-                raise TimeStepError(
-                    f"dt={dt} exceeds advective limit at t={state.time}"
-                )
+                raise NumericalError(
+                    f"dt={dt} exceeds advective limit at t={state.time}")
             times.append(state.time)
             phis.append(m.l2)
             grads.append(m.h1_semi)

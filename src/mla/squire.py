@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import NumericalError
 from .stability import (
-    EigensolverError,
     RecurrenceProblem,
     StabilityResult,
     _gtsv,
@@ -164,7 +164,7 @@ class Mode1DProfile:
     def __post_init__(self):
         res = self.incompressibility_residual()
         if res > 1e-10:
-            raise ValueError(f"mode is not incompressible: residual {res}")
+            raise NumericalError(f"mode is not incompressible: residual {res}")
 
     def incompressibility_residual(self) -> float:
         m = _modes(self.m_max)
@@ -250,9 +250,8 @@ def reconstruct_omega2(triple: SquireTriple, q: np.ndarray, setup: Setup3D,
     """
     a, b = triple.a, triple.b
     if np.real(1j * a * c) >= 0:
-        raise ValueError(
-            f"reconstruction requires Re(iac) < 0, got {np.real(1j * a * c)}"
-        )
+        raise NumericalError(
+            f"reconstruction requires Re(iac) < 0, got {np.real(1j * a * c)}")
     _, D, H, u0_h, _ = _wave_tables(setup, triple.a_hat**2, m_max)
     s, diag = setup.s, setup.nu * D + 1j * a * c
     # -i a u0 H couples only modes s apart: row j holds +(a u0_amp/2) H w at
@@ -270,10 +269,8 @@ def reconstruct_omega2(triple: SquireTriple, q: np.ndarray, setup: Setup3D,
         t_w2 = diag * w2 - 1j * a * u0_h(w2)
         res = float(np.linalg.norm(t_w2 - rhs)) / rhs_norm
         if not res <= 1e-10:
-            raise EigensolverError(
-                f"omega2 solve residual {res} (near-singular system; "
-                "parameters contradict coercivity)"
-            )
+            raise NumericalError(f"omega2 solve residual {res} (near-singular "
+                                 "system; parameters contradict coercivity)")
     return w2
 
 
@@ -343,9 +340,7 @@ def lift_mode(triple: SquireTriple, two_d: StabilityResult, setup: Setup3D,
                          omega3=w3h.copy(), q=q, c=c)
     res = lineareq3_residuals(mode, setup)
     if max(res.values()) > LIFT_RESIDUAL_TOL:
-        raise EigensolverError(
-            f"lifted mode residuals {res} exceed {LIFT_RESIDUAL_TOL}"
-        )
+        raise NumericalError(f"lifted mode residuals {res} exceed {LIFT_RESIDUAL_TOL}")
     object.__setattr__(mode, "residuals", res)
     return mode
 
@@ -446,17 +441,15 @@ def _window_rows(s: int, window: CountWindow):
             yield a, b_lo, b_hi
 
 
-def admissible_triples(s: int, window: CountWindow = DEFAULT_WINDOW
-                       ) -> list[SquireTriple]:
-    """Integer (a, b, r) of the window rows (``_window_rows``) with
-    |r| <= c2 s, in (a, b, r) order.
+def admissible_triples(s: int, window: CountWindow = DEFAULT_WINDOW):
+    """Yield the integer (a, b, r) of the window rows (``_window_rows``)
+    with |r| <= c2 s, in (a, b, r) order, each built when it is taken.
 
     Each emitted chain (a_hat, r) is re-verified against the region at
     this s; the rectangle-in-region construction guarantee makes a
     failure here a geometry bug worth surfacing loudly.
     """
     r_max = _window_r_max(s, window)
-    out = []
     for a, b_lo, b_hi in _window_rows(s, window):
         # b ascending: -b_hi..-b_lo, then b_lo..b_hi, with b = 0 once
         for b in [*range(-b_hi, -b_lo + 1), *range(max(b_lo, 1), b_hi + 1)]:
@@ -468,8 +461,7 @@ def admissible_triples(s: int, window: CountWindow = DEFAULT_WINDOW
                         f"window triple {tr} fell outside the region "
                         f"at s={s}; window {window} is inconsistent"
                     )
-                out.append(tr)
-    return out
+                yield tr
 
 
 def count_triples(s: int, window: CountWindow = DEFAULT_WINDOW) -> TripleCount:

@@ -48,8 +48,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import NumericalError
+
 __all__ = [
-    "EigensolverError",
     "RegionSpec",
     "RecurrenceProblem",
     "GeneralizedEigSystem",
@@ -97,10 +98,6 @@ _INV_SQRT3 = 1.0 / math.sqrt(3.0)
 _X_TRIPLE = math.sqrt(11.0) / 6.0  # where the three section bounds all equal 1/6
 #: Coarse scan points and golden-section bracket width of optimize_delta.
 _DELTA_SCAN_POINTS, _DELTA_TOL = 80, 1e-7
-
-
-class EigensolverError(RuntimeError):
-    """Dense eigensolve failed or returned no usable eigenpair."""
 
 
 def capital_lambda(lam: float, s: int, alpha: float) -> float:
@@ -259,9 +256,8 @@ class RecurrenceProblem:
         # for every chain built here: the scan over |n| <= N_TRUNC is exhaustive
         k2 = self.kappa_sq(N_TRUNC)
         if np.any(np.abs(k2 - self.s**2) <= 1e-12 * self.s**2):
-            raise ValueError(
-                f"singular chain: kappa_n^2 = s^2 for some |n| <= {N_TRUNC}"
-            )
+            raise NumericalError(
+                f"singular chain: kappa_n^2 = s^2 for some |n| <= {N_TRUNC}")
 
     def offsets(self, n_trunc: int) -> np.ndarray:
         return np.arange(-n_trunc, n_trunc + 1)
@@ -326,9 +322,8 @@ class StabilityResult:
 
     def __post_init__(self):
         if not self.eigen_residual < RESIDUAL_TOL:
-            raise EigensolverError(
-                f"eigen residual {self.eigen_residual} exceeds {RESIDUAL_TOL}"
-            )
+            raise NumericalError(
+                f"eigen residual {self.eigen_residual} exceeds {RESIDUAL_TOL}")
 
 
 def _gtsv(dl: list, d: list, du: list, b: list) -> list:
@@ -444,7 +439,7 @@ def _largest_real_decaying(sys: GeneralizedEigSystem, guess=None):
     try:
         vals = np.linalg.eigvals(m)
     except Exception as exc:  # pragma: no cover - LAPACK failure surface
-        raise EigensolverError(f"dense eigensolve failed: {exc}") from exc
+        raise NumericalError(f"dense eigensolve failed: {exc}") from exc
     real = np.abs(vals.imag) < SIGMA_REAL_TOL * (1.0 + np.abs(vals.real))
     for value in np.sort(vals.real[real])[::-1]:
         vec = _inverse_iteration(sys, value)
@@ -499,7 +494,7 @@ def _settled_eigenpair(build, sigma_ref: float = 0.0):
         misses = misses + 1 if got is None and _tail_bound(
             sys, sigma_ref) < DECAY_TAIL_TOL else 0
         if misses == 2:
-            raise EigensolverError(
+            raise NumericalError(
                 f"no real decaying eigenvalue at n_trunc={trunc // 2} or {trunc}")
         guess = None
         if got is not None:
@@ -512,16 +507,14 @@ def _settled_eigenpair(build, sigma_ref: float = 0.0):
                 start[trunc:-trunc] = vec
                 guess = (value, start)
         trunc *= 2
-    raise EigensolverError(
-        f"eigenvalue did not converge by n_trunc={MAX_TRUNC} "
-        f"(last value={prev})"
-    )
+    raise NumericalError(f"eigenvalue did not converge by n_trunc={MAX_TRUNC} "
+                         f"(last value={prev})")
 
 
 def principal_sigma(prob: RecurrenceProblem) -> StabilityResult:
     """Track the monotone real branch, doubling n_trunc until it settles.
 
-    Raises EigensolverError if two truncations in a row that resolve the
+    Raises NumericalError if two truncations in a row that resolve the
     eigenvector tail have no real decaying eigenvalue, or if the doubling
     fails to converge below 1e-10.
     """
@@ -561,7 +554,7 @@ def lambda0_threshold(s: int, t: float, r: int, alpha: float,
 
     mu comes from the sigma_hat = 0 chain (module docstring), by the same
     truncation doubling as principal_sigma.  Post-checks raise
-    EigensolverError unless Lambda_0 lies in the two-sided window widened
+    NumericalError unless Lambda_0 lies in the two-sided window widened
     10x on each side and sigma_hat changes sign across it at relative width
     LAMBDA0_REL_WIDTH.
     """
@@ -577,13 +570,13 @@ def lambda0_threshold(s: int, t: float, r: int, alpha: float,
     # mu < 1/hi fails the window check, so tails are resolved down to 1/hi
     mu = _settled_eigenpair(neutral, 1.0 / hi)[0]
     if not 1.0 / hi < mu < 1.0 / lo:
-        raise EigensolverError(f"Lambda_0 = 1/{mu} lies outside [{lo}, {hi}]")
+        raise NumericalError(f"Lambda_0 = 1/{mu} lies outside [{lo}, {hi}]")
     lam0, h = 1.0 / mu, 0.5 * LAMBDA0_REL_WIDTH
     below, above = (principal_sigma(replace(prob, capital_lambda=lam0 * f)).sigma_hat
                     for f in (1.0 - h, 1.0 + h))
     if not below < 0.0 < above:
-        raise EigensolverError(f"sigma_hat does not change sign across "
-                               f"Lambda_0 = {lam0}: ({below}, {above})")
+        raise NumericalError(f"sigma_hat does not change sign across "
+                             f"Lambda_0 = {lam0}: ({below}, {above})")
     return lam0
 
 
@@ -636,11 +629,10 @@ def lower_bound_dim2d(g: float, alpha: float) -> LowerBound2D:
 # ---------------------------------------------------------------------
 
 def _solve_or_reason(solve) -> tuple[float, str | None]:
-    """(solve(), None), or (NaN, "<exception class>: <message>") where
-    solve() raises ValueError or EigensolverError."""
+    """(solve(), None), or (NaN, "NumericalError: <message>") if it raises one."""
     try:
         return solve(), None
-    except (ValueError, EigensolverError) as exc:
+    except NumericalError as exc:
         return math.nan, f"{type(exc).__name__}: {exc}"
 
 
@@ -651,7 +643,7 @@ def stability_sweep(s: int, alpha: float, delta: float, lam: float,
     One row per (t, r): principal sigma_hat at Lambda(lam), region
     membership, and (for in-region pairs) the neutral threshold Lambda_0.
     A row whose sigma_hat could not be computed has sigma_hat NaN and
-    ``error`` "<exception class>: <message>"; otherwise ``error`` is None.
+    ``error`` "NumericalError: <message>"; otherwise ``error`` is None.
     Likewise a Lambda_0 that could not be computed is NaN, with its reason
     in ``lambda0_error``.  Rows are emitted in fixed (t, r) order for
     reproducible output.

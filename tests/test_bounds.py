@@ -7,8 +7,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from mla import NumericalError
 from mla.bounds import (
-    BoundDomainError,
     BoundInputs,
     two_sided_report,
     upper_bound_1,
@@ -105,9 +105,9 @@ def test_upper_bounds_increasing_in_g():
 
 def test_log_domain_errors():
     # G=1, L=pi: log G - 1/2 log(L/2) = -0.5 log(pi/2) < 0
-    with pytest.raises(BoundDomainError):
+    with pytest.raises(NumericalError):
         upper_bound_1(BoundInputs(g=1.0))
-    with pytest.raises(BoundDomainError):
+    with pytest.raises(NumericalError):
         upper_bound_2(BoundInputs(g=1e-3))
 
 

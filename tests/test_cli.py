@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mla import cli, spectral, squire, stability
+from mla import NumericalError, cli, spectral, squire, stability
 from mla.cli import ConfigError, emit_plot_data, parse_config, run_command, serialize_config
 
 
@@ -113,6 +113,13 @@ _DOCUMENTS = _VALUES | st.sampled_from(sorted(_VALID)).flatmap(
 @example({"command": "stability", "s": 8, "alpha": 0.1,
           "delta": 1.9448369489134733e-188, "lambda": 120.0})
 @example({"command": "squire", "s": 6, "delta_star": 1e-200})
+# nu**2 of the forcing amplitude overflows: was an OverflowError traceback
+@example(dict(MINIMAL_SIMULATE, nu=1e200))
+@example(dict(MINIMAL_SIMULATE, s=2, start_from_stationary=True, **{"lambda": 1e308}))
+# alpha^3 of the 3-D bound underflows: every lift ran, then exit 3
+@example({"command": "squire", "s": 6, "alpha": 1e-120, "max_lifts": 1,
+          "count_s": [50]})
+@example({"command": "report", "g_values": [100.0], "alpha_values": [1e154]})
 def test_parse_config_returns_or_raises_config_error(doc):
     try:
         parse_config(json.dumps(doc))
@@ -346,12 +353,12 @@ def test_failed_lambda0_and_sigma_grid_cells_are_blank_and_explained(tmp_path,
 
     def failing_threshold(s, t, r, alpha, delta):
         if r != 0:  # solved once for the mirrored pair (4, +-1)
-            raise stability.EigensolverError("no Lambda_0 here")
+            raise NumericalError("no Lambda_0 here")
         return threshold(s, t, r, alpha, delta)
 
     def failing_sigma(prob):  # the grid's top caps; the sweep stays below 20
         if prob.capital_lambda > 100.0:
-            raise stability.EigensolverError("no sigma_hat here")
+            raise NumericalError("no sigma_hat here")
         return principal(prob)
 
     monkeypatch.setattr(stability, "lambda0_threshold", failing_threshold)
@@ -365,7 +372,7 @@ def test_failed_lambda0_and_sigma_grid_cells_are_blank_and_explained(tmp_path,
     skipped = json.loads((tmp_path / "summary.json").read_text())["skipped"]
     assert blank and [e["capital_lambda"] for e in skipped
                       if "capital_lambda" in e] == blank
-    assert all(e["error"] == "EigensolverError: no sigma_hat here"
+    assert all(e["error"] == "NumericalError: no sigma_hat here"
                for e in skipped if "capital_lambda" in e)
 
 
@@ -656,6 +663,118 @@ def test_main_out_of_memory_is_exit_3(tmp_path, capsys, monkeypatch):
         "error: out of memory: Unable to allocate 8.00 TiB for an array\n")
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["status"] == "error"
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+def _stable_phase(monkeypatch):
+    # the omega2 solve gets the phase speed of a decaying mode
+    solve = squire.reconstruct_omega2
+    monkeypatch.setattr(squire, "reconstruct_omega2",
+                        lambda tr, q, setup, c, m_max: solve(tr, q, setup, -c, m_max))
+
+
+_LIFT = {"command": "squire", "s": 6, "max_lifts": 1, "count_s": [20]}
+_BOUNDS = {"command": "bounds", "g_values": [1e4], "alpha_values": [0.0]}
+_CAUSES = {
+    # cause: (config, patch, exit code, start of the one stderr line)
+    "cfl": ({"command": "simulate", "nu": 1e-4, "n_modes": 32, "s": 2,
+             "lambda": 500.0, "dt": 5.0, "t_final": 50.0, "init_amplitude": 10.0,
+             "start_from_stationary": True}, None, 3,
+            "numerical failure: dt=5.0 exceeds advective limit"),
+    "eigensolve": (_LIFT, lambda mp: mp.setattr(
+        np.linalg, "eigvals", _raise(np.linalg.LinAlgError("no convergence"))), 3,
+        "numerical failure: dense eigensolve failed: no convergence"),
+    "singular-chain": (_LIFT, lambda mp: mp.setattr(
+        squire, "hat_problem", lambda *args: stability.RecurrenceProblem(
+            s=5, t=3, r=-1, capital_lambda=1.0)), 3,
+        "numerical failure: singular chain"),
+    "incompressibility": (_LIFT, lambda mp: mp.setattr(
+        squire.Mode1DProfile, "incompressibility_residual", lambda mode: 1.0), 3,
+        "numerical failure: mode is not incompressible"),
+    "coercivity": (_LIFT, _stable_phase, 3,
+                   "numerical failure: reconstruction requires Re(iac) < 0"),
+    "memory": (MINIMAL_SIMULATE, lambda mp: mp.setattr(
+        cli.dynamics, "kolmogorov_forcing", _raise(MemoryError("no room"))), 3,
+        "error: out of memory: no room"),
+    "unusable-out": (_BOUNDS, None, 2, "error: cannot write output: "),
+    "not-utf-8": (_BOUNDS, None, 2, "error: cannot read config: "),
+    "nu-squared": (dict(MINIMAL_SIMULATE, nu=1e200), None, 2,
+                   "config error: lambda: the forcing amplitude"),
+    "forcing-inf": (dict(MINIMAL_SIMULATE, s=2, **{"lambda": 1e308}), None, 2,
+                    "config error: lambda: the forcing amplitude"),
+    "stationary": (dict(MINIMAL_SIMULATE, nu=1e200, start_from_stationary=True),
+                   None, 2, "config error: lambda: the forcing amplitude"),
+    "alpha-cubed": ({"command": "squire", "s": 6, "alpha": 1e-120, "max_lifts": 1,
+                     "count_s": [50]}, None, 2, "config error: alpha: alpha^3"),
+    "bound-point": ({"command": "report", "g_values": [100.0],
+                     "alpha_values": [1e154]}, None, 2,
+                    "config error: g_values/alpha_values: math domain error at "
+                    "(g, alpha) = (100.0, 1e+154)"),
+    "value-error": (MINIMAL_SIMULATE, lambda mp: mp.setattr(
+        cli.dynamics, "kolmogorov_forcing", _raise(ValueError("a defect"))), 1,
+        "internal error: ValueError: a defect"),
+    "runtime-error": ({"command": "stability", "s": 4, "delta": 0.3, "lambda": 1.0},
+                      lambda mp: mp.setattr(cli.stability, "stability_sweep",
+                                            _raise(RuntimeError("a defect"))), 1,
+                      "internal error: RuntimeError: a defect"),
+    "key-error": (_BOUNDS, lambda mp: mp.setattr(cli, "_bounds_rows",
+                                                 _raise(KeyError("g"))), 1,
+                  "internal error: KeyError: 'g'"),
+}
+
+
+@pytest.mark.parametrize("cause", sorted(_CAUSES))
+def test_main_exit_code_names_the_cause(tmp_path, capsys, monkeypatch, cause):
+    # 3: mla.NumericalError or MemoryError; 2: the config or --out is at
+    # fault, and nothing is written; 1: any other exception, a defect
+    doc, patch, code, start = _CAUSES[cause]
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_bytes((b"\xff\xfe" if cause == "not-utf-8" else b"")
+                    + json.dumps(doc).encode())
+    if cause == "unusable-out":
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "sub"
+    if patch is not None:
+        patch(monkeypatch)
+    assert cli.main([doc["command"], "--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(start) and err.count("\n") == 1
+    assert "Traceback" not in err
+    if code == 2:
+        assert not (tmp_path / "out").exists()
+    else:  # the run started, and its manifest records the error
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        if code == 1:
+            assert err == f"internal error: {manifest['error']}\n"
+
+
+def test_singular_chains_are_skipped_as_numerical(tmp_path):
+    doc = {"command": "stability", "s": 5, "delta": 0.3, "lambda": 40.0}
+    run_command(parse_config(json.dumps(doc)), out_dir=tmp_path)
+    skipped = json.loads((tmp_path / "summary.json").read_text())["skipped"]
+    assert [(e["t"], e["r"], e["column"]) for e in skipped] == [
+        (3, -1, "sigma_hat"), (3, 1, "sigma_hat")]
+    assert all(e["error"].startswith("NumericalError: singular chain: ")
+               for e in skipped)
+
+
+def test_squire_builds_only_the_triples_it_lifts(tmp_path, monkeypatch):
+    # s = 400 has 1,091,145 window triples; the window's corner checks pass
+    # s = 1.0, so only the triples the run takes are counted
+    checked, contains = [], squire.region_contains_point
+    monkeypatch.setattr(squire, "region_contains_point",
+                        lambda delta, s, t, r: (s == 400 and checked.append(t))
+                        or contains(delta, s, t, r))
+    doc = {"command": "squire", "s": 400, "max_lifts": 2, "count_s": [50]}
+    run_command(parse_config(json.dumps(doc)), out_dir=tmp_path)
+    _, rows = read_csv(tmp_path / "triples.csv")
+    assert len(rows) == 2 and len(checked) <= 2
 
 
 def test_squire_default_c6_needs_triples_only_when_used(tmp_path):

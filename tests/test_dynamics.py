@@ -8,11 +8,11 @@ import math
 import numpy as np
 import pytest
 
+from mla import NumericalError
 from mla.dynamics import (
     ForcingSpec,
     ModelParams,
     SolverState,
-    TimeStepError,
     _etd_tables,
     check_asymptotic_bounds,
     dt_max,
@@ -377,7 +377,7 @@ def test_cfl_guard():
     F = ScalarField.zeros(GRID)
     limit = dt_max(state)
     assert np.isfinite(limit)
-    with pytest.raises(TimeStepError):
+    with pytest.raises(NumericalError, match="advective limit"):
         run(state, t_final=1.0, dt=limit * 10, forcing=F)
 
 
