@@ -160,15 +160,19 @@ def _check_simulate(p: dict) -> list[str]:
         dynamics._check_spec_on_grid(spec, grid)
     except ValueError as exc:
         errors.append(f"s: {exc}")
-    # the forcing amplitude may overflow, to inf or in nu**2; the steady
-    # state's nu lam s is at most max(lam, nu^2 lam s^3), so it is finite then
+    # the forcing amplitude and bounds_report.json's |f|^2 / nu^2, evaluated as
+    # _cmd_simulate does, may overflow (to inf or in **) or divide by a nu**2
+    # that underflowed to 0.  The steady state's nu lam s is at most
+    # max(lam, nu^2 lam s^3), so it is finite when both are.
     try:
         amplitude = dynamics._forcing_amplitude(spec, p["nu"])
-    except OverflowError:
-        amplitude = math.inf
-    if not math.isfinite(amplitude):
+        bound = (p["nu"]**2 * p["lambda"] * p["s"]**2)**2 / p["nu"]**2
+    except (OverflowError, ZeroDivisionError):
+        amplitude = bound = math.inf
+    if not (math.isfinite(amplitude) and math.isfinite(bound)):
         errors.append(f"lambda: the forcing amplitude nu^2 lambda s^3 / (sqrt2 pi) "
-                      f"is not finite (nu = {p['nu']!r}, lambda = {p['lambda']!r})")
+                      f"or its bound (nu^2 lambda s^2)^2 / nu^2 is not finite "
+                      f"(nu = {p['nu']!r}, lambda = {p['lambda']!r})")
     # run takes round(t_final / dt) steps; the quotient may overflow to inf
     if p["t_final"] / p["dt"] > MAX_STEPS:
         errors.append(f"t_final: t_final / dt = {p['t_final'] / p['dt']:.3g} "

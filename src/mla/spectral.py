@@ -22,7 +22,8 @@ k2 < cutoff nonzero, so the complex pass along k1 runs on those
 ceil(cutoff) columns alone, in both directions.  Every pass writes into
 work arrays from ``_jacobian_buffers``: a stepper run allocates them once
 and drops them when it returns, and ``jacobian`` makes its own per call.
-No work array is cached on ``SpectralGrid``.
+No work array is cached on ``SpectralGrid``.  ``save_field`` streams the
+``mla-field-v1`` text one k2 column, O(n) modes, at a time.
 """
 
 from __future__ import annotations
@@ -397,28 +398,32 @@ def inner(f: ScalarField, g: ScalarField) -> float:
 FIELD_FORMAT = "mla-field-v1"
 
 
+def _field_json_chunks(f: ScalarField):
+    """``field_to_json(f)`` in pieces: the header, then each k2 column's modes."""
+    n, half = f.grid.n_modes, f.grid.n_modes // 2
+    yield json.dumps({"format": FIELD_FORMAT, "n_modes": n,
+                      "dealias_fraction": str(f.grid.dealias_fraction),
+                      "modes": []})[:-2]  # less the closing "]}"
+    sep = ""
+    for k2 in range(half + 1):
+        k1 = np.arange(1 if k2 == 0 else -half, half + 1)
+        vals = f.coeffs[k1 % n, k2]
+        nz = vals != 0
+        if nz.any():
+            yield sep + json.dumps([[a, k2, re, im] for a, re, im in zip(
+                k1[nz].tolist(), vals[nz].real.tolist(), vals[nz].imag.tolist())])[1:-1]
+            sep = ", "
+    yield "]}"
+
+
 def field_to_json(f: ScalarField) -> str:
     """Serialize the independent half-spectrum (nonzero modes only).
 
-    Modes are listed k2-major for k2 = 0..n/2: k1 = 1..n/2 on k2 = 0 and
-    k1 = -n/2..n/2 (so k1 = +-n/2 twice) on the other columns.  Floats pass
-    through ``repr`` via the json encoder, so the round trip is bit-exact.
+    Modes are listed k2-major, one column at a time as ``save_field`` streams
+    them: k1 = 1..n/2 on k2 = 0, k1 = -n/2..n/2 (+-n/2 twice) on k2 = 1..n/2.
+    Floats pass through ``repr`` via the json encoder: the round trip is bit-exact.
     """
-    half = f.grid.n_modes // 2
-    k1, k2 = np.meshgrid(np.arange(-half, half + 1), np.arange(half + 1))
-    keep = (k2 > 0) | (k1 > 0)
-    k1, k2 = k1[keep], k2[keep]
-    vals = f.coeffs[k1 % f.grid.n_modes, k2]
-    nz = vals != 0
-    modes = [list(m) for m in zip(k1[nz].tolist(), k2[nz].tolist(),
-                                  vals[nz].real.tolist(), vals[nz].imag.tolist())]
-    doc = {
-        "format": FIELD_FORMAT,
-        "n_modes": f.grid.n_modes,
-        "dealias_fraction": str(f.grid.dealias_fraction),
-        "modes": modes,
-    }
-    return json.dumps(doc)
+    return "".join(_field_json_chunks(f))
 
 
 def field_from_json(text: str) -> ScalarField:
@@ -449,7 +454,7 @@ def _atomic_open(path):
 
 def save_field(f: ScalarField, path) -> None:
     with _atomic_open(path) as fh:
-        fh.write(field_to_json(f))
+        fh.writelines(_field_json_chunks(f))
 
 
 def load_field(path) -> ScalarField:

@@ -201,12 +201,21 @@ def test_failed_writes_leave_no_file(tmp_path, monkeypatch):
             fh.write("<svg")
             raise RuntimeError("plot failed")
 
-    def fail(f):
+    columns = spectral._field_json_chunks
+
+    def fail_after_first_column(f):
+        chunks = columns(f)
+        yield next(chunks)  # the header
+        first = next(chunks)
+        assert first.startswith("[1, 0, ")  # the modes of column k2 = 0
+        yield first
+        assert (tmp_path / "field.json.tmp").exists()
         raise RuntimeError("encoding failed")
 
-    field = spectral.ScalarField.harmonic(spectral.SpectralGrid(16), 1, 2)
-    monkeypatch.setattr(spectral, "field_to_json", fail)
-    with pytest.raises(RuntimeError):
+    field = spectral.ScalarField.random(spectral.SpectralGrid(16),
+                                        np.random.default_rng(0))
+    monkeypatch.setattr(spectral, "_field_json_chunks", fail_after_first_column)
+    with pytest.raises(RuntimeError, match="encoding failed"):
         spectral.save_field(field, tmp_path / "field.json")
     assert list(tmp_path.iterdir()) == []
 
@@ -709,6 +718,16 @@ _CAUSES = {
                     "config error: lambda: the forcing amplitude"),
     "stationary": (dict(MINIMAL_SIMULATE, nu=1e200, start_from_stationary=True),
                    None, 2, "config error: lambda: the forcing amplitude"),
+    # (nu^2 lambda s^2)^2 overflows, or nu^2 underflows to 0, in the
+    # bounds_report.json bound: were OverflowError and ZeroDivisionError
+    "bound-square": ({"command": "simulate", "nu": 1.0, "n_modes": 16, "s": 1,
+                      "lambda": 1e200, "dt": 1e-300, "t_final": 1e-299,
+                      "sample_every": 1}, None, 2,
+                     "config error: lambda: the forcing amplitude"),
+    "bound-nu-squared": ({"command": "simulate", "nu": 5e-324, "n_modes": 16,
+                          "s": 1, "lambda": 1.0, "dt": 1e-300, "t_final": 1e-299,
+                          "sample_every": 1}, None, 2,
+                         "config error: lambda: the forcing amplitude"),
     "alpha-cubed": ({"command": "squire", "s": 6, "alpha": 1e-120, "max_lifts": 1,
                      "count_s": [50]}, None, 2, "config error: alpha: alpha^3"),
     "bound-point": ({"command": "report", "g_values": [100.0],

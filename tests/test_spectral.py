@@ -2,6 +2,7 @@
 finite-difference / convolution / quadrature oracles, and the Jacobian
 identity suite."""
 
+import json
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mla.dynamics import ForcingSpec, ModelParams, initial_state, kolmogorov_forcing, run
 from mla.spectral import (
     FieldNorms,
     GridMismatchError,
@@ -27,6 +29,7 @@ from mla.spectral import (
     laplacian,
     load_field,
     norms,
+    save_field,
 )
 
 GRID = SpectralGrid(32)
@@ -478,6 +481,67 @@ def test_field_fixture_reserializes_byte_identical():
     assert field_to_json(load_field(path)).encode() == path.read_bytes()
 
 
+def _whole_document_field_json(f):
+    """The serializer that built the whole document before writing it, kept
+    as the byte oracle for the column-streamed ``field_to_json``."""
+    half = f.grid.n_modes // 2
+    k1, k2 = np.meshgrid(np.arange(-half, half + 1), np.arange(half + 1))
+    keep = (k2 > 0) | (k1 > 0)
+    k1, k2 = k1[keep], k2[keep]
+    vals = f.coeffs[k1 % f.grid.n_modes, k2]
+    nz = vals != 0
+    modes = [list(m) for m in zip(k1[nz].tolist(), k2[nz].tolist(),
+                                  vals[nz].real.tolist(), vals[nz].imag.tolist())]
+    return json.dumps({
+        "format": "mla-field-v1",
+        "n_modes": f.grid.n_modes,
+        "dealias_fraction": str(f.grid.dealias_fraction),
+        "modes": modes,
+    })
+
+
+@pytest.fixture(scope="module")
+def stepped_field_256():
+    params = ModelParams(nu=1.0, alpha=0.1, grid=SpectralGrid(256))
+    forcing = kolmogorov_forcing(ForcingSpec(s=4, lam=3.125), params)
+    return run(initial_state(params, seed=3), 0.02, 0.005, forcing).final_state.psi
+
+
+def _nan_field():
+    f = ScalarField.random(SpectralGrid(16), np.random.default_rng(5))
+    f.coeffs[3, 2] = complex(np.nan, 1.0)
+    return f
+
+
+@pytest.mark.parametrize("make", [
+    lambda stepped: load_field(DATA / "field_n16_v1.json"),
+    lambda stepped: ScalarField.random(SpectralGrid(64), np.random.default_rng(64)),
+    lambda stepped: stepped,
+    lambda stepped: ScalarField.zeros(SpectralGrid(16)),
+    lambda stepped: ScalarField.from_modes(SpectralGrid(16), {(1, 0): 0.5j, (8, 0): 2.0}),
+    lambda stepped: _nan_field(),
+], ids=["fixture-n16", "random-n64", "stepped-n256", "zero", "k2-0-only", "nan"])
+def test_field_json_matches_whole_document_oracle(make, stepped_field_256, tmp_path):
+    f = make(stepped_field_256)
+    want = _whole_document_field_json(f)
+    assert field_to_json(f) == want
+    save_field(f, tmp_path / "field.json")
+    assert (tmp_path / "field.json").read_bytes() == want.encode()
+
+
+def test_save_field_memory_grows_with_one_column(stepped_field_256, tmp_path):
+    # tracemalloc counts numpy buffers.  Building the whole document of the
+    # 14.6k modes at n = 256 peaks near 7 MB; streaming by column, near 0.1 MB.
+    tracemalloc.start()
+    try:
+        save_field(stepped_field_256, tmp_path / "field.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
+    assert len(load_field(tmp_path / "field.json").coeffs.nonzero()[0]) > 14_000
+
+
 def test_field_json_rejects_unknown_format():
     with pytest.raises(ValueError):
         field_from_json('{"format": "something-else"}')
@@ -488,8 +552,6 @@ def test_field_json_half_spectrum_axis_line():
     f = ScalarField.from_modes(GRID, {(3, 0): 2.0 / 2j})
     g = field_from_json(field_to_json(f))
     assert np.array_equal(g.coeffs, f.coeffs)
-    import json
-
     doc = json.loads(field_to_json(f))
     assert all(k2 > 0 or (k2 == 0 and k1 > 0) for k1, k2, _, _ in doc["modes"])
 
