@@ -5,7 +5,9 @@ Both upper-bound formulas are asymptotic in the Grashof number G; the
 log-brackets must be positive, and inputs violating that raise
 ``mla.NumericalError`` (the formulas say nothing about small G), which
 ``two_sided_report`` records as a note beside a blank bound.  The constant L
-is a free input: pi on the sphere, unspecified on the torus.
+is a free input: pi on the sphere, unspecified on the torus.  Where the
+filtered constant L(1 + alpha^2 lambda1) overflows a float, both raise
+ValueError: the inputs are then out of range.
 """
 
 from __future__ import annotations
@@ -54,10 +56,22 @@ class BoundInputs:
             raise ValueError(f"eps_G must be nonnegative, got {self.eps_g}")
 
 
+def _filtered_l(inputs: BoundInputs) -> float:
+    """L(1 + alpha^2 lambda1), the filtered constant of both upper bounds."""
+    try:
+        la = inputs.l_const * (1.0 + inputs.alpha**2 * inputs.lambda1)
+        if la < math.inf:
+            return la
+    except OverflowError:
+        pass
+    raise ValueError("L(1 + alpha^2 lambda1) overflows a float "
+                     f"(L={inputs.l_const}, lambda1={inputs.lambda1})")
+
+
 def upper_bound_1(inputs: BoundInputs) -> float:
     """G^(2/3) ((4+eps)^3 / (3L(1+alpha^2 lambda1)) (log G - 1/2 log(L/2)))^(1/3)."""
     g, eps = inputs.g, inputs.eps_g
-    la = inputs.l_const * (1.0 + inputs.alpha**2 * inputs.lambda1)
+    la = _filtered_l(inputs)
     bracket = math.log(g) - 0.5 * math.log(inputs.l_const / 2.0)
     if bracket <= 0.0:
         raise NumericalError(
@@ -69,7 +83,7 @@ def upper_bound_2(inputs: BoundInputs) -> float:
     """(12/sqrt(L(1+alpha^2 lambda1)))^(2/3) G^(2/3)
     (log G + 1/2 + log(3 sqrt2 / sqrt(L(1+alpha^2 lambda1))))^(1/3)."""
     g = inputs.g
-    la = inputs.l_const * (1.0 + inputs.alpha**2 * inputs.lambda1)
+    la = _filtered_l(inputs)
     bracket = math.log(g) + 0.5 + math.log(3.0 * math.sqrt(2.0) / math.sqrt(la))
     if bracket <= 0.0:
         raise NumericalError(

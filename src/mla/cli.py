@@ -42,9 +42,6 @@ __all__ = [
     "DEFAULTS",
 ]
 
-COMMANDS = ("simulate", "stability", "bounds", "squire", "report")
-
-
 class ConfigError(ValueError):
     """Invalid configuration; ``errors`` lists every violation found."""
 
@@ -251,17 +248,6 @@ def _check_squire(p: dict) -> list[str]:
     return errors
 
 
-# Rules that involve several fields, checked by the code that owns each rule
-# once every field is valid on its own.
-_CROSS_CHECKS = {
-    "simulate": _check_simulate,
-    "stability": _check_stability,
-    "bounds": _check_bounds,
-    "report": _check_bounds,
-    "squire": _check_squire,
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     command: str
@@ -327,9 +313,9 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"{name}: required for command {command!r}")
         else:
             params[name] = default
-    if not errors and command in _CROSS_CHECKS:
+    if not errors:
         try:
-            errors = _CROSS_CHECKS[command](params)
+            errors = _COMMAND_TABLE[command][0](params)
         except OverflowError as exc:
             errors = [f"a number is too large: {exc}"]
     if errors:
@@ -562,7 +548,7 @@ def _cmd_stability(p: dict, out: Path, seed: int, written: list[Path]) -> None:
     delta_star, adelta_max = stability.optimize_delta()
     g = dynamics.grashof(dynamics.ForcingSpec(s=s, lam=lam))
     summary = {
-        "d_s": stability.count_lattice(stability.RegionSpec(delta=delta, s=s)),
+        "d_s": len(pairs),
         "a_delta": stability.region_area(delta),
         "delta_star": delta_star,
         "max_a_delta_scaled": adelta_max,
@@ -670,13 +656,17 @@ def _cmd_squire(p: dict, out: Path, seed: int, written: list[Path]) -> None:
     written.append(_write_json(out / "summary.json", summary))
 
 
-_DISPATCH = {
-    "simulate": _cmd_simulate,
-    "stability": _cmd_stability,
-    "bounds": _cmd_bounds,
-    "squire": _cmd_squire,
-    "report": _cmd_report,
+# (check, run) of each command.  check applies the rules that involve several
+# fields, through the code that owns each rule, once every field is valid on
+# its own; run computes and writes the artifacts.
+_COMMAND_TABLE = {
+    "simulate": (_check_simulate, _cmd_simulate),
+    "stability": (_check_stability, _cmd_stability),
+    "bounds": (_check_bounds, _cmd_bounds),
+    "squire": (_check_squire, _cmd_squire),
+    "report": (_check_bounds, _cmd_report),
 }
+COMMANDS = tuple(_COMMAND_TABLE)
 
 
 def run_command(config: ExperimentConfig, out_dir=None,
@@ -703,7 +693,7 @@ def run_command(config: ExperimentConfig, out_dir=None,
     error: Exception | None = None
     written: list[Path] = []
     try:
-        _DISPATCH[config.command](config.parameters, out, config.seed, written)
+        _COMMAND_TABLE[config.command][1](config.parameters, out, config.seed, written)
     except Exception as exc:
         manifest.status = "error"
         manifest.error = f"{type(exc).__name__}: {exc}"

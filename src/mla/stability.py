@@ -38,7 +38,7 @@ zero-padded vector at the value found, so a chain that settles makes one
 dense solve, at its first truncation.  The dense solve is
 ``numpy.linalg.eigvals``; each tridiagonal solve of the inverse iteration
 is ``_gtsv``, a plain-Python port of LAPACK's dgtsv, so the module needs
-no SciPy.
+no SciPy.  A chain whose coefficients overflow a float raises NumericalError.
 """
 
 from __future__ import annotations
@@ -57,10 +57,8 @@ __all__ = [
     "StabilityResult",
     "LowerBound2D",
     "capital_lambda",
-    "region_contains",
     "region_contains_point",
     "lattice_points",
-    "count_lattice",
     "region_area",
     "optimize_delta",
     "build_recurrence_system",
@@ -132,7 +130,11 @@ class RegionSpec:
 
 
 def region_contains_point(delta: float, s: float, t: float, r: float) -> bool:
-    """Membership test with real-valued (t, r); all inequalities literal."""
+    """Membership of (t, r) in A(delta); all inequalities literal.
+
+    Exact on the lattice: for integer t, r and s^2 < 2^53 the integer sides
+    are exact, and s^2/3 and s/6 are exact or at least 1/3 and 1/6 away
+    from every integer, which is more than their rounding error."""
     return (
         t * t + r * r < s * s / 3.0
         and t * t + (r - s) * (r - s) > s * s
@@ -142,26 +144,10 @@ def region_contains_point(delta: float, s: float, t: float, r: float) -> bool:
     )
 
 
-def region_contains(spec: RegionSpec, t: int, r: int) -> bool:
-    """Integer lattice membership; strict/non-strict exactly as defined."""
-    s = spec.s
-    # integer-exact forms of the circle and window constraints
-    return (
-        3 * (t * t + r * r) < s * s
-        and t * t + (r - s) * (r - s) > s * s
-        and t * t + (r + s) * (r + s) > s * s
-        and t >= spec.delta * s
-        and -s < 6 * r < s
-    )
-
-
 def lattice_points(spec: RegionSpec) -> list[tuple[int, int]]:
-    """The integer pairs of the bounding box that region_contains accepts."""
-    return [(t, r) for t, r in spec.box() if region_contains(spec, t, r)]
-
-
-def count_lattice(spec: RegionSpec) -> int:
-    return len(lattice_points(spec))
+    """The integer pairs of the bounding box that lie in the region."""
+    return [(t, r) for t, r in spec.box()
+            if region_contains_point(spec.delta, spec.s, t, r)]
 
 
 def _segment(c: float, d: float) -> float:
@@ -302,12 +288,14 @@ class GeneralizedEigSystem:
 def build_recurrence_system(prob: RecurrenceProblem,
                             n_trunc: int) -> GeneralizedEigSystem:
     k2 = prob.kappa_sq(n_trunc)
-    b = k2 + prob.alpha**2 * k2**2
-    return GeneralizedEigSystem(
-        diag_a=-b * k2,
-        off_a=prob.capital_lambda * prob.t * (k2 - prob.s**2),
-        diag_b=b,
-    )
+    with np.errstate(over="ignore"):
+        b = k2 + prob.alpha**2 * k2**2
+        sys = GeneralizedEigSystem(diag_a=-b * k2, diag_b=b,
+                                   off_a=prob.capital_lambda * prob.t * (k2 - prob.s**2))
+    if not (np.isfinite(sys.diag_a).all() and np.isfinite(sys.off_a).all()):
+        raise NumericalError(f"chain coefficient overflow at n_trunc={n_trunc}: "
+                             "Lambda t (kappa^2 - s^2) or B kappa^2 is not finite")
+    return sys
 
 
 @dataclass(frozen=True, eq=False)
@@ -640,8 +628,8 @@ def stability_sweep(s: int, alpha: float, delta: float, lam: float,
                     compute_lambda0: bool = True) -> list[dict]:
     """Chain scan over the region bounding box.
 
-    One row per (t, r): principal sigma_hat at Lambda(lam), region
-    membership, and (for in-region pairs) the neutral threshold Lambda_0.
+    One row per (t, r): principal sigma_hat at Lambda(lam), membership by
+    region_contains_point, and (for in-region pairs) the threshold Lambda_0.
     A row whose sigma_hat could not be computed has sigma_hat NaN and
     ``error`` "NumericalError: <message>"; otherwise ``error`` is None.
     Likewise a Lambda_0 that could not be computed is NaN, with its reason
@@ -655,11 +643,10 @@ def stability_sweep(s: int, alpha: float, delta: float, lam: float,
     edge rows and truncation decisions.  The box and the region are
     symmetric in r.
     """
-    spec = RegionSpec(delta=delta, s=s)
     lam_cap = capital_lambda(lam, s, alpha)
     rows, solved = [], {}
-    for t, r in spec.box():
-        in_region = region_contains(spec, t, r)
+    for t, r in RegionSpec(delta=delta, s=s).box():
+        in_region = region_contains_point(delta, s, t, r)
         if (t, -r) in solved:
             sigma, error, lam0, lam0_error = solved[t, -r]
         else:

@@ -223,8 +223,8 @@ def test_criterion_7_area_constant():
     dstar, value = stability.optimize_delta()
     assert abs(value - 0.012) <= 0.1 * 0.012
     a_star = stability.region_area(dstar)
-    density = stability.count_lattice(
-        stability.RegionSpec(delta=dstar, s=200)) / 200**2
+    density = len(stability.lattice_points(
+        stability.RegionSpec(delta=dstar, s=200))) / 200**2
     assert abs(density - a_star) / a_star < 0.05
     _report(7, f"max a(delta) delta^(4/3) = {value:.5f} at delta*={dstar:.4f}; "
                f"d(200)/200^2 = {density:.5f} vs a(delta*) = {a_star:.5f}")

@@ -111,6 +111,15 @@ def test_log_domain_errors():
         upper_bound_2(BoundInputs(g=1e-3))
 
 
+@pytest.mark.parametrize("fn", [upper_bound_1, upper_bound_2])
+@pytest.mark.parametrize("alpha", [1e154, 1e200])
+def test_filtered_constant_overflow_is_a_value_error(fn, alpha):
+    # alpha^2 L is inf at 1e154 (upper1 read 0.0, below the lower bound, and
+    # upper2 a bare math domain error); alpha**2 raises OverflowError at 1e200
+    with pytest.raises(ValueError, match=r"^L\(1 \+ alpha\^2 lambda1\) overflows"):
+        fn(BoundInputs(g=100.0, alpha=alpha))
+
+
 def test_bound_inputs_validation():
     with pytest.raises(ValueError):
         BoundInputs(g=-1.0)

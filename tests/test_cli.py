@@ -402,6 +402,31 @@ def test_shipped_scan_solve_counts(tmp_path, monkeypatch):
     assert sorted(solves) == [33] * 91 + [65] * 44
 
 
+# every shipped config but simulate, whose 10,000 steps take seconds
+_HASHED_CONFIGS = ("stability_scan", "bounds_grid", "two_sided_report", "squire_study")
+SHIPPED_SHA256 = Path(__file__).parent / "data" / "shipped_sha256.json"
+
+
+def shipped_artifact_hashes(out_root) -> dict:
+    """{config: {artifact: sha256}} of the shipped configs run into
+    out_root, as each manifest.json lists them (itself left out).
+
+    Regenerate the reference (only where outputs are meant to change) with
+    ``PYTHONPATH=src python tests/test_cli.py <scratch dir>``."""
+    configs = Path(__file__).parents[1] / "configs"
+    hashes = {}
+    for name in _HASHED_CONFIGS:
+        out = Path(out_root) / name
+        run_command(parse_config((configs / f"{name}.json").read_text()), out_dir=out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        hashes[name] = {o["path"]: o["sha256"] for o in manifest["outputs"]}
+    return hashes
+
+
+def test_shipped_artifacts_are_byte_identical(tmp_path):
+    assert shipped_artifact_hashes(tmp_path) == json.loads(SHIPPED_SHA256.read_text())
+
+
 def test_report_command(tmp_path):
     doc = {
         "command": "report",
@@ -732,7 +757,8 @@ _CAUSES = {
                      "count_s": [50]}, None, 2, "config error: alpha: alpha^3"),
     "bound-point": ({"command": "report", "g_values": [100.0],
                      "alpha_values": [1e154]}, None, 2,
-                    "config error: g_values/alpha_values: math domain error at "
+                    "config error: g_values/alpha_values: L(1 + alpha^2 lambda1) "
+                    "overflows a float (L=3.141592653589793, lambda1=1.0) at "
                     "(g, alpha) = (100.0, 1e+154)"),
     "value-error": (MINIMAL_SIMULATE, lambda mp: mp.setattr(
         cli.dynamics, "kolmogorov_forcing", _raise(ValueError("a defect"))), 1,
@@ -893,3 +919,8 @@ def test_cli_import_leaves_out_scipy():
                     " or m.startswith('concurrent.futures')]; "
                     "assert not loaded, loaded"],
                    check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+if __name__ == "__main__":
+    SHIPPED_SHA256.write_text(
+        json.dumps(shipped_artifact_hashes(sys.argv[1]), indent=2, sort_keys=True) + "\n")

@@ -25,7 +25,6 @@ from mla.stability import (
     StabilityResult,
     build_recurrence_system,
     capital_lambda,
-    count_lattice,
     lambda0_threshold,
     lattice_points,
     lower_bound_dim2d,
@@ -33,11 +32,13 @@ from mla.stability import (
     optimize_delta,
     principal_sigma,
     region_area,
-    region_contains,
     region_contains_point,
     stability_sweep,
 )
 from mla.squire import lambda2_threshold
+
+# an overflow inside a solve is a NumericalError with its reason, not a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SQRT2PI2 = 2.0 * math.sqrt(2.0) * math.pi
 
@@ -69,22 +70,19 @@ def test_capital_lambda_monotone_in_alpha():
 # ---------------------------------------------------------------------
 
 def test_region_contains_examples():
-    spec = RegionSpec(delta=0.5, s=6)
-    assert region_contains(spec, 3, 0)
-    assert not region_contains(spec, 2, 0)  # t < delta s
-    assert not region_contains(spec, 3, 1)  # r_max = 1, strict
+    assert region_contains_point(0.5, 6, 3, 0)
+    assert not region_contains_point(0.5, 6, 2, 0)  # t < delta s
+    assert not region_contains_point(0.5, 6, 3, 1)  # r_max = 1, strict
 
 
 def test_region_first_constraint():
-    spec = RegionSpec(delta=0.1, s=6)
     for t in range(1, 10):
         for r in range(-3, 4):
             if t * t + r * r >= 12:  # s^2/3
-                assert not region_contains(spec, t, r)
+                assert not region_contains_point(0.1, 6, t, r)
 
 
 def test_region_contains_matches_literal_float_oracle():
-    spec = RegionSpec(delta=0.37, s=11)
     s, d = 11, 0.37
     for t in range(1, 9):
         for r in range(-3, 4):
@@ -95,25 +93,24 @@ def test_region_contains_matches_literal_float_oracle():
                 and t >= d * s
                 and -s / 6 < r < s / 6
             )
-            assert region_contains(spec, t, r) == want
             assert region_contains_point(d, s, t, r) == want
 
 
 def test_count_lattice_examples():
-    assert count_lattice(RegionSpec(delta=0.5, s=6)) == 1
+    assert len(lattice_points(RegionSpec(delta=0.5, s=6))) == 1
     assert lattice_points(RegionSpec(delta=0.3, s=4)) == [(2, 0)]
 
 
 def test_count_lattice_density_converges_to_area():
     a = region_area(0.3)
-    d = count_lattice(RegionSpec(delta=0.3, s=200))
+    d = len(lattice_points(RegionSpec(delta=0.3, s=200)))
     assert abs(d / 200**2 - a) < 0.05
 
 
 def test_count_lattice_degenerate_delta():
     delta = 1 / math.sqrt(3) - 1e-6
     for s in (10, 50, 200):
-        assert count_lattice(RegionSpec(delta=delta, s=s)) == 0
+        assert len(lattice_points(RegionSpec(delta=delta, s=s))) == 0
 
 
 def test_count_symmetric_in_r():
@@ -130,7 +127,7 @@ def test_region_area_degenerate():
 def test_region_area_against_lattice_count():
     for delta in (0.25, 0.4):
         a = region_area(delta)
-        d = count_lattice(RegionSpec(delta=delta, s=500)) / 500**2
+        d = len(lattice_points(RegionSpec(delta=delta, s=500))) / 500**2
         assert abs(d - a) / a < 0.02
 
 
@@ -157,6 +154,15 @@ def _mask_lattice_points(spec):
 def test_lattice_points_match_mask_oracle(s, delta):
     spec = RegionSpec(delta=delta, s=s)
     assert lattice_points(spec) == _mask_lattice_points(spec)
+
+
+def test_region_test_matches_integer_forms_on_every_box_pair():
+    # region_contains_point's float inequalities against the mask's integer
+    # forms (3 (t^2 + r^2) < s^2, -s < 6 r < s) on every box up to s = 60
+    for s in range(1, 61):
+        for delta in (0.05, 0.3, 0.5):
+            spec = RegionSpec(delta=delta, s=s)
+            assert lattice_points(spec) == _mask_lattice_points(spec)
 
 
 def _section_halfwidth(x):
@@ -1008,7 +1014,7 @@ def test_stability_sweep_region_count():
     rows = stability_sweep(s=6, alpha=0.0, delta=0.5, lam=30.0,
                            compute_lambda0=False)
     in_region = [row for row in rows if row["in_region"]]
-    assert len(in_region) == count_lattice(RegionSpec(delta=0.5, s=6)) == 1
+    assert len(in_region) == len(lattice_points(RegionSpec(delta=0.5, s=6))) == 1
     assert in_region[0]["t"] == 3 and in_region[0]["r"] == 0
     assert all(np.isfinite(row["sigma_hat"]) or not row["in_region"]
                for row in rows)
@@ -1020,7 +1026,9 @@ def test_stability_sweep_records_why_sigma_is_missing():
     rows = stability_sweep(s=6, alpha=0.0, delta=0.5, lam=1e308,
                            compute_lambda0=False)
     assert rows and all(math.isnan(row["sigma_hat"]) for row in rows)
-    assert all(row["error"].startswith("NumericalError: ") for row in rows)
+    assert all(row["error"].startswith(
+        "NumericalError: chain coefficient overflow at n_trunc=16: "
+        "Lambda t (kappa^2 - s^2)") for row in rows)
 
 
 def test_stability_sweep_solves_each_mirrored_pair_once(monkeypatch):
