@@ -6,8 +6,8 @@ log-brackets must be positive, and inputs violating that raise
 ``mla.NumericalError`` (the formulas say nothing about small G), which
 ``two_sided_report`` records as a note beside a blank bound.  The constant L
 is a free input: pi on the sphere, unspecified on the torus.  Where the
-filtered constant L(1 + alpha^2 lambda1) overflows a float, both raise
-ValueError: the inputs are then out of range.
+filtered constant L(1 + alpha^2 lambda1), or upper_bound_1's (4 + eps_G)^3,
+overflows a float, they raise ValueError: the inputs are then out of range.
 """
 
 from __future__ import annotations
@@ -68,6 +68,14 @@ def _filtered_l(inputs: BoundInputs) -> float:
                      f"(L={inputs.l_const}, lambda1={inputs.lambda1})")
 
 
+def _slack_cubed(eps_g: float) -> float:
+    """(4 + eps_G)^3 of upper_bound_1; ValueError where it overflows a float."""
+    try:
+        return (4.0 + eps_g) ** 3
+    except OverflowError:
+        raise ValueError(f"(4 + eps_g)^3 overflows a float (eps_g={eps_g})") from None
+
+
 def upper_bound_1(inputs: BoundInputs) -> float:
     """G^(2/3) ((4+eps)^3 / (3L(1+alpha^2 lambda1)) (log G - 1/2 log(L/2)))^(1/3)."""
     g, eps = inputs.g, inputs.eps_g
@@ -76,7 +84,7 @@ def upper_bound_1(inputs: BoundInputs) -> float:
     if bracket <= 0.0:
         raise NumericalError(
             f"log G - (1/2) log(L/2) = {bracket} <= 0 at G={g}, L={inputs.l_const}")
-    return g ** (2.0 / 3.0) * ((4.0 + eps) ** 3 / (3.0 * la) * bracket) ** (1.0 / 3.0)
+    return g ** (2.0 / 3.0) * (_slack_cubed(eps) / (3.0 * la) * bracket) ** (1.0 / 3.0)
 
 
 def upper_bound_2(inputs: BoundInputs) -> float:

@@ -9,11 +9,15 @@ line; 2 validation error, an unreadable config or an unusable --out; 3
 ``mla.NumericalError`` (a result that could not be computed) or out of memory.
 Identical config + seed produce bit-identical CSV outputs (floats are
 written with repr, rows in fixed order).
+
+``import mla.cli`` loads no command module: each command's check and run
+import its own, so parsing loads ``spectral`` and ``dynamics`` for simulate,
+``stability`` for stability, ``bounds`` and ``stability`` for bounds and
+report, ``squire`` and ``stability`` for squire, and the run nothing more.
 """
 
 from __future__ import annotations
 
-import argparse
 import datetime
 import hashlib
 import itertools
@@ -21,14 +25,11 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from . import NumericalError, __version__
-from . import bounds as bounds_mod
-from . import dynamics, spectral, squire, stability
+from . import _TOLERANCES, NumericalError, _atomic_open, __version__
 
 __all__ = [
     "ConfigError",
@@ -59,6 +60,7 @@ def _nonneg(x):
 
 
 def _fraction_ok(x):
+    from fractions import Fraction
     try:
         f = Fraction(x)
     except (ValueError, ZeroDivisionError):
@@ -123,9 +125,9 @@ DEFAULTS: dict[str, dict[str, tuple]] = {
                    "must be > 0 when given (default: the sqrt(2)-boosted driver)"),
         "delta_star": ("number", 0.2, lambda x: 0 < x < 1 / math.sqrt(3),
                        "must lie in (0, 1/sqrt(3))"),
-        "c2": ("number", squire.DEFAULT_WINDOW.c2, _positive, "must be > 0"),
-        "c3": ("number", squire.DEFAULT_WINDOW.c3, _positive, "must be > 0"),
-        "c4": ("number", squire.DEFAULT_WINDOW.c4, _positive, "must be > 0"),
+        "c2": ("number", 0.105, _positive, "must be > 0"),
+        "c3": ("number", 0.46, _positive, "must be > 0"),
+        "c4": ("number", 0.56, _positive, "must be > 0"),
         "count_s": ("array", [50, 100, 200, 400], _positive_int_list,
                     "must be a nonempty list of positive integers"),
         "max_lifts": ("integer", 10, lambda x: x >= 0, "must be >= 0"),
@@ -150,7 +152,8 @@ _TYPE_CHECK = {
 
 
 def _check_simulate(p: dict) -> list[str]:
-    grid = spectral.SpectralGrid(p["n_modes"], Fraction(p["dealias_fraction"]))
+    from . import dynamics, spectral
+    grid = spectral.SpectralGrid(p["n_modes"], p["dealias_fraction"])
     spec = dynamics.ForcingSpec(s=p["s"], lam=p["lambda"])
     errors = []
     try:
@@ -178,13 +181,18 @@ def _check_simulate(p: dict) -> list[str]:
 
 
 def _check_bounds(p: dict) -> list[str]:
+    from . import bounds
+    try:  # upper1's factor (4 + eps_g)^3 is the same at every point
+        bounds._slack_cubed(p["eps_g"])
+    except ValueError as exc:
+        return [f"eps_g: {exc}"]
     # each point's bounds are evaluated: finite inputs can still overflow
     # them.  Each cause is named once, at the first point that shows it.
     errors = {}
     for g in p["g_values"]:
         for alpha in p["alpha_values"]:
             try:
-                bounds_mod.two_sided_report(_bound_inputs(p, g, alpha))
+                bounds.two_sided_report(_bound_inputs(p, g, alpha))
             except ValueError as exc:
                 errors.setdefault(str(exc), (g, alpha))
     return [f"g_values/alpha_values: {cause} at (g, alpha) = ({g!r}, {alpha!r})"
@@ -192,13 +200,16 @@ def _check_bounds(p: dict) -> list[str]:
 
 
 def _amplitude_errors(lam: float, s: int, alpha: float) -> list[str]:
-    # alpha^2 s^2 may turn to inf without raising: capital_lambda is then 0,
-    # or nan for the default squire driver amplitude, itself inf
-    cap = stability.capital_lambda(lam, s, alpha)
+    from . import stability
+    # alpha**2 may raise; alpha^2 s^2 = inf makes capital_lambda 0, or nan for an inf driver
+    try:
+        cap = stability.capital_lambda(lam, s, alpha)
+    except OverflowError:
+        cap = math.nan
     if 0 < cap < math.inf:
         return []
-    return [f"alpha: lambda = {lam!r} rescales to capital_lambda = {cap!r}, "
-            "which is not finite and > 0 (alpha^2 s^2 is too large)"]
+    return [f"alpha: capital_lambda = lambda / (2 sqrt2 pi (1 + alpha^2 s^2)) is not finite "
+            f"and > 0: alpha^2 s^2 is too large (alpha = {alpha!r}, s = {s}, lambda = {lam!r})"]
 
 
 def _window_error(name: str, value: float) -> list[str]:
@@ -207,6 +218,7 @@ def _window_error(name: str, value: float) -> list[str]:
 
 
 def _check_stability(p: dict) -> list[str]:
+    from . import stability
     # alpha^2 s^2 of the rescaled amplitude and its window may overflow a
     # float.  With the amplitude finite only 1/delta^2 can make the window
     # infinite, or divide by 0 where delta^2 underflows.
@@ -222,8 +234,9 @@ def _check_stability(p: dict) -> list[str]:
 
 
 def _check_squire(p: dict) -> list[str]:
+    from . import squire
     try:
-        window = _count_window(p)
+        window = squire.CountWindow(p["c2"], p["c3"], p["c4"], p["delta_star"])
     except ValueError as exc:
         return [f"c2/c3/c4: {exc}"]
     # the amplitude, given (then > 0) or the default driver, may overflow a
@@ -234,17 +247,22 @@ def _check_squire(p: dict) -> list[str]:
             lam = squire.lambda3_driver(p["s"], p["alpha"], p["delta_star"])
         except ZeroDivisionError:
             lam = math.inf
-        # an inf driver whose rescaled form is inf, not nan, has a finite
-        # 1 + alpha^2 s^2: 1/delta_star^2 overflowed
-        if stability.capital_lambda(lam, p["s"], p["alpha"]) == math.inf:
+        except OverflowError:  # raised only by its factor (1 + alpha^2 s^2)^2
+            return [f"alpha: the default driver's (1 + alpha^2 s^2)^2 is too large "
+                    f"(got {p['alpha']!r})"]
+        # an inf driver is delta_star's fault where the driver at delta = 1 is finite
+        if lam == math.inf and squire.lambda3_driver(p["s"], p["alpha"], 1.0) < math.inf:
             return _window_error("delta_star", p["delta_star"])
     errors = _amplitude_errors(lam, p["s"], p["alpha"])
+    try:  # the 3-D bound divides by alpha^3
+        if not (errors or p["alpha"] == 0 or p["alpha"] ** 3 > 0):
+            errors = [f"alpha: alpha^3 underflows to 0 (got {p['alpha']!r})"]
+    except OverflowError:
+        errors = [f"alpha: alpha^3 overflows a float (got {p['alpha']!r})"]
     if (not errors and p["c6"] is None and p["alpha"] > 0
             and squire.count_triples(p["count_s"][-1], window).count == 0):
         errors = [f"count_s: no triples at s={p['count_s'][-1]}, so the default "
                   "c6 (the c5 fit there) is 0; use a larger last s or set c6"]
-    if p["alpha"] > 0 and p["alpha"] ** 3 == 0:  # the 3-D bound divides by it
-        errors.append(f"alpha: alpha^3 underflows to 0 (got {p['alpha']!r})")
     return errors
 
 
@@ -348,7 +366,7 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path: Path, header: str, rows) -> Path:
-    with spectral._atomic_open(path) as fh:
+    with _atomic_open(path) as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -356,7 +374,7 @@ def _write_csv(path: Path, header: str, rows) -> Path:
 
 
 def _write_json(path: Path, payload) -> Path:
-    with spectral._atomic_open(path) as fh:
+    with _atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
@@ -381,17 +399,6 @@ class RunManifest:
     outputs: list[dict] = field(default_factory=list)
     status: str = "ok"
     error: str | None = None
-
-
-_TOLERANCES = {
-    "sigma_real_tol": stability.SIGMA_REAL_TOL,
-    "decay_tail_tol": stability.DECAY_TAIL_TOL,
-    "eigen_residual_tol": stability.RESIDUAL_TOL,
-    # sigma_hat must change sign across this relative width around Lambda_0
-    "lambda0_rel_width": stability.LAMBDA0_REL_WIDTH,
-    "lift_residual_tol": squire.LIFT_RESIDUAL_TOL,
-    "field_mean_tol": spectral._MEAN_TOL,
-}
 
 
 # ---------------------------------------------------------------------
@@ -468,7 +475,7 @@ def emit_plot_data(results: list[dict], kind: str, out_dir, basename=None):
                     f'{", ".join(s[0] for s in series)}: [{y0:.4g}, {y1:.4g}]'
                     f'{" (log10)" if logscale else ""}</text>')
     svg_path = out_dir / f"{base}.svg"
-    with spectral._atomic_open(svg_path) as fh:
+    with _atomic_open(svg_path) as fh:
         fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
                  f'height="{height}" viewBox="0 0 {width} {height}">\n')
         fh.write("\n".join(body))
@@ -481,7 +488,8 @@ def emit_plot_data(results: list[dict], kind: str, out_dir, basename=None):
 # ---------------------------------------------------------------------
 
 def _cmd_simulate(p: dict, out: Path, seed: int, written: list[Path]) -> None:
-    grid = spectral.SpectralGrid(p["n_modes"], Fraction(p["dealias_fraction"]))
+    from . import dynamics, spectral
+    grid = spectral.SpectralGrid(p["n_modes"], p["dealias_fraction"])
     params = dynamics.ModelParams(nu=p["nu"], alpha=p["alpha"], grid=grid)
     spec = dynamics.ForcingSpec(s=p["s"], lam=p["lambda"])
     forcing = dynamics.kolmogorov_forcing(spec, params)
@@ -507,6 +515,7 @@ def _cmd_simulate(p: dict, out: Path, seed: int, written: list[Path]) -> None:
 def _sigma_grid_rows(s, alpha, delta, t, r, n_points) -> list[dict]:
     """sigma_hat of chain (t, r) across the Lambda_0 window; NaN, with its
     reason in ``error``, where it could not be computed."""
+    from . import stability
     lo, hi = stability.lu_interval(s, delta, alpha)
     rows = []
     for cap in np.geomspace(lo / 2, hi, n_points):
@@ -519,6 +528,7 @@ def _sigma_grid_rows(s, alpha, delta, t, r, n_points) -> list[dict]:
 
 
 def _cmd_stability(p: dict, out: Path, seed: int, written: list[Path]) -> None:
+    from . import stability
     s, alpha, delta, lam = p["s"], p["alpha"], p["delta"], p["lambda"]
     rows = stability.stability_sweep(s, alpha, delta, lam,
                                      compute_lambda0=p["compute_lambda0"])
@@ -546,7 +556,7 @@ def _cmd_stability(p: dict, out: Path, seed: int, written: list[Path]) -> None:
                  "capital_lambda": row["capital_lambda"], "column": "sigma_hat",
                  "error": row["error"]} for row in grid_rows if row["error"] is not None]
     delta_star, adelta_max = stability.optimize_delta()
-    g = dynamics.grashof(dynamics.ForcingSpec(s=s, lam=lam))
+    g = stability.grashof(lam, s)
     summary = {
         "d_s": len(pairs),
         "a_delta": stability.region_area(delta),
@@ -561,14 +571,16 @@ def _cmd_stability(p: dict, out: Path, seed: int, written: list[Path]) -> None:
         written += emit_plot_data(grid_rows, "sigma_vs_lambda", out)
 
 
-def _bound_inputs(p: dict, g, alpha) -> bounds_mod.BoundInputs:
-    return bounds_mod.BoundInputs(
+def _bound_inputs(p: dict, g, alpha):
+    from . import bounds
+    return bounds.BoundInputs(
         g=float(g), alpha=float(alpha), lambda1=p["lambda1"],
         l_const=p["l_const"], eps_g=p["eps_g"])
 
 
 def _bounds_rows(p: dict) -> list[dict]:
-    return [asdict(bounds_mod.two_sided_report(_bound_inputs(p, g, alpha)))
+    from . import bounds
+    return [asdict(bounds.two_sided_report(_bound_inputs(p, g, alpha)))
             for g in p["g_values"] for alpha in p["alpha_values"]]
 
 
@@ -599,14 +611,10 @@ def _cmd_report(p: dict, out: Path, seed: int, written: list[Path]) -> None:
     }))
 
 
-def _count_window(p: dict) -> squire.CountWindow:
-    return squire.CountWindow(c2=p["c2"], c3=p["c3"], c4=p["c4"],
-                              delta_star=p["delta_star"])
-
-
 def _cmd_squire(p: dict, out: Path, seed: int, written: list[Path]) -> None:
+    from . import squire, stability
     s, nu, alpha = p["s"], p["nu"], p["alpha"]
-    window = _count_window(p)
+    window = squire.CountWindow(p["c2"], p["c3"], p["c4"], p["delta_star"])
     lam = p["lambda"]
     if lam is None:
         lam = squire.lambda3_driver(s, alpha, p["delta_star"])
@@ -645,7 +653,7 @@ def _cmd_squire(p: dict, out: Path, seed: int, written: list[Path]) -> None:
         "stable": stable,
     }
     if alpha > 0:
-        g = dynamics.grashof(dynamics.ForcingSpec(s=s, lam=lam))
+        g = stability.grashof(lam, s)
         summary["lower_bound_3d"] = asdict(squire.lower_bound_dim3d(
             g, alpha, p["gamma"], c6))
     else:
@@ -710,7 +718,7 @@ def run_command(config: ExperimentConfig, out_dir=None,
     return manifest
 
 
-def _main(args: argparse.Namespace) -> int:
+def _main(args) -> int:
     try:
         config = parse_config(Path(args.config).read_text())
         if config.command != args.command:
@@ -740,6 +748,7 @@ def _main(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="mla",
         description="Torus vorticity-model laboratory: simulation, "

@@ -39,7 +39,6 @@ __all__ = [
     "AsymptoticReport",
     "kolmogorov_forcing",
     "stationary_psi",
-    "grashof",
     "rhs",
     "dt_max",
     "step_imex",
@@ -130,11 +129,6 @@ def stationary_psi(spec: ForcingSpec, params: ModelParams) -> ScalarField:
     _check_spec_on_grid(spec, params.grid)
     amp = -params.nu * spec.lam * spec.s / (math.sqrt(2.0) * math.pi)
     return ScalarField.harmonic(params.grid, 0, spec.s, amplitude=amp)
-
-
-def grashof(spec: ForcingSpec) -> float:
-    """G = lam * s^2 (first Stokes eigenvalue 1 on the torus)."""
-    return spec.lam * spec.s**2
 
 
 class _RunBuffers(NamedTuple):

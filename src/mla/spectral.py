@@ -28,16 +28,16 @@ No work array is cached on ``SpectralGrid``.  ``save_field`` streams the
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+
+from . import _MEAN_TOL, _atomic_open
 
 __all__ = [
     "GridMismatchError",
@@ -57,11 +57,6 @@ __all__ = [
     "save_field",
     "load_field",
 ]
-
-#: Tolerance on a field's mean coefficient (ScalarField scales it by
-#: max(1, largest |coefficient|)).
-_MEAN_TOL = 1e-14
-
 
 class GridMismatchError(ValueError):
     """Operands live on different spectral grids."""
@@ -434,22 +429,6 @@ def field_from_json(text: str) -> ScalarField:
     return ScalarField.from_modes(grid, {
         (int(k1), int(k2)): complex(re, im) for k1, k2, re, im in doc["modes"]
     })
-
-
-@contextlib.contextmanager
-def _atomic_open(path):
-    """Open ``path``.tmp for writing text and rename it onto ``path`` when the
-    block ends; if the block raises, delete it.  ``path`` is never left half
-    written, and a failed write leaves no file behind."""
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
 
 
 def save_field(f: ScalarField, path) -> None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import NumericalError
+from . import LIFT_RESIDUAL_TOL, NumericalError
 from .stability import (
     RecurrenceProblem,
     StabilityResult,
@@ -59,8 +59,6 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2.0) * math.pi
-#: Ceiling on each relative residual of a lifted mode's four equations.
-LIFT_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import NumericalError
+from . import DECAY_TAIL_TOL, LAMBDA0_REL_WIDTH, RESIDUAL_TOL, SIGMA_REAL_TOL, NumericalError
 
 __all__ = [
     "RegionSpec",
@@ -65,6 +65,7 @@ __all__ = [
     "principal_sigma",
     "lambda0_threshold",
     "lu_interval",
+    "grashof",
     "lower_bound_dim2d",
     "stability_sweep",
     "LOWER_COEFF_ALPHA0",
@@ -72,15 +73,6 @@ __all__ = [
     "A_DELTA_MAX",
 ]
 
-#: Reality tolerance: an eigenvalue counts as real when
-#: |Im| < SIGMA_REAL_TOL * (1 + |Re|).
-SIGMA_REAL_TOL = 1e-10
-#: Eigenvector tail threshold below which a mode counts as decaying.
-DECAY_TAIL_TOL = 1e-8
-#: Residual ceiling for an accepted eigenpair.
-RESIDUAL_TOL = 1e-8
-#: Relative width across which sigma_hat must change sign at Lambda_0.
-LAMBDA0_REL_WIDTH = 1e-8
 #: Chain truncation the eigenpair search starts from.
 N_TRUNC = 16
 #: Largest chain truncation the eigenpair search doubles up to.
@@ -571,6 +563,11 @@ def lambda0_threshold(s: int, t: float, r: int, alpha: float,
 # ---------------------------------------------------------------------
 # dimension lower bound
 # ---------------------------------------------------------------------
+
+def grashof(lam: float, s: int) -> float:
+    """Grashof number G = lam s^2 (first Stokes eigenvalue 1 on the torus)."""
+    return lam * s**2
+
 
 @dataclass(frozen=True)
 class LowerBound2D:

@@ -139,7 +139,7 @@ def test_criterion_4_asymptotic_bounds():
     params = dynamics.ModelParams(nu=nu, alpha=alpha, grid=grid)
     spec = dynamics.ForcingSpec(s=s, lam=lam)
     forcing = dynamics.kolmogorov_forcing(spec, params)
-    assert dynamics.grashof(spec) == pytest.approx(50.0)
+    assert stability.grashof(spec.lam, spec.s) == pytest.approx(50.0)
     state = dynamics.initial_state(params, seed=7, amplitude=0.1)
     diag = dynamics.run(state, t_final=200.0 / nu, dt=0.02, forcing=forcing,
                         sample_every=100)

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mla import NumericalError, cli, spectral, squire, stability
+import mla
+from mla import NumericalError, cli, dynamics, spectral, squire, stability
 from mla.cli import ConfigError, emit_plot_data, parse_config, run_command, serialize_config
 
 
@@ -161,15 +162,20 @@ def test_bounds_grid_rows_and_manifest(tmp_path):
     saved = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert saved["status"] == "ok"
     assert saved["tolerances"]["eigen_residual_tol"] == 1e-8
-    # each reported tolerance is the constant the code enforces
-    assert saved["tolerances"] == {
-        "sigma_real_tol": stability.SIGMA_REAL_TOL,
-        "decay_tail_tol": stability.DECAY_TAIL_TOL,
-        "eigen_residual_tol": stability.RESIDUAL_TOL,
-        "lambda0_rel_width": stability.LAMBDA0_REL_WIDTH,
-        "lift_residual_tol": squire.LIFT_RESIDUAL_TOL,
-        "field_mean_tol": spectral._MEAN_TOL,
+    # each reported tolerance is its one constant in mla, which the module
+    # that enforces it imports rather than redefines
+    owners = {
+        "sigma_real_tol": ("SIGMA_REAL_TOL", stability),
+        "decay_tail_tol": ("DECAY_TAIL_TOL", stability),
+        "eigen_residual_tol": ("RESIDUAL_TOL", stability),
+        "lambda0_rel_width": ("LAMBDA0_REL_WIDTH", stability),
+        "lift_residual_tol": ("LIFT_RESIDUAL_TOL", squire),
+        "field_mean_tol": ("_MEAN_TOL", spectral),
     }
+    assert set(saved["tolerances"]) == set(owners)
+    for key, (name, module) in owners.items():
+        assert saved["tolerances"][key] == getattr(mla, name)
+        assert getattr(module, name) is getattr(mla, name)
 
 
 def test_manifest_lists_only_files_the_run_wrote(tmp_path):
@@ -683,13 +689,45 @@ def test_main_bound_overflow_is_one_config_error(tmp_path, capsys, command, keys
     assert not (tmp_path / "out").exists()
 
 
+_EPS_OVERFLOW = "config error: eps_g: (4 + eps_g)^3 overflows a float (eps_g=1e+200)\n"
+_CAP_OVERFLOW = ("config error: alpha: capital_lambda = lambda / (2 sqrt2 pi "
+                 "(1 + alpha^2 s^2)) is not finite and > 0: alpha^2 s^2 is too large ")
+
+
+@pytest.mark.parametrize("doc,start", [
+    ({"command": "bounds", "g_values": [100.0], "alpha_values": [0.0], "eps_g": 1e200},
+     _EPS_OVERFLOW),
+    ({"command": "report", "g_values": [100.0], "alpha_values": [0.0], "eps_g": 1e200},
+     _EPS_OVERFLOW),
+    ({"command": "stability", "s": 4, "delta": 0.3, "lambda": 1.0, "alpha": 1e200},
+     _CAP_OVERFLOW),
+    ({"command": "squire", "s": 4, "lambda": 1.0, "alpha": 1e200}, _CAP_OVERFLOW),
+    ({"command": "squire", "s": 4, "alpha": 1e200},
+     "config error: alpha: the default driver's (1 + alpha^2 s^2)^2 is too large (got 1e+200)\n"),
+    # the driver is inf without raising, and was blamed on delta_star
+    ({"command": "squire", "s": 2, "alpha": 5e76}, _CAP_OVERFLOW),
+    ({"command": "squire", "s": 2, "lambda": 1.0, "alpha": 1e110, "count_s": [30]},
+     "config error: alpha: alpha^3 overflows a float (got 1e+110)\n"),
+], ids=["bounds-eps_g", "report-eps_g", "stability-alpha", "squire-alpha-lambda",
+        "squire-alpha-driver", "squire-alpha-driver-inf", "squire-alpha-cubed"])
+def test_main_overflow_names_its_key_and_formula(tmp_path, capsys, doc, start):
+    # each was "config error: a number is too large: (34, 'Numerical result
+    # out of range')", from an OverflowError that named no key
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(doc, output_dir=str(tmp_path / "out"))))
+    assert cli.main([doc["command"], "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(start) and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_out_of_memory_is_exit_3(tmp_path, capsys, monkeypatch):
     # a grid too large to allocate fails at its first array; no large array
     # is made here
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 8.00 TiB for an array")
 
-    monkeypatch.setattr(cli.dynamics, "kolmogorov_forcing", no_memory)
+    monkeypatch.setattr(dynamics, "kolmogorov_forcing", no_memory)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(MINIMAL_SIMULATE, output_dir=str(tmp_path / "out"))))
     assert cli.main(["simulate", "--config", str(cfg)]) == 3
@@ -733,7 +771,7 @@ _CAUSES = {
     "coercivity": (_LIFT, _stable_phase, 3,
                    "numerical failure: reconstruction requires Re(iac) < 0"),
     "memory": (MINIMAL_SIMULATE, lambda mp: mp.setattr(
-        cli.dynamics, "kolmogorov_forcing", _raise(MemoryError("no room"))), 3,
+        dynamics, "kolmogorov_forcing", _raise(MemoryError("no room"))), 3,
         "error: out of memory: no room"),
     "unusable-out": (_BOUNDS, None, 2, "error: cannot write output: "),
     "not-utf-8": (_BOUNDS, None, 2, "error: cannot read config: "),
@@ -761,10 +799,10 @@ _CAUSES = {
                     "overflows a float (L=3.141592653589793, lambda1=1.0) at "
                     "(g, alpha) = (100.0, 1e+154)"),
     "value-error": (MINIMAL_SIMULATE, lambda mp: mp.setattr(
-        cli.dynamics, "kolmogorov_forcing", _raise(ValueError("a defect"))), 1,
+        dynamics, "kolmogorov_forcing", _raise(ValueError("a defect"))), 1,
         "internal error: ValueError: a defect"),
     "runtime-error": ({"command": "stability", "s": 4, "delta": 0.3, "lambda": 1.0},
-                      lambda mp: mp.setattr(cli.stability, "stability_sweep",
+                      lambda mp: mp.setattr(stability, "stability_sweep",
                                             _raise(RuntimeError("a defect"))), 1,
                       "internal error: RuntimeError: a defect"),
     "key-error": (_BOUNDS, lambda mp: mp.setattr(cli, "_bounds_rows",
@@ -911,14 +949,65 @@ def test_main_exit_code_on_any_run(doc):
 
 
 def test_cli_import_leaves_out_scipy():
-    # every run imports mla.cli; scipy.integrate took about 0.3 s of it,
-    # scipy.linalg about 0.3 s more, and concurrent.futures about 0.01 s
+    # no mla module imports scipy: scipy.integrate took about 0.3 s of every
+    # run, scipy.linalg about 0.3 s more, and concurrent.futures about 0.01 s
     src = str(Path(cli.__file__).parents[1])
-    subprocess.run([sys.executable, "-c", "import mla.cli, sys; "
+    subprocess.run([sys.executable, "-c", "import mla.cli, mla.bounds, mla.dynamics, "
+                    "mla.spectral, mla.squire, mla.stability, sys; "
                     "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy'"
                     " or m.startswith('concurrent.futures')]; "
                     "assert not loaded, loaded"],
                    check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+# the mla modules, besides cli, that parse_config loads for each command
+_COMMAND_MODULES = {
+    "simulate": ["dynamics", "spectral"],
+    "stability": ["stability"],
+    "bounds": ["bounds", "stability"],
+    "report": ["bounds", "stability"],
+    "squire": ["squire", "stability"],
+}
+# prints the mla modules loaded after import, parse and run, and whether
+# argparse was loaded after import and parse
+_LOADS = """
+import json, sys
+def loaded():
+    return sorted(m.partition(".")[2] for m in sys.modules if m.startswith("mla."))
+import mla.cli as cli
+seen = [loaded(), "argparse" in sys.modules]
+doc = json.loads(sys.argv[1])
+config = cli.parse_config(json.dumps(doc))
+seen += [loaded(), "argparse" in sys.modules]
+if config.command == "simulate":  # 5 steps, not the shipped 10,000
+    config = cli.parse_config(json.dumps(dict(doc, t_final=5 * doc["dt"], sample_every=1)))
+cli.run_command(config, out_dir=sys.argv[2])
+print(json.dumps(seen + [loaded()]))
+"""
+
+
+@pytest.mark.parametrize("name", ["simulate_kolmogorov", "stability_scan", "bounds_grid",
+                                  "two_sided_report", "squire_study"])
+def test_each_command_loads_only_its_modules(tmp_path, name):
+    # each run compiles only the modules it needs; set-up is most of every
+    # shipped run but simulate, so no module may load before it is needed
+    # or after parse_config, where it would count in the run's wall time
+    doc = json.loads((Path(__file__).parents[1] / "configs" / f"{name}.json").read_text())
+    src = str(Path(cli.__file__).parents[1])
+    result = subprocess.run([sys.executable, "-c", _LOADS, json.dumps(doc), str(tmp_path)],
+                            check=True, capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    imported, argparse_imported, parsed, argparse_parsed, ran = json.loads(result.stdout)
+    assert imported == ["cli"] and not argparse_imported and not argparse_parsed
+    assert parsed == sorted(["cli"] + _COMMAND_MODULES[doc["command"]])
+    assert ran == parsed
+
+
+def test_squire_window_defaults_are_the_default_window():
+    # cli.DEFAULTS states them as literals, so that parsing loads no module
+    defaults = {key: cli.DEFAULTS["squire"][key][1]
+                for key in ("c2", "c3", "c4", "delta_star")}
+    assert squire.CountWindow(**defaults) == squire.DEFAULT_WINDOW
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ from mla.dynamics import (
     _etd_tables,
     check_asymptotic_bounds,
     dt_max,
-    grashof,
     initial_state,
     kolmogorov_forcing,
     rhs,
@@ -34,6 +33,7 @@ from mla.spectral import (
     laplacian,
     norms,
 )
+from mla.stability import grashof
 
 GRID = SpectralGrid(32)
 SQRT2PI = math.sqrt(2.0) * math.pi
@@ -131,12 +131,12 @@ def test_rhs_stationary_residual(s, alpha):
 
 
 def test_grashof():
-    assert grashof(ForcingSpec(s=3, lam=5.0)) == pytest.approx(45.0)
-    assert grashof(ForcingSpec(s=1, lam=1.0)) == pytest.approx(1.0)
+    assert grashof(5.0, 3) == pytest.approx(45.0)
+    assert grashof(1.0, 1) == pytest.approx(1.0)
     # consistency with the velocity-forcing norm: G nu^2 lambda1 = |f|
     p = params(nu=0.9)
     spec = ForcingSpec(s=2, lam=1.7)
-    assert grashof(spec) * p.nu**2 == pytest.approx(
+    assert grashof(spec.lam, spec.s) * p.nu**2 == pytest.approx(
         forcing_velocity_l2(spec, p), rel=1e-12
     )
 
