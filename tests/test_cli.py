@@ -408,8 +408,17 @@ def test_shipped_scan_solve_counts(tmp_path, monkeypatch):
     assert sorted(solves) == [33] * 91 + [65] * 44
 
 
-# every shipped config but simulate, whose 10,000 steps take seconds
-_HASHED_CONFIGS = ("stability_scan", "bounds_grid", "two_sided_report", "squire_study")
+# name -> (shipped config, overrides): every shipped config, and simulate cut
+# short (its 10,000 steps take seconds) at n = 64 and at kolmogorov-256's n = 256
+_HASHED_CONFIGS = {
+    "stability_scan": ("stability_scan", {}),
+    "bounds_grid": ("bounds_grid", {}),
+    "two_sided_report": ("two_sided_report", {}),
+    "squire_study": ("squire_study", {}),
+    "simulate_t2": ("simulate_kolmogorov", {"t_final": 2.0}),
+    "simulate_n256": ("simulate_kolmogorov", {"n_modes": 256, "dt": 0.005, "t_final": 0.125,
+                                              "sample_every": 5, "seed": 0}),
+}
 SHIPPED_SHA256 = Path(__file__).parent / "data" / "shipped_sha256.json"
 
 
@@ -421,9 +430,10 @@ def shipped_artifact_hashes(out_root) -> dict:
     ``PYTHONPATH=src python tests/test_cli.py <scratch dir>``."""
     configs = Path(__file__).parents[1] / "configs"
     hashes = {}
-    for name in _HASHED_CONFIGS:
+    for name, (shipped, overrides) in _HASHED_CONFIGS.items():
         out = Path(out_root) / name
-        run_command(parse_config((configs / f"{name}.json").read_text()), out_dir=out)
+        doc = json.loads((configs / f"{shipped}.json").read_text()) | overrides
+        run_command(parse_config(json.dumps(doc)), out_dir=out)
         manifest = json.loads((out / "manifest.json").read_text())
         hashes[name] = {o["path"]: o["sha256"] for o in manifest["outputs"]}
     return hashes
