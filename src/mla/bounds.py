@@ -6,8 +6,8 @@ log-brackets must be positive, and inputs violating that raise
 ``mla.NumericalError`` (the formulas say nothing about small G), which
 ``two_sided_report`` records as a note beside a blank bound.  The constant L
 is a free input: pi on the sphere, unspecified on the torus.  Where the
-filtered constant L(1 + alpha^2 lambda1), or upper_bound_1's (4 + eps_G)^3,
-overflows a float, they raise ValueError: the inputs are then out of range.
+filtered constant L(1 + alpha^2 lambda1), (4 + eps_G)^3 or a bound overflows
+a float, they raise ValueError: the inputs are then out of range.
 """
 
 from __future__ import annotations
@@ -76,6 +76,13 @@ def _slack_cubed(eps_g: float) -> float:
         raise ValueError(f"(4 + eps_g)^3 overflows a float (eps_g={eps_g})") from None
 
 
+def _finite(value: float, formula: str) -> float:
+    """value, or ValueError naming the formula where it is not finite."""
+    if math.isfinite(value):
+        return value
+    raise ValueError(f"{formula} overflows a float")
+
+
 def upper_bound_1(inputs: BoundInputs) -> float:
     """G^(2/3) ((4+eps)^3 / (3L(1+alpha^2 lambda1)) (log G - 1/2 log(L/2)))^(1/3)."""
     g, eps = inputs.g, inputs.eps_g
@@ -84,7 +91,8 @@ def upper_bound_1(inputs: BoundInputs) -> float:
     if bracket <= 0.0:
         raise NumericalError(
             f"log G - (1/2) log(L/2) = {bracket} <= 0 at G={g}, L={inputs.l_const}")
-    return g ** (2.0 / 3.0) * (_slack_cubed(eps) / (3.0 * la) * bracket) ** (1.0 / 3.0)
+    return _finite(g ** (2.0 / 3.0) * (_slack_cubed(eps) / (3.0 * la) * bracket) ** (1.0 / 3.0),
+                   "upper1 = G^(2/3) ((4 + eps_g)^3 / (3 L(1 + alpha^2 lambda1)) ...)^(1/3)")
 
 
 def upper_bound_2(inputs: BoundInputs) -> float:
@@ -97,7 +105,8 @@ def upper_bound_2(inputs: BoundInputs) -> float:
         raise NumericalError(
             f"log G + 1/2 + log(3 sqrt2/sqrt(L(1+a^2 l1))) = {bracket} <= 0 "
             f"at G={g}, L={inputs.l_const}, alpha={inputs.alpha}")
-    return (12.0 / math.sqrt(la)) ** (2.0 / 3.0) * g ** (2.0 / 3.0) * bracket ** (1.0 / 3.0)
+    u2 = (12.0 / math.sqrt(la)) ** (2.0 / 3.0) * g ** (2.0 / 3.0) * bracket ** (1.0 / 3.0)
+    return _finite(u2, "upper2 = (12 / sqrt(L(1 + alpha^2 lambda1)))^(2/3) G^(2/3) (...)^(1/3)")
 
 
 @dataclass(frozen=True)

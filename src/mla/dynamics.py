@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -132,36 +131,41 @@ def stationary_psi(spec: ForcingSpec, params: ModelParams) -> ScalarField:
 
 
 class _RunBuffers(NamedTuple):
-    """What every step of one run reuses: the symbol of I - alpha^2 Lap, the
-    two Jacobian arguments and the Jacobian's work arrays.  ``run`` drops
-    them before it returns."""
+    """What every step of one run reuses: the ETD tables of its dt (if given),
+    the symbol of I - alpha^2 Lap, the Jacobian's two (n, m) band arguments,
+    one full-width ``work`` and the Jacobian's work arrays.  ``run`` drops them."""
 
+    etd: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     helmholtz: np.ndarray
     stream: np.ndarray
     filtered: np.ndarray
+    work: np.ndarray
     jacobian: tuple[np.ndarray, ...]
 
 
-def _run_buffers(params: ModelParams) -> _RunBuffers:
+def _run_buffers(params: ModelParams, dt: float | None = None) -> _RunBuffers:
     grid = params.grid
-    # The grid's lasting tables are built before the run's arrays: built
-    # after them, they raised the peak RSS of a simulate run at n = 256 by
-    # about 0.6 MB.
+    # Tables before work arrays, in field order: built after them, the grid's
+    # raised a simulate run's peak RSS at n = 256 by 0.6 MB, and the ETD
+    # tables a 5-step run's at n = 1024 by 2.6 MB.
     grid.neg_inv_k_sq, grid._jacobian_symbols
-    return _RunBuffers(grid.helmholtz(params.alpha),
-                       np.empty(grid.shape, dtype=np.complex128),
+    band = grid._jacobian_symbols[1].shape
+    return _RunBuffers(None if dt is None else _etd_tables(grid, params.nu, dt),
+                       grid.helmholtz(params.alpha),
+                       np.empty(band, dtype=np.complex128),
+                       np.empty(band, dtype=np.complex128),
                        np.empty(grid.shape, dtype=np.complex128),
                        _jacobian_buffers(grid))
 
 
 def _nonlinear(psi: np.ndarray, params: ModelParams, forcing: np.ndarray,
-               buffers: _RunBuffers) -> np.ndarray:
-    """F - J(Lap^{-1} psi, (I-a^2 Lap)^{-1} psi) on coefficient arrays,
-    written over the Jacobian's fresh result."""
-    grid = params.grid
-    np.multiply(psi, grid.neg_inv_k_sq, out=buffers.stream)
-    np.divide(psi, buffers.helmholtz, out=buffers.filtered)
-    jac = _jacobian(grid, buffers.stream, buffers.filtered, buffers.jacobian)
+               buffers: _RunBuffers, out: np.ndarray | None = None) -> np.ndarray:
+    """F - J(Lap^{-1} psi, (I-a^2 Lap)^{-1} psi) on coefficient arrays, written
+    over the Jacobian's result (``out``, or fresh); its arguments are band-only."""
+    grid, m = params.grid, buffers.stream.shape[1]
+    np.multiply(psi[:, :m], grid.neg_inv_k_sq[:, :m], out=buffers.stream)
+    np.divide(psi[:, :m], buffers.helmholtz[:, :m], out=buffers.filtered)
+    jac = _jacobian(grid, buffers.stream, buffers.filtered, buffers.jacobian, out)
     return np.subtract(forcing, jac, out=jac)
 
 
@@ -174,11 +178,18 @@ def rhs(state: SolverState, forcing: ScalarField) -> ScalarField:
                                     _run_buffers(p)))
 
 
-def dt_max(state: SolverState, cfl: float = 0.5) -> float:
-    """Advective limit dt <= cfl / (max|u| k_max); inf for a quiescent field."""
-    grid = state.psi.grid
-    u1, u2 = map(grid.to_physical, grid.velocity(grid.neg_inv_k_sq * state.psi.coeffs))
-    umax = float(np.max(np.sqrt(u1**2 + u2**2)))
+def dt_max(state: SolverState, cfl: float = 0.5, *,
+           _buffers: _RunBuffers | None = None) -> float:
+    """Advective limit dt <= cfl / (max|u| k_max); inf for a quiescent field.
+    u takes the Jacobian's 1-D passes in ``run``'s buffers: only ``velocity`` allocates."""
+    grid, buffers = state.psi.grid, _buffers or _run_buffers(state.params)
+    stream = np.multiply(grid.neg_inv_k_sq, state.psi.coeffs, out=buffers.work)
+    u1, u2 = buffers.jacobian[1:3]
+    for c, phys in zip(grid.velocity(stream), (u1, u2)):
+        np.fft.ifft(c, axis=0, norm="forward", out=c)
+        np.fft.irfft(c, grid.n_modes, axis=1, norm="forward", out=phys)
+        phys *= phys
+    umax = float(np.sqrt(np.max(np.add(u1, u2, out=u1))))  # sqrt is monotone
     kmax = float(np.max(np.abs(grid.wavenumbers[np.abs(grid.wavenumbers) < grid.dealias_cutoff])))
     if umax * kmax == 0.0:
         return math.inf
@@ -208,7 +219,6 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
 def _etd_tables(grid: SpectralGrid, nu: float, dt: float):
     z = -nu * dt * grid.k_sq
     return np.exp(z), dt * _phi1(z), dt * _phi2(z)
@@ -226,24 +236,25 @@ def step_imex(state: SolverState, dt: float, forcing: ScalarField, *,
     Steady states (N balancing diffusion exactly) are fixed points of the
     update, and smooth solutions converge at second order.  Callers are
     responsible for the advective limit dt <= dt_max(state); see run(),
-    which also passes the buffers its steps share (a bare call makes its own).
+    which also passes the buffers its steps share, built for this dt.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     state.psi._require_same_grid(forcing)
     params = state.params
-    exp_z, w1, w2 = _etd_tables(params.grid, params.nu, dt)
-    buffers = _buffers or _run_buffers(params)
+    buffers = _buffers or _run_buffers(params, dt)
+    exp_z, w1, w2 = buffers.etd
     psi, f = state.psi.coeffs, forcing.coeffs
     n0 = _nonlinear(psi, params, f, buffers)
-    # in place, but the same products and sums in the same order as the
-    # formulas above, so the rounding is theirs
+    # in place or in ``work``, but the same products and sums in the same
+    # order as the formulas above, so the rounding is theirs
     a = exp_z * psi
-    a += w1 * n0
-    n1 = _nonlinear(a, params, f, buffers)
+    a += np.multiply(w1, n0, out=buffers.work)
+    n1 = _nonlinear(a, params, f, buffers, out=buffers.work)
     n1 -= n0
     n1 *= w2
     a += n1
+    del n0
     new = ScalarField(params.grid, a)
     if not np.all(np.isfinite(new.coeffs)):
         raise NumericalError(f"non-finite coefficients after step at t={state.time}: "
@@ -271,20 +282,21 @@ def run(state: SolverState, t_final: float, dt: float, forcing: ScalarField,
     t0 = state.time
     times, phis, grads, avgs = [], [], [], []
 
-    buffers = _run_buffers(state.params)
-    if dt > dt_max(state, cfl):
-        raise NumericalError(
-            f"dt={dt} exceeds advective limit {dt_max(state, cfl)} at start")
+    buffers = _run_buffers(state.params, dt)
+    limit = dt_max(state, cfl, _buffers=buffers)
+    if dt > limit:
+        raise NumericalError(f"dt={dt} exceeds advective limit {limit} at start")
     acc = 0.0
-    # norms of phi = (I - alpha^2 Lap)^{-1} psi
-    g_prev = _norms(grid, state.psi.coeffs / buffers.helmholtz).h1_semi ** 2
+    # norms of phi = (I - alpha^2 Lap)^{-1} psi, formed in the work array
+    phi = np.divide(state.psi.coeffs, buffers.helmholtz, out=buffers.work)
+    g_prev = _norms(grid, phi).h1_semi ** 2
     for i in range(n_steps):
         state = step_imex(state, dt, forcing, _buffers=buffers)
-        m = _norms(grid, state.psi.coeffs / buffers.helmholtz)
+        m = _norms(grid, np.divide(state.psi.coeffs, buffers.helmholtz, out=phi))
         acc += 0.5 * (g_prev + m.h1_semi ** 2) * dt
         g_prev = m.h1_semi ** 2
         if (i + 1) % sample_every == 0:
-            if dt > dt_max(state, cfl):
+            if dt > dt_max(state, cfl, _buffers=buffers):
                 raise NumericalError(
                     f"dt={dt} exceeds advective limit at t={state.time}")
             times.append(state.time)

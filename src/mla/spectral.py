@@ -17,11 +17,12 @@ uses them and the array kernel ``_jacobian`` without building fields.
 
 Each 2-D transform of the Jacobian is two 1-D passes with the scaling
 inside (``norm="forward"``), so dealiasing the result only zeroes the modes
-outside the mask.  The masked derivative symbols leave only the columns
-k2 < cutoff nonzero, so the complex pass along k1 runs on those
-ceil(cutoff) columns alone, in both directions.  Every pass writes into
-work arrays from ``_jacobian_buffers``: a stepper run allocates them once
-and drops them when it returns, and ``jacobian`` makes its own per call.
+outside the mask.  The masked derivative symbols live on the band k2 < m =
+ceil(cutoff) alone, so the Jacobian reads only that band of its arguments
+and runs the pass along k1 on it.  Every pass writes into work arrays from
+``_jacobian_buffers``, the result into an optional ``out``: a stepper run
+allocates them once and drops them when it returns, and ``jacobian`` makes
+its own per call.
 No work array is cached on ``SpectralGrid``.  ``save_field`` streams the
 ``mla-field-v1`` text one k2 column, O(n) modes, at a time.
 """
@@ -138,9 +139,11 @@ class SpectralGrid:
 
     @cached_property
     def _jacobian_symbols(self) -> tuple[np.ndarray, np.ndarray]:
-        """Masked i k1 and i k2."""
-        mask = self.dealias_mask
-        return np.where(mask, 1j * self.k1, 0j), np.where(mask, 1j * self.k2, 0j)
+        """Masked i k1 and i k2 on the dealias band k2 < m = ceil(cutoff), which
+        holds every kept mode: an (n, 1) column and an (n, m) array."""
+        mask = self.dealias_mask[:, :math.ceil(self.dealias_cutoff)]
+        return (np.where(mask[:, :1], 1j * self.k1, 0j),
+                np.where(mask, 1j * self.k2[:, :mask.shape[1]], 0j))
 
     def index_of(self, k1: int, k2: int) -> tuple[int, int]:
         """Storage index of the wavevector (k1, k2), |k1| <= n/2, 0 <= k2 <= n/2."""
@@ -170,11 +173,11 @@ class ScalarField:
         if c.shape != self.grid.shape:
             raise ValueError(
                 f"coeffs shape {c.shape} does not match grid {self.grid.shape}")
-        scale = max(1.0, float(np.max(np.abs(c))))
+        # the tolerance _MEAN_TOL * max(1, max|c|) needs max|c| only above _MEAN_TOL
+        scale = max(1.0, float(np.max(np.abs(c)))) if abs(c[0, 0]) > _MEAN_TOL else 1.0
         if abs(c[0, 0]) > _MEAN_TOL * scale:
             raise NonZeroMeanError(
-                f"mean coefficient {c[0, 0]} exceeds tolerance {_MEAN_TOL * scale}"
-            )
+                f"mean coefficient {c[0, 0]} exceeds tolerance {_MEAN_TOL * scale}")
         c[0, 0] = 0.0
         # Columns k2 = 0 and k2 = n/2 hold both k and -k: the k1 > 0 half is
         # authoritative and copied, conjugated, onto k1 < 0; the modes that
@@ -312,22 +315,23 @@ def _jacobian_buffers(grid: SpectralGrid) -> tuple[np.ndarray, ...]:
 
 
 def _jacobian(grid: SpectralGrid, a: np.ndarray, b: np.ndarray,
-              buffers: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+              buffers: tuple[np.ndarray, ...] | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Dealiased J(a, b) of coefficient arrays: the kernel of ``jacobian``.
 
-    Each 2-D transform is two 1-D passes, and the pass along k1 runs only
-    on the columns k2 < cutoff, where the masked symbols leave anything
-    nonzero.  All work happens in ``buffers`` (from ``_jacobian_buffers``,
-    allocated here if not given); the result is a fresh array, with the
-    modes outside the dealias mask and the mean set to 0.
+    Only the band k2 < m of ``a`` and ``b`` is read.  Each 2-D transform is
+    two 1-D passes, and the pass along k1 runs only on the band.  All work
+    happens in ``buffers`` (from ``_jacobian_buffers``, allocated here if not
+    given); the result, in ``out`` or a fresh array, has the modes outside
+    the dealias mask and the mean set to 0.
     """
-    n, m = grid.n_modes, math.ceil(grid.dealias_cutoff)
     d1, d2 = grid._jacobian_symbols
+    n, m = grid.n_modes, d2.shape[1]
     spec, p, q, r = buffers or _jacobian_buffers(grid)
     band = spec[:, :m]
 
     def to_physical(d, c, phys):
-        np.multiply(d, c, out=spec)
+        np.multiply(d, c[:, :m], out=band)
         np.fft.ifft(band, axis=0, norm="forward", out=band)
         np.fft.irfft(spec, n, axis=1, norm="forward", out=phys)
 
@@ -338,7 +342,7 @@ def _jacobian(grid: SpectralGrid, a: np.ndarray, b: np.ndarray,
     to_physical(d1, b, r)
     q *= r
     p -= q
-    res = np.fft.rfft(p, axis=1, norm="forward")
+    res = np.fft.rfft(p, axis=1, norm="forward", out=out)
     band = res[:, :m]
     np.fft.fft(band, axis=0, norm="forward", out=band)
     # outside the mask: columns k2 >= m and rows |k1| >= m; then the mean

@@ -699,6 +699,23 @@ def test_main_bound_overflow_is_one_config_error(tmp_path, capsys, command, keys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["bounds", "report"])
+@pytest.mark.parametrize("g", [1e100, 1e200, 1e300])
+@pytest.mark.parametrize("alpha", [0.0, 0.01])
+def test_main_upper_bound_overflow_is_one_config_error(tmp_path, capsys, command, g, alpha):
+    # (4 + eps_g)^3 is finite at eps_g = 5e102, but upper1 is not: each of
+    # these exited 0 with upper1 = inf in its CSV and inf/nan in its SVG
+    doc = {"command": command, "g_values": [g], "alpha_values": [alpha], "eps_g": 5e102,
+           "output_dir": str(tmp_path / "out")}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: g_values/alpha_values: upper1 = ")
+    assert err.count("\n") == 1 and "overflows a float" in err
+    assert not (tmp_path / "out").exists()
+
+
 _EPS_OVERFLOW = "config error: eps_g: (4 + eps_g)^3 overflows a float (eps_g=1e+200)\n"
 _CAP_OVERFLOW = ("config error: alpha: capital_lambda = lambda / (2 sqrt2 pi "
                  "(1 + alpha^2 s^2)) is not finite and > 0: alpha^2 s^2 is too large ")

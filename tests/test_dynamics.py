@@ -4,6 +4,7 @@ decay, stationarity preservation, self-convergence, and the dissipative
 tail bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mla.dynamics import (
     ModelParams,
     SolverState,
     _etd_tables,
+    _run_buffers,
     check_asymptotic_bounds,
     dt_max,
     initial_state,
@@ -379,6 +381,91 @@ def test_cfl_guard():
     assert np.isfinite(limit)
     with pytest.raises(NumericalError, match="advective limit"):
         run(state, t_final=1.0, dt=limit * 10, forcing=F)
+
+
+def _dt_max_reference(state, cfl=0.5):
+    """dt_max as it was before it reused the run's buffers: each velocity
+    component through irfft2 (``SpectralGrid.to_physical``), then the max
+    of |u|.  The oracle for the buffered path."""
+    grid = state.psi.grid
+    u1, u2 = map(grid.to_physical, grid.velocity(grid.neg_inv_k_sq * state.psi.coeffs))
+    umax = float(np.max(np.sqrt(u1**2 + u2**2)))
+    kmax = float(np.max(np.abs(grid.wavenumbers[np.abs(grid.wavenumbers) < grid.dealias_cutoff])))
+    return math.inf if umax * kmax == 0.0 else cfl / (umax * kmax)
+
+
+def _dt_max_states(n):
+    """Random masked fields of three sizes, and one with modes outside the
+    dealias mask, each with the run buffers of a step already taken."""
+    grid = SpectralGrid(n)
+    rng = np.random.default_rng(n)
+    p = params(nu=1.0, alpha=0.1, grid=grid)
+    full = np.fft.rfft2(rng.standard_normal((n, n))) / n**2
+    full[0, 0] = 0.0
+    fields = [ScalarField.random(grid, rng, amplitude=a) for a in (1e-3, 1.0, 50.0)]
+    for psi in fields + [ScalarField(grid, full)]:
+        state = SolverState(psi=psi, time=0.0, params=p)
+        buffers = _run_buffers(p, 1e-4)
+        step_imex(state, 1e-4, ScalarField.zeros(grid), _buffers=buffers)
+        yield state, buffers
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_buffered_dt_max_is_bit_identical_to_irfft2_reference(n):
+    # 1/n is exact for a power of two, so the unscaled 1-D passes give the
+    # bits of irfft2 times n^2
+    for state, buffers in _dt_max_states(n):
+        want = _dt_max_reference(state, 0.3)
+        assert dt_max(state, 0.3, _buffers=buffers) == want
+        assert dt_max(state, 0.3) == want
+
+
+def test_buffered_dt_max_matches_irfft2_reference_to_rounding():
+    for state, buffers in _dt_max_states(48):
+        want = _dt_max_reference(state)
+        assert dt_max(state, _buffers=buffers) == pytest.approx(want, rel=1e-15, abs=0)
+
+
+def test_dt_max_of_quiescent_field_is_inf():
+    p = params(grid=SpectralGrid(64))
+    state = SolverState(psi=ScalarField.zeros(p.grid), time=0.0, params=p)
+    assert dt_max(state, _buffers=_run_buffers(p)) == math.inf == _dt_max_reference(state)
+
+
+def _traced_peak(call):
+    """Peak bytes that call() allocates, as tracemalloc counts numpy buffers."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _kolmogorov_256():
+    """The kolmogorov-256 benchmark's run: shipped physics at n = 256, seed 0."""
+    p = params(nu=1.0, alpha=0.1, grid=SpectralGrid(256))
+    return initial_state(p, seed=0), kolmogorov_forcing(ForcingSpec(s=4, lam=3.125), p)
+
+
+def test_run_working_set_is_bounded_in_half_spectra():
+    # 16.5 half-spectra before the band-only Jacobian arguments, the one
+    # work array and the buffered CFL check; 13.0 after
+    state, forcing = _kolmogorov_256()
+    half = state.psi.coeffs.nbytes
+    peak = _traced_peak(lambda: run(state, 0.125, 0.005, forcing, sample_every=5))
+    assert peak <= 13.5 * half
+
+
+def test_dt_max_with_run_buffers_allocates_only_the_velocity():
+    # the two velocity arrays, numpy's one 8192-element casting buffer for
+    # the real-by-complex stream product, and a few KB; before, dt_max also
+    # made the stream and four full-size temporaries per component
+    state, _ = _kolmogorov_256()
+    buffers = _run_buffers(state.params, 0.005)
+    half = state.psi.coeffs.nbytes
+    peak = _traced_peak(lambda: dt_max(state, _buffers=buffers))
+    assert peak <= 2 * half + 8192 * 16 + 16 * 1024
 
 
 # ---------------------------------------------------------------------

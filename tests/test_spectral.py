@@ -282,8 +282,9 @@ def _full_spectrum_jacobian(a, b):
 
 def _jacobian_2d(grid, a, b):
     """Oracle: the 2-D kernel, irfft2/rfft2 on every column, scaled by n^2
-    on the way in and masked with mask / n^2 on the way out."""
-    d1, d2 = grid._jacobian_symbols
+    on the way in and masked with mask / n^2 on the way out.  It builds its
+    own full masked symbols, so it reads nothing of the kernel's."""
+    d1, d2 = (np.where(grid.dealias_mask, 1j * k, 0j) for k in (grid.k1, grid.k2))
     out = np.where(grid.dealias_mask & (grid.k_sq > 0), 1.0 / grid.n_modes**2, 0.0)
     a1, a2, b1, b2 = (grid.to_physical(d * c) for c in (a, b) for d in (d1, d2))
     return np.fft.rfft2(a1 * b2 - a2 * b1) * out
@@ -336,6 +337,23 @@ def test_jacobian_buffers_are_reused_without_allocation():
     assert not any(np.shares_memory(second, buf) for buf in buffers)
     assert np.array_equal(first, kept)
     assert np.array_equal(second, _jacobian(grid, b, a))
+
+
+def test_jacobian_into_out_allocates_no_half_spectrum():
+    # only numpy's fixed ufunc buffers (3 x 8192 complex) for the strided
+    # band products, and the small bookkeeping of the FFT calls
+    grid = SpectralGrid(512)
+    a, b = _random_pair(grid, 2)
+    buffers, out = _jacobian_buffers(grid), np.empty(grid.shape, dtype=np.complex128)
+    want = _jacobian(grid, a, b)
+    tracemalloc.start()
+    try:
+        got = _jacobian(grid, a, b, buffers, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is out and np.array_equal(got, want)
+    assert peak <= 3 * 8192 * 16 + 16 * 1024 < out.nbytes / 4
 
 
 @pytest.mark.parametrize("n", [32, 64])
