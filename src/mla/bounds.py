@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from . import NumericalError
+from . import NumericalError, _finite
 from .stability import lower_bound_dim2d
 
 __all__ = [
@@ -74,13 +74,6 @@ def _slack_cubed(eps_g: float) -> float:
         return (4.0 + eps_g) ** 3
     except OverflowError:
         raise ValueError(f"(4 + eps_g)^3 overflows a float (eps_g={eps_g})") from None
-
-
-def _finite(value: float, formula: str) -> float:
-    """value, or ValueError naming the formula where it is not finite."""
-    if math.isfinite(value):
-        return value
-    raise ValueError(f"{formula} overflows a float")
 
 
 def upper_bound_1(inputs: BoundInputs) -> float:

@@ -10,7 +10,11 @@ line; 2 validation error, an unreadable config or an unusable --out; 3
 Identical config + seed produce bit-identical CSV outputs (floats are
 written with repr, rows in fixed order).
 
-``import mla.cli`` loads no command module: each command's check and run
+``parse_config`` checks every field, then builds the command's plan: the
+derived values its run reads, each computed once.  A config error is a plan
+that could not be built; the run reads the plan and recomputes none of it.
+
+``import mla.cli`` loads no command module: each command's plan and run
 import its own, so parsing loads ``spectral`` and ``dynamics`` for simulate,
 ``stability`` for stability, ``bounds`` and ``stability`` for bounds and
 report, ``squire`` and ``stability`` for squire, and the run nothing more.
@@ -25,6 +29,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -151,7 +156,7 @@ _TYPE_CHECK = {
 }
 
 
-def _check_simulate(p: dict) -> list[str]:
+def _plan_simulate(p: dict) -> dict:
     from . import dynamics, spectral
     grid = spectral.SpectralGrid(p["n_modes"], p["dealias_fraction"])
     spec = dynamics.ForcingSpec(s=p["s"], lam=p["lambda"])
@@ -160,13 +165,13 @@ def _check_simulate(p: dict) -> list[str]:
         dynamics._check_spec_on_grid(spec, grid)
     except ValueError as exc:
         errors.append(f"s: {exc}")
-    # the forcing amplitude and bounds_report.json's |f|^2 / nu^2, evaluated as
-    # _cmd_simulate does, may overflow (to inf or in **) or divide by a nu**2
-    # that underflowed to 0.  The steady state's nu lam s is at most
-    # max(lam, nu^2 lam s^3), so it is finite when both are.
+    # the forcing amplitude and bounds_report.json's bound may overflow (to inf
+    # or in **) or divide by a nu**2 that underflowed to 0.  The steady state's
+    # nu lam s is at most max(lam, nu^2 lam s^3), so it is finite when both are.
     try:
         amplitude = dynamics._forcing_amplitude(spec, p["nu"])
-        bound = (p["nu"]**2 * p["lambda"] * p["s"]**2)**2 / p["nu"]**2
+        f_l2 = dynamics._forcing_l2(spec, p["nu"])
+        bound = dynamics._dissipative_bound(f_l2, p["nu"])
     except (OverflowError, ZeroDivisionError):
         amplitude = bound = math.inf
     if not (math.isfinite(amplitude) and math.isfinite(bound)):
@@ -177,93 +182,110 @@ def _check_simulate(p: dict) -> list[str]:
     if p["t_final"] / p["dt"] > MAX_STEPS:
         errors.append(f"t_final: t_final / dt = {p['t_final'] / p['dt']:.3g} "
                       f"exceeds the ceiling of {MAX_STEPS:,} steps")
-    return errors
+    if errors:
+        raise ConfigError(errors)
+    return {"grid": grid, "spec": spec, "f_l2": f_l2}
 
 
-def _check_bounds(p: dict) -> list[str]:
+def _plan_bounds(p: dict) -> dict:
     from . import bounds
     try:  # upper1's factor (4 + eps_g)^3 is the same at every point
         bounds._slack_cubed(p["eps_g"])
     except ValueError as exc:
-        return [f"eps_g: {exc}"]
-    # each point's bounds are evaluated: finite inputs can still overflow
-    # them.  Each cause is named once, at the first point that shows it.
-    errors = {}
+        raise ConfigError([f"eps_g: {exc}"]) from None
+    # finite inputs can still overflow a point's bounds.  Each cause is
+    # named once, at the first point that shows it.
+    rows, errors = [], {}
     for g in p["g_values"]:
         for alpha in p["alpha_values"]:
             try:
-                bounds.two_sided_report(_bound_inputs(p, g, alpha))
+                rows.append(asdict(bounds.two_sided_report(bounds.BoundInputs(
+                    g=float(g), alpha=float(alpha), lambda1=p["lambda1"],
+                    l_const=p["l_const"], eps_g=p["eps_g"]))))
             except ValueError as exc:
                 errors.setdefault(str(exc), (g, alpha))
-    return [f"g_values/alpha_values: {cause} at (g, alpha) = ({g!r}, {alpha!r})"
-            for cause, (g, alpha) in errors.items()]
+    if errors:
+        raise ConfigError([f"g_values/alpha_values: {cause} at (g, alpha) = ({g!r}, {alpha!r})"
+                           for cause, (g, alpha) in errors.items()])
+    return {"rows": rows}
 
 
-def _amplitude_errors(lam: float, s: int, alpha: float) -> list[str]:
+def _check_amplitude(lam: float, s: int, alpha: float) -> None:
     from . import stability
     # alpha**2 may raise; alpha^2 s^2 = inf makes capital_lambda 0, or nan for an inf driver
     try:
         cap = stability.capital_lambda(lam, s, alpha)
     except OverflowError:
         cap = math.nan
-    if 0 < cap < math.inf:
-        return []
-    return [f"alpha: capital_lambda = lambda / (2 sqrt2 pi (1 + alpha^2 s^2)) is not finite "
-            f"and > 0: alpha^2 s^2 is too large (alpha = {alpha!r}, s = {s}, lambda = {lam!r})"]
+    if not 0 < cap < math.inf:
+        raise ConfigError([f"alpha: capital_lambda = lambda / (2 sqrt2 pi (1 + alpha^2 s^2)) is "
+                           f"not finite and > 0: alpha^2 s^2 is too large (alpha = {alpha!r}, "
+                           f"s = {s}, lambda = {lam!r})"])
 
 
-def _window_error(name: str, value: float) -> list[str]:
-    return [f"{name}: the upper edge of the Lambda_0 window, which grows as "
-            f"1/{name}^2, is not finite (got {value!r})"]
+def _window_error(name: str, value: float) -> ConfigError:
+    return ConfigError([f"{name}: the upper edge of the Lambda_0 window, which grows as "
+                        f"1/{name}^2, is not finite (got {value!r})"])
 
 
-def _check_stability(p: dict) -> list[str]:
+def _plan_stability(p: dict) -> dict:
     from . import stability
     # alpha^2 s^2 of the rescaled amplitude and its window may overflow a
     # float.  With the amplitude finite only 1/delta^2 can make the window
     # infinite, or divide by 0 where delta^2 underflows.
-    errors = _amplitude_errors(p["lambda"], p["s"], p["alpha"])
-    if not errors:
-        try:
-            upper = stability.lu_interval(p["s"], p["delta"], p["alpha"])[1]
-        except ZeroDivisionError:
-            upper = math.inf
-        if upper == math.inf:
-            errors = _window_error("delta", p["delta"])
-    return errors
+    _check_amplitude(p["lambda"], p["s"], p["alpha"])
+    try:
+        window = stability.lu_interval(p["s"], p["delta"], p["alpha"])
+    except ZeroDivisionError:
+        window = (0.0, math.inf)
+    if window[1] == math.inf:
+        raise _window_error("delta", p["delta"])
+    return {"window": window}
 
 
-def _check_squire(p: dict) -> list[str]:
-    from . import squire
+def _plan_squire(p: dict) -> dict:
+    from . import squire, stability
+    s, alpha = p["s"], p["alpha"]
     try:
         window = squire.CountWindow(p["c2"], p["c3"], p["c4"], p["delta_star"])
     except ValueError as exc:
-        return [f"c2/c3/c4: {exc}"]
+        raise ConfigError([f"c2/c3/c4: {exc}"]) from None
     # the amplitude, given (then > 0) or the default driver, may overflow a
     # float; the driver also grows as 1/delta_star^2, which may divide by 0
     lam = p["lambda"]
     if lam is None:
         try:
-            lam = squire.lambda3_driver(p["s"], p["alpha"], p["delta_star"])
+            lam = squire.lambda3_driver(s, alpha, p["delta_star"])
         except ZeroDivisionError:
             lam = math.inf
         except OverflowError:  # raised only by its factor (1 + alpha^2 s^2)^2
-            return [f"alpha: the default driver's (1 + alpha^2 s^2)^2 is too large "
-                    f"(got {p['alpha']!r})"]
+            raise ConfigError([f"alpha: the default driver's (1 + alpha^2 s^2)^2 is too "
+                               f"large (got {alpha!r})"]) from None
         # an inf driver is delta_star's fault where the driver at delta = 1 is finite
-        if lam == math.inf and squire.lambda3_driver(p["s"], p["alpha"], 1.0) < math.inf:
-            return _window_error("delta_star", p["delta_star"])
-    errors = _amplitude_errors(lam, p["s"], p["alpha"])
+        if lam == math.inf and squire.lambda3_driver(s, alpha, 1.0) < math.inf:
+            raise _window_error("delta_star", p["delta_star"])
+    _check_amplitude(lam, s, alpha)
+    plan = {"window": window, "lambda": lam,
+            "counts": [squire.count_triples(cs, window) for cs in p["count_s"]],
+            "lower_bound_3d": {"note": "small-alpha formula c6 G^gamma / "
+                               "alpha^(3(1-gamma)); alpha = 0 outside its regime"}}
+    if alpha == 0:
+        return plan
     try:  # the 3-D bound divides by alpha^3
-        if not (errors or p["alpha"] == 0 or p["alpha"] ** 3 > 0):
-            errors = [f"alpha: alpha^3 underflows to 0 (got {p['alpha']!r})"]
+        if alpha ** 3 == 0:
+            raise ConfigError([f"alpha: alpha^3 underflows to 0 (got {alpha!r})"])
     except OverflowError:
-        errors = [f"alpha: alpha^3 overflows a float (got {p['alpha']!r})"]
-    if (not errors and p["c6"] is None and p["alpha"] > 0
-            and squire.count_triples(p["count_s"][-1], window).count == 0):
-        errors = [f"count_s: no triples at s={p['count_s'][-1]}, so the default "
-                  "c6 (the c5 fit there) is 0; use a larger last s or set c6"]
-    return errors
+        raise ConfigError([f"alpha: alpha^3 overflows a float (got {alpha!r})"]) from None
+    c6 = p["c6"] if p["c6"] is not None else plan["counts"][-1].c5_fit
+    if c6 == 0:
+        raise ConfigError([f"count_s: no triples at s={p['count_s'][-1]}, so the default "
+                           "c6 (the c5 fit there) is 0; use a larger last s or set c6"])
+    try:
+        plan["lower_bound_3d"] = asdict(squire.lower_bound_dim3d(
+            stability.grashof(lam, s), alpha, p["gamma"], c6))
+    except ValueError as exc:
+        raise ConfigError([f"alpha: {exc} (alpha = {alpha!r}, c6 = {c6!r})"]) from None
+    return plan
 
 
 @dataclass(frozen=True)
@@ -272,6 +294,15 @@ class ExperimentConfig:
     parameters: dict
     output_dir: str
     seed: int
+
+    @cached_property
+    def plan(self) -> dict:
+        """The derived values the run reads, built once; ConfigError where the
+        fields do not fit together.  No field: not in ==, repr or serialization."""
+        try:
+            return _COMMAND_TABLE[self.command][0](self.parameters)
+        except OverflowError as exc:
+            raise ConfigError([f"a number is too large: {exc}"]) from exc
 
 
 def _reject_non_finite(token: str):
@@ -331,15 +362,12 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"{name}: required for command {command!r}")
         else:
             params[name] = default
-    if not errors:
-        try:
-            errors = _COMMAND_TABLE[command][0](params)
-        except OverflowError as exc:
-            errors = [f"a number is too large: {exc}"]
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(command=command, parameters=params,
-                            output_dir=output_dir, seed=seed)
+    config = ExperimentConfig(command=command, parameters=params,
+                              output_dir=output_dir, seed=seed)
+    config.plan  # built here, so that a config error is raised at parse
+    return config
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -353,7 +381,8 @@ def serialize_config(config: ExperimentConfig) -> str:
 # output helpers
 # ---------------------------------------------------------------------
 
-def _fmt(v) -> str:
+def _fmt(v, path: Path, column: str) -> str:
+    """One CSV cell: None and NaN blank, floats by repr; +-inf raises."""
     if v is None:
         return ""
     if isinstance(v, bool):
@@ -361,21 +390,28 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         if math.isnan(v):
             return ""
+        if math.isinf(v):
+            raise NumericalError(f"{path.name}: column {column} holds {float(v)}, "
+                                 "not a finite number")
         return repr(float(v))
     return str(v)
 
 
 def _write_csv(path: Path, header: str, rows) -> Path:
+    """Each row is the values of header's columns, or a dict keyed by them."""
+    columns = header.split(",")
     with _atomic_open(path) as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            values = [row.get(c) for c in columns] if isinstance(row, dict) else row
+            fh.write(",".join(_fmt(v, path, c) for v, c in zip(values, columns, strict=True))
+                     + "\n")
     return path
 
 
 def _write_json(path: Path, payload) -> Path:
     with _atomic_open(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -422,7 +458,8 @@ def _svg_polyline(points, color):
 def emit_plot_data(results: list[dict], kind: str, out_dir, basename=None):
     """Write <kind>.csv and <kind>.svg (line or scatter) from result rows.
 
-    Empty results produce a header-only CSV and an axes-only SVG.  The
+    Empty results produce a header-only CSV and an axes-only SVG.  The SVG
+    leaves out every point with a blank or non-finite coordinate, and the
     log-scaled kinds plot log10 of positive values.
     """
     if kind not in _PLOT_KINDS:
@@ -432,8 +469,7 @@ def emit_plot_data(results: list[dict], kind: str, out_dir, basename=None):
     out_dir.mkdir(parents=True, exist_ok=True)
     base = basename or kind
     csv_path = out_dir / f"{base}.csv"
-    _write_csv(csv_path, ",".join((xfield,) + yfields),
-               [tuple(row.get(f) for f in (xfield,) + yfields) for row in results])
+    _write_csv(csv_path, ",".join((xfield,) + yfields), results)
 
     width, height, margin = 640, 480, 50
     colors = ("#1f6fb2", "#b23a1f", "#3ca13c")
@@ -442,8 +478,8 @@ def emit_plot_data(results: list[dict], kind: str, out_dir, basename=None):
     series = []
     for i, yf in enumerate(yfields):
         pts = [(row[xfield], row[yf]) for row in results
-               if row.get(xfield) is not None and row.get(yf) is not None
-               and not (isinstance(row[yf], float) and math.isnan(row[yf]))]
+               if all(v is not None and math.isfinite(v)
+                      for v in (row.get(xfield), row.get(yf)))]
         if logscale:
             pts = [(math.log10(x), math.log10(y)) for x, y in pts
                    if x > 0 and y > 0]
@@ -487,16 +523,14 @@ def emit_plot_data(results: list[dict], kind: str, out_dir, basename=None):
 # command implementations
 # ---------------------------------------------------------------------
 
-def _cmd_simulate(p: dict, out: Path, seed: int, written: list[Path]) -> None:
+def _cmd_simulate(p: dict, plan: dict, out: Path, seed: int, written: list[Path]) -> None:
     from . import dynamics, spectral
-    grid = spectral.SpectralGrid(p["n_modes"], p["dealias_fraction"])
-    params = dynamics.ModelParams(nu=p["nu"], alpha=p["alpha"], grid=grid)
-    spec = dynamics.ForcingSpec(s=p["s"], lam=p["lambda"])
-    forcing = dynamics.kolmogorov_forcing(spec, params)
+    params = dynamics.ModelParams(nu=p["nu"], alpha=p["alpha"], grid=plan["grid"])
+    forcing = dynamics.kolmogorov_forcing(plan["spec"], params)
     state = dynamics.initial_state(params, seed=seed,
                                    amplitude=p["init_amplitude"])
     if p["start_from_stationary"]:
-        psi = dynamics.stationary_psi(spec, params) + state.psi
+        psi = dynamics.stationary_psi(plan["spec"], params) + state.psi
         state = dynamics.SolverState(psi=psi, time=0.0, params=params)
     diag = dynamics.run(state, p["t_final"], p["dt"], forcing,
                         sample_every=p["sample_every"], cfl=p["cfl"])
@@ -504,19 +538,18 @@ def _cmd_simulate(p: dict, out: Path, seed: int, written: list[Path]) -> None:
         out / "diagnostics.csv", dynamics.TrajectoryDiagnostics.CSV_HEADER,
         zip(diag.times, diag.phi_l2, diag.grad_phi_l2, diag.avg_grad_sq)))
     if len(diag):
-        report = dynamics.check_asymptotic_bounds(
-            diag, f_l2=params.nu**2 * spec.lam * spec.s**2, nu=params.nu)
+        report = dynamics.check_asymptotic_bounds(diag, f_l2=plan["f_l2"], nu=params.nu)
         written.append(_write_json(out / "bounds_report.json",
                                    {**asdict(report), "ok": report.ok}))
     spectral.save_field(diag.final_state.psi, out / "final_field.json")
     written.append(out / "final_field.json")
 
 
-def _sigma_grid_rows(s, alpha, delta, t, r, n_points) -> list[dict]:
-    """sigma_hat of chain (t, r) across the Lambda_0 window; NaN, with its
-    reason in ``error``, where it could not be computed."""
+def _sigma_grid_rows(window, s, alpha, t, r, n_points) -> list[dict]:
+    """sigma_hat of chain (t, r) across the Lambda_0 window (lo, hi); NaN,
+    with its reason in ``error``, where it could not be computed."""
     from . import stability
-    lo, hi = stability.lu_interval(s, delta, alpha)
+    lo, hi = window
     rows = []
     for cap in np.geomspace(lo / 2, hi, n_points):
         sigma, error = stability._solve_or_reason(
@@ -527,23 +560,19 @@ def _sigma_grid_rows(s, alpha, delta, t, r, n_points) -> list[dict]:
     return rows
 
 
-def _cmd_stability(p: dict, out: Path, seed: int, written: list[Path]) -> None:
+def _cmd_stability(p: dict, plan: dict, out: Path, seed: int, written: list[Path]) -> None:
     from . import stability
     s, alpha, delta, lam = p["s"], p["alpha"], p["delta"], p["lambda"]
     rows = stability.stability_sweep(s, alpha, delta, lam,
                                      compute_lambda0=p["compute_lambda0"])
     pairs = [(row["t"], row["r"]) for row in rows if row["in_region"]]
     header = "s,t,r,alpha,delta,lambda,capital_lambda,sigma_hat,lambda0,in_region"
-    written.append(_write_csv(
-        out / "sweep.csv", header,
-        [(r["s"], r["t"], r["r"], r["alpha"], r["delta"], r["lambda"],
-          r["capital_lambda"], r["sigma_hat"], r["lambda0"],
-          r["in_region"]) for r in rows]))
+    written.append(_write_csv(out / "sweep.csv", header, rows))
 
     grid_rows = []
     if pairs:
         t, r = pairs[0]
-        grid_rows = _sigma_grid_rows(s, alpha, delta, t, r,
+        grid_rows = _sigma_grid_rows(plan["window"], s, alpha, t, r,
                                      p["sigma_grid_points"])
     # one entry per blank cell: sweep.csv's sigma_hat and lambda0, and the
     # sigma_hat of sigma_vs_lambda.csv, which also names its capital_lambda
@@ -557,13 +586,15 @@ def _cmd_stability(p: dict, out: Path, seed: int, written: list[Path]) -> None:
                  "error": row["error"]} for row in grid_rows if row["error"] is not None]
     delta_star, adelta_max = stability.optimize_delta()
     g = stability.grashof(lam, s)
+    finite = math.isfinite(g)  # lambda s^2 may overflow a float to inf
     summary = {
         "d_s": len(pairs),
         "a_delta": stability.region_area(delta),
         "delta_star": delta_star,
         "max_a_delta_scaled": adelta_max,
-        "grashof": g,
-        "lower_bound_2d": asdict(stability.lower_bound_dim2d(g, alpha)),
+        "grashof": g if finite else None,
+        "lower_bound_2d": (asdict(stability.lower_bound_dim2d(g, alpha)) if finite else
+                           {"note": "G = lambda s^2 overflows a float"}),
         "skipped": skipped,
     }
     written.append(_write_json(out / "summary.json", summary))
@@ -571,38 +602,19 @@ def _cmd_stability(p: dict, out: Path, seed: int, written: list[Path]) -> None:
         written += emit_plot_data(grid_rows, "sigma_vs_lambda", out)
 
 
-def _bound_inputs(p: dict, g, alpha):
-    from . import bounds
-    return bounds.BoundInputs(
-        g=float(g), alpha=float(alpha), lambda1=p["lambda1"],
-        l_const=p["l_const"], eps_g=p["eps_g"])
-
-
-def _bounds_rows(p: dict) -> list[dict]:
-    from . import bounds
-    return [asdict(bounds.two_sided_report(_bound_inputs(p, g, alpha)))
-            for g in p["g_values"] for alpha in p["alpha_values"]]
-
-
-def _cmd_bounds(p: dict, out: Path, seed: int, written: list[Path]) -> None:
-    rows = _bounds_rows(p)
-    written.append(_write_csv(
-        out / "bounds.csv", "g,alpha,upper1,upper2,lower,ratio",
-        [(r["g"], r["alpha"], r["upper1"], r["upper2"], r["lower"],
-          r["ratio"]) for r in rows]))
+def _cmd_bounds(p: dict, plan: dict, out: Path, seed: int, written: list[Path]) -> None:
+    rows = plan["rows"]
+    written.append(_write_csv(out / "bounds.csv", "g,alpha,upper1,upper2,lower,ratio", rows))
     written += emit_plot_data(rows, "bounds_vs_g", out)
     notes = sorted({n for r in rows for n in r["notes"]})
     written.append(_write_json(out / "summary.json",
                                {"points": len(rows), "notes": notes}))
 
 
-def _cmd_report(p: dict, out: Path, seed: int, written: list[Path]) -> None:
-    rows = _bounds_rows(p)
+def _cmd_report(p: dict, plan: dict, out: Path, seed: int, written: list[Path]) -> None:
+    rows = plan["rows"]
     header = "g,alpha,lower,upper1,upper2,upper_min,ratio"
-    written.append(_write_csv(
-        out / "two_sided.csv", header,
-        [(r["g"], r["alpha"], r["lower"], r["upper1"], r["upper2"],
-          r["upper_min"], r["ratio"]) for r in rows]))
+    written.append(_write_csv(out / "two_sided.csv", header, rows))
     written += emit_plot_data(rows, "bounds_vs_g", out)
     written.append(_write_json(out / "summary.json", {
         "points": len(rows),
@@ -611,14 +623,10 @@ def _cmd_report(p: dict, out: Path, seed: int, written: list[Path]) -> None:
     }))
 
 
-def _cmd_squire(p: dict, out: Path, seed: int, written: list[Path]) -> None:
-    from . import squire, stability
-    s, nu, alpha = p["s"], p["nu"], p["alpha"]
-    window = squire.CountWindow(p["c2"], p["c3"], p["c4"], p["delta_star"])
-    lam = p["lambda"]
-    if lam is None:
-        lam = squire.lambda3_driver(s, alpha, p["delta_star"])
-    setup = squire.Setup3D(s, lam, nu, alpha)
+def _cmd_squire(p: dict, plan: dict, out: Path, seed: int, written: list[Path]) -> None:
+    from . import squire
+    s, nu, window, counts = p["s"], p["nu"], plan["window"], plan["counts"]
+    setup = squire.Setup3D(s, plan["lambda"], nu, p["alpha"])
 
     rows, stable = [], 0
     for tr in itertools.islice(squire.admissible_triples(s, window),
@@ -634,7 +642,6 @@ def _cmd_squire(p: dict, out: Path, seed: int, written: list[Path]) -> None:
     written.append(_write_csv(out / "triples.csv",
                               "s,a,b,r,a_hat,sigma_hat,residual", rows))
 
-    counts = [squire.count_triples(cs, window) for cs in p["count_s"]]
     density_rows = [{"s": c.s, "density": c.c5_fit} for c in counts]
     written += emit_plot_data(density_rows, "lattice_density", out)
     a0_vals = squire.a0_stability_spectrum(1, nu, k_cutoff=4 * s + 16)
@@ -642,37 +649,28 @@ def _cmd_squire(p: dict, out: Path, seed: int, written: list[Path]) -> None:
         [{"re": float(v.real), "im": float(v.imag)} for v in a0_vals],
         "spectrum_scatter", out, basename="a0_spectrum",
     )
-    c6 = p["c6"] if p["c6"] is not None else counts[-1].c5_fit
-    summary = {
-        "lambda": lam,
+    written.append(_write_json(out / "summary.json", {
+        "lambda": plan["lambda"],
         "count": {str(c.s): c.count for c in counts},
         "c5_fit": {str(c.s): c.c5_fit for c in counts},
         "c5_halfwindow": window.c5_halfwindow(),
         "c5_fullwindow": window.c5_fullwindow(),
         "lifted": len(rows) - stable,
         "stable": stable,
-    }
-    if alpha > 0:
-        g = stability.grashof(lam, s)
-        summary["lower_bound_3d"] = asdict(squire.lower_bound_dim3d(
-            g, alpha, p["gamma"], c6))
-    else:
-        summary["lower_bound_3d"] = {
-            "note": "small-alpha formula c6 G^gamma / alpha^(3(1-gamma)); "
-                    "alpha = 0 outside its regime",
-        }
-    written.append(_write_json(out / "summary.json", summary))
+        "lower_bound_3d": plan["lower_bound_3d"],
+    }))
 
 
-# (check, run) of each command.  check applies the rules that involve several
+# (plan, run) of each command.  plan applies the rules that involve several
 # fields, through the code that owns each rule, once every field is valid on
-# its own; run computes and writes the artifacts.
+# its own, and returns the derived values the run reads; a config error is
+# plan raising ConfigError.  run computes the rest and writes the artifacts.
 _COMMAND_TABLE = {
-    "simulate": (_check_simulate, _cmd_simulate),
-    "stability": (_check_stability, _cmd_stability),
-    "bounds": (_check_bounds, _cmd_bounds),
-    "squire": (_check_squire, _cmd_squire),
-    "report": (_check_bounds, _cmd_report),
+    "simulate": (_plan_simulate, _cmd_simulate),
+    "stability": (_plan_stability, _cmd_stability),
+    "bounds": (_plan_bounds, _cmd_bounds),
+    "squire": (_plan_squire, _cmd_squire),
+    "report": (_plan_bounds, _cmd_report),
 }
 COMMANDS = tuple(_COMMAND_TABLE)
 
@@ -701,7 +699,8 @@ def run_command(config: ExperimentConfig, out_dir=None,
     error: Exception | None = None
     written: list[Path] = []
     try:
-        _COMMAND_TABLE[config.command][1](config.parameters, out, config.seed, written)
+        _COMMAND_TABLE[config.command][1](config.parameters, config.plan, out,
+                                          config.seed, written)
     except Exception as exc:
         manifest.status = "error"
         manifest.error = f"{type(exc).__name__}: {exc}"

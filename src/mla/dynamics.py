@@ -116,6 +116,16 @@ def _forcing_amplitude(spec: ForcingSpec, nu: float) -> float:
     return -(nu**2) * spec.lam * spec.s**3 / (math.sqrt(2.0) * math.pi)
 
 
+def _forcing_l2(spec: ForcingSpec, nu: float) -> float:
+    """|f| = nu^2 lam s^2, the forcing size ``check_asymptotic_bounds`` takes."""
+    return nu**2 * spec.lam * spec.s**2
+
+
+def _dissipative_bound(f_l2: float, nu: float) -> float:
+    """|f|^2 / nu^2, the bound on both tails ``check_asymptotic_bounds`` checks."""
+    return f_l2**2 / nu**2
+
+
 def kolmogorov_forcing(spec: ForcingSpec, params: ModelParams) -> ScalarField:
     """F = -(1/(sqrt(2) pi)) nu^2 lam s^3 cos(s x2): two nonzero modes."""
     _check_spec_on_grid(spec, params.grid)
@@ -268,7 +278,9 @@ def run(state: SolverState, t_final: float, dt: float, forcing: ScalarField,
 
     The number of steps is round((t_final - t0)/dt); there is no partial
     final step.  The CFL heuristic is enforced at the start and at every
-    sample (NumericalError).  Returns diagnostics with the final state attached.
+    sample, and a non-finite step raises, both NumericalError; numpy's
+    overflow warnings are silenced.  Returns diagnostics with the final
+    state attached.
     """
     if sample_every < 1:
         raise ValueError("sample_every must be a positive integer")
@@ -282,27 +294,30 @@ def run(state: SolverState, t_final: float, dt: float, forcing: ScalarField,
     t0 = state.time
     times, phis, grads, avgs = [], [], [], []
 
-    buffers = _run_buffers(state.params, dt)
-    limit = dt_max(state, cfl, _buffers=buffers)
-    if dt > limit:
-        raise NumericalError(f"dt={dt} exceeds advective limit {limit} at start")
-    acc = 0.0
-    # norms of phi = (I - alpha^2 Lap)^{-1} psi, formed in the work array
-    phi = np.divide(state.psi.coeffs, buffers.helmholtz, out=buffers.work)
-    g_prev = _norms(grid, phi).h1_semi ** 2
-    for i in range(n_steps):
-        state = step_imex(state, dt, forcing, _buffers=buffers)
-        m = _norms(grid, np.divide(state.psi.coeffs, buffers.helmholtz, out=phi))
-        acc += 0.5 * (g_prev + m.h1_semi ** 2) * dt
-        g_prev = m.h1_semi ** 2
-        if (i + 1) % sample_every == 0:
-            if dt > dt_max(state, cfl, _buffers=buffers):
-                raise NumericalError(
-                    f"dt={dt} exceeds advective limit at t={state.time}")
-            times.append(state.time)
-            phis.append(m.l2)
-            grads.append(m.h1_semi)
-            avgs.append(acc / (state.time - t0))
+    # an overflow ends as a non-finite step (NumericalError) or an infinite
+    # norm, which no artifact may hold, so numpy's warnings add nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        buffers = _run_buffers(state.params, dt)
+        limit = dt_max(state, cfl, _buffers=buffers)
+        if dt > limit:
+            raise NumericalError(f"dt={dt} exceeds advective limit {limit} at start")
+        acc = 0.0
+        # norms of phi = (I - alpha^2 Lap)^{-1} psi, formed in the work array
+        phi = np.divide(state.psi.coeffs, buffers.helmholtz, out=buffers.work)
+        g_prev = _norms(grid, phi).h1_semi ** 2
+        for i in range(n_steps):
+            state = step_imex(state, dt, forcing, _buffers=buffers)
+            m = _norms(grid, np.divide(state.psi.coeffs, buffers.helmholtz, out=phi))
+            acc += 0.5 * (g_prev + m.h1_semi ** 2) * dt
+            g_prev = m.h1_semi ** 2
+            if (i + 1) % sample_every == 0:
+                if dt > dt_max(state, cfl, _buffers=buffers):
+                    raise NumericalError(
+                        f"dt={dt} exceeds advective limit at t={state.time}")
+                times.append(state.time)
+                phis.append(m.l2)
+                grads.append(m.h1_semi)
+                avgs.append(acc / (state.time - t0))
     return TrajectoryDiagnostics(
         np.asarray(times), np.asarray(phis), np.asarray(grads),
         np.asarray(avgs), final_state=state,
@@ -346,7 +361,7 @@ def check_asymptotic_bounds(diag: TrajectoryDiagnostics, f_l2: float,
     start = min(len(diag) // 2, len(diag) - 1)
     phi_sq_tail = diag.phi_l2[start:] ** 2
     avg_tail = diag.avg_grad_sq[start:]
-    phi_bound = avg_bound = f_l2**2 / nu**2
+    phi_bound = avg_bound = _dissipative_bound(f_l2, nu)
     return AsymptoticReport(
         tail_start=float(diag.times[start]),
         tail_count=len(diag) - start,

@@ -47,12 +47,8 @@ __all__ = [
     "ScalarField",
     "FieldNorms",
     "laplacian",
-    "inv_laplacian",
-    "helmholtz_inv",
     "jacobian",
     "norms",
-    "inner",
-    "deriv",
     "field_to_json",
     "field_from_json",
     "save_field",
@@ -118,7 +114,7 @@ class SpectralGrid:
         return -1j * self.k2 * stream, 1j * self.k1 * stream
 
     def to_physical(self, c: np.ndarray) -> np.ndarray:
-        """Values on ``physical_nodes`` of the coefficient array c."""
+        """Values of the coefficient array c at the nodes 2 pi (i1, i2) / n."""
         n = self.n_modes
         return np.fft.irfft2(c, s=(n, n)) * n**2
 
@@ -151,10 +147,6 @@ class SpectralGrid:
         if abs(k1) > n // 2 or not 0 <= k2 <= n // 2:
             raise ValueError(f"wavevector ({k1},{k2}) not stored at n_modes={n}")
         return (k1 % n, k2)
-
-    def physical_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        x = 2.0 * np.pi * np.arange(self.n_modes) / self.n_modes
-        return np.meshgrid(x, x, indexing="ij")
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,33 +269,8 @@ class FieldNorms(NamedTuple):
 # Fourier-multiplier operators
 # ---------------------------------------------------------------------
 
-def deriv(f: ScalarField, axis: int) -> ScalarField:
-    """Spectral partial derivative along axis 1 or 2."""
-    if axis == 1:
-        mult = 1j * f.grid.k1
-    elif axis == 2:
-        mult = 1j * f.grid.k2
-    else:
-        raise ValueError(f"axis must be 1 or 2, got {axis}")
-    return ScalarField(f.grid, f.coeffs * mult)
-
-
 def laplacian(f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, -f.grid.k_sq * f.coeffs)
-
-
-def inv_laplacian(f: ScalarField) -> ScalarField:
-    """Inverse Laplacian on zero-mean fields: c_k -> -c_k / |k|^2."""
-    if abs(f.coeffs[0, 0]) > _MEAN_TOL:
-        raise NonZeroMeanError("inv_laplacian requires a zero-mean field")
-    return ScalarField(f.grid, f.coeffs * f.grid.neg_inv_k_sq)
-
-
-def helmholtz_inv(f: ScalarField, alpha: float) -> ScalarField:
-    """(I - alpha^2 Laplacian)^{-1}: c_k -> c_k / (1 + alpha^2 |k|^2)."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    return ScalarField(f.grid, f.coeffs / f.grid.helmholtz(alpha))
 
 
 def _jacobian_buffers(grid: SpectralGrid) -> tuple[np.ndarray, ...]:
@@ -381,13 +348,6 @@ def _norms(grid: SpectralGrid, c: np.ndarray) -> FieldNorms:
         l2=float(np.sqrt(vol * _full_sum(w))),
         h1_semi=float(np.sqrt(vol * _full_sum(grid.k_sq * w))),
     )
-
-
-def inner(f: ScalarField, g: ScalarField) -> float:
-    """L2 inner product of two real fields."""
-    f._require_same_grid(g)
-    vol = (2.0 * np.pi) ** 2
-    return float(np.real(_full_sum(f.coeffs * np.conj(g.coeffs))) * vol)
 
 
 # ---------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import LIFT_RESIDUAL_TOL, NumericalError
+from . import LIFT_RESIDUAL_TOL, NumericalError, _finite
 from .stability import (
     RecurrenceProblem,
     StabilityResult,
@@ -506,7 +506,8 @@ def lower_bound_dim3d(g: float, alpha: float, gamma: float,
     c5 is the documented default).  ``raw_count`` is c6/alpha^3, the mode
     count at s = 1/alpha; with G = alpha^-3 the bound equals it for every
     gamma.  The paired upper bound c8 (G/alpha)^(3/2) is reported as a
-    formula only.
+    formula only.  ValueError names the formula where ``value`` or
+    ``raw_count`` overflows a float.
     """
     if alpha <= 0:
         raise ValueError("the bound is the small-alpha regime; alpha > 0 required")
@@ -519,7 +520,8 @@ def lower_bound_dim3d(g: float, alpha: float, gamma: float,
         raise ValueError(f"alpha = {alpha} is so small that alpha^3 underflows to 0")
     return LowerBound3D(
         g=g, alpha=alpha, gamma=gamma, c6=c6,
-        value=c6 * g**gamma / alpha ** (3.0 * (1.0 - gamma)),
-        raw_count=c6 / alpha**3,
+        value=_finite(c6 * g**gamma / alpha ** (3.0 * (1.0 - gamma)),
+                      "value = c6 G^gamma / alpha^(3(1-gamma))"),
+        raw_count=_finite(c6 / alpha**3, "raw_count = c6 / alpha^3"),
         upper_form="c8 * (G/alpha)^(3/2), sharp exponent in (1, 3/2)",
     )

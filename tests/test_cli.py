@@ -5,7 +5,9 @@ exit codes."""
 
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,8 +19,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mla
-from mla import NumericalError, cli, dynamics, spectral, squire, stability
-from mla.cli import ConfigError, emit_plot_data, parse_config, run_command, serialize_config
+from mla import NumericalError, bounds, cli, dynamics, spectral, squire, stability
+from mla.cli import (
+    ConfigError,
+    ExperimentConfig,
+    emit_plot_data,
+    parse_config,
+    run_command,
+    serialize_config,
+)
 
 
 def read_csv(path):
@@ -471,6 +480,42 @@ def test_emit_plot_data_rejects_unknown_kind(tmp_path):
         emit_plot_data([], "nope", tmp_path)
 
 
+def test_emit_plot_data_leaves_non_finite_points_out_of_the_svg(tmp_path):
+    rows = [{"capital_lambda": x, "sigma_hat": y}
+            for x, y in ((1.0, -1.0), (math.nan, 0.5), (2.0, math.nan), (3.0, 1.0))]
+    _, svg_path = emit_plot_data(rows, "sigma_vs_lambda", tmp_path)
+    svg = svg_path.read_text()
+    assert re.search(r"\b(inf|nan)\b", svg) is None
+    assert len(re.search(r'points="([^"]*)"', svg).group(1).split()) == 2
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_infinite_csv_cell_is_a_numerical_error(tmp_path, value):
+    # NaN is a blank cell; an infinite one names its file and column
+    path = tmp_path / "t.csv"
+    with pytest.raises(NumericalError, match=f"t.csv: column b holds {value}, "):
+        cli._write_csv(path, "a,b", [(1.0, math.nan), (2.0, value)])
+    assert list(tmp_path.iterdir()) == []
+    cli._write_csv(path, "a,b", [(1.0, math.nan)])
+    assert path.read_text() == "a,b\n1.0,\n"
+
+
+def test_non_finite_json_number_is_refused(tmp_path):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._write_json(tmp_path / "t.json", {"x": math.inf})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stability_grashof_overflow_is_null_with_a_note(tmp_path):
+    # G = lambda s^2 overflows to inf; summary.json held Infinity, not JSON
+    doc = {"command": "stability", "s": 2, "delta": 0.5, "lambda": 1e308,
+           "compute_lambda0": False}
+    run_command(parse_config(json.dumps(doc)), out_dir=tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["grashof"] is None
+    assert summary["lower_bound_2d"] == {"note": "G = lambda s^2 overflows a float"}
+
+
 def test_bounds_plot_lower_below_upper(tmp_path):
     doc = {
         "command": "bounds",
@@ -620,8 +665,13 @@ def test_main_cross_field_config_error(tmp_path, capsys, doc):
      "too large"),
     # no triples at s = 1, so the default c6 would be 0
     ({"s": 6, "alpha": 0.1, "max_lifts": 0, "count_s": [1]}, "count_s:"),
+    # the 3-D bound overflows: each exited 0 with Infinity in summary.json
+    ({"s": 2, "alpha": 1e-105, "max_lifts": 0, "count_s": [30]},
+     "alpha: raw_count = c6 / alpha^3 overflows a float"),
+    ({"s": 2, "alpha": 1e-100, "gamma": 0.01, "c6": 1e20, "max_lifts": 0, "count_s": [30]},
+     "alpha: value = c6 G^gamma / alpha^(3(1-gamma)) overflows a float"),
 ], ids=["alpha1e120", "alpha1e200", "alpha1e200-lambda", "alpha1e200-lambda-lifts",
-        "c6-default-0"])
+        "c6-default-0", "bound3d-raw-count", "bound3d-value"])
 def test_main_squire_config_at_fault_is_one_error_line(tmp_path, capsys, doc,
                                                         field):
     cfg = tmp_path / "cfg.json"
@@ -779,12 +829,17 @@ def _stable_phase(monkeypatch):
 
 _LIFT = {"command": "squire", "s": 6, "max_lifts": 1, "count_s": [20]}
 _BOUNDS = {"command": "bounds", "g_values": [1e4], "alpha_values": [0.0]}
+_BLOW_UP = {"command": "simulate", "nu": 2.00001, "n_modes": 8, "s": 2, "lambda": 49.0,
+            "dt": 0.36693673811487604, "t_final": 4.4032408573785125, "sample_every": 18,
+            "init_amplitude": 1.3376171418997522, "cfl": 0.7459191254852661}
 _CAUSES = {
     # cause: (config, patch, exit code, start of the one stderr line)
     "cfl": ({"command": "simulate", "nu": 1e-4, "n_modes": 32, "s": 2,
              "lambda": 500.0, "dt": 5.0, "t_final": 50.0, "init_amplitude": 10.0,
              "start_from_stationary": True}, None, 3,
             "numerical failure: dt=5.0 exceeds advective limit"),
+    # a step blows up between CFL checks: numpy's overflow warnings came first
+    "blow-up": (_BLOW_UP, None, 3, "numerical failure: non-finite coefficients after step"),
     "eigensolve": (_LIFT, lambda mp: mp.setattr(
         np.linalg, "eigvals", _raise(np.linalg.LinAlgError("no convergence"))), 3,
         "numerical failure: dense eigensolve failed: no convergence"),
@@ -832,7 +887,7 @@ _CAUSES = {
                       lambda mp: mp.setattr(stability, "stability_sweep",
                                             _raise(RuntimeError("a defect"))), 1,
                       "internal error: RuntimeError: a defect"),
-    "key-error": (_BOUNDS, lambda mp: mp.setattr(cli, "_bounds_rows",
+    "key-error": (_BOUNDS, lambda mp: mp.setattr(cli, "_write_csv",
                                                  _raise(KeyError("g"))), 1,
                   "internal error: KeyError: 'g'"),
 }
@@ -966,13 +1021,35 @@ def _with_one_odd_value(doc):
           "lambda": 1.0})
 @example({"command": "squire", "s": 2, "alpha": 1e200, "lambda": 1.0,
           "max_lifts": 0, "count_s": [30]})
+# the 3-D bound overflows: exited 0 with "raw_count": Infinity in summary.json
+@example({"command": "squire", "s": 2, "alpha": 1e-105, "max_lifts": 0, "count_s": [30]})
+@example({"command": "squire", "s": 2, "alpha": 1e-100, "gamma": 0.01, "c6": 1e20,
+          "max_lifts": 0, "count_s": [30]})
+# overflows inside a step: numpy's RuntimeWarning, an error in the tests, was exit 1
+@example(_BLOW_UP)
 def test_main_exit_code_on_any_run(doc):
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "cfg.json"
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
         cfg.write_text(json.dumps(doc))
-        code = cli.main([doc["command"], "--config", str(cfg),
-                         "--out", str(Path(tmp) / "out")])
-    assert code in (0, 2, 3)
+        code = cli.main([doc["command"], "--config", str(cfg), "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert _non_finite_numbers(out) == []
+
+
+def _non_finite_numbers(out: Path) -> list[str]:
+    """Every inf, nan, Infinity or NaN number written in out's files."""
+    found = []
+    for path in out.iterdir():
+        text = path.read_text()
+        if path.suffix == ".json":  # strings, such as error reasons, may say inf
+            json.loads(text, parse_constant=found.append)
+        elif path.suffix == ".csv":
+            found += [cell for line in text.splitlines() for cell in line.split(",")
+                      if cell in ("inf", "-inf", "nan")]
+        else:  # an SVG's coordinates and axis labels
+            found += re.findall(r"\b(?:inf|nan)\b", text)
+    return found
 
 
 def test_cli_import_leaves_out_scipy():
@@ -1028,6 +1105,43 @@ def test_each_command_loads_only_its_modules(tmp_path, name):
     assert imported == ["cli"] and not argparse_imported and not argparse_parsed
     assert parsed == sorted(["cli"] + _COMMAND_MODULES[doc["command"]])
     assert ran == parsed
+
+
+_BOUNDS_GRID = {"g_values": [1e3, 1e5, 1e7], "alpha_values": [0.0, 0.01]}
+_ONCE = {
+    # config: (module, function, calls across parse_config and run_command)
+    "bounds": (dict(_BOUNDS_GRID, command="bounds"), bounds, "two_sided_report", 6),
+    "report": (dict(_BOUNDS_GRID, command="report"), bounds, "two_sided_report", 6),
+    "squire-driver": ({"command": "squire", "s": 6, "alpha": 0.1, "max_lifts": 1,
+                       "count_s": [20, 30]}, squire, "lambda3_driver", 1),
+    "squire-counts": ({"command": "squire", "s": 6, "alpha": 0.1, "max_lifts": 1,
+                       "count_s": [20, 30]}, squire, "count_triples", 2),
+    "stability-window": ({"command": "stability", "s": 8, "alpha": 0.1, "delta": 0.3,
+                          "lambda": 120.0, "compute_lambda0": False},
+                         stability, "lu_interval", 1),
+    "simulate-grid": (MINIMAL_SIMULATE, spectral.SpectralGrid, "__post_init__", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ONCE))
+def test_each_derived_value_is_computed_once(tmp_path, monkeypatch, case):
+    # the plan built at parse holds what the run reads: each was computed
+    # by the check and again by the run
+    doc, owner, name, want = _ONCE[case]
+    calls, fn = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kw: calls.append(1) or fn(*args, **kw))
+    run_command(parse_config(json.dumps(doc)), out_dir=tmp_path)
+    assert len(calls) == want
+    if doc["command"] == "stability":  # the window was read by the sigma grid
+        assert (tmp_path / "sigma_vs_lambda.csv").exists()
+
+
+def test_plan_is_no_part_of_config_equality_or_repr():
+    cfg = parse_config(json.dumps(MINIMAL_SIMULATE))
+    twin = ExperimentConfig(cfg.command, cfg.parameters, cfg.output_dir, cfg.seed)
+    assert cfg == twin and repr(cfg) == repr(twin)
+    assert "plan" not in repr(cfg) and "plan" not in serialize_config(cfg)
+    assert cfg.plan["grid"] == spectral.SpectralGrid(64)
 
 
 def test_squire_window_defaults_are_the_default_window():

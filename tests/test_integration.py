@@ -11,6 +11,7 @@ from mla.dynamics import (
     ForcingSpec,
     ModelParams,
     SolverState,
+    _run_buffers,
     kolmogorov_forcing,
     stationary_psi,
     step_imex,
@@ -47,10 +48,11 @@ def test_nonlinear_growth_matches_eigenvalue():
     )
 
     dt = 2e-3
+    buffers = _run_buffers(params, dt)
     times, dists = [], []
     for _ in range(100):
         for _ in range(25):
-            state = step_imex(state, dt, forcing)
+            state = step_imex(state, dt, forcing, _buffers=buffers)
         d = norms(state.psi - psi_s).l2
         times.append(state.time)
         dists.append(d)

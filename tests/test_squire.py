@@ -6,6 +6,7 @@ a=0 spectrum against the dense generator, the diffusion oracle and a full
 differential-algebraic pencil, and triple counting against brute force."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import dataclass
 
@@ -657,3 +658,13 @@ def test_lower_bound_3d_validation():
         lower_bound_dim3d(10.0, 5e-324, 0.5, 1.0)
     rep = lower_bound_dim3d(10.0, 0.1, 0.5, 1.0)
     assert "(G/alpha)^(3/2)" in rep.upper_form
+
+
+@pytest.mark.parametrize("alpha,gamma,c6,formula", [
+    (1e-105, 0.5, 0.02, "raw_count = c6 / alpha^3"),
+    (1e-100, 0.01, 1e20, "value = c6 G^gamma / alpha^(3(1-gamma))"),
+], ids=["raw_count", "value"])
+def test_lower_bound_3d_overflow_names_its_formula(alpha, gamma, c6, formula):
+    # both returned inf, which the squire summary wrote as Infinity
+    with pytest.raises(ValueError, match=re.escape(f"{formula} overflows a float")):
+        lower_bound_dim3d(4.0, alpha, gamma, c6)

