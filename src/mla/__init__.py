@@ -2,7 +2,6 @@
 stability analysis, and global-attractor dimension bounds."""
 
 import contextlib
-import math
 import os
 
 __version__ = "0.1.0"
@@ -28,13 +27,6 @@ _TOLERANCES = {
 class NumericalError(RuntimeError):
     """A result that could not be computed: a non-finite state, a step past
     the CFL limit, a failed solve or a formula outside its domain (exit 3)."""
-
-
-def _finite(value: float, formula: str) -> float:
-    """value, or ValueError naming the formula where it is not finite."""
-    if math.isfinite(value):
-        return value
-    raise ValueError(f"{formula} overflows a float")
 
 
 @contextlib.contextmanager

@@ -1,13 +1,14 @@
-"""Closed-form upper bounds on the attractor dimension and the combined
-two-sided report.
+"""Every closed-form attractor-dimension bound: the Grashof number, the 2-D
+lower bound, the two upper bounds and their two-sided report, and the 3-D
+lower bound of the Squire lift, in plain ``math`` and without NumPy.
 
 Both upper-bound formulas are asymptotic in the Grashof number G; the
 log-brackets must be positive, and inputs violating that raise
 ``mla.NumericalError`` (the formulas say nothing about small G), which
 ``two_sided_report`` records as a note beside a blank bound.  The constant L
-is a free input: pi on the sphere, unspecified on the torus.  Where the
-filtered constant L(1 + alpha^2 lambda1), (4 + eps_G)^3 or a bound overflows
-a float, they raise ValueError: the inputs are then out of range.
+is a free input: pi on the sphere, unspecified on the torus.  Where
+L(1 + alpha^2 lambda1), (4 + eps_G)^3, alpha^3 or a bound overflows a float,
+they raise ValueError: the inputs are then out of range.
 """
 
 from __future__ import annotations
@@ -15,16 +16,43 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from . import NumericalError, _finite
-from .stability import lower_bound_dim2d
+from . import NumericalError
 
 __all__ = [
     "BoundInputs",
+    "LowerBound2D",
+    "LowerBound3D",
     "TwoSidedReport",
+    "grashof",
+    "lower_bound_dim2d",
+    "lower_bound_dim3d",
     "upper_bound_1",
     "upper_bound_2",
     "two_sided_report",
+    "LOWER_COEFF_ALPHA0",
+    "LOWER_COEFF_SMALL_ALPHA",
 ]
+
+#: Two-digit lower-bound coefficients (dimension >= coeff * G^(2/3)).
+LOWER_COEFF_ALPHA0 = 0.006
+LOWER_COEFF_SMALL_ALPHA = 0.0018
+
+
+def _finite(formula: str, compute, detail: str = "") -> float:
+    """compute(), or ValueError naming the formula where that overflows a
+    float: raises OverflowError, as ``**`` does, or returns inf."""
+    try:
+        value = compute()
+        if math.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise ValueError(f"{formula} overflows a float{detail}")
+
+
+def grashof(lam: float, s: int) -> float:
+    """Grashof number G = lam s^2 (first Stokes eigenvalue 1 on the torus)."""
+    return lam * s**2
 
 
 @dataclass(frozen=True)
@@ -56,24 +84,53 @@ class BoundInputs:
             raise ValueError(f"eps_G must be nonnegative, got {self.eps_g}")
 
 
+@dataclass(frozen=True)
+class LowerBound2D:
+    """coeff * G^(2/3) with the regime's two-digit coefficient, plus the
+    symbolic small-alpha window whose constants the analysis leaves free."""
+
+    g: float
+    alpha: float
+    coefficient: float
+    value: float
+    regime: str
+    alpha_regime_forms: dict
+
+
+def lower_bound_dim2d(g: float, alpha: float) -> LowerBound2D:
+    """Attractor-dimension lower bound coeff * G^(2/3).
+
+    alpha = 0 uses 0.006; 0 < alpha << 1 (the G ~ alpha^-3 regime) uses
+    0.0018.  The pure alpha-scaling forms C1/alpha^2 and
+    C2 alpha^-2 (log 1/alpha)^(1/3) are reported symbolically: C1 and C2
+    are structurally unspecified.
+    """
+    BoundInputs(g=g, alpha=alpha)  # ValueError unless G > 0 and alpha >= 0
+    coeff = LOWER_COEFF_ALPHA0 if alpha == 0.0 else LOWER_COEFF_SMALL_ALPHA
+    regime = "alpha=0" if alpha == 0.0 else "small-alpha"
+    forms = {
+        "lower": "C1 / alpha^2",
+        "upper": "C2 / alpha^2 * (log(1/alpha))^(1/3)",
+        "C1": None,
+        "C2": None,
+        "note": "C1, C2 unspecified by the analysis",
+    }
+    return LowerBound2D(
+        g=g, alpha=alpha, coefficient=coeff, value=coeff * g ** (2.0 / 3.0),
+        regime=regime, alpha_regime_forms=forms,
+    )
+
+
 def _filtered_l(inputs: BoundInputs) -> float:
     """L(1 + alpha^2 lambda1), the filtered constant of both upper bounds."""
-    try:
-        la = inputs.l_const * (1.0 + inputs.alpha**2 * inputs.lambda1)
-        if la < math.inf:
-            return la
-    except OverflowError:
-        pass
-    raise ValueError("L(1 + alpha^2 lambda1) overflows a float "
-                     f"(L={inputs.l_const}, lambda1={inputs.lambda1})")
+    return _finite("L(1 + alpha^2 lambda1)",
+                   lambda: inputs.l_const * (1.0 + inputs.alpha**2 * inputs.lambda1),
+                   f" (L={inputs.l_const}, lambda1={inputs.lambda1})")
 
 
 def _slack_cubed(eps_g: float) -> float:
     """(4 + eps_G)^3 of upper_bound_1; ValueError where it overflows a float."""
-    try:
-        return (4.0 + eps_g) ** 3
-    except OverflowError:
-        raise ValueError(f"(4 + eps_g)^3 overflows a float (eps_g={eps_g})") from None
+    return _finite("(4 + eps_g)^3", lambda: (4.0 + eps_g) ** 3, f" (eps_g={eps_g})")
 
 
 def upper_bound_1(inputs: BoundInputs) -> float:
@@ -84,8 +141,9 @@ def upper_bound_1(inputs: BoundInputs) -> float:
     if bracket <= 0.0:
         raise NumericalError(
             f"log G - (1/2) log(L/2) = {bracket} <= 0 at G={g}, L={inputs.l_const}")
-    return _finite(g ** (2.0 / 3.0) * (_slack_cubed(eps) / (3.0 * la) * bracket) ** (1.0 / 3.0),
-                   "upper1 = G^(2/3) ((4 + eps_g)^3 / (3 L(1 + alpha^2 lambda1)) ...)^(1/3)")
+    return _finite("upper1 = G^(2/3) ((4 + eps_g)^3 / (3 L(1 + alpha^2 lambda1)) ...)^(1/3)",
+                   lambda: g ** (2.0 / 3.0) * (_slack_cubed(eps) / (3.0 * la) * bracket)
+                   ** (1.0 / 3.0))
 
 
 def upper_bound_2(inputs: BoundInputs) -> float:
@@ -98,8 +156,9 @@ def upper_bound_2(inputs: BoundInputs) -> float:
         raise NumericalError(
             f"log G + 1/2 + log(3 sqrt2/sqrt(L(1+a^2 l1))) = {bracket} <= 0 "
             f"at G={g}, L={inputs.l_const}, alpha={inputs.alpha}")
-    u2 = (12.0 / math.sqrt(la)) ** (2.0 / 3.0) * g ** (2.0 / 3.0) * bracket ** (1.0 / 3.0)
-    return _finite(u2, "upper2 = (12 / sqrt(L(1 + alpha^2 lambda1)))^(2/3) G^(2/3) (...)^(1/3)")
+    return _finite("upper2 = (12 / sqrt(L(1 + alpha^2 lambda1)))^(2/3) G^(2/3) (...)^(1/3)",
+                   lambda: (12.0 / math.sqrt(la)) ** (2.0 / 3.0) * g ** (2.0 / 3.0)
+                   * bracket ** (1.0 / 3.0))
 
 
 @dataclass(frozen=True)
@@ -143,8 +202,7 @@ def two_sided_report(inputs: BoundInputs) -> TwoSidedReport:
         u2 = upper_bound_2(inputs)
     except NumericalError as exc:
         notes.append(f"upper2 domain error: {exc}")
-    candidates = [u for u in (u1, u2) if u is not None]
-    upper_min = min(candidates) if candidates else None
+    upper_min = min((u for u in (u1, u2) if u is not None), default=None)
     ratio = upper_min / lower.value if upper_min is not None else None
     return TwoSidedReport(
         g=inputs.g,
@@ -156,4 +214,52 @@ def two_sided_report(inputs: BoundInputs) -> TwoSidedReport:
         ratio=ratio,
         alpha_regime_forms=lower.alpha_regime_forms,
         notes=tuple(notes),
+    )
+
+
+def _alpha_cubed(alpha: float) -> float:
+    """alpha^3, which the 3-D bound divides by; ValueError where it
+    underflows to 0 or overflows a float."""
+    cubed = _finite("alpha^3", lambda: alpha**3, f" (got {alpha!r})")
+    if cubed == 0.0:
+        raise ValueError(f"alpha^3 underflows to 0 (got {alpha!r})")
+    return cubed
+
+
+@dataclass(frozen=True)
+class LowerBound3D:
+    g: float
+    alpha: float
+    gamma: float
+    c6: float
+    value: float
+    raw_count: float
+    upper_form: str
+
+
+def lower_bound_dim3d(g: float, alpha: float, gamma: float,
+                      c6: float) -> LowerBound3D:
+    """c6 G^gamma / alpha^(3(1-gamma)) in the small-alpha regime.
+
+    c6 is an input (the analysis leaves it symbolic; the count pipeline's
+    c5 is the documented default).  ``raw_count`` is c6/alpha^3, the mode
+    count at s = 1/alpha; with G = alpha^-3 the bound equals it for every
+    gamma.  The paired upper bound c8 (G/alpha)^(3/2) is reported as a
+    formula only.  ValueError names alpha^3 where it underflows or
+    overflows, and the formula where ``value`` or ``raw_count`` overflows.
+    """
+    if alpha <= 0:
+        raise ValueError("the bound is the small-alpha regime; alpha > 0 required")
+    if not (0 < gamma < 1):
+        raise ValueError(f"gamma must lie in (0,1), got {gamma}")
+    if g <= 0 or c6 <= 0:
+        raise ValueError("require G > 0 and c6 > 0")
+    # value divides by alpha^(3(1-gamma)), which lies between 1 and alpha^3
+    cubed = _alpha_cubed(alpha)
+    return LowerBound3D(
+        g=g, alpha=alpha, gamma=gamma, c6=c6,
+        value=_finite("value = c6 G^gamma / alpha^(3(1-gamma))",
+                      lambda: c6 * g**gamma / alpha ** (3.0 * (1.0 - gamma))),
+        raw_count=_finite("raw_count = c6 / alpha^3", lambda: c6 / cubed),
+        upper_form="c8 * (G/alpha)^(3/2), sharp exponent in (1, 3/2)",
     )

@@ -14,10 +14,10 @@ written with repr, rows in fixed order).
 derived values its run reads, each computed once.  A config error is a plan
 that could not be built; the run reads the plan and recomputes none of it.
 
-``import mla.cli`` loads no command module: each command's plan and run
-import its own, so parsing loads ``spectral`` and ``dynamics`` for simulate,
-``stability`` for stability, ``bounds`` and ``stability`` for bounds and
-report, ``squire`` and ``stability`` for squire, and the run nothing more.
+``import mla.cli`` loads no command module and no NumPy.  Parsing loads
+``spectral`` and ``dynamics`` for simulate, ``stability`` and ``bounds``
+for stability, ``bounds`` alone (so no NumPy) for bounds and report, and
+``squire``, ``stability`` and ``bounds`` for squire; a run loads no more.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ import sys
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
-
-import numpy as np
 
 from . import _TOLERANCES, NumericalError, _atomic_open, __version__
 
@@ -229,7 +227,7 @@ def _window_error(name: str, value: float) -> ConfigError:
 
 
 def _plan_stability(p: dict) -> dict:
-    from . import stability
+    from . import bounds, stability
     # alpha^2 s^2 of the rescaled amplitude and its window may overflow a
     # float.  With the amplitude finite only 1/delta^2 can make the window
     # infinite, or divide by 0 where delta^2 underflows.
@@ -240,16 +238,21 @@ def _plan_stability(p: dict) -> dict:
         window = (0.0, math.inf)
     if window[1] == math.inf:
         raise _window_error("delta", p["delta"])
-    return {"window": window}
+    g = bounds.grashof(p["lambda"], p["s"])
+    if not math.isfinite(g):  # lambda s^2 may overflow a float to inf
+        return {"window": window, "grashof": None,
+                "lower_bound_2d": {"note": "G = lambda s^2 overflows a float"}}
+    return {"window": window, "grashof": g,
+            "lower_bound_2d": asdict(bounds.lower_bound_dim2d(g, p["alpha"]))}
 
 
 def _plan_squire(p: dict) -> dict:
-    from . import squire, stability
+    from . import bounds, squire
     s, alpha = p["s"], p["alpha"]
     try:
         window = squire.CountWindow(p["c2"], p["c3"], p["c4"], p["delta_star"])
     except ValueError as exc:
-        raise ConfigError([f"c2/c3/c4: {exc}"]) from None
+        raise ConfigError([f"c2/c3/c4/delta_star: {exc}"]) from None
     # the amplitude, given (then > 0) or the default driver, may overflow a
     # float; the driver also grows as 1/delta_star^2, which may divide by 0
     lam = p["lambda"]
@@ -272,17 +275,16 @@ def _plan_squire(p: dict) -> dict:
     if alpha == 0:
         return plan
     try:  # the 3-D bound divides by alpha^3
-        if alpha ** 3 == 0:
-            raise ConfigError([f"alpha: alpha^3 underflows to 0 (got {alpha!r})"])
-    except OverflowError:
-        raise ConfigError([f"alpha: alpha^3 overflows a float (got {alpha!r})"]) from None
+        bounds._alpha_cubed(alpha)
+    except ValueError as exc:
+        raise ConfigError([f"alpha: {exc}"]) from None
     c6 = p["c6"] if p["c6"] is not None else plan["counts"][-1].c5_fit
     if c6 == 0:
         raise ConfigError([f"count_s: no triples at s={p['count_s'][-1]}, so the default "
                            "c6 (the c5 fit there) is 0; use a larger last s or set c6"])
     try:
-        plan["lower_bound_3d"] = asdict(squire.lower_bound_dim3d(
-            stability.grashof(lam, s), alpha, p["gamma"], c6))
+        plan["lower_bound_3d"] = asdict(bounds.lower_bound_dim3d(
+            bounds.grashof(lam, s), alpha, p["gamma"], c6))
     except ValueError as exc:
         raise ConfigError([f"alpha: {exc} (alpha = {alpha!r}, c6 = {c6!r})"]) from None
     return plan
@@ -449,12 +451,6 @@ _PLOT_KINDS = {
 }
 
 
-def _svg_polyline(points, color):
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
-    return (f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{pts}"/>')
-
-
 def emit_plot_data(results: list[dict], kind: str, out_dir, basename=None):
     """Write <kind>.csv and <kind>.svg (line or scatter) from result rows.
 
@@ -500,7 +496,8 @@ def emit_plot_data(results: list[dict], kind: str, out_dir, basename=None):
         for name, pts, color in series:
             px = [to_px(p) for p in sorted(pts)]
             if style == "line":
-                body.append(_svg_polyline(px, color))
+                body.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+                            f'points="{" ".join(f"{x:.2f},{y:.2f}" for x, y in px)}"/>')
             else:
                 body.extend(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" '
                             f'fill="{color}"/>' for x, y in px)
@@ -545,21 +542,6 @@ def _cmd_simulate(p: dict, plan: dict, out: Path, seed: int, written: list[Path]
     written.append(out / "final_field.json")
 
 
-def _sigma_grid_rows(window, s, alpha, t, r, n_points) -> list[dict]:
-    """sigma_hat of chain (t, r) across the Lambda_0 window (lo, hi); NaN,
-    with its reason in ``error``, where it could not be computed."""
-    from . import stability
-    lo, hi = window
-    rows = []
-    for cap in np.geomspace(lo / 2, hi, n_points):
-        sigma, error = stability._solve_or_reason(
-            lambda: stability.principal_sigma(stability.RecurrenceProblem(
-                s=s, t=t, r=r, capital_lambda=float(cap), alpha=alpha)).sigma_hat)
-        rows.append({"capital_lambda": float(cap), "sigma_hat": sigma,
-                     "error": error})
-    return rows
-
-
 def _cmd_stability(p: dict, plan: dict, out: Path, seed: int, written: list[Path]) -> None:
     from . import stability
     s, alpha, delta, lam = p["s"], p["alpha"], p["delta"], p["lambda"]
@@ -572,8 +554,8 @@ def _cmd_stability(p: dict, plan: dict, out: Path, seed: int, written: list[Path
     grid_rows = []
     if pairs:
         t, r = pairs[0]
-        grid_rows = _sigma_grid_rows(plan["window"], s, alpha, t, r,
-                                     p["sigma_grid_points"])
+        grid_rows = stability.sigma_grid_rows(plan["window"], s, alpha, t, r,
+                                              p["sigma_grid_points"])
     # one entry per blank cell: sweep.csv's sigma_hat and lambda0, and the
     # sigma_hat of sigma_vs_lambda.csv, which also names its capital_lambda
     skipped = [{"t": r["t"], "r": r["r"], "column": column, "error": error}
@@ -585,16 +567,13 @@ def _cmd_stability(p: dict, plan: dict, out: Path, seed: int, written: list[Path
                  "capital_lambda": row["capital_lambda"], "column": "sigma_hat",
                  "error": row["error"]} for row in grid_rows if row["error"] is not None]
     delta_star, adelta_max = stability.optimize_delta()
-    g = stability.grashof(lam, s)
-    finite = math.isfinite(g)  # lambda s^2 may overflow a float to inf
     summary = {
         "d_s": len(pairs),
         "a_delta": stability.region_area(delta),
         "delta_star": delta_star,
         "max_a_delta_scaled": adelta_max,
-        "grashof": g if finite else None,
-        "lower_bound_2d": (asdict(stability.lower_bound_dim2d(g, alpha)) if finite else
-                           {"note": "G = lambda s^2 overflows a float"}),
+        "grashof": plan["grashof"],
+        "lower_bound_2d": plan["lower_bound_2d"],
         "skipped": skipped,
     }
     written.append(_write_json(out / "summary.json", summary))

@@ -386,13 +386,20 @@ def field_to_json(f: ScalarField) -> str:
 
 
 def field_from_json(text: str) -> ScalarField:
+    """Read ``field_to_json``'s container.  ValueError where it is malformed:
+    not an object of this format, a key missing, or a size or wavenumber that
+    is not a JSON integer (int() would truncate it)."""
     doc = json.loads(text)
-    if doc.get("format") != FIELD_FORMAT:
-        raise ValueError(f"unrecognized field container: {doc.get('format')!r}")
-    grid = SpectralGrid(int(doc["n_modes"]), Fraction(doc["dealias_fraction"]))
-    return ScalarField.from_modes(grid, {
-        (int(k1), int(k2)): complex(re, im) for k1, k2, re, im in doc["modes"]
-    })
+    if not isinstance(doc, dict) or doc.get("format") != FIELD_FORMAT:
+        raise ValueError(f"not an {FIELD_FORMAT} field container")
+    n, frac, modes = (doc.get(k) for k in ("n_modes", "dealias_fraction", "modes"))
+    if not (type(n) is int and isinstance(frac, str) and isinstance(modes, list) and all(
+            isinstance(m, list) and len(m) == 4 and type(m[0]) is type(m[1]) is int
+            and all(type(v) in (int, float) for v in m[2:]) for m in modes)):
+        raise ValueError(f"an {FIELD_FORMAT} container needs an integer n_modes, a string "
+                         "dealias_fraction and modes [k1, k2, re, im], k1 and k2 integers")
+    return ScalarField.from_modes(SpectralGrid(n, Fraction(frac)), {
+        (k1, k2): complex(re, im) for k1, k2, re, im in modes})
 
 
 def save_field(f: ScalarField, path) -> None:

@@ -17,7 +17,8 @@ Everything here works on x3-Fourier coefficient arrays indexed by
 m in [-m_max, m_max].  The shear is a single +-s mode, so multiplying by
 sin/cos(s x3) is the two-shift stencil ``_shift`` (w[m-s] -+ w[m+s]),
 and the omega2 solve splits into s tridiagonal lanes, one per residue of
-m mod s.
+m mod s.  The 3-D dimension lower bound that ``count_triples`` feeds is a
+closed form in ``mla.bounds``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import LIFT_RESIDUAL_TOL, NumericalError, _finite
+from . import LIFT_RESIDUAL_TOL, NumericalError
 from .stability import (
     RecurrenceProblem,
     StabilityResult,
@@ -43,7 +44,6 @@ __all__ = [
     "Mode1DProfile",
     "CountWindow",
     "TripleCount",
-    "LowerBound3D",
     "hat_problem",
     "solve_hat_mode",
     "reconstruct_omega2",
@@ -54,7 +54,6 @@ __all__ = [
     "count_triples",
     "lambda2_threshold",
     "lambda3_driver",
-    "lower_bound_dim3d",
     "DEFAULT_WINDOW",
 ]
 
@@ -181,13 +180,9 @@ class Mode1DProfile:
 # ---------------------------------------------------------------------
 
 def _relative(parts: list[np.ndarray]) -> float:
-    total = parts[0].copy()
-    for p in parts[1:]:
-        total = total + p
+    """||sum of parts|| over the largest ||part||, or over 1 if all are 0."""
     scale = max(float(np.linalg.norm(p)) for p in parts)
-    if scale == 0.0:
-        return float(np.linalg.norm(total))
-    return float(np.linalg.norm(total) / scale)
+    return float(np.linalg.norm(sum(parts[1:], parts[0])) / (scale or 1.0))
 
 
 def lineareq3_residuals(mode: Mode1DProfile, setup: Setup3D) -> dict:
@@ -366,7 +361,7 @@ def a0_stability_spectrum(b: int, nu: float, k_cutoff: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------
-# triple counting and the 3-D lower bound
+# triple counting and the 3-D driver amplitude
 # ---------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -485,43 +480,3 @@ def lambda3_driver(s: int, alpha: float, delta: float) -> float:
     """sqrt(2) lambda2(s): the extra sqrt(2) covers the worst dissipation
     rescale a_hat/a <= sqrt(2) over triples with |b| <= a."""
     return math.sqrt(2.0) * lambda2_threshold(s, alpha, delta)
-
-
-@dataclass(frozen=True)
-class LowerBound3D:
-    g: float
-    alpha: float
-    gamma: float
-    c6: float
-    value: float
-    raw_count: float
-    upper_form: str
-
-
-def lower_bound_dim3d(g: float, alpha: float, gamma: float,
-                      c6: float) -> LowerBound3D:
-    """c6 G^gamma / alpha^(3(1-gamma)) in the small-alpha regime.
-
-    c6 is an input (the analysis leaves it symbolic; the count pipeline's
-    c5 is the documented default).  ``raw_count`` is c6/alpha^3, the mode
-    count at s = 1/alpha; with G = alpha^-3 the bound equals it for every
-    gamma.  The paired upper bound c8 (G/alpha)^(3/2) is reported as a
-    formula only.  ValueError names the formula where ``value`` or
-    ``raw_count`` overflows a float.
-    """
-    if alpha <= 0:
-        raise ValueError("the bound is the small-alpha regime; alpha > 0 required")
-    if not (0 < gamma < 1):
-        raise ValueError(f"gamma must lie in (0,1), got {gamma}")
-    if g <= 0 or c6 <= 0:
-        raise ValueError("require G > 0 and c6 > 0")
-    # raw_count divides by alpha^3; value by alpha^(3(1-gamma)), nonzero if alpha^3 is
-    if alpha**3 == 0.0:
-        raise ValueError(f"alpha = {alpha} is so small that alpha^3 underflows to 0")
-    return LowerBound3D(
-        g=g, alpha=alpha, gamma=gamma, c6=c6,
-        value=_finite(c6 * g**gamma / alpha ** (3.0 * (1.0 - gamma)),
-                      "value = c6 G^gamma / alpha^(3(1-gamma))"),
-        raw_count=_finite(c6 / alpha**3, "raw_count = c6 / alpha^3"),
-        upper_form="c8 * (G/alpha)^(3/2), sharp exponent in (1, 3/2)",
-    )

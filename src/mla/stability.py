@@ -39,6 +39,8 @@ dense solve, at its first truncation.  The dense solve is
 ``numpy.linalg.eigvals``; each tridiagonal solve of the inverse iteration
 is ``_gtsv``, a plain-Python port of LAPACK's dgtsv, so the module needs
 no SciPy.  A chain whose coefficients overflow a float raises NumericalError.
+``sigma_grid_rows`` follows one chain across the Lambda_0 window.  The
+dimension bounds resting on these counts are closed forms in ``mla.bounds``.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ __all__ = [
     "RecurrenceProblem",
     "GeneralizedEigSystem",
     "StabilityResult",
-    "LowerBound2D",
     "capital_lambda",
     "region_contains_point",
     "lattice_points",
@@ -65,11 +66,8 @@ __all__ = [
     "principal_sigma",
     "lambda0_threshold",
     "lu_interval",
-    "grashof",
-    "lower_bound_dim2d",
     "stability_sweep",
-    "LOWER_COEFF_ALPHA0",
-    "LOWER_COEFF_SMALL_ALPHA",
+    "sigma_grid_rows",
     "A_DELTA_MAX",
 ]
 
@@ -78,9 +76,6 @@ N_TRUNC = 16
 #: Largest chain truncation the eigenpair search doubles up to.
 MAX_TRUNC = 1024
 
-#: Two-digit lower-bound coefficients (dimension >= coeff * G^(2/3)).
-LOWER_COEFF_ALPHA0 = 0.006
-LOWER_COEFF_SMALL_ALPHA = 0.0018
 #: max over delta of a(delta) * delta^(4/3), to the reported two digits.
 A_DELTA_MAX = 0.012
 
@@ -272,9 +267,10 @@ class GeneralizedEigSystem:
         return float(e @ self.apply_a(e)) / float(e @ (self.diag_b * e))
 
     def residual(self, sigma_hat: float, e: np.ndarray) -> float:
+        """||Ae - sigma_hat Be|| / ||Be||, each norm a running hypot, which
+        squares no entry and so cannot overflow where the norm is finite."""
         be = self.diag_b * e
-        return float(np.linalg.norm(self.apply_a(e) - sigma_hat * be)
-                     / np.linalg.norm(be))
+        return float(np.hypot.reduce(self.apply_a(e) - sigma_hat * be) / np.hypot.reduce(be))
 
 
 def build_recurrence_system(prob: RecurrenceProblem,
@@ -561,55 +557,6 @@ def lambda0_threshold(s: int, t: float, r: int, alpha: float,
 
 
 # ---------------------------------------------------------------------
-# dimension lower bound
-# ---------------------------------------------------------------------
-
-def grashof(lam: float, s: int) -> float:
-    """Grashof number G = lam s^2 (first Stokes eigenvalue 1 on the torus)."""
-    return lam * s**2
-
-
-@dataclass(frozen=True)
-class LowerBound2D:
-    """coeff * G^(2/3) with the regime's two-digit coefficient, plus the
-    symbolic small-alpha window whose constants the analysis leaves free."""
-
-    g: float
-    alpha: float
-    coefficient: float
-    value: float
-    regime: str
-    alpha_regime_forms: dict
-
-
-def lower_bound_dim2d(g: float, alpha: float) -> LowerBound2D:
-    """Attractor-dimension lower bound coeff * G^(2/3).
-
-    alpha = 0 uses 0.006; 0 < alpha << 1 (the G ~ alpha^-3 regime) uses
-    0.0018.  The pure alpha-scaling forms C1/alpha^2 and
-    C2 alpha^-2 (log 1/alpha)^(1/3) are reported symbolically: C1 and C2
-    are structurally unspecified.
-    """
-    if g <= 0:
-        raise ValueError(f"G must be positive, got {g}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    coeff = LOWER_COEFF_ALPHA0 if alpha == 0.0 else LOWER_COEFF_SMALL_ALPHA
-    regime = "alpha=0" if alpha == 0.0 else "small-alpha"
-    forms = {
-        "lower": "C1 / alpha^2",
-        "upper": "C2 / alpha^2 * (log(1/alpha))^(1/3)",
-        "C1": None,
-        "C2": None,
-        "note": "C1, C2 unspecified by the analysis",
-    }
-    return LowerBound2D(
-        g=g, alpha=alpha, coefficient=coeff, value=coeff * g ** (2.0 / 3.0),
-        regime=regime, alpha_regime_forms=forms,
-    )
-
-
-# ---------------------------------------------------------------------
 # sweep driver
 # ---------------------------------------------------------------------
 
@@ -661,4 +608,17 @@ def stability_sweep(s: int, alpha: float, delta: float, lam: float,
             "sigma_hat": sigma, "lambda0": lam0,
             "in_region": in_region, "error": error, "lambda0_error": lam0_error,
         })
+    return rows
+
+
+def sigma_grid_rows(window: tuple[float, float], s: int, alpha: float, t: float,
+                    r: int, n_points: int) -> list[dict]:
+    """sigma_hat of chain (t, r) at n_points capital_lambda geometrically
+    spaced over (lo / 2, hi), for the Lambda_0 window (lo, hi); NaN, with
+    its reason in ``error``, where it could not be computed."""
+    rows = []
+    for cap in np.geomspace(window[0] / 2, window[1], n_points).tolist():
+        sigma, error = _solve_or_reason(lambda: principal_sigma(RecurrenceProblem(
+            s=s, t=t, r=r, capital_lambda=cap, alpha=alpha)).sigma_hat)
+        rows.append({"capital_lambda": cap, "sigma_hat": sigma, "error": error})
     return rows

@@ -142,7 +142,7 @@ def test_criterion_4_asymptotic_bounds():
     params = dynamics.ModelParams(nu=nu, alpha=alpha, grid=grid)
     spec = dynamics.ForcingSpec(s=s, lam=lam)
     forcing = dynamics.kolmogorov_forcing(spec, params)
-    assert stability.grashof(spec.lam, spec.s) == pytest.approx(50.0)
+    assert bounds_mod.grashof(spec.lam, spec.s) == pytest.approx(50.0)
     state = dynamics.initial_state(params, seed=7, amplitude=0.1)
     diag = dynamics.run(state, t_final=200.0 / nu, dt=0.02, forcing=forcing,
                         sample_every=100)
@@ -238,9 +238,9 @@ def test_criterion_7_area_constant():
 # ---------------------------------------------------------------------
 
 def test_criterion_8_lower_coefficients():
-    assert stability.lower_bound_dim2d(1000.0, 0.0).value == pytest.approx(
+    assert bounds_mod.lower_bound_dim2d(1000.0, 0.0).value == pytest.approx(
         0.006 * 1000.0 ** (2.0 / 3.0), rel=1e-15)
-    assert stability.lower_bound_dim2d(1000.0, 0.01).value == pytest.approx(
+    assert bounds_mod.lower_bound_dim2d(1000.0, 0.01).value == pytest.approx(
         0.0018 * 1000.0 ** (2.0 / 3.0), rel=1e-15)
     derived0 = derived_lower_coefficient(True)
     derived_a = derived_lower_coefficient(False)
@@ -275,7 +275,7 @@ def test_criterion_9_upper_bounds_oracle():
             worst = max(worst, abs(u1 - float(ref1)) / float(ref1))
             worst = max(worst, abs(u2 - float(ref2)) / float(ref2))
 
-            lower = stability.lower_bound_dim2d(g, alpha).value
+            lower = bounds_mod.lower_bound_dim2d(g, alpha).value
             assert min(u1, u2) >= lower
     assert worst < 1e-12
     _report(9, f"5x5 grid vs 60-digit oracle: worst relative gap {worst:.2e}; "

@@ -670,8 +670,13 @@ def test_main_cross_field_config_error(tmp_path, capsys, doc):
      "alpha: raw_count = c6 / alpha^3 overflows a float"),
     ({"s": 2, "alpha": 1e-100, "gamma": 0.01, "c6": 1e20, "max_lifts": 0, "count_s": [30]},
      "alpha: value = c6 G^gamma / alpha^(3(1-gamma)) overflows a float"),
+    # only delta_star moves the window's corners out of the region: the error
+    # named c2/c3/c4 alone
+    ({"s": 6, "delta_star": 0.5, "max_lifts": 0, "count_s": [10]},
+     "config error: c2/c3/c4/delta_star: rectangle corner (0.46, -0.105) falls outside "
+     "the region at delta=0.5\n"),
 ], ids=["alpha1e120", "alpha1e200", "alpha1e200-lambda", "alpha1e200-lambda-lifts",
-        "c6-default-0", "bound3d-raw-count", "bound3d-value"])
+        "c6-default-0", "bound3d-raw-count", "bound3d-value", "window-delta_star"])
 def test_main_squire_config_at_fault_is_one_error_line(tmp_path, capsys, doc,
                                                         field):
     cfg = tmp_path / "cfg.json"
@@ -1064,29 +1069,40 @@ def test_cli_import_leaves_out_scipy():
                    check=True, env={**os.environ, "PYTHONPATH": src})
 
 
+@pytest.mark.parametrize("module", [bounds, cli, dynamics, spectral, squire, stability],
+                         ids=lambda module: module.__name__)
+def test_every_public_name_resolves(module):
+    # the benchmark's traced run wraps each name of __all__ through getattr,
+    # so a name that moved away and stayed listed would break it
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
 # the mla modules, besides cli, that parse_config loads for each command
 _COMMAND_MODULES = {
     "simulate": ["dynamics", "spectral"],
-    "stability": ["stability"],
-    "bounds": ["bounds", "stability"],
-    "report": ["bounds", "stability"],
-    "squire": ["squire", "stability"],
+    "stability": ["bounds", "stability"],
+    "bounds": ["bounds"],
+    "report": ["bounds"],
+    "squire": ["bounds", "squire", "stability"],
 }
-# prints the mla modules loaded after import, parse and run, and whether
-# argparse was loaded after import and parse
+# the commands that compute in plain math, and so never load numpy
+_NUMPY_FREE = {"bounds", "report"}
+# prints the mla modules loaded after import, parse and run, whether
+# argparse was loaded after import and parse, and whether numpy was loaded
+# after import and run
 _LOADS = """
 import json, sys
 def loaded():
     return sorted(m.partition(".")[2] for m in sys.modules if m.startswith("mla."))
 import mla.cli as cli
-seen = [loaded(), "argparse" in sys.modules]
+seen = [loaded(), "argparse" in sys.modules, "numpy" in sys.modules]
 doc = json.loads(sys.argv[1])
 config = cli.parse_config(json.dumps(doc))
 seen += [loaded(), "argparse" in sys.modules]
 if config.command == "simulate":  # 5 steps, not the shipped 10,000
     config = cli.parse_config(json.dumps(dict(doc, t_final=5 * doc["dt"], sample_every=1)))
 cli.run_command(config, out_dir=sys.argv[2])
-print(json.dumps(seen + [loaded()]))
+print(json.dumps(seen + [loaded(), "numpy" in sys.modules]))
 """
 
 
@@ -1101,10 +1117,14 @@ def test_each_command_loads_only_its_modules(tmp_path, name):
     result = subprocess.run([sys.executable, "-c", _LOADS, json.dumps(doc), str(tmp_path)],
                             check=True, capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src})
-    imported, argparse_imported, parsed, argparse_parsed, ran = json.loads(result.stdout)
+    (imported, argparse_imported, numpy_imported, parsed, argparse_parsed, ran,
+     numpy_ran) = json.loads(result.stdout)
     assert imported == ["cli"] and not argparse_imported and not argparse_parsed
     assert parsed == sorted(["cli"] + _COMMAND_MODULES[doc["command"]])
     assert ran == parsed
+    # numpy is about half of a closed-form run's time when it loads
+    assert not numpy_imported
+    assert numpy_ran == (doc["command"] not in _NUMPY_FREE)
 
 
 _BOUNDS_GRID = {"g_values": [1e3, 1e5, 1e7], "alpha_values": [0.0, 0.01]}

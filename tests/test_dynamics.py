@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from mla import NumericalError
+from mla.bounds import grashof
 from mla.dynamics import (
     ForcingSpec,
     ModelParams,
@@ -33,7 +34,6 @@ from mla.spectral import (
     laplacian,
     norms,
 )
-from mla.stability import grashof
 from spectral_oracles import helmholtz_inv, inv_laplacian
 
 GRID = SpectralGrid(32)

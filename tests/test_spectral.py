@@ -562,6 +562,23 @@ def test_field_json_rejects_unknown_format():
         field_from_json('{"format": "something-else"}')
 
 
+_FIELD_DOC = {"format": "mla-field-v1", "n_modes": 16, "dealias_fraction": "2/3",
+              "modes": [[1, 0, 1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("doc,message", [
+    # each raised KeyError, AttributeError, or was read as mode (1, 0) and n_modes 16
+    ({k: v for k, v in _FIELD_DOC.items() if k != "modes"}, "needs an integer n_modes"),
+    ([_FIELD_DOC], "not an mla-field-v1"),
+    (dict(_FIELD_DOC, modes=[[1.5, 0, 1.0, 0.0]]), "k1 and k2 integers"),
+    (dict(_FIELD_DOC, n_modes=16.7), "an integer n_modes"),
+], ids=["missing-key", "not-an-object", "fractional-k1", "fractional-n_modes"])
+def test_field_json_rejects_malformed_containers(doc, message):
+    field_from_json(json.dumps(_FIELD_DOC))  # the well-formed twin reads
+    with pytest.raises(ValueError, match=message):
+        field_from_json(json.dumps(doc))
+
+
 def test_field_json_half_spectrum_axis_line():
     # modes on the k2 = 0 line keep only k1 > 0 representatives
     f = ScalarField.from_modes(GRID, {(3, 0): 2.0 / 2j})

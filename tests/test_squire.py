@@ -15,6 +15,7 @@ import pytest
 import scipy.linalg
 
 from mla import NumericalError
+from mla.bounds import lower_bound_dim3d
 from mla.squire import (
     CountWindow,
     DEFAULT_WINDOW,
@@ -32,7 +33,6 @@ from mla.squire import (
     lambda2_threshold,
     lambda3_driver,
     lift_mode,
-    lower_bound_dim3d,
     reconstruct_omega2,
     solve_hat_mode,
 )

@@ -10,6 +10,7 @@ other, and thresholds against their windows and a bisection oracle."""
 
 import inspect
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -18,6 +19,7 @@ import scipy.integrate
 import scipy.linalg
 
 from mla import NumericalError, stability
+from mla.bounds import lower_bound_dim2d
 from mla.stability import (
     A_DELTA_MAX,
     RecurrenceProblem,
@@ -27,7 +29,6 @@ from mla.stability import (
     capital_lambda,
     lambda0_threshold,
     lattice_points,
-    lower_bound_dim2d,
     lu_interval,
     optimize_delta,
     principal_sigma,
@@ -457,6 +458,25 @@ def test_stability_result_residual_invariant():
             sigma_hat=1.0, eigen_residual=1e-6,
             eigenvector=np.ones(3), offsets=np.arange(-1, 2), n_trunc_used=1,
         )
+
+
+def test_residual_norm_does_not_square_large_entries():
+    # ||(3e200, 0)|| squared 3e200 and overflowed: inf, with a RuntimeWarning
+    sys = stability.GeneralizedEigSystem(
+        diag_a=np.array([3e200, 0.0]), off_a=np.zeros(2), diag_b=np.ones(2))
+    assert sys.residual(0.0, np.ones(2)) == pytest.approx(3e200 / math.sqrt(2.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("t,r", [(1, 0), (2, 0), (3, 0), (3, 1), (4, 0), (4, 1)])
+def test_chain_at_huge_lambda_has_a_finite_residual(t, r):
+    # at Lambda(1e300) these chains failed with "eigen residual inf" after a
+    # RuntimeWarning from the norm; each passes, or fails with a finite residual
+    prob = RecurrenceProblem(s=6, t=t, r=r, capital_lambda=capital_lambda(1e300, 6, 0.0))
+    try:
+        principal_sigma(prob)
+    except NumericalError as exc:
+        residual = re.search(r"eigen residual (\S+) exceeds", str(exc))
+        assert residual is None or math.isfinite(float(residual[1]))
 
 
 # ---------------------------------------------------------------------
