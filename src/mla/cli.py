@@ -520,17 +520,22 @@ def emit_plot_data(results: list[dict], kind: str, out_dir, basename=None):
 # command implementations
 # ---------------------------------------------------------------------
 
+def _initial_state(p: dict, plan: dict, params, seed: int):
+    from . import dynamics
+    state = dynamics.initial_state(params, seed=seed, amplitude=p["init_amplitude"])
+    if not p["start_from_stationary"]:
+        return state
+    psi = dynamics.stationary_psi(plan["spec"], params) + state.psi
+    return dynamics.SolverState(psi=psi, time=0.0, params=params)
+
+
 def _cmd_simulate(p: dict, plan: dict, out: Path, seed: int, written: list[Path]) -> None:
     from . import dynamics, spectral
     params = dynamics.ModelParams(nu=p["nu"], alpha=p["alpha"], grid=plan["grid"])
     forcing = dynamics.kolmogorov_forcing(plan["spec"], params)
-    state = dynamics.initial_state(params, seed=seed,
-                                   amplitude=p["init_amplitude"])
-    if p["start_from_stationary"]:
-        psi = dynamics.stationary_psi(plan["spec"], params) + state.psi
-        state = dynamics.SolverState(psi=psi, time=0.0, params=params)
-    diag = dynamics.run(state, p["t_final"], p["dt"], forcing,
-                        sample_every=p["sample_every"], cfl=p["cfl"])
+    # run holds the only reference to the initial state, freed after one step
+    diag = dynamics.run(_initial_state(p, plan, params, seed), p["t_final"], p["dt"],
+                        forcing, sample_every=p["sample_every"], cfl=p["cfl"])
     written.append(_write_csv(
         out / "diagnostics.csv", dynamics.TrajectoryDiagnostics.CSV_HEADER,
         zip(diag.times, diag.phi_l2, diag.grad_phi_l2, diag.avg_grad_sq)))
@@ -566,12 +571,11 @@ def _cmd_stability(p: dict, plan: dict, out: Path, seed: int, written: list[Path
     skipped += [{"t": pairs[0][0], "r": pairs[0][1],
                  "capital_lambda": row["capital_lambda"], "column": "sigma_hat",
                  "error": row["error"]} for row in grid_rows if row["error"] is not None]
-    delta_star, adelta_max = stability.optimize_delta()
     summary = {
         "d_s": len(pairs),
         "a_delta": stability.region_area(delta),
-        "delta_star": delta_star,
-        "max_a_delta_scaled": adelta_max,
+        "delta_star": stability.DELTA_STAR,
+        "max_a_delta_scaled": stability.MAX_A_DELTA_SCALED,
         "grashof": plan["grashof"],
         "lower_bound_2d": plan["lower_bound_2d"],
         "skipped": skipped,

@@ -8,8 +8,11 @@ driven by the single-mode Kolmogorov forcing
 F = -(1/(sqrt(2) pi)) nu^2 lam s^3 cos(s x2).  Diffusion is integrated
 exactly per mode (exponential integrating factor); the Jacobian term and
 forcing are handled by a two-stage second-order exponential scheme whose
-fixed points are exactly stationary.  The stepper works on coefficient
-arrays and wraps only the state it returns in a ``ScalarField``.
+fixed points are exactly stationary.
+
+``run`` steps plain coefficient arrays through the private kernels ``_step``
+and ``_dt_max`` and wraps only the state it returns; ``step_imex`` and
+``dt_max`` are thin wrappers over them that build their tables per call.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .spectral import (
     _jacobian,
     _jacobian_buffers,
     _norms,
+    _real_zero_mean,
     laplacian,
 )
 
@@ -141,11 +145,10 @@ def stationary_psi(spec: ForcingSpec, params: ModelParams) -> ScalarField:
 
 
 class _RunBuffers(NamedTuple):
-    """What every step of one run reuses: the ETD tables of its dt (if given),
-    the symbol of I - alpha^2 Lap, the Jacobian's two (n, m) band arguments,
-    one full-width ``work`` and the Jacobian's work arrays.  ``run`` drops them."""
+    """What every step of one run reuses: the symbol of I - alpha^2 Lap, the
+    Jacobian's two (n, m) band arguments, one full-width ``work`` and the
+    Jacobian's work arrays.  ``run`` drops them."""
 
-    etd: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     helmholtz: np.ndarray
     stream: np.ndarray
     filtered: np.ndarray
@@ -153,15 +156,13 @@ class _RunBuffers(NamedTuple):
     jacobian: tuple[np.ndarray, ...]
 
 
-def _run_buffers(params: ModelParams, dt: float | None = None) -> _RunBuffers:
+def _run_buffers(params: ModelParams) -> _RunBuffers:
     grid = params.grid
     # Tables before work arrays, in field order: built after them, the grid's
-    # raised a simulate run's peak RSS at n = 256 by 0.6 MB, and the ETD
-    # tables a 5-step run's at n = 1024 by 2.6 MB.
+    # raised a simulate run's peak RSS at n = 256 by 0.6 MB.
     grid.neg_inv_k_sq, grid._jacobian_symbols
     band = grid._jacobian_symbols[1].shape
-    return _RunBuffers(None if dt is None else _etd_tables(grid, params.nu, dt),
-                       grid.helmholtz(params.alpha),
+    return _RunBuffers(grid.helmholtz(params.alpha),
                        np.empty(band, dtype=np.complex128),
                        np.empty(band, dtype=np.complex128),
                        np.empty(grid.shape, dtype=np.complex128),
@@ -188,12 +189,15 @@ def rhs(state: SolverState, forcing: ScalarField) -> ScalarField:
                                     _run_buffers(p)))
 
 
-def dt_max(state: SolverState, cfl: float = 0.5, *,
-           _buffers: _RunBuffers | None = None) -> float:
-    """Advective limit dt <= cfl / (max|u| k_max); inf for a quiescent field.
-    u takes the Jacobian's 1-D passes in ``run``'s buffers: only ``velocity`` allocates."""
-    grid, buffers = state.psi.grid, _buffers or _run_buffers(state.params)
-    stream = np.multiply(grid.neg_inv_k_sq, state.psi.coeffs, out=buffers.work)
+def dt_max(state: SolverState, cfl: float = 0.5) -> float:
+    """Advective limit dt <= cfl / (max|u| k_max); inf for a quiescent field."""
+    return _dt_max(state.psi.grid, state.psi.coeffs, cfl, _run_buffers(state.params))
+
+
+def _dt_max(grid: SpectralGrid, psi: np.ndarray, cfl: float, buffers: _RunBuffers) -> float:
+    """``dt_max`` of the coefficient array psi.  u takes the Jacobian's 1-D
+    passes in ``buffers``: only ``velocity`` allocates."""
+    stream = np.multiply(grid.neg_inv_k_sq, psi, out=buffers.work)
     u1, u2 = buffers.jacobian[1:3]
     for c, phys in zip(grid.velocity(stream), (u1, u2)):
         np.fft.ifft(c, axis=0, norm="forward", out=c)
@@ -234,8 +238,7 @@ def _etd_tables(grid: SpectralGrid, nu: float, dt: float):
     return np.exp(z), dt * _phi1(z), dt * _phi2(z)
 
 
-def step_imex(state: SolverState, dt: float, forcing: ScalarField, *,
-              _buffers: _RunBuffers | None = None) -> SolverState:
+def step_imex(state: SolverState, dt: float, forcing: ScalarField) -> SolverState:
     """One step of the exponential two-stage scheme.
 
     Per mode, with z = -nu |k|^2 dt:
@@ -246,18 +249,27 @@ def step_imex(state: SolverState, dt: float, forcing: ScalarField, *,
     Steady states (N balancing diffusion exactly) are fixed points of the
     update, and smooth solutions converge at second order.  Callers are
     responsible for the advective limit dt <= dt_max(state); see run(),
-    which also passes the buffers its steps share, built for this dt.
+    which takes its steps through the same kernel with tables and buffers
+    built once.  This call builds both for its one step.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     state.psi._require_same_grid(forcing)
-    params = state.params
-    buffers = _buffers or _run_buffers(params, dt)
-    exp_z, w1, w2 = buffers.etd
-    psi, f = state.psi.coeffs, forcing.coeffs
+    p = state.params
+    psi = _step(state.psi.coeffs, state.time, dt, p, forcing.coeffs,
+                _etd_tables(p.grid, p.nu, dt), _run_buffers(p))
+    return SolverState(psi=ScalarField(p.grid, psi), time=state.time + dt, params=p)
+
+
+def _step(psi: np.ndarray, t: float, dt: float, params: ModelParams, f: np.ndarray,
+          etd: tuple[np.ndarray, np.ndarray, np.ndarray], buffers: _RunBuffers) -> np.ndarray:
+    """``step_imex`` on coefficient arrays: psi at time t to a fresh array at
+    t + dt, with ``etd`` from ``_etd_tables`` for this dt, finished by the
+    half-spectrum rule ``ScalarField`` applies."""
+    exp_z, w1, w2 = etd
     n0 = _nonlinear(psi, params, f, buffers)
     # in place or in ``work``, but the same products and sums in the same
-    # order as the formulas above, so the rounding is theirs
+    # order as the formulas of ``step_imex``, so the rounding is theirs
     a = exp_z * psi
     a += np.multiply(w1, n0, out=buffers.work)
     n1 = _nonlinear(a, params, f, buffers, out=buffers.work)
@@ -265,11 +277,11 @@ def step_imex(state: SolverState, dt: float, forcing: ScalarField, *,
     n1 *= w2
     a += n1
     del n0
-    new = ScalarField(params.grid, a)
-    if not np.all(np.isfinite(new.coeffs)):
-        raise NumericalError(f"non-finite coefficients after step at t={state.time}: "
+    _real_zero_mean(a)
+    if not np.all(np.isfinite(a)):
+        raise NumericalError(f"non-finite coefficients after step at t={t}: "
                              f"max|psi|={np.max(np.abs(psi))}, dt={dt}")
-    return SolverState(psi=new, time=state.time + dt, params=params)
+    return a
 
 
 def run(state: SolverState, t_final: float, dt: float, forcing: ScalarField,
@@ -279,48 +291,55 @@ def run(state: SolverState, t_final: float, dt: float, forcing: ScalarField,
     The number of steps is round((t_final - t0)/dt); there is no partial
     final step.  The CFL heuristic is enforced at the start and at every
     sample, and a non-finite step raises, both NumericalError; numpy's
-    overflow warnings are silenced.  Returns diagnostics with the final
-    state attached.
+    overflow warnings are silenced.  The steps advance plain arrays through
+    ``_step``; only the final state, attached to the diagnostics, is wrapped.
     """
     if sample_every < 1:
         raise ValueError("sample_every must be a positive integer")
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    state.psi._require_same_grid(forcing)
     n_steps = int(round((t_final - state.time) / dt))
     if n_steps <= 0:
         empty = np.empty(0)
         return TrajectoryDiagnostics(empty, empty.copy(), empty.copy(),
                                      empty.copy(), final_state=state)
 
-    grid = state.params.grid
-    t0 = state.time
+    # hold arrays only: the initial coefficients go after the first step
+    psi, t, params = state.psi.coeffs, state.time, state.params
+    del state
+    grid, f, t0 = params.grid, forcing.coeffs, t
     times, phis, grads, avgs = [], [], [], []
 
     # an overflow ends as a non-finite step (NumericalError) or an infinite
     # norm, which no artifact may hold, so numpy's warnings add nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        buffers = _run_buffers(state.params, dt)
-        limit = dt_max(state, cfl, _buffers=buffers)
+        # ETD tables before work arrays: after, 2.6 MB more peak RSS at n = 1024
+        etd = _etd_tables(grid, params.nu, dt)
+        buffers = _run_buffers(params)
+        limit = _dt_max(grid, psi, cfl, buffers)
         if dt > limit:
             raise NumericalError(f"dt={dt} exceeds advective limit {limit} at start")
         acc = 0.0
         # norms of phi = (I - alpha^2 Lap)^{-1} psi, formed in the work array
-        phi = np.divide(state.psi.coeffs, buffers.helmholtz, out=buffers.work)
+        phi = np.divide(psi, buffers.helmholtz, out=buffers.work)
         g_prev = _norms(grid, phi).h1_semi ** 2
         for i in range(n_steps):
-            state = step_imex(state, dt, forcing, _buffers=buffers)
-            m = _norms(grid, np.divide(state.psi.coeffs, buffers.helmholtz, out=phi))
+            psi = _step(psi, t, dt, params, f, etd, buffers)
+            t += dt
+            m = _norms(grid, np.divide(psi, buffers.helmholtz, out=phi))
             acc += 0.5 * (g_prev + m.h1_semi ** 2) * dt
             g_prev = m.h1_semi ** 2
             if (i + 1) % sample_every == 0:
-                if dt > dt_max(state, cfl, _buffers=buffers):
-                    raise NumericalError(
-                        f"dt={dt} exceeds advective limit at t={state.time}")
-                times.append(state.time)
+                if dt > _dt_max(grid, psi, cfl, buffers):
+                    raise NumericalError(f"dt={dt} exceeds advective limit at t={t}")
+                times.append(t)
                 phis.append(m.l2)
                 grads.append(m.h1_semi)
-                avgs.append(acc / (state.time - t0))
+                avgs.append(acc / (t - t0))
     return TrajectoryDiagnostics(
-        np.asarray(times), np.asarray(phis), np.asarray(grads),
-        np.asarray(avgs), final_state=state,
+        np.asarray(times), np.asarray(phis), np.asarray(grads), np.asarray(avgs),
+        final_state=SolverState(psi=ScalarField(grid, psi), time=t, params=params),
     )
 
 

@@ -9,11 +9,12 @@ Coefficients are stored in ``numpy.fft.rfft2`` layout, shape (n, n/2 + 1):
 ``coeffs[i1, k2]`` holds the mode ``(k1[i1], k2)``, k1 in fftfreq order and
 k2 = 0..n/2.  Modes with k2 < 0 are implied as conjugates, so Hermitian
 symmetry is structural except on the columns k2 = 0 and n/2, which
-``ScalarField`` makes exact at construction.  All linear operators are
-Fourier multipliers; only the Jacobian goes through physical space, with
-the 2/3-rule (configurable fraction) applied to its result.  Symbol tables
-and array operators live on ``SpectralGrid``; the stepper in ``mla.dynamics``
-uses them and the array kernel ``_jacobian`` without building fields.
+``_real_zero_mean`` makes exact, in ``ScalarField`` and after each step.
+All linear operators are Fourier multipliers; only the Jacobian goes
+through physical space, with the 2/3-rule (configurable fraction) applied
+to its result.  Symbol tables and array operators live on ``SpectralGrid``;
+the stepper in ``mla.dynamics`` uses them and the array kernel
+``_jacobian`` without building fields.
 
 Each 2-D transform of the Jacobian is two 1-D passes with the scaling
 inside (``norm="forward"``), so dealiasing the result only zeroes the modes
@@ -149,6 +150,24 @@ class SpectralGrid:
         return (k1 % n, k2)
 
 
+def _real_zero_mean(c: np.ndarray) -> None:
+    """The half-spectrum rule, in place: check and pin the mean coefficient,
+    then make the columns k2 = 0 and n/2 Hermitian."""
+    # the tolerance _MEAN_TOL * max(1, max|c|) needs max|c| only above _MEAN_TOL
+    scale = max(1.0, float(np.max(np.abs(c)))) if abs(c[0, 0]) > _MEAN_TOL else 1.0
+    if abs(c[0, 0]) > _MEAN_TOL * scale:
+        raise NonZeroMeanError(
+            f"mean coefficient {c[0, 0]} exceeds tolerance {_MEAN_TOL * scale}")
+    c[0, 0] = 0.0
+    # Columns k2 = 0 and k2 = n/2 hold both k and -k: the k1 > 0 half is
+    # authoritative and copied, conjugated, onto k1 < 0; the modes that
+    # are their own conjugate (k1 = 0, n/2) are real.
+    half = c.shape[0] // 2
+    edge = c[:, ::half]
+    edge[half + 1:] = np.conj(edge[half - 1:0:-1])
+    edge[::half] = edge[::half].real
+
+
 @dataclass(frozen=True, eq=False)
 class ScalarField:
     """Zero-mean real scalar on the torus, stored spectrally.
@@ -165,19 +184,7 @@ class ScalarField:
         if c.shape != self.grid.shape:
             raise ValueError(
                 f"coeffs shape {c.shape} does not match grid {self.grid.shape}")
-        # the tolerance _MEAN_TOL * max(1, max|c|) needs max|c| only above _MEAN_TOL
-        scale = max(1.0, float(np.max(np.abs(c)))) if abs(c[0, 0]) > _MEAN_TOL else 1.0
-        if abs(c[0, 0]) > _MEAN_TOL * scale:
-            raise NonZeroMeanError(
-                f"mean coefficient {c[0, 0]} exceeds tolerance {_MEAN_TOL * scale}")
-        c[0, 0] = 0.0
-        # Columns k2 = 0 and k2 = n/2 hold both k and -k: the k1 > 0 half is
-        # authoritative and copied, conjugated, onto k1 < 0; the modes that
-        # are their own conjugate (k1 = 0, n/2) are real.
-        half = self.grid.n_modes // 2
-        edge = c[:, ::half]
-        edge[half + 1:] = np.conj(edge[half - 1:0:-1])
-        edge[::half] = edge[::half].real
+        _real_zero_mean(c)
         object.__setattr__(self, "coeffs", c)
 
     # -- constructors -------------------------------------------------

@@ -61,14 +61,14 @@ __all__ = [
     "region_contains_point",
     "lattice_points",
     "region_area",
-    "optimize_delta",
     "build_recurrence_system",
     "principal_sigma",
     "lambda0_threshold",
     "lu_interval",
     "stability_sweep",
     "sigma_grid_rows",
-    "A_DELTA_MAX",
+    "DELTA_STAR",
+    "MAX_A_DELTA_SCALED",
 ]
 
 #: Chain truncation the eigenpair search starts from.
@@ -76,13 +76,13 @@ N_TRUNC = 16
 #: Largest chain truncation the eigenpair search doubles up to.
 MAX_TRUNC = 1024
 
-#: max over delta of a(delta) * delta^(4/3), to the reported two digits.
-A_DELTA_MAX = 0.012
+#: Where a(delta) * delta^(4/3) peaks on (0, 1/sqrt(3)), and the peak, as an
+#: 80-point scan and golden section to 1e-7 on ``region_area`` find them.
+DELTA_STAR = 0.3863937491557782
+MAX_A_DELTA_SCALED = 0.012668529658129878
 
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
 _X_TRIPLE = math.sqrt(11.0) / 6.0  # where the three section bounds all equal 1/6
-#: Coarse scan points and golden-section bracket width of optimize_delta.
-_DELTA_SCAN_POINTS, _DELTA_TOL = 80, 1e-7
 
 
 def capital_lambda(lam: float, s: int, alpha: float) -> float:
@@ -164,37 +164,6 @@ def region_area(delta: float) -> float:
         area += 2.0 * (_X_TRIPLE - delta) - (_segment(1.0, delta)
                                              - _segment(1.0, _X_TRIPLE))
     return area
-
-
-def optimize_delta() -> tuple[float, float]:
-    """(delta*, a(delta*) delta*^(4/3)): the maximum of a(delta) delta^(4/3)
-    from an 80-point scan of (0, 1/sqrt(3)) and a golden-section search to a
-    1e-7 bracket, on region_area's closed segment form."""
-
-    def h(d: float) -> float:
-        return region_area(d) * d ** (4.0 / 3.0)
-
-    deltas = np.linspace(1e-3, _INV_SQRT3 - 1e-9, _DELTA_SCAN_POINTS)
-    values = [h(d) for d in deltas]
-    i = int(np.argmax(values))
-    lo = deltas[max(0, i - 1)]
-    hi = deltas[min(_DELTA_SCAN_POINTS - 1, i + 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = h(c), h(d)
-    while b - a > _DELTA_TOL:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = h(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = h(d)
-    x = 0.5 * (a + b)
-    return x, h(x)
 
 
 # ---------------------------------------------------------------------

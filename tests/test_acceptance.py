@@ -106,10 +106,8 @@ def test_criterion_3_solver_order():
 
     def integrate(dt):
         state = dynamics.SolverState(psi=psi0, time=0.0, params=params)
-        buffers = dynamics._run_buffers(params, dt)
-        for _ in range(int(round(T / dt))):
-            state = dynamics.step_imex(state, dt, forcing, _buffers=buffers)
-        return state.psi
+        steps = int(round(T / dt))
+        return dynamics.run(state, T, dt, forcing, sample_every=steps).final_state.psi
 
     ref = integrate(2.5e-3 / 16)
     errs = [spectral.norms(integrate(dt) - ref).l2
@@ -123,9 +121,7 @@ def test_criterion_3_solver_order():
     state = dynamics.SolverState(
         psi=spectral.ScalarField.harmonic(grid, k, 0), time=0.0, params=p2)
     zero = spectral.ScalarField.zeros(grid)
-    buffers = dynamics._run_buffers(p2, T2 / 1000)
-    for _ in range(1000):
-        state = dynamics.step_imex(state, T2 / 1000, zero, _buffers=buffers)
+    state = dynamics.run(state, T2, T2 / 1000, zero, sample_every=1000).final_state
     decay_err = abs(2 * abs(state.psi.coeff(k, 0)) - math.exp(-nu * k * k * T2))
     assert decay_err < 1e-8
     _report(3, f"orders {orders[0]:.2f}/{orders[1]:.2f}, "
@@ -223,7 +219,7 @@ def test_criterion_6_thresholds():
 # ---------------------------------------------------------------------
 
 def test_criterion_7_area_constant():
-    dstar, value = stability.optimize_delta()
+    dstar, value = stability.DELTA_STAR, stability.MAX_A_DELTA_SCALED
     assert abs(value - 0.012) <= 0.1 * 0.012
     a_star = stability.region_area(dstar)
     density = len(stability.lattice_points(

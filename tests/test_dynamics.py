@@ -15,8 +15,10 @@ from mla.dynamics import (
     ForcingSpec,
     ModelParams,
     SolverState,
+    _dt_max,
     _etd_tables,
     _run_buffers,
+    _step,
     check_asymptotic_bounds,
     dt_max,
     initial_state,
@@ -206,10 +208,7 @@ def test_exact_exponential_decay():
     state = SolverState(psi=psi0, time=0.0, params=p)
     F = ScalarField.zeros(GRID)
     T = 1.0
-    dt = T / 1000
-    buffers = _run_buffers(p, dt)
-    for _ in range(1000):
-        state = step_imex(state, dt, F, _buffers=buffers)
+    state = run(state, T, T / 1000, F, sample_every=1000).final_state
     want = math.exp(-p.nu * k**2 * T)
     got = 2 * abs(state.psi.coeff(k, 0))
     assert abs(got - want) < 1e-8 * want
@@ -221,9 +220,7 @@ def test_stationary_state_fixed_point():
     psi_s = stationary_psi(spec, p)
     F = kolmogorov_forcing(spec, p)
     state = SolverState(psi=psi_s, time=0.0, params=p)
-    buffers = _run_buffers(p, 1e-3)
-    for _ in range(1000):
-        state = step_imex(state, 1e-3, F, _buffers=buffers)
+    state = run(state, 1.0, 1e-3, F, sample_every=1000).final_state
     assert dist(state.psi, psi_s) < 1e-10 * norms(psi_s).l2
 
 
@@ -237,10 +234,7 @@ def test_self_convergence_second_order():
 
     def integrate(dt):
         state = SolverState(psi=psi0, time=0.0, params=p)
-        buffers = _run_buffers(p, dt)
-        for _ in range(int(round(T / dt))):
-            state = step_imex(state, dt, F, _buffers=buffers)
-        return state.psi
+        return run(state, T, dt, F, sample_every=int(round(T / dt))).final_state.psi
 
     ref = integrate(T / 4096)
     e1 = dist(integrate(1e-2), ref)
@@ -286,6 +280,8 @@ def test_step_rejects_bad_dt_and_detects_blowup():
     F = ScalarField.zeros(GRID)
     with pytest.raises(ValueError):
         step_imex(state, -0.1, F)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        run(state, t_final=-1.0, dt=-0.1, forcing=F)
 
 
 @pytest.mark.parametrize("other", [SpectralGrid(32, "1/2"), SpectralGrid(16)])
@@ -333,15 +329,39 @@ def test_run_diagnostics_match_field_norms_bit_for_bit():
     state = SolverState(psi=psi0, time=0.0, params=p)
     diag = run(state, t_final=0.1, dt=0.01, forcing=F, sample_every=1)
     acc, g_prev = 0.0, norms(helmholtz_inv(state.psi, p.alpha)).h1_semi ** 2
-    buffers = _run_buffers(p, 0.01)
     for i in range(10):
-        state = step_imex(state, 0.01, F, _buffers=buffers)
+        state = step_imex(state, 0.01, F)
         m = norms(helmholtz_inv(state.psi, p.alpha))
         acc += 0.5 * (g_prev + m.h1_semi ** 2) * 0.01
         g_prev = m.h1_semi ** 2
         assert (diag.phi_l2[i], diag.grad_phi_l2[i]) == (m.l2, m.h1_semi)
         assert diag.avg_grad_sq[i] == acc / state.time
     assert np.array_equal(diag.final_state.psi.coeffs, state.psi.coeffs)
+
+
+def test_run_wraps_only_the_state_it_returns(monkeypatch):
+    # the steps advance coefficient arrays; a field and a state per step before
+    p = params(nu=0.05, alpha=0.1)
+    spec = ForcingSpec(s=2, lam=40.0)
+    F = kolmogorov_forcing(spec, p)
+    psi0 = stationary_psi(spec, p) + initial_state(p, seed=5, amplitude=0.5).psi
+    state = SolverState(psi=psi0, time=0.0, params=p)
+    built = {"fields": 0, "states": 0}
+    post_init, init = ScalarField.__post_init__, SolverState.__init__
+
+    def counted_post_init(field):
+        built["fields"] += 1
+        post_init(field)
+
+    def counted_init(self, *args, **kwargs):
+        built["states"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ScalarField, "__post_init__", counted_post_init)
+    monkeypatch.setattr(SolverState, "__init__", counted_init)
+    diag = run(state, t_final=0.25, dt=0.01, forcing=F, sample_every=5)
+    assert built == {"fields": 1, "states": 1}
+    assert len(diag) == 5 and diag.final_state.psi is not psi0
 
 
 def test_decay_run_monotone():
@@ -354,10 +374,9 @@ def test_decay_run_monotone():
     # alpha-weighted energy non-increasing as well
     state2 = initial_state(p, seed=3, amplitude=0.5)
     vals = [energy(state2.psi, p.alpha)]
-    buffers = _run_buffers(p, 0.01)
     for _ in range(20):
         for _ in range(10):
-            state2 = step_imex(state2, 0.01, F, _buffers=buffers)
+            state2 = step_imex(state2, 0.01, F)
         vals.append(energy(state2.psi, p.alpha))
     assert np.all(np.diff(vals) <= 0)
 
@@ -400,7 +419,8 @@ def _dt_max_reference(state, cfl=0.5):
 
 def _dt_max_states(n):
     """Random masked fields of three sizes, and one with modes outside the
-    dealias mask, each with the run buffers of a step already taken."""
+    dealias mask, each with the run buffers of a kernel step already taken
+    (past the advective limit for the largest, where ``run`` would raise)."""
     grid = SpectralGrid(n)
     rng = np.random.default_rng(n)
     p = params(nu=1.0, alpha=0.1, grid=grid)
@@ -409,8 +429,9 @@ def _dt_max_states(n):
     fields = [ScalarField.random(grid, rng, amplitude=a) for a in (1e-3, 1.0, 50.0)]
     for psi in fields + [ScalarField(grid, full)]:
         state = SolverState(psi=psi, time=0.0, params=p)
-        buffers = _run_buffers(p, 1e-4)
-        step_imex(state, 1e-4, ScalarField.zeros(grid), _buffers=buffers)
+        buffers = _run_buffers(p)
+        _step(psi.coeffs, 0.0, 1e-4, p, ScalarField.zeros(grid).coeffs,
+              _etd_tables(grid, p.nu, 1e-4), buffers)
         yield state, buffers
 
 
@@ -420,20 +441,21 @@ def test_buffered_dt_max_is_bit_identical_to_irfft2_reference(n):
     # bits of irfft2 times n^2
     for state, buffers in _dt_max_states(n):
         want = _dt_max_reference(state, 0.3)
-        assert dt_max(state, 0.3, _buffers=buffers) == want
+        assert _dt_max(state.psi.grid, state.psi.coeffs, 0.3, buffers) == want
         assert dt_max(state, 0.3) == want
 
 
 def test_buffered_dt_max_matches_irfft2_reference_to_rounding():
     for state, buffers in _dt_max_states(48):
         want = _dt_max_reference(state)
-        assert dt_max(state, _buffers=buffers) == pytest.approx(want, rel=1e-15, abs=0)
+        got = _dt_max(state.psi.grid, state.psi.coeffs, 0.5, buffers)
+        assert got == pytest.approx(want, rel=1e-15, abs=0)
 
 
 def test_dt_max_of_quiescent_field_is_inf():
     p = params(grid=SpectralGrid(64))
     state = SolverState(psi=ScalarField.zeros(p.grid), time=0.0, params=p)
-    assert dt_max(state, _buffers=_run_buffers(p)) == math.inf == _dt_max_reference(state)
+    assert dt_max(state) == math.inf == _dt_max_reference(state)
 
 
 def _traced_peak(call):
@@ -466,9 +488,9 @@ def test_dt_max_with_run_buffers_allocates_only_the_velocity():
     # the real-by-complex stream product, and a few KB; before, dt_max also
     # made the stream and four full-size temporaries per component
     state, _ = _kolmogorov_256()
-    buffers = _run_buffers(state.params, 0.005)
+    buffers = _run_buffers(state.params)
     half = state.psi.coeffs.nbytes
-    peak = _traced_peak(lambda: dt_max(state, _buffers=buffers))
+    peak = _traced_peak(lambda: _dt_max(state.psi.grid, state.psi.coeffs, 0.5, buffers))
     assert peak <= 2 * half + 8192 * 16 + 16 * 1024
 
 

@@ -11,10 +11,9 @@ from mla.dynamics import (
     ForcingSpec,
     ModelParams,
     SolverState,
-    _run_buffers,
     kolmogorov_forcing,
+    run,
     stationary_psi,
-    step_imex,
 )
 from mla.spectral import ScalarField, SpectralGrid, norms
 from mla.stability import (
@@ -48,11 +47,9 @@ def test_nonlinear_growth_matches_eigenvalue():
     )
 
     dt = 2e-3
-    buffers = _run_buffers(params, dt)
     times, dists = [], []
     for _ in range(100):
-        for _ in range(25):
-            state = step_imex(state, dt, forcing, _buffers=buffers)
+        state = run(state, state.time + 25 * dt, dt, forcing, sample_every=25).final_state
         d = norms(state.psi - psi_s).l2
         times.append(state.time)
         dists.append(d)

@@ -21,7 +21,8 @@ import scipy.linalg
 from mla import NumericalError, stability
 from mla.bounds import lower_bound_dim2d
 from mla.stability import (
-    A_DELTA_MAX,
+    DELTA_STAR,
+    MAX_A_DELTA_SCALED,
     RecurrenceProblem,
     RegionSpec,
     StabilityResult,
@@ -30,7 +31,6 @@ from mla.stability import (
     lambda0_threshold,
     lattice_points,
     lu_interval,
-    optimize_delta,
     principal_sigma,
     region_area,
     region_contains_point,
@@ -39,6 +39,8 @@ from mla.stability import (
 from mla.squire import lambda2_threshold
 
 SQRT2PI2 = 2.0 * math.sqrt(2.0) * math.pi
+#: max over delta of a(delta) * delta^(4/3), to the reported two digits.
+A_DELTA_MAX = 0.012
 
 
 def lam_from_cap(cap, s, alpha):
@@ -219,8 +221,40 @@ def test_region_area_matches_40_digit_reference():
         assert err <= (1e-12 if delta <= 0.57 else 1e-8), delta
 
 
+def _optimize_delta():
+    """(delta*, a(delta*) delta*^(4/3)): the maximum of a(delta) delta^(4/3)
+    from an 80-point scan of (0, 1/sqrt(3)) and a golden-section search to a
+    1e-7 bracket, on region_area's closed segment form.  The oracle of the
+    constants ``DELTA_STAR`` and ``MAX_A_DELTA_SCALED``."""
+
+    def h(d):
+        return region_area(d) * d ** (4.0 / 3.0)
+
+    points = 80
+    deltas = np.linspace(1e-3, _INV_SQRT3 - 1e-9, points)
+    i = int(np.argmax([h(d) for d in deltas]))
+    a, b = deltas[max(0, i - 1)], deltas[min(points - 1, i + 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = h(c), h(d)
+    while b - a > 1e-7:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = h(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = h(d)
+    x = 0.5 * (a + b)
+    return x, h(x)
+
+
 def test_optimize_delta_value():
-    dstar, value = optimize_delta()
+    dstar, value = _optimize_delta()
+    assert dstar == pytest.approx(DELTA_STAR, rel=1e-12, abs=0)
+    assert value == pytest.approx(MAX_A_DELTA_SCALED, rel=1e-12, abs=0)
     assert value == pytest.approx(A_DELTA_MAX, rel=0.10)
     assert 0.3 < dstar < 0.45
     # interior maximum: nearby values are smaller
