@@ -520,22 +520,16 @@ def emit_plot_data(results: list[dict], kind: str, out_dir, basename=None):
 # command implementations
 # ---------------------------------------------------------------------
 
-def _initial_state(p: dict, plan: dict, params, seed: int):
-    from . import dynamics
-    state = dynamics.initial_state(params, seed=seed, amplitude=p["init_amplitude"])
-    if not p["start_from_stationary"]:
-        return state
-    psi = dynamics.stationary_psi(plan["spec"], params) + state.psi
-    return dynamics.SolverState(psi=psi, time=0.0, params=params)
-
-
 def _cmd_simulate(p: dict, plan: dict, out: Path, seed: int, written: list[Path]) -> None:
     from . import dynamics, spectral
     params = dynamics.ModelParams(nu=p["nu"], alpha=p["alpha"], grid=plan["grid"])
     forcing = dynamics.kolmogorov_forcing(plan["spec"], params)
-    # run holds the only reference to the initial state, freed after one step
-    diag = dynamics.run(_initial_state(p, plan, params, seed), p["t_final"], p["dt"],
-                        forcing, sample_every=p["sample_every"], cfl=p["cfl"])
+    # built inline, so run holds the only reference to the initial state
+    diag = dynamics.run(
+        dynamics.initial_state(params, seed=seed, amplitude=p["init_amplitude"],
+                               about=dynamics.stationary_psi(plan["spec"], params)
+                               if p["start_from_stationary"] else None),
+        p["t_final"], p["dt"], forcing, sample_every=p["sample_every"], cfl=p["cfl"])
     written.append(_write_csv(
         out / "diagnostics.csv", dynamics.TrajectoryDiagnostics.CSV_HEADER,
         zip(diag.times, diag.phi_l2, diag.grad_phi_l2, diag.avg_grad_sq)))

@@ -8,11 +8,9 @@ driven by the single-mode Kolmogorov forcing
 F = -(1/(sqrt(2) pi)) nu^2 lam s^3 cos(s x2).  Diffusion is integrated
 exactly per mode (exponential integrating factor); the Jacobian term and
 forcing are handled by a two-stage second-order exponential scheme whose
-fixed points are exactly stationary.
-
-``run`` steps plain coefficient arrays through the private kernels ``_step``
-and ``_dt_max`` and wraps only the state it returns; ``step_imex`` and
-``dt_max`` are thin wrappers over them that build their tables per call.
+fixed points are exactly stationary.  ``run`` steps plain coefficient
+arrays through the private kernels ``_step`` and ``_dt_max`` and wraps only
+the state it returns; ``step_imex`` and ``dt_max`` wrap the same kernels.
 """
 
 from __future__ import annotations
@@ -234,6 +232,8 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 
 
 def _etd_tables(grid: SpectralGrid, nu: float, dt: float):
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     z = -nu * dt * grid.k_sq
     return np.exp(z), dt * _phi1(z), dt * _phi2(z)
 
@@ -252,12 +252,10 @@ def step_imex(state: SolverState, dt: float, forcing: ScalarField) -> SolverStat
     which takes its steps through the same kernel with tables and buffers
     built once.  This call builds both for its one step.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    state.psi._require_same_grid(forcing)
     p = state.params
-    psi = _step(state.psi.coeffs, state.time, dt, p, forcing.coeffs,
-                _etd_tables(p.grid, p.nu, dt), _run_buffers(p))
+    etd = _etd_tables(p.grid, p.nu, dt)
+    state.psi._require_same_grid(forcing)
+    psi = _step(state.psi.coeffs, state.time, dt, p, forcing.coeffs, etd, _run_buffers(p))
     return SolverState(psi=ScalarField(p.grid, psi), time=state.time + dt, params=p)
 
 
@@ -296,14 +294,12 @@ def run(state: SolverState, t_final: float, dt: float, forcing: ScalarField,
     """
     if sample_every < 1:
         raise ValueError("sample_every must be a positive integer")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    state.psi._require_same_grid(forcing)
     n_steps = int(round((t_final - state.time) / dt))
     if n_steps <= 0:
         empty = np.empty(0)
         return TrajectoryDiagnostics(empty, empty.copy(), empty.copy(),
                                      empty.copy(), final_state=state)
+    state.psi._require_same_grid(forcing)
 
     # hold arrays only: the initial coefficients go after the first step
     psi, t, params = state.psi.coeffs, state.time, state.params
@@ -393,10 +389,11 @@ def check_asymptotic_bounds(diag: TrajectoryDiagnostics, f_l2: float,
     )
 
 
-def initial_state(params: ModelParams, seed: int = 0,
-                  amplitude: float = 1e-3) -> SolverState:
-    """Small random Hermitian perturbation of rest; seed recorded by callers."""
+def initial_state(params: ModelParams, seed: int = 0, amplitude: float = 1e-3,
+                  about: ScalarField | None = None) -> SolverState:
+    """Small random Hermitian perturbation of ``about`` (rest if None); seed
+    recorded by callers."""
     rng = np.random.default_rng(seed)
     psi = ScalarField.random(params.grid, rng, amplitude=amplitude)
-    return SolverState(psi=psi, time=0.0, params=params)
+    return SolverState(psi=psi if about is None else about + psi, time=0.0, params=params)
 

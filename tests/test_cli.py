@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +298,26 @@ def test_simulate_stationary_start_is_flat(tmp_path):
     report = json.loads((tmp_path / "out" / "bounds_report.json").read_text())
     assert report["ok"] is True
 
+
+@pytest.mark.parametrize("stationary", [False, True])
+def test_simulate_frees_the_initial_coefficients_after_one_step(monkeypatch, tmp_path,
+                                                                 stationary):
+    # only run holds the initial state, and it keeps just the array it steps
+    first, alive = [], []
+    step = dynamics._step
+
+    def watched(psi, *args):
+        if first:
+            alive.append(first[0]() is not None)
+        else:
+            first.append(weakref.ref(psi))
+        return step(psi, *args)
+
+    monkeypatch.setattr(dynamics, "_step", watched)
+    doc = dict(MINIMAL_SIMULATE, t_final=0.15, start_from_stationary=stationary,
+               output_dir=str(tmp_path / "out"))
+    run_command(parse_config(json.dumps(doc)))
+    assert alive == [False, False]
 
 def test_simulate_deterministic_outputs(tmp_path):
     doc = {

@@ -344,8 +344,7 @@ def test_run_wraps_only_the_state_it_returns(monkeypatch):
     p = params(nu=0.05, alpha=0.1)
     spec = ForcingSpec(s=2, lam=40.0)
     F = kolmogorov_forcing(spec, p)
-    psi0 = stationary_psi(spec, p) + initial_state(p, seed=5, amplitude=0.5).psi
-    state = SolverState(psi=psi0, time=0.0, params=p)
+    state = initial_state(p, seed=5, amplitude=0.5, about=stationary_psi(spec, p))
     built = {"fields": 0, "states": 0}
     post_init, init = ScalarField.__post_init__, SolverState.__init__
 
@@ -361,7 +360,7 @@ def test_run_wraps_only_the_state_it_returns(monkeypatch):
     monkeypatch.setattr(SolverState, "__init__", counted_init)
     diag = run(state, t_final=0.25, dt=0.01, forcing=F, sample_every=5)
     assert built == {"fields": 1, "states": 1}
-    assert len(diag) == 5 and diag.final_state.psi is not psi0
+    assert len(diag) == 5 and diag.final_state.psi is not state.psi
 
 
 def test_decay_run_monotone():
