@@ -176,6 +176,17 @@ def _plan_simulate(p: dict) -> dict:
         errors.append(f"lambda: the forcing amplitude nu^2 lambda s^3 / (sqrt2 pi) "
                       f"or its bound (nu^2 lambda s^2)^2 / nu^2 is not finite "
                       f"(nu = {p['nu']!r}, lambda = {p['lambda']!r})")
+    # the run divides by the Helmholtz symbol, largest at |k|^2 = 2 (n/2)^2;
+    # alpha**2 may raise
+    k_sq_max = 2 * (p["n_modes"] // 2) ** 2
+    try:
+        symbol = 1.0 + p["alpha"] ** 2 * k_sq_max
+    except OverflowError:
+        symbol = math.inf
+    if not math.isfinite(symbol):
+        errors.append(f"alpha: the Helmholtz symbol 1 + alpha^2 |k|^2 is not finite "
+                      f"at |k|^2 = {k_sq_max} (alpha = {p['alpha']!r}, "
+                      f"n_modes = {p['n_modes']})")
     # run takes round(t_final / dt) steps; the quotient may overflow to inf
     if p["t_final"] / p["dt"] > MAX_STEPS:
         errors.append(f"t_final: t_final / dt = {p['t_final'] / p['dt']:.3g} "
@@ -606,16 +617,11 @@ def _cmd_squire(p: dict, plan: dict, out: Path, seed: int, written: list[Path]) 
     setup = squire.Setup3D(s, plan["lambda"], nu, p["alpha"])
 
     rows, stable = [], 0
-    for tr in itertools.islice(squire.admissible_triples(s, window),
-                               p["max_lifts"]):
-        res2d = squire.solve_hat_mode(tr, setup)
-        if res2d.sigma_hat > 0:
-            mode = squire.lift_mode(tr, res2d, setup)
-            residual = max(mode.residuals.values())
-        else:  # a stable hat mode has no lift: its residual stays blank
-            residual = math.nan
-            stable += 1
-        rows.append((s, tr.a, tr.b, tr.r, tr.a_hat, res2d.sigma_hat, residual))
+    triples = itertools.islice(squire.admissible_triples(s, window), p["max_lifts"])
+    for tr, sigma_hat, residuals in squire.lift_rows(triples, setup):
+        stable += sigma_hat <= 0  # a stable hat mode's residual stays blank
+        rows.append((s, tr.a, tr.b, tr.r, tr.a_hat, sigma_hat,
+                     max(residuals.values(), default=math.nan)))
     written.append(_write_csv(out / "triples.csv",
                               "s,a,b,r,a_hat,sigma_hat,residual", rows))
 

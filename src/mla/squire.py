@@ -17,8 +17,9 @@ Everything here works on x3-Fourier coefficient arrays indexed by
 m in [-m_max, m_max].  The shear is a single +-s mode, so multiplying by
 sin/cos(s x3) is the two-shift stencil ``_shift`` (w[m-s] -+ w[m+s]),
 and the omega2 solve splits into s tridiagonal lanes, one per residue of
-m mod s.  The 3-D dimension lower bound that ``count_triples`` feeds is a
-closed form in ``mla.bounds``.
+m mod s.  ``lift_rows`` solves and lifts each (a, +-b, r) pair of triples
+once, as both give the same row bit for bit.  The 3-D dimension lower
+bound that ``count_triples`` feeds is a closed form in ``mla.bounds``.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "solve_hat_mode",
     "reconstruct_omega2",
     "lift_mode",
+    "lift_rows",
     "lineareq3_residuals",
     "a0_stability_spectrum",
     "admissible_triples",
@@ -167,11 +169,9 @@ class Mode1DProfile:
         m = _modes(self.m_max)
         div = (1j * self.a * self.omega1 + 1j * self.b * self.omega2
                + 1j * m * self.omega3)
-        scale = max(
-            np.linalg.norm(self.omega1), np.linalg.norm(self.omega2),
-            np.linalg.norm(self.omega3), 1e-300,
-        )
-        return float(np.linalg.norm(div) / scale)
+        scale = max(_norm(self.omega1, "omega1"), _norm(self.omega2, "omega2"),
+                    _norm(self.omega3, "omega3"), 1e-300)
+        return _norm(div, "the divergence") / scale
 
 
 # ---------------------------------------------------------------------
@@ -179,10 +179,19 @@ class Mode1DProfile:
 # and double as the oracles for every construction below)
 # ---------------------------------------------------------------------
 
-def _relative(parts: list[np.ndarray]) -> float:
+def _norm(x: np.ndarray, what: str) -> float:
+    """||x||, or NumericalError naming ``what`` where it is not finite: x
+    holds an inf or NaN, or its squares overflow a float."""
+    norm = float(np.linalg.norm(x))
+    if not math.isfinite(norm):
+        raise NumericalError(f"the norm of {what} is not finite (got {norm})")
+    return norm
+
+
+def _relative(parts: list[np.ndarray], what: str) -> float:
     """||sum of parts|| over the largest ||part||, or over 1 if all are 0."""
-    scale = max(float(np.linalg.norm(p)) for p in parts)
-    return float(np.linalg.norm(sum(parts[1:], parts[0])) / (scale or 1.0))
+    scale = max(_norm(p, f"a term of {what}") for p in parts)
+    return _norm(sum(parts[1:], parts[0]), what) / (scale or 1.0)
 
 
 def lineareq3_residuals(mode: Mode1DProfile, setup: Setup3D) -> dict:
@@ -202,15 +211,15 @@ def lineareq3_residuals(mode: Mode1DProfile, setup: Setup3D) -> dict:
     eq1 = _relative([
         nu * D * w1, -1j * a * u0_h(w1), 1j * a * c * w1,
         -1j * a * q, -du0_h(w3),
-    ])
+    ], "eq1")
     eq2 = _relative([
         nu * D * w2, -1j * a * u0_h(w2), 1j * a * c * w2,
         -1j * b * q,
-    ])
+    ], "eq2")
     eq3 = _relative([
         nu * D * w3, -1j * a * u0_h(w3), 1j * a * c * w3,
         -1j * m * q,
-    ])
+    ], "eq3")
     eq4 = mode.incompressibility_residual()
     return {"eq1": eq1, "eq2": eq2, "eq3": eq3, "eq4": eq4}
 
@@ -257,8 +266,8 @@ def reconstruct_omega2(triple: SquireTriple, q: np.ndarray, setup: Setup3D,
         h = half * H[lane::s]
         w2[lane::s] = _gtsv((-h[:-1]).tolist(), diag[lane::s].tolist(),
                             h[1:].tolist(), rhs[lane::s].tolist())
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm != 0:  # a non-finite q or solve fails here, as a NaN residual
+    rhs_norm = _norm(rhs, "omega2's right-hand side i b q")
+    if rhs_norm != 0:  # a non-finite solve fails here, as a NaN residual
         t_w2 = diag * w2 - 1j * a * u0_h(w2)
         res = float(np.linalg.norm(t_w2 - rhs)) / rhs_norm
         if not res <= 1e-10:
@@ -277,6 +286,7 @@ def _profile_m_max(two_d: StabilityResult, s: int, r: int,
     return max(floor, s * (n_keep + 1) + abs(r) + s)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lift_mode(triple: SquireTriple, two_d: StabilityResult, setup: Setup3D,
               m_max: int | None = None) -> Mode1DProfile:
     """Lift an unstable reduced-chain mode to the full 3-torus.
@@ -286,7 +296,9 @@ def lift_mode(triple: SquireTriple, two_d: StabilityResult, setup: Setup3D,
     function, q_hat from the omega3_hat equation (row m = 0 from the
     omega1_hat equation), omega2 from the coercive solve, and omega1
     from the reduction identity.  All four mode equations are then
-    evaluated and must hold to LIFT_RESIDUAL_TOL.
+    evaluated and must hold to LIFT_RESIDUAL_TOL.  A mode too large for
+    floats (a huge nu scales q and every equation term) fails, with no
+    overflow warning, as the NumericalError of the first norm not finite.
     """
     if two_d.sigma_hat <= 0:
         raise ValueError("lift requires an unstable 2-D mode (sigma_hat > 0)")
@@ -336,6 +348,39 @@ def lift_mode(triple: SquireTriple, two_d: StabilityResult, setup: Setup3D,
         raise NumericalError(f"lifted mode residuals {res} exceed {LIFT_RESIDUAL_TOL}")
     object.__setattr__(mode, "residuals", res)
     return mode
+
+
+def lift_rows(triples, setup: Setup3D):
+    """Yield (triple, sigma_hat, residuals) for each of ``triples``, taken
+    one at a time: the reduced problem's sigma_hat, and the
+    ``lineareq3_residuals`` of the lifted mode, or {} for a stable hat
+    mode, which has no lift.
+
+    The triples (a, b, r) and (a, -b, r) give equal rows, so the first of
+    each pair to arrive is solved and lifted, and its partner reuses its
+    sigma_hat and residuals.  The rows are equal bit for bit:
+    - ``hat_problem`` reads b only through a_hat = hypot(a, b), so both
+      solve the same chain.
+    - In ``lift_mode``, q and the reduced profile see b only through a_hat.
+      In ``reconstruct_omega2`` the lane matrices, and so the pivots of
+      ``_gtsv``, do not depend on b, and the right-hand side i b q is
+      linear in b.  Rounding is odd-symmetric, so omega2 flips sign (up to
+      the signs of exact zeros), and omega1 = (a_hat omega1_hat -
+      b omega2)/a, omega3 and q are unchanged.
+    - Each residual is the norm of a vector that is unchanged (eq1, eq3 and
+      eq4, where omega2 enters as b omega2) or negated (eq2).
+    """
+    partners = {}  # (a, |b|, r) -> the row of the member that came first
+    for tr in triples:
+        key = (tr.a, abs(tr.b), tr.r)
+        row = partners.pop(key, None)
+        if row is None:
+            two_d = solve_hat_mode(tr, setup)
+            row = two_d.sigma_hat, (lift_mode(tr, two_d, setup).residuals
+                                    if two_d.sigma_hat > 0 else {})
+            if tr.b:
+                partners[key] = row
+        yield (tr, *row)
 
 
 # ---------------------------------------------------------------------

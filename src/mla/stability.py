@@ -320,17 +320,21 @@ def _inverse_iteration(sys: GeneralizedEigSystem, sigma_hat: float,
     by fixed-shift tridiagonal inverse iteration from ``start`` (a vector of
     ones by default) in at most 8 solves: the shift is an eigenvalue to
     rounding, so 2 or 3 usually do from ones, and fewer from a settled
-    vector."""
+    vector.  A solve that is exactly singular, or that overflows a float
+    (a pivot that underflowed short of 0), nudges the shift instead."""
     vec = np.ones(sys.size) if start is None else start
     dl, du = (-sys.off_a[1:]).tolist(), sys.off_a[:-1].tolist()
     for _ in range(8):
         try:
             w = np.array(_gtsv(dl[:], (sys.diag_a - sigma_hat * sys.diag_b).tolist(),
                                du[:], (sys.diag_b * vec).tolist()))
-        except np.linalg.LinAlgError:  # exactly singular: nudge the shift
+            peak = w[np.argmax(np.abs(w))]
+        except np.linalg.LinAlgError:
+            peak = math.inf
+        if not math.isfinite(peak):
             sigma_hat += 4.0 * np.spacing(max(abs(sigma_hat), 1.0))
             continue
-        w /= w[np.argmax(np.abs(w))]
+        w /= peak
         if np.max(np.abs(np.abs(w) - np.abs(vec))) <= 1e-12:
             return w
         vec = w

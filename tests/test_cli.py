@@ -391,6 +391,20 @@ def test_stability_blank_sigma_rows_are_explained(tmp_path):
     assert _skipped_matches_blank_rows(tmp_path / "shipped") == []
 
 
+def test_stability_at_tiny_lambda_solves_every_chain(tmp_path):
+    # at Lambda ~ 7e-302 each chain is diagonal to rounding and its principal
+    # sigma_hat is -(t^2 + r^2).  The shift of inverse iteration was an exact
+    # eigenvalue there, so the solve overflowed (a NaN and a warning) and
+    # each row was blank, blamed on "no real decaying eigenvalue".
+    doc = {"command": "stability", "s": 8, "alpha": 0.1, "delta": 0.3,
+           "lambda": 1e-300, "output_dir": str(tmp_path / "out")}
+    run_command(parse_config(json.dumps(doc)))
+    _, rows = read_csv(tmp_path / "out" / "sweep.csv")
+    assert [float(r["sigma_hat"]) for r in rows] == [
+        pytest.approx(-(int(r["t"]) ** 2 + int(r["r"]) ** 2), rel=1e-12) for r in rows]
+    assert _skipped_matches_blank_rows(tmp_path / "out") == []
+
+
 def test_failed_lambda0_and_sigma_grid_cells_are_blank_and_explained(tmp_path,
                                                                      monkeypatch):
     # a failed Lambda_0 or sigma_vs_lambda solve blanks its cell, not the run
@@ -811,8 +825,13 @@ _CAP_OVERFLOW = ("config error: alpha: capital_lambda = lambda / (2 sqrt2 pi "
     ({"command": "squire", "s": 2, "alpha": 5e76}, _CAP_OVERFLOW),
     ({"command": "squire", "s": 2, "lambda": 1.0, "alpha": 1e110, "count_s": [30]},
      "config error: alpha: alpha^3 overflows a float (got 1e+110)\n"),
+    # alpha**2 of the run's Helmholtz symbol was an internal error (exit 1)
+    (dict(MINIMAL_SIMULATE, alpha=1e200),
+     "config error: alpha: the Helmholtz symbol 1 + alpha^2 |k|^2 is not finite at "
+     "|k|^2 = 2048 (alpha = 1e+200, n_modes = 64)\n"),
 ], ids=["bounds-eps_g", "report-eps_g", "stability-alpha", "squire-alpha-lambda",
-        "squire-alpha-driver", "squire-alpha-driver-inf", "squire-alpha-cubed"])
+        "squire-alpha-driver", "squire-alpha-driver-inf", "squire-alpha-cubed",
+        "simulate-alpha"])
 def test_main_overflow_names_its_key_and_formula(tmp_path, capsys, doc, start):
     # each was "config error: a number is too large: (34, 'Numerical result
     # out of range')", from an OverflowError that named no key
@@ -966,6 +985,45 @@ def test_squire_builds_only_the_triples_it_lifts(tmp_path, monkeypatch):
     run_command(parse_config(json.dumps(doc)), out_dir=tmp_path)
     _, rows = read_csv(tmp_path / "triples.csv")
     assert len(rows) == 2 and len(checked) <= 2
+
+
+@pytest.mark.parametrize("doc,rows,solves", [
+    # a = 7, b in (-7, -6, 6, 7), r in -2..2: 10 mirror pairs
+    ({"s": 20, "alpha": 0.05, "max_lifts": 20}, 20, 10),
+    ({"s": 20, "alpha": 0.05, "max_lifts": 13}, 13, 10),  # cut inside the b = 6 block
+    ({"s": 20, "alpha": 0.05, "max_lifts": 8}, 8, 8),  # no partner inside the cut
+    # (2, +-2, 0), (3, +-1, 0) and (3, 0, 0)
+    (json.loads((Path(__file__).parents[1] / "configs" / "squire_study.json")
+                .read_text()), 5, 3),
+], ids=["lifts20", "lifts13", "lifts8", "squire_study"])
+def test_squire_solves_each_mirror_pair_once(tmp_path, monkeypatch, doc, rows, solves):
+    # every triple of these runs is unstable, so each solve is also a lift
+    calls = {"solve_hat_mode": 0, "lift_mode": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(squire, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(squire, name, counted)
+    run_command(parse_config(json.dumps({**doc, "command": "squire"})), out_dir=tmp_path)
+    assert calls == {"solve_hat_mode": solves, "lift_mode": solves}
+    _, written = read_csv(tmp_path / "triples.csv")
+    assert len(written) == rows and all(r["residual"] for r in written)
+
+
+@pytest.mark.parametrize("nu,cause", [
+    (1e152, "the norm of a term of eq1 is not finite (got inf)"),
+    (1e300, "the norm of omega2's right-hand side i b q is not finite (got inf)"),
+    (1e308, "the norm of omega2's right-hand side i b q is not finite (got nan)"),
+], ids=["nu1e152", "nu1e300", "nu1e308"])
+def test_main_squire_overflow_names_the_norm(tmp_path, capsys, nu, cause):
+    # nu scales q and every term of the mode equations: at 1e300 numpy warned
+    # of an overflow in a norm, and the failure blamed a near-singular solve
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "squire", "s": 6, "alpha": 0.05,
+                               "max_lifts": 10, "count_s": [3], "nu": nu,
+                               "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["squire", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == f"numerical failure: {cause}\n"
 
 
 def test_squire_default_c6_needs_triples_only_when_used(tmp_path):

@@ -5,17 +5,23 @@ residuals on the full mode equations and a lift's memory, the closed-form
 a=0 spectrum against the dense generator, the diffusion oracle and a full
 differential-algebraic pencil, and triple counting against brute force."""
 
+import itertools
+import json
 import math
 import re
 import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mla import NumericalError
 from mla.bounds import lower_bound_dim3d
+from mla.cli import parse_config
 from mla.squire import (
     CountWindow,
     DEFAULT_WINDOW,
@@ -33,6 +39,7 @@ from mla.squire import (
     lambda2_threshold,
     lambda3_driver,
     lift_mode,
+    lift_rows,
     reconstruct_omega2,
     solve_hat_mode,
 )
@@ -142,11 +149,11 @@ def lineareq2_residuals(reduced: Reduced2D, setup: Setup3D) -> dict:
     eq1 = _relative([
         nu_eff * D * w1, -1j * ah * u0_h(w1), 1j * ah * c * w1,
         -1j * ah * q, -du0_h(w3),
-    ])
+    ], "eq1")
     eq2 = _relative([
         nu_eff * D * w3, -1j * ah * u0_h(w3), 1j * ah * c * w3,
         -1j * m * q,
-    ])
+    ], "eq2")
     div = 1j * ah * w1 + 1j * m * w3
     eq3 = float(np.linalg.norm(div)
                 / max(np.linalg.norm(w1), np.linalg.norm(w3), 1e-300))
@@ -335,7 +342,7 @@ def test_reconstruct_rejects_a_non_finite_solve():
     triple = SquireTriple(a=3, b=1, r=0)
     q = np.ones(41, dtype=complex)
     q[7] = np.nan
-    with pytest.raises(NumericalError, match="residual nan"):
+    with pytest.raises(NumericalError, match=r"right-hand side i b q is not finite \(got nan\)"):
         reconstruct_omega2(triple, q, setup, c=0.5j, m_max=20)
 
 
@@ -398,6 +405,7 @@ def test_lift_b0_embeds_2d_mode():
 
 
 def test_lift_reflection_same_growth():
+    # exact: omega2 is the only field that sees the sign of b (lift_rows)
     setup = driver_setup()
     up = SquireTriple(a=3, b=1, r=0)
     dn = SquireTriple(a=3, b=-1, r=0)
@@ -405,8 +413,47 @@ def test_lift_reflection_same_growth():
     mode_dn = lift_mode(dn, solve_hat_mode(dn, setup), setup)
     growth_up, growth_dn = (float(-np.real(1j * m.a * m.c))
                             for m in (mode_up, mode_dn))
-    assert growth_up == pytest.approx(growth_dn, rel=1e-12)
-    assert growth_up > 0
+    assert growth_up == growth_dn > 0
+    assert mode_up.residuals == mode_dn.residuals
+    assert np.array_equal(mode_dn.omega2, -mode_up.omega2)
+    for name in ("omega1", "omega3", "q"):
+        assert getattr(mode_dn, name).tobytes() == getattr(mode_up, name).tobytes()
+
+
+def _direct_rows(triples, setup):
+    """Oracle for lift_rows: each triple solved and lifted on its own."""
+    for tr in triples:
+        two_d = solve_hat_mode(tr, setup)
+        yield tr, two_d.sigma_hat, (lift_mode(tr, two_d, setup).residuals
+                                    if two_d.sigma_hat > 0 else {})
+
+
+def _rows_and_error(rows):
+    """The rows before the first NumericalError, and its message (or None)."""
+    got = []
+    try:
+        got.extend(rows)
+    except NumericalError as exc:
+        return got, str(exc)
+    return got, None
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.fixed_dictionaries({"s": st.integers(2, 24),
+                              "alpha": st.sampled_from([0.0, 0.01, 0.05, 0.1]),
+                              "max_lifts": st.integers(0, 24)}))
+@example(json.loads((Path(__file__).parents[1] / "configs" / "squire_study.json")
+                    .read_text()))
+@example({"s": 20, "alpha": 0.05, "max_lifts": 20})  # the squire-lift benchmark's run
+def test_lift_rows_match_the_direct_loop(doc):
+    cfg = parse_config(json.dumps({**doc, "command": "squire"}))
+    p, plan = cfg.parameters, cfg.plan
+    setup = Setup3D(p["s"], plan["lambda"], p["nu"], p["alpha"])
+    triples = list(itertools.islice(admissible_triples(p["s"], plan["window"]),
+                                    p["max_lifts"]))
+    # == on tuples compares sigma_hat and each of the four residuals exactly
+    assert (_rows_and_error(lift_rows(iter(triples), setup))
+            == _rows_and_error(_direct_rows(triples, setup)))
 
 
 def test_lift_rejects_stable_input():
