@@ -176,17 +176,10 @@ def _plan_simulate(p: dict) -> dict:
         errors.append(f"lambda: the forcing amplitude nu^2 lambda s^3 / (sqrt2 pi) "
                       f"or its bound (nu^2 lambda s^2)^2 / nu^2 is not finite "
                       f"(nu = {p['nu']!r}, lambda = {p['lambda']!r})")
-    # the run divides by the Helmholtz symbol, largest at |k|^2 = 2 (n/2)^2;
-    # alpha**2 may raise
-    k_sq_max = 2 * (p["n_modes"] // 2) ** 2
-    try:
-        symbol = 1.0 + p["alpha"] ** 2 * k_sq_max
-    except OverflowError:
-        symbol = math.inf
-    if not math.isfinite(symbol):
-        errors.append(f"alpha: the Helmholtz symbol 1 + alpha^2 |k|^2 is not finite "
-                      f"at |k|^2 = {k_sq_max} (alpha = {p['alpha']!r}, "
-                      f"n_modes = {p['n_modes']})")
+    try:  # the run divides by the Helmholtz symbol
+        grid.helmholtz_max(p["alpha"])
+    except ValueError as exc:
+        errors.append(f"alpha: {exc}")
     # run takes round(t_final / dt) steps; the quotient may overflow to inf
     if p["t_final"] / p["dt"] > MAX_STEPS:
         errors.append(f"t_final: t_final / dt = {p['t_final'] / p['dt']:.3g} "

@@ -106,8 +106,24 @@ class SpectralGrid:
         """The inverse Laplacian symbol -1/|k|^2, 0 at k = 0."""
         return np.divide(-1.0, self.k_sq, out=np.zeros(self.shape), where=self.k_sq > 0)
 
+    def helmholtz_max(self, alpha: float) -> float:
+        """The largest value of 1 + alpha^2 |k|^2 on the grid, at |k1| = k2 =
+        n_modes/2; ValueError where it is not finite."""
+        k_sq_max = 2 * (self.n_modes // 2) ** 2
+        try:  # a float alpha**2 raises where it overflows
+            top = 1.0 + alpha**2 * k_sq_max
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):
+            raise ValueError(f"the Helmholtz symbol 1 + alpha^2 |k|^2 is not finite "
+                             f"at |k|^2 = {k_sq_max} (alpha = {alpha!r}, "
+                             f"n_modes = {self.n_modes})")
+        return top
+
     def helmholtz(self, alpha: float) -> np.ndarray:
-        """The symbol 1 + alpha^2 |k|^2 of I - alpha^2 Lap."""
+        """The symbol 1 + alpha^2 |k|^2 of I - alpha^2 Lap; ValueError where
+        it is not finite (see ``helmholtz_max``)."""
+        self.helmholtz_max(alpha)
         return 1.0 + alpha**2 * self.k_sq
 
     def velocity(self, stream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -181,8 +181,14 @@ class Mode1DProfile:
 
 def _norm(x: np.ndarray, what: str) -> float:
     """||x||, or NumericalError naming ``what`` where it is not finite: x
-    holds an inf or NaN, or its squares overflow a float."""
+    holds an inf or NaN, or ||x|| itself overflows a float.  Squares above
+    the float range overflow the plain norm, which is then taken again over
+    x scaled by its largest entry."""
     norm = float(np.linalg.norm(x))
+    if norm == math.inf:
+        peak = float(np.max(np.abs(x)))
+        if math.isfinite(peak):
+            norm = peak * float(np.linalg.norm(x / peak))
     if not math.isfinite(norm):
         raise NumericalError(f"the norm of {what} is not finite (got {norm})")
     return norm
@@ -267,9 +273,9 @@ def reconstruct_omega2(triple: SquireTriple, q: np.ndarray, setup: Setup3D,
         w2[lane::s] = _gtsv((-h[:-1]).tolist(), diag[lane::s].tolist(),
                             h[1:].tolist(), rhs[lane::s].tolist())
     rhs_norm = _norm(rhs, "omega2's right-hand side i b q")
-    if rhs_norm != 0:  # a non-finite solve fails here, as a NaN residual
+    if rhs_norm != 0:
         t_w2 = diag * w2 - 1j * a * u0_h(w2)
-        res = float(np.linalg.norm(t_w2 - rhs)) / rhs_norm
+        res = _norm(t_w2 - rhs, "the omega2 solve residual") / rhs_norm
         if not res <= 1e-10:
             raise NumericalError(f"omega2 solve residual {res} (near-singular "
                                  "system; parameters contradict coercivity)")

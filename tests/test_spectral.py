@@ -177,6 +177,16 @@ def test_helmholtz_inv_symbol(k, alpha):
     assert field_dist(helmholtz_inv(f, alpha), (1.0 / (1 + alpha**2 * ksq)) * f) < 1e-14
 
 
+@pytest.mark.parametrize("n", [8, 10, 64])
+def test_helmholtz_max_is_the_symbols_largest_value(n):
+    grid = SpectralGrid(n)
+    assert grid.helmholtz_max(0.3) == grid.helmholtz(0.3).max()
+    # alpha**2 overflows at 1e200; alpha^2 |k|^2 alone at 1e154
+    for alpha in (1e154, 1e200):
+        with pytest.raises(ValueError, match=rf"not finite at \|k\|\^2 = {2 * (n // 2) ** 2} "):
+            grid.helmholtz(alpha)
+
+
 def test_helmholtz_roundtrip_random():
     alpha = 0.37
     rng = np.random.default_rng(5)

@@ -19,7 +19,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mla import NumericalError
+from mla import NumericalError, squire
 from mla.bounds import lower_bound_dim3d
 from mla.cli import parse_config
 from mla.squire import (
@@ -29,6 +29,7 @@ from mla.squire import (
     Setup3D,
     SquireTriple,
     _modes,
+    _norm,
     _relative,
     _shift,
     _wave_tables,
@@ -344,6 +345,26 @@ def test_reconstruct_rejects_a_non_finite_solve():
     q[7] = np.nan
     with pytest.raises(NumericalError, match=r"right-hand side i b q is not finite \(got nan\)"):
         reconstruct_omega2(triple, q, setup, c=0.5j, m_max=20)
+
+
+def test_norm_rescales_where_the_squares_overflow():
+    # lift_mode owns the errstate that hides the overflow of the plain norm
+    with np.errstate(over="ignore"):
+        assert _norm(np.array([3e200, 4e200j]), "x") == pytest.approx(5e200, rel=1e-15)
+        with pytest.raises(NumericalError, match=r"the norm of x is not finite \(got inf\)"):
+            _norm(np.array([1.5e308, 1.5e308]), "x")
+
+
+@pytest.mark.parametrize("lane,cause", [
+    (math.nan, r"the norm of the omega2 solve residual is not finite \(got nan\)"),
+    (0.0, r"omega2 solve residual 1\.0 \(near-singular system"),
+], ids=["nan-lane", "zero-lane"])
+def test_reconstruct_checks_the_solve_residual(monkeypatch, lane, cause):
+    # a finite q reaches the residual check; a bad lane solve must fail there
+    monkeypatch.setattr(squire, "_gtsv", lambda dl, d, du, b: [lane] * len(b))
+    with pytest.raises(NumericalError, match=cause):
+        reconstruct_omega2(SquireTriple(a=3, b=1, r=0), np.ones(41, dtype=complex),
+                           driver_setup(), c=0.5j, m_max=20)
 
 
 @pytest.mark.parametrize("s,alpha,a,b", [(6, 0.0, 3, 1), (20, 0.05, 7, -6)])
