@@ -159,10 +159,9 @@ def _plan_simulate(p: dict) -> dict:
     grid = spectral.SpectralGrid(p["n_modes"], p["dealias_fraction"])
     spec = dynamics.ForcingSpec(s=p["s"], lam=p["lambda"])
     errors = []
-    try:
-        dynamics._check_spec_on_grid(spec, grid)
-    except ValueError as exc:
-        errors.append(f"s: {exc}")
+    if not grid.keeps(0, p["s"]):  # the forcing's mode
+        errors.append(f"s: forcing wavenumber s={p['s']} is at or beyond the dealias "
+                      f"cutoff {grid.dealias_cutoff}")
     # the forcing amplitude and bounds_report.json's bound may overflow (to inf
     # or in **) or divide by a nu**2 that underflowed to 0.  The steady state's
     # nu lam s is at most max(lam, nu^2 lam s^3), so it is finite when both are.
@@ -191,10 +190,13 @@ def _plan_simulate(p: dict) -> dict:
 
 def _plan_bounds(p: dict) -> dict:
     from . import bounds
-    try:  # upper1's factor (4 + eps_g)^3 is the same at every point
+    try:  # upper1's factor (4 + eps_g)^3 and its log(L/2) are the same at every point
         bounds._slack_cubed(p["eps_g"])
     except ValueError as exc:
         raise ConfigError([f"eps_g: {exc}"]) from None
+    if p["l_const"] / 2.0 == 0.0:
+        raise ConfigError([f"l_const: L/2 underflows to 0, so upper1's log(L/2) is not "
+                           f"finite (got {p['l_const']!r})"])
     # finite inputs can still overflow a point's bounds.  Each cause is
     # named once, at the first point that shows it.
     rows, errors = [], {}
@@ -219,9 +221,11 @@ def _check_amplitude(lam: float, s: int, alpha: float) -> None:
         cap = stability.capital_lambda(lam, s, alpha)
     except OverflowError:
         cap = math.nan
-    if not 0 < cap < math.inf:
-        raise ConfigError([f"alpha: capital_lambda = lambda / (2 sqrt2 pi (1 + alpha^2 s^2)) is "
-                           f"not finite and > 0: alpha^2 s^2 is too large (alpha = {alpha!r}, "
+    if not 0 < cap < math.inf:  # a 0 under a finite 1 + alpha^2 s^2 is lambda's
+        key, cause = (("lambda", "lambda is too small") if cap == 0 and math.isfinite(
+            1.0 + alpha**2 * s**2) else ("alpha", "alpha^2 s^2 is too large"))
+        raise ConfigError([f"{key}: capital_lambda = lambda / (2 sqrt2 pi (1 + alpha^2 s^2)) "
+                           f"is not finite and > 0: {cause} (alpha = {alpha!r}, "
                            f"s = {s}, lambda = {lam!r})"])
 
 

@@ -14,13 +14,15 @@ All linear operators are Fourier multipliers; only the Jacobian goes
 through physical space, with the 2/3-rule (configurable fraction) applied
 to its result.  Symbol tables and array operators live on ``SpectralGrid``;
 the stepper in ``mla.dynamics`` uses them and the array kernel
-``_jacobian`` without building fields.
+``_jacobian`` without building fields.  The grid states the dealias rule
+once: a mode is kept iff max(|k1|, |k2|) < m = ceil(cutoff) (``keeps``,
+``dealias_band``).
 
 Each 2-D transform of the Jacobian is two 1-D passes with the scaling
 inside (``norm="forward"``), so dealiasing the result only zeroes the modes
-outside the mask.  The masked derivative symbols live on the band k2 < m =
-ceil(cutoff) alone, so the Jacobian reads only that band of its arguments
-and runs the pass along k1 on it.  Every pass writes into work arrays from
+outside the mask.  The masked derivative symbols live on the band k2 < m
+alone, so the Jacobian reads only that band of its arguments and runs the
+pass along k1 on it.  Every pass writes into work arrays from
 ``_jacobian_buffers``, the result into an optional ``out``: a stepper run
 allocates them once and drops them when it returns, and ``jacobian`` makes
 its own per call.
@@ -146,15 +148,23 @@ class SpectralGrid:
         return float(self.dealias_fraction) * self.n_modes / 2.0
 
     @cached_property
+    def dealias_band(self) -> int:
+        """m = ceil(cutoff): the largest |k_i| kept is m - 1."""
+        return math.ceil(self.dealias_cutoff)
+
+    def keeps(self, k1, k2):
+        """Whether the mask keeps (k1, k2), integers or broadcast arrays."""
+        return (abs(k1) < self.dealias_band) & (abs(k2) < self.dealias_band)
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
-        c = self.dealias_cutoff
-        return (np.abs(self.k1) < c) & (self.k2 < c)
+        return self.keeps(self.k1, self.k2)
 
     @cached_property
     def _jacobian_symbols(self) -> tuple[np.ndarray, np.ndarray]:
-        """Masked i k1 and i k2 on the dealias band k2 < m = ceil(cutoff), which
-        holds every kept mode: an (n, 1) column and an (n, m) array."""
-        mask = self.dealias_mask[:, :math.ceil(self.dealias_cutoff)]
+        """Masked i k1 and i k2 on the dealias band k2 < m, which holds every
+        kept mode: an (n, 1) column and an (n, m) array."""
+        mask = self.dealias_mask[:, :self.dealias_band]
         return (np.where(mask[:, :1], 1j * self.k1, 0j),
                 np.where(mask, 1j * self.k2[:, :mask.shape[1]], 0j))
 
@@ -215,11 +225,9 @@ class ScalarField:
         """amplitude * cos(k.x) as a field."""
         if (k1, k2) == (0, 0):
             raise ValueError("harmonic requires a nonzero wavevector")
-        if abs(k1) >= grid.dealias_cutoff or abs(k2) >= grid.dealias_cutoff:
-            raise ValueError(
-                f"wavevector ({k1},{k2}) is beyond the dealias cutoff "
-                f"{grid.dealias_cutoff}"
-            )
+        if not grid.keeps(k1, k2):
+            raise ValueError(f"wavevector ({k1},{k2}) is beyond the dealias cutoff "
+                             f"{grid.dealias_cutoff}")
         return cls.from_modes(grid, {(k1, k2): amplitude / 2.0})
 
     @classmethod
@@ -248,7 +256,9 @@ class ScalarField:
         c = np.where(grid.dealias_mask, c, 0.0)
         f = cls(grid, c)
         l2 = norms(f).l2
-        return f * (amplitude / l2) if l2 > 0 else f
+        scale = amplitude / l2 if l2 > 0 else 1.0
+        # an overflowing quotient would make the masked modes inf * 0 = nan
+        return f * scale if math.isfinite(scale) else f * (1.0 / l2) * amplitude
 
     # -- basic queries ------------------------------------------------
 
@@ -316,7 +326,7 @@ def _jacobian(grid: SpectralGrid, a: np.ndarray, b: np.ndarray,
     the dealias mask and the mean set to 0.
     """
     d1, d2 = grid._jacobian_symbols
-    n, m = grid.n_modes, d2.shape[1]
+    n, m = grid.n_modes, grid.dealias_band
     spec, p, q, r = buffers or _jacobian_buffers(grid)
     band = spec[:, :m]
 

@@ -403,7 +403,11 @@ def a0_stability_spectrum(b: int, nu: float, k_cutoff: int) -> np.ndarray:
     into the omega1 equation only, so the generator is block upper
     triangular with diagonal blocks -nu (b^2 + m^2), and those values, each
     twice, are its spectrum, whatever the shear's s, lam and alpha.
+    NumericalError where the largest, at |m| = k_cutoff, overflows a float.
     """
+    if not math.isfinite(nu * (b * b + k_cutoff**2)):
+        raise NumericalError(f"the a = 0 spectrum -nu (b^2 + m^2) overflows a float "
+                             f"at |m| = {k_cutoff} (nu = {nu!r})")
     m = _modes(k_cutoff).astype(np.float64)
     if b == 0:
         m = m[m != 0]

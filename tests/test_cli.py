@@ -877,6 +877,14 @@ _BOUNDS = {"command": "bounds", "g_values": [1e4], "alpha_values": [0.0]}
 _BLOW_UP = {"command": "simulate", "nu": 2.00001, "n_modes": 8, "s": 2, "lambda": 49.0,
             "dt": 0.36693673811487604, "t_final": 4.4032408573785125, "sample_every": 18,
             "init_amplitude": 1.3376171418997522, "cfl": 0.7459191254852661}
+_HUGE_INIT = {"command": "simulate", "nu": 1.0, "alpha": 0.1, "n_modes": 16, "s": 2,
+              "lambda": 3.0, "dt": 0.01, "t_final": 0.05, "init_amplitude": 1e308}
+_TINY_LAMBDA = {"command": "stability", "s": 8, "alpha": 0.0, "delta": 0.3, "lambda": 5e-324}
+_TINY_L_CONST = {"command": "bounds", "g_values": [100.0], "alpha_values": [0.0],
+                 "l_const": 5e-324}
+_HUGE_NU_SQUIRE = {"command": "squire", "s": 1, "nu": 1e308, "max_lifts": 2, "count_s": [3]}
+
+
 _CAUSES = {
     # cause: (config, patch, exit code, start of the one stderr line)
     "cfl": ({"command": "simulate", "nu": 1e-4, "n_modes": 32, "s": 2,
@@ -918,6 +926,25 @@ _CAUSES = {
                           "s": 1, "lambda": 1.0, "dt": 1e-300, "t_final": 1e-299,
                           "sample_every": 1}, None, 2,
                          "config error: lambda: the forcing amplitude"),
+    # amplitude / l2 overflowed: a RuntimeWarning, then a nan "non-finite" step
+    "init-amplitude-max": (_HUGE_INIT, None, 3, "numerical failure: dt=0.01 exceeds "
+                           "advective limit 0.0 at start\n"),
+    # capital_lambda underflows to 0 under a finite 1 + alpha^2 s^2: was blamed on alpha
+    "lambda-subnormal": (_TINY_LAMBDA, None, 2, "config error: lambda: capital_lambda = "
+                         "lambda / (2 sqrt2 pi (1 + alpha^2 s^2)) is not finite and > 0: "
+                         "lambda is too small (alpha = 0.0, s = 8, lambda = 5e-324)\n"),
+    "squire-lambda-subnormal": (
+        {"command": "squire", "s": 8, "lambda": 1e-323, "max_lifts": 0, "count_s": [3]},
+        None, 2, "config error: lambda: capital_lambda = lambda / (2 sqrt2 pi (1 + "
+        "alpha^2 s^2)) is not finite and > 0: lambda is too small (alpha = 0.0, s = 8, "
+        "lambda = 1e-323)\n"),
+    # L/2 underflows to 0 in upper1's log(L/2): was "math domain error"
+    "l_const-subnormal": (_TINY_L_CONST, None, 2, "config error: l_const: L/2 underflows "
+                          "to 0, so upper1's log(L/2) is not finite (got 5e-324)\n"),
+    # the lifts pass or are stable, then the a = 0 spectrum -nu (1 + m^2)
+    # overflowed: numpy's RuntimeWarning, an error in the tests, was exit 1
+    "a0-spectrum": (_HUGE_NU_SQUIRE, None, 3, "numerical failure: the a = 0 spectrum "
+                    "-nu (b^2 + m^2) overflows a float at |m| = 20 (nu = 1e+308)\n"),
     "alpha-cubed": ({"command": "squire", "s": 6, "alpha": 1e-120, "max_lifts": 1,
                      "count_s": [50]}, None, 2, "config error: alpha: alpha^3"),
     "bound-point": ({"command": "report", "g_values": [100.0],
@@ -1053,7 +1080,7 @@ def test_squire_default_c6_needs_triples_only_when_used(tmp_path):
 # run stays small (n_modes <= 16, at most 20 steps, s <= 8, max_lifts <= 2,
 # count_s <= 50; s <= 5 for stability, whose scans grow fastest with s).
 _ODD = st.sampled_from([-1, 0, 1.5, None, "x", True, [1],
-                        float("inf"), float("nan")])
+                        float("inf"), float("nan"), 1e308, 5e-324])
 
 
 def _simulate_doc(steps, dt, **keys):
@@ -1123,6 +1150,11 @@ def _with_one_odd_value(doc):
           "max_lifts": 0, "count_s": [30]})
 # overflows inside a step: numpy's RuntimeWarning, an error in the tests, was exit 1
 @example(_BLOW_UP)
+# the float range's ends, each blamed on another key or on a nan step before
+@example(_HUGE_INIT)
+@example(_TINY_LAMBDA)
+@example(_TINY_L_CONST)
+@example(_HUGE_NU_SQUIRE)
 def test_main_exit_code_on_any_run(doc):
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"

@@ -493,6 +493,44 @@ def test_dt_max_with_run_buffers_allocates_only_the_velocity():
     assert peak <= 2 * half + 8192 * 16 + 16 * 1024
 
 
+def _phi1(z):
+    """(e^z - 1)/z, series for small |z|: the separate pass ``_etd_tables``
+    made before it shared the mask and expm1 with phi2.  The oracle."""
+    out = np.empty_like(z)
+    small = np.abs(z) < 1e-2
+    zs = z[small]
+    out[small] = 1 + zs / 2 + zs**2 / 6 + zs**3 / 24 + zs**4 / 120 + zs**5 / 720
+    zl = z[~small]
+    out[~small] = np.expm1(zl) / zl
+    return out
+
+
+def _phi2(z):
+    """(e^z - 1 - z)/z^2, series for small |z|: phi2's own pass, the oracle."""
+    out = np.empty_like(z)
+    small = np.abs(z) < 1e-2
+    zs = z[small]
+    out[small] = (0.5 + zs / 6 + zs**2 / 24 + zs**3 / 120 + zs**4 / 720
+                  + zs**5 / 5040)
+    zl = z[~small]
+    out[~small] = (np.expm1(zl) - zl) / zl**2
+    return out
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+@pytest.mark.parametrize("nu", [1.0, 0.37])
+@pytest.mark.parametrize("z_max", [4e-2, 200.0])
+def test_etd_tables_match_the_separate_phi_passes_bit_for_bit(n, nu, z_max):
+    grid = SpectralGrid(n)
+    # |z| = nu dt |k|^2 runs from 0 (the series) to z_max (expm1) across the grid
+    dt = z_max / (nu * grid.k_sq.max())
+    z = -nu * dt * grid.k_sq
+    assert np.any(np.abs(z) < 1e-2) and np.any(np.abs(z) >= 1e-2)
+    exp_z, w1, w2 = _etd_tables(grid, nu, dt)
+    for got, want in ((exp_z, np.exp(z)), (w1, dt * _phi1(z)), (w2, dt * _phi2(z))):
+        assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------
 # asymptotic bounds
 # ---------------------------------------------------------------------

@@ -67,6 +67,29 @@ def test_zero_mean_enforced_by_construction():
         ScalarField(GRID, c)
 
 
+@pytest.mark.parametrize("n", [8, 10, 64, 96])
+@pytest.mark.parametrize("frac", ["1", "2/3", "1/2", "1/1000"])
+def test_dealias_band_gives_the_float_cutoff_rules(n, frac):
+    # the band m = ceil(cutoff) against each comparison with the float cutoff
+    # made before: the mask, harmonic and the forcing check, and the largest
+    # kept wavenumber that dynamics._dt_max masked out per call
+    grid = SpectralGrid(n, frac)
+    c, k = grid.dealias_cutoff, grid.wavenumbers
+    assert grid.dealias_band - 1 == float(np.max(np.abs(k[np.abs(k) < c])))
+    assert np.array_equal(grid.dealias_mask, (np.abs(grid.k1) < c) & (grid.k2 < c))
+    for k1 in range(-n // 2, n // 2 + 1):
+        for k2 in range(-n // 2, n // 2 + 1):
+            assert grid.keeps(k1, k2) is (abs(k1) < c and abs(k2) < c)
+
+
+def test_random_field_reaches_the_float_maximum():
+    # amplitude / l2 overflows: scaled in one step, the masked modes were inf * 0 = nan
+    f = ScalarField.random(GRID, np.random.default_rng(0), amplitude=1e308)
+    assert np.all(np.isfinite(f.coeffs))
+    assert np.all(f.coeffs[~GRID.dealias_mask] == 0)
+    assert np.max(np.abs(f.coeffs)) > 1e306
+
+
 def test_harmonic_coefficients():
     f = ScalarField.harmonic(GRID, 1, 0)
     assert f.coeff(1, 0) == pytest.approx(0.5)

@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import re
+import sys
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
@@ -543,6 +544,16 @@ def test_a0_b0_pure_diffusion():
     got = np.sort(vals.real)
     assert np.max(np.abs(got - targets)) < 1e-12
     assert np.max(np.abs(vals.imag)) < 1e-12
+
+
+@pytest.mark.parametrize("b", [0, 1, -3])
+def test_a0_spectrum_overflow_is_numerical(b):
+    # nu (b^2 + 12^2) is the largest |value|: finite just below the float
+    # maximum, and a NumericalError (not an overflow warning and -inf) above
+    top = b * b + 144
+    assert np.all(np.isfinite(a0_stability_spectrum(b, sys.float_info.max / (top + 1), 12)))
+    with pytest.raises(NumericalError, match=r"a = 0 spectrum .* at \|m\| = 12"):
+        a0_stability_spectrum(b, sys.float_info.max / (top - 1), k_cutoff=12)
 
 
 @pytest.mark.parametrize("b", [1, 2])
