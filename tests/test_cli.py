@@ -453,12 +453,18 @@ def test_shipped_scan_solve_counts(tmp_path, monkeypatch):
 
 
 # name -> (shipped config, overrides): every shipped config, and simulate cut
-# short (its 10,000 steps take seconds) at n = 64 and at kolmogorov-256's n = 256
+# short (its 10,000 steps take seconds) at n = 64 and at kolmogorov-256's n = 256;
+# squire at the squire-lift workload's s = 20 and at alpha = 0 (b = 0 triples,
+# r != 0), and a stability scan at alpha = 0 with two singular-chain error rows
 _HASHED_CONFIGS = {
     "stability_scan": ("stability_scan", {}),
     "bounds_grid": ("bounds_grid", {}),
     "two_sided_report": ("two_sided_report", {}),
     "squire_study": ("squire_study", {}),
+    "squire_s20": ("squire_study", {"s": 20, "max_lifts": 20, "count_s": [100, 400, 1600]}),
+    "squire_alpha0": ("squire_study", {"s": 12, "alpha": 0.0, "max_lifts": 60, "count_s": [50]}),
+    "stability_alpha0": ("stability_scan", {"s": 10, "alpha": 0.0, "delta": 0.25,
+                                            "lambda": 300.0}),
     "simulate_t2": ("simulate_kolmogorov", {"t_final": 2.0}),
     "simulate_n256": ("simulate_kolmogorov", {"n_modes": 256, "dt": 0.005, "t_final": 0.125,
                                               "sample_every": 5, "seed": 0}),
