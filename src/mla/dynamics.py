@@ -307,8 +307,8 @@ def run(state: SolverState, t_final: float, dt: float, forcing: ScalarField,
             acc += 0.5 * (g_prev + m.h1_semi ** 2) * dt
             g_prev = m.h1_semi ** 2
             if (i + 1) % sample_every == 0:
-                if dt > _dt_max(grid, psi, cfl, buffers):
-                    raise NumericalError(f"dt={dt} exceeds advective limit at t={t}")
+                if dt > (limit := _dt_max(grid, psi, cfl, buffers)):
+                    raise NumericalError(f"dt={dt} exceeds advective limit {limit} at t={t}")
                 times.append(t)
                 phis.append(m.l2)
                 grads.append(m.h1_semi)

@@ -18,8 +18,8 @@ m in [-m_max, m_max].  The shear is a single +-s mode, so multiplying by
 sin/cos(s x3) is the two-shift stencil ``_shift`` (w[m-s] -+ w[m+s]),
 and the omega2 solve splits into s tridiagonal lanes, one per residue of
 m mod s.  ``lift_rows`` solves and lifts each (a, +-b, r) pair of triples
-once, as both give the same row bit for bit.  The 3-D dimension lower
-bound that ``count_triples`` feeds is a closed form in ``mla.bounds``.
+once, by stability's ``_solve_mirrored``, as both give the same row bit for
+bit.  ``count_triples`` feeds a closed form of ``mla.bounds``.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from .stability import (
     RecurrenceProblem,
     StabilityResult,
     _gtsv,
+    _norm,
+    _solve_mirrored,
     capital_lambda,
     principal_sigma,
     region_contains_point,
@@ -179,21 +181,6 @@ class Mode1DProfile:
 # and double as the oracles for every construction below)
 # ---------------------------------------------------------------------
 
-def _norm(x: np.ndarray, what: str) -> float:
-    """||x||, or NumericalError naming ``what`` where it is not finite: x
-    holds an inf or NaN, or ||x|| itself overflows a float.  Squares above
-    the float range overflow the plain norm, which is then taken again over
-    x scaled by its largest entry."""
-    norm = float(np.linalg.norm(x))
-    if norm == math.inf:
-        peak = float(np.max(np.abs(x)))
-        if math.isfinite(peak):
-            norm = peak * float(np.linalg.norm(x / peak))
-    if not math.isfinite(norm):
-        raise NumericalError(f"the norm of {what} is not finite (got {norm})")
-    return norm
-
-
 def _relative(parts: list[np.ndarray], what: str) -> float:
     """||sum of parts|| over the largest ||part||, or over 1 if all are 0."""
     scale = max(_norm(p, f"a term of {what}") for p in parts)
@@ -282,16 +269,6 @@ def reconstruct_omega2(triple: SquireTriple, q: np.ndarray, setup: Setup3D,
     return w2
 
 
-def _profile_m_max(two_d: StabilityResult, s: int, r: int,
-                   floor: int) -> int:
-    """Truncation so every eigenvector entry above 1e-14 of the peak fits,
-    plus one shear coupling of margin."""
-    e = np.abs(two_d.eigenvector)
-    keep = np.nonzero(e > 1e-14 * e.max())[0]
-    n_keep = int(np.max(np.abs(two_d.offsets[keep])))
-    return max(floor, s * (n_keep + 1) + abs(r) + s)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def lift_mode(triple: SquireTriple, two_d: StabilityResult, setup: Setup3D,
               m_max: int | None = None) -> Mode1DProfile:
@@ -316,19 +293,18 @@ def lift_mode(triple: SquireTriple, two_d: StabilityResult, setup: Setup3D,
     sigma = nu_eff * two_d.sigma_hat
     c = 1j * sigma / ah
 
-    M = m_max if m_max is not None else _profile_m_max(two_d, s, r, 4 * s + 16)
+    e, M = two_d.eigenvector, m_max
+    if M is None:  # every entry above 1e-14 of the peak, and one shear coupling
+        n_keep = int(np.max(np.abs(two_d.offsets[np.abs(e) > 1e-14 * np.abs(e).max()])))
+        M = max(4 * s + 16, s * (n_keep + 1) + abs(r) + s)
     m, D, H, u0_h, du0_h = _wave_tables(setup, ah * ah, M)
-
-    # vorticity coefficients w_m from the chain eigenvector
-    w = np.zeros(2 * M + 1, dtype=np.complex128)
-    for n_off, e in zip(two_d.offsets, two_d.eigenvector):
-        mm = s * int(n_off) + r
-        if abs(mm) <= M:
-            ksq = ah * ah + mm * mm
-            g = (ksq - s * s) / (ksq + alpha**2 * ksq**2)
-            w[M + mm] = e / g
-
     ksq = ah * ah + m.astype(np.float64) ** 2
+
+    # vorticity coefficients w_m = e_n / g_m of the chain's modes m = s n + r
+    at = M + s * two_d.offsets + r
+    fits = (at >= 0) & (at <= 2 * M)
+    w = np.zeros(2 * M + 1, dtype=np.complex128)
+    w[at[fits]] = e[fits] / ((ksq - s * s) / (ksq + alpha**2 * ksq**2))[at[fits]]
     w1h = 1j * m * w / ksq
     w3h = -1j * ah * w / ksq
 
@@ -376,16 +352,12 @@ def lift_rows(triples, setup: Setup3D):
     - Each residual is the norm of a vector that is unchanged (eq1, eq3 and
       eq4, where omega2 enters as b omega2) or negated (eq2).
     """
-    partners = {}  # (a, |b|, r) -> the row of the member that came first
-    for tr in triples:
-        key = (tr.a, abs(tr.b), tr.r)
-        row = partners.pop(key, None)
-        if row is None:
-            two_d = solve_hat_mode(tr, setup)
-            row = two_d.sigma_hat, (lift_mode(tr, two_d, setup).residuals
-                                    if two_d.sigma_hat > 0 else {})
-            if tr.b:
-                partners[key] = row
+    def solve(tr):
+        two_d = solve_hat_mode(tr, setup)
+        return two_d.sigma_hat, (lift_mode(tr, two_d, setup).residuals
+                                 if two_d.sigma_hat > 0 else {})
+
+    for tr, row in _solve_mirrored(triples, lambda tr: (tr.a, abs(tr.b), tr.r), solve):
         yield (tr, *row)
 
 

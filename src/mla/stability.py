@@ -38,9 +38,10 @@ zero-padded vector at the value found, so a chain that settles makes one
 dense solve, at its first truncation.  The dense solve is
 ``numpy.linalg.eigvals``; each tridiagonal solve of the inverse iteration
 is ``_gtsv``, a plain-Python port of LAPACK's dgtsv, so the module needs
-no SciPy.  A chain whose coefficients overflow a float raises NumericalError.
-``sigma_grid_rows`` follows one chain across the Lambda_0 window.  The
-dimension bounds resting on these counts are closed forms in ``mla.bounds``.
+no SciPy.  A pair's residual over 1 + |sigma_hat| must be below RESIDUAL_TOL,
+and overflowing coefficients raise NumericalError.  ``stability_sweep`` (and
+squire's ``lift_rows``) solve each mirror pair once, by ``_solve_mirrored``;
+``sigma_grid_rows`` follows one chain; the bounds live in ``mla.bounds``.
 """
 
 from __future__ import annotations
@@ -236,10 +237,26 @@ class GeneralizedEigSystem:
         return float(e @ self.apply_a(e)) / float(e @ (self.diag_b * e))
 
     def residual(self, sigma_hat: float, e: np.ndarray) -> float:
-        """||Ae - sigma_hat Be|| / ||Be||, each norm a running hypot, which
-        squares no entry and so cannot overflow where the norm is finite."""
+        """||Ae - sigma_hat Be|| / ||Be|| / (1 + |sigma_hat|): relative to the
+        eigenvalue's scale, as ``_settles`` is, with overflow-safe norms."""
         be = self.diag_b * e
-        return float(np.hypot.reduce(self.apply_a(e) - sigma_hat * be) / np.hypot.reduce(be))
+        return (_norm(self.apply_a(e) - sigma_hat * be, "the eigen residual")
+                / _norm(be, "B e") / (1.0 + abs(sigma_hat)))
+
+
+def _norm(x: np.ndarray, what: str) -> float:
+    """||x||, or NumericalError naming ``what`` where it is not finite.  Where
+    only the squares of x's entries overflow, the plain norm is taken again
+    over x scaled by its largest entry."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+        if norm == math.inf:
+            peak = float(np.max(np.abs(x)))
+            if math.isfinite(peak):
+                norm = peak * float(np.linalg.norm(x / peak))
+    if not math.isfinite(norm):
+        raise NumericalError(f"the norm of {what} is not finite (got {norm})")
+    return norm
 
 
 def build_recurrence_system(prob: RecurrenceProblem,
@@ -541,6 +558,17 @@ def _solve_or_reason(solve) -> tuple[float, str | None]:
         return math.nan, f"{type(exc).__name__}: {exc}"
 
 
+def _solve_mirrored(items, key, solve):
+    """Yield (item, solve(item)) for each of ``items``, taken one at a time,
+    solving only the first item of each key: its mirror partner, the next
+    item of that key, gets the first's result.  The caller proves them equal."""
+    results = {}
+    for item in items:
+        if (k := key(item)) not in results:
+            results[k] = solve(item)
+        yield item, results[k]
+
+
 def stability_sweep(s: int, alpha: float, delta: float, lam: float,
                     compute_lambda0: bool = True) -> list[dict]:
     """Chain scan over the region bounding box.
@@ -561,27 +589,23 @@ def stability_sweep(s: int, alpha: float, delta: float, lam: float,
     symmetric in r.
     """
     lam_cap = capital_lambda(lam, s, alpha)
-    rows, solved = [], {}
-    for t, r in RegionSpec(delta=delta, s=s).box():
-        in_region = region_contains_point(delta, s, t, r)
-        if (t, -r) in solved:
-            sigma, error, lam0, lam0_error = solved[t, -r]
-        else:
-            sigma, error = _solve_or_reason(lambda: principal_sigma(
-                RecurrenceProblem(s=s, t=t, r=r, capital_lambda=lam_cap,
-                                  alpha=alpha)).sigma_hat)
-            lam0, lam0_error = math.nan, None
-            if in_region and compute_lambda0:
-                lam0, lam0_error = _solve_or_reason(
-                    lambda: lambda0_threshold(s, t, r, alpha, delta))
-            solved[t, r] = sigma, error, lam0, lam0_error
-        rows.append({
-            "s": s, "t": t, "r": r, "alpha": alpha, "delta": delta,
-            "lambda": lam, "capital_lambda": lam_cap,
-            "sigma_hat": sigma, "lambda0": lam0,
-            "in_region": in_region, "error": error, "lambda0_error": lam0_error,
-        })
-    return rows
+
+    def solve(tr):
+        t, r = tr
+        sigma, error = _solve_or_reason(lambda: principal_sigma(
+            RecurrenceProblem(s=s, t=t, r=r, capital_lambda=lam_cap,
+                              alpha=alpha)).sigma_hat)
+        lam0, lam0_error = math.nan, None
+        if compute_lambda0 and region_contains_point(delta, s, t, r):
+            lam0, lam0_error = _solve_or_reason(
+                lambda: lambda0_threshold(s, t, r, alpha, delta))
+        return {"sigma_hat": sigma, "lambda0": lam0, "error": error,
+                "lambda0_error": lam0_error}
+
+    return [{"s": s, "t": t, "r": r, "alpha": alpha, "delta": delta, "lambda": lam,
+             "capital_lambda": lam_cap, "in_region": region_contains_point(delta, s, t, r),
+             **solved} for (t, r), solved in _solve_mirrored(
+                 RegionSpec(delta=delta, s=s).box(), lambda tr: (tr[0], abs(tr[1])), solve)]
 
 
 def sigma_grid_rows(window: tuple[float, float], s: int, alpha: float, t: float,

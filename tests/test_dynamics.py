@@ -405,6 +405,20 @@ def test_cfl_guard():
         run(state, t_final=1.0, dt=limit * 10, forcing=F)
 
 
+def test_cfl_guard_mid_run_names_the_limit():
+    # a quiescent start passes the start check; the forcing alone then drives
+    # |u| past dt's limit in the first step, and the sample check names it
+    p = params(nu=0.01)
+    F = kolmogorov_forcing(ForcingSpec(s=2, lam=1e6), p)
+    state = SolverState(psi=ScalarField.zeros(GRID), time=0.0, params=p)
+    assert dt_max(state) == math.inf
+    limit = dt_max(step_imex(state, 0.05, F))
+    assert 0.0 < limit < 0.05
+    with pytest.raises(NumericalError) as exc:
+        run(state, t_final=20.0, dt=0.05, forcing=F)
+    assert str(exc.value) == f"dt=0.05 exceeds advective limit {limit} at t=0.05"
+
+
 def _dt_max_reference(state, cfl=0.5):
     """dt_max as it was before it reused the run's buffers: each velocity
     component through irfft2 (``SpectralGrid.to_physical``), then the max

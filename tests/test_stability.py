@@ -9,14 +9,19 @@ against a dense selection at every doubling, mirrored chains against each
 other, and thresholds against their windows and a bisection oracle."""
 
 import inspect
+import itertools
+import json
 import math
 import re
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mla import NumericalError, stability
 from mla.bounds import lower_bound_dim2d
@@ -36,7 +41,8 @@ from mla.stability import (
     region_contains_point,
     stability_sweep,
 )
-from mla.squire import lambda2_threshold
+from mla.cli import parse_config
+from mla.squire import admissible_triples, hat_problem, lambda2_threshold
 
 SQRT2PI2 = 2.0 * math.sqrt(2.0) * math.pi
 #: max over delta of a(delta) * delta^(4/3), to the reported two digits.
@@ -1137,3 +1143,86 @@ def test_mirrored_chains_share_their_threshold():
     for s, t, r, alpha in pairs:
         plus, minus = (lambda0_threshold(s, t, rr, alpha, 0.3) for rr in (r, -r))
         assert abs(plus - minus) <= 1e-14 * plus, (s, t, r, alpha)
+
+
+# ---------------------------------------------------------------------
+# truncation-free oracle: the chain's continued fraction
+# ---------------------------------------------------------------------
+
+def _chain_condition(prob, sigma_hat, depth=64):
+    """(F, scale) of F(sigma_hat) = d_0 + mu_{-1} - rho_1, the row n = 0 of
+    the recurrence over e_0, as Meshalkin and Sinai (1961) treat the chain.
+    The decaying solution's ratios rho_n = e_n / e_{n-1} = 1 / (rho_{n+1} -
+    d_n) toward +inf and mu_n = e_n / e_{n+1} = 1 / (mu_{n-1} + d_n) toward
+    -inf start from 0 at |n| = depth; d_n is the closed form of the module
+    docstring, so no truncation of the solver is shared.  F vanishes at a
+    decaying eigenvalue whose e_0 is not small; scale is |d_0| + |mu_{-1}| +
+    |rho_1|."""
+    def d(n):
+        k2 = prob.t**2 + (prob.s * n + prob.r) ** 2
+        return ((k2 + prob.alpha**2 * k2**2) * (k2 + sigma_hat)
+                / (prob.capital_lambda * prob.t * (k2 - prob.s**2)))
+
+    rho = mu = 0.0
+    for n in range(depth, 0, -1):
+        rho, mu = 1.0 / (rho - d(n)), 1.0 / (mu + d(-n))
+    return d(0) + mu - rho, abs(d(0)) + abs(mu) + abs(rho)
+
+
+def _assert_chain_condition(prob, sigma_hat):
+    f, scale = _chain_condition(prob, sigma_hat)
+    assert abs(f) <= 1e-12 * scale, (prob, sigma_hat, f, scale)
+
+
+def _shipped(name):
+    return json.loads((Path(__file__).parents[1] / "configs" / f"{name}.json").read_text())
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.0])
+def test_shipped_scan_satisfies_the_chain_condition(alpha):
+    # every finite sigma_hat at Lambda(lambda), and sigma_hat = 0 at every Lambda_0
+    cfg = _shipped("stability_scan")
+    rows = stability_sweep(cfg["s"], alpha, cfg["delta"], cfg["lambda"])
+    sigmas = [row for row in rows if math.isfinite(row["sigma_hat"])]
+    thresholds = [row for row in rows if math.isfinite(row["lambda0"])]
+    assert (len(sigmas), len(thresholds)) == (25, 4)
+    for row in sigmas:
+        _assert_chain_condition(RecurrenceProblem(
+            cfg["s"], row["t"], row["r"], row["capital_lambda"], alpha), row["sigma_hat"])
+    for row in thresholds:
+        _assert_chain_condition(RecurrenceProblem(
+            cfg["s"], row["t"], row["r"], row["lambda0"], alpha), 0.0)
+
+
+def test_squire_hat_chains_satisfy_the_chain_condition():
+    cfg = parse_config(json.dumps(_shipped("squire_study")))
+    p, plan = cfg.parameters, cfg.plan
+    for tr in itertools.islice(admissible_triples(p["s"], plan["window"]), 40):
+        prob = hat_problem(tr, p["s"], plan["lambda"], p["alpha"])
+        _assert_chain_condition(prob, principal_sigma(prob).sigma_hat)
+
+
+@pytest.mark.parametrize("t,r", [(1, 0), (2, 0), (3, 0), (3, 1), (4, 0), (4, 1)])
+def test_chains_at_huge_lambda_satisfy_the_chain_condition(t, r):
+    # sigma_hat of 1.5e299 to 3.6e299: accepted, with a residual near 3e-16
+    # relative to 1 + |sigma_hat|, where the absolute residual (near 1e284)
+    # rejected them
+    prob = RecurrenceProblem(s=6, t=t, r=r, capital_lambda=capital_lambda(1e300, 6, 0.0))
+    res = principal_sigma(prob)
+    assert res.sigma_hat > 1e299 and res.eigen_residual < 1e-15
+    _assert_chain_condition(prob, res.sigma_hat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.integers(2, 40), delta=st.floats(0.05, 0.3), alpha=st.floats(0.0, 0.2),
+       pick=st.integers(0, 10**6), factor=st.floats(1.0, 100.0))
+def test_unstable_chains_satisfy_the_chain_condition(s, delta, alpha, pick, factor):
+    # an in-region chain above the window's upper edge is unstable, and its
+    # eigenvector peaks near n = 0, so F is well conditioned there
+    points = lattice_points(RegionSpec(delta=delta, s=s))
+    assume(points)
+    t, r = points[pick % len(points)]
+    prob = RecurrenceProblem(s, t, r, factor * lu_interval(s, delta, alpha)[1], alpha)
+    sigma_hat = principal_sigma(prob).sigma_hat
+    assert sigma_hat > 0
+    _assert_chain_condition(prob, sigma_hat)
