@@ -560,7 +560,7 @@ def _solve_or_reason(solve) -> tuple[float, str | None]:
 
 def _solve_mirrored(items, key, solve):
     """Yield (item, solve(item)) for each of ``items``, taken one at a time,
-    solving only the first item of each key: its mirror partner, the next
+    solving only the first item of each key: its mirror partner, a later
     item of that key, gets the first's result.  The caller proves them equal."""
     results = {}
     for item in items:

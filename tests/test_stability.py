@@ -1217,8 +1217,9 @@ def test_chains_at_huge_lambda_satisfy_the_chain_condition(t, r):
 @given(s=st.integers(2, 40), delta=st.floats(0.05, 0.3), alpha=st.floats(0.0, 0.2),
        pick=st.integers(0, 10**6), factor=st.floats(1.0, 100.0))
 def test_unstable_chains_satisfy_the_chain_condition(s, delta, alpha, pick, factor):
-    # an in-region chain above the window's upper edge is unstable, and its
-    # eigenvector peaks near n = 0, so F is well conditioned there
+    # an in-region chain above the window's upper edge is unstable.  F is an
+    # oracle only where e_0 is not small, which stable chains whose
+    # eigenvector peaks off n = 0 break
     points = lattice_points(RegionSpec(delta=delta, s=s))
     assume(points)
     t, r = points[pick % len(points)]
