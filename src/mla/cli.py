@@ -163,7 +163,7 @@ def _plan_simulate(p: dict) -> dict:
         errors.append(f"s: forcing wavenumber s={p['s']} is at or beyond the dealias "
                       f"cutoff {grid.dealias_cutoff}")
     # the forcing amplitude and bounds_report.json's bound may overflow (to inf
-    # or in **), or divide by a nu**2 that underflowed to 0.  The steady state's
+    # or in **) or divide by a nu**2 that underflowed to 0.  The steady state's
     # nu lam s is at most max(lam, nu^2 lam s^3), so it is finite when both are.
     try:
         amplitude = dynamics._forcing_amplitude(spec, p["nu"])
@@ -171,11 +171,9 @@ def _plan_simulate(p: dict) -> dict:
         bound = dynamics._dissipative_bound(f_l2, p["nu"])
     except (OverflowError, ZeroDivisionError):
         amplitude = bound = math.inf
-    if p["nu"] * p["nu"] == 0.0:  # ** would raise on an overflow
-        errors.append(f"nu: nu^2 underflows to 0, so the bound (nu^2 lambda s^2)^2 / nu^2 "
-                      f"is not finite (nu = {p['nu']!r})")
-    elif not (math.isfinite(amplitude) and math.isfinite(bound)):
-        errors.append(f"lambda: the forcing amplitude nu^2 lambda s^3 / (sqrt2 pi) "
+    if not (math.isfinite(amplitude) and math.isfinite(bound)):
+        cause = "nu" if p["nu"] * p["nu"] == 0.0 else "lambda"  # ** raises on an overflow
+        errors.append(f"{cause}: the forcing amplitude nu^2 lambda s^3 / (sqrt2 pi) "
                       f"or its bound (nu^2 lambda s^2)^2 / nu^2 is not finite "
                       f"(nu = {p['nu']!r}, lambda = {p['lambda']!r})")
     try:  # the run divides by the Helmholtz symbol

@@ -290,15 +290,15 @@ def lift_mode(triple: SquireTriple, two_d: StabilityResult, setup: Setup3D,
     s, nu, alpha = setup.s, setup.nu, setup.alpha
 
     nu_eff = nu * ah / a
-    sigma = nu_eff * two_d.sigma_hat
-    c = 1j * sigma / ah
+    c = 1j * (nu_eff * two_d.sigma_hat) / ah
 
     e, M = two_d.eigenvector, m_max
     if M is None:  # every entry above 1e-14 of the peak, and one shear coupling
-        n_keep = int(np.max(np.abs(two_d.offsets[np.abs(e) > 1e-14 * np.abs(e).max()])))
+        big = np.abs(e) > 1e-14 * np.abs(e).max()
+        n_keep = int(np.max(np.abs(two_d.offsets[big])))
         M = max(4 * s + 16, s * (n_keep + 1) + abs(r) + s)
     m, D, H, u0_h, du0_h = _wave_tables(setup, ah * ah, M)
-    ksq = ah * ah + m.astype(np.float64) ** 2
+    ksq = -D
 
     # vorticity coefficients w_m = e_n / g_m of the chain's modes m = s n + r
     at = M + s * two_d.offsets + r
@@ -314,10 +314,9 @@ def lift_mode(triple: SquireTriple, two_d: StabilityResult, setup: Setup3D,
     nz = m != 0
     qh[nz] = rhs3[nz] / (1j * m[nz])
     # m = 0 row of the omega1_hat equation pins q_hat(0)
-    i0 = M
-    rhs1_0 = (nu_eff * D[i0] * w1h[i0] - 1j * ah * u0_h(w1h)[i0]
-              + 1j * ah * c * w1h[i0] - du0_h(w3h)[i0])
-    qh[i0] = rhs1_0 / (1j * ah)
+    rhs1_0 = (nu_eff * D[M] * w1h[M] - 1j * ah * u0_h(w1h)[M]
+              + 1j * ah * c * w1h[M] - du0_h(w3h)[M])
+    qh[M] = rhs1_0 / (1j * ah)
 
     q = qh * (a / ah)
     w2 = reconstruct_omega2(triple, q, setup, c, M)

@@ -38,10 +38,9 @@ zero-padded vector at the value found, so a chain that settles makes one
 dense solve, at its first truncation.  The dense solve is
 ``numpy.linalg.eigvals``; each tridiagonal solve of the inverse iteration
 is ``_gtsv``, a plain-Python port of LAPACK's dgtsv, so the module needs
-no SciPy.  A pair's residual over 1 + |sigma_hat| must be below RESIDUAL_TOL,
-and overflowing coefficients raise NumericalError.  ``stability_sweep`` (and
-squire's ``lift_rows``) solve each mirror pair once, by ``_solve_mirrored``;
-``sigma_grid_rows`` follows one chain; the bounds live in ``mla.bounds``.
+no SciPy.  A chain whose coefficients overflow a float raises NumericalError.
+``sigma_grid_rows`` follows one chain across the Lambda_0 window.  The
+dimension bounds resting on these counts are closed forms in ``mla.bounds``.
 """
 
 from __future__ import annotations
@@ -237,11 +236,10 @@ class GeneralizedEigSystem:
         return float(e @ self.apply_a(e)) / float(e @ (self.diag_b * e))
 
     def residual(self, sigma_hat: float, e: np.ndarray) -> float:
-        """||Ae - sigma_hat Be|| / ||Be|| / (1 + |sigma_hat|): relative to the
-        eigenvalue's scale, as ``_settles`` is, with overflow-safe norms."""
+        """||Ae - sigma_hat Be|| / ||Be||, each norm a ``_norm``, which cannot
+        overflow where the norm is finite."""
         be = self.diag_b * e
-        return (_norm(self.apply_a(e) - sigma_hat * be, "the eigen residual")
-                / _norm(be, "B e") / (1.0 + abs(sigma_hat)))
+        return _norm(self.apply_a(e) - sigma_hat * be, "the eigen residual") / _norm(be, "B e")
 
 
 def _norm(x: np.ndarray, what: str) -> float:
@@ -560,13 +558,16 @@ def _solve_or_reason(solve) -> tuple[float, str | None]:
 
 def _solve_mirrored(items, key, solve):
     """Yield (item, solve(item)) for each of ``items``, taken one at a time,
-    solving only the first item of each key: its mirror partner, a later
-    item of that key, gets the first's result.  The caller proves them equal."""
+    except that the second item of a key, the first's mirror partner, gets
+    the first's result, which the caller proves equal.  A result is held only
+    until its partner arrives, so a third item of a key is solved again."""
     results = {}
     for item in items:
-        if (k := key(item)) not in results:
+        if (k := key(item)) in results:
+            yield item, results.pop(k)
+        else:
             results[k] = solve(item)
-        yield item, results[k]
+            yield item, results[k]
 
 
 def stability_sweep(s: int, alpha: float, delta: float, lam: float,
@@ -581,7 +582,7 @@ def stability_sweep(s: int, alpha: float, delta: float, lam: float,
     in ``lambda0_error``.  Rows are emitted in fixed (t, r) order for
     reproducible output.
 
-    Row (t, -r) repeats the values of row (t, r): kappa^2 of the chain
+    Row (t, -r) repeats the solved values of row (t, r): kappa^2 of the chain
     (t, -r) at n is that of (t, r) at -n, and conjugating the reflected
     chain by diag((-1)^n) restores the sign of its off-diagonal pattern, so
     both chains (and both sigma_hat = 0 chains) have the same spectrum,
@@ -590,22 +591,25 @@ def stability_sweep(s: int, alpha: float, delta: float, lam: float,
     """
     lam_cap = capital_lambda(lam, s, alpha)
 
-    def solve(tr):
-        t, r = tr
+    def solve(point):
+        t, r = point
+        in_region = region_contains_point(delta, s, t, r)
         sigma, error = _solve_or_reason(lambda: principal_sigma(
             RecurrenceProblem(s=s, t=t, r=r, capital_lambda=lam_cap,
                               alpha=alpha)).sigma_hat)
         lam0, lam0_error = math.nan, None
-        if compute_lambda0 and region_contains_point(delta, s, t, r):
+        if in_region and compute_lambda0:
             lam0, lam0_error = _solve_or_reason(
                 lambda: lambda0_threshold(s, t, r, alpha, delta))
-        return {"sigma_hat": sigma, "lambda0": lam0, "error": error,
-                "lambda0_error": lam0_error}
+        return {"sigma_hat": sigma, "lambda0": lam0, "in_region": in_region,
+                "error": error, "lambda0_error": lam0_error}
 
-    return [{"s": s, "t": t, "r": r, "alpha": alpha, "delta": delta, "lambda": lam,
-             "capital_lambda": lam_cap, "in_region": region_contains_point(delta, s, t, r),
-             **solved} for (t, r), solved in _solve_mirrored(
-                 RegionSpec(delta=delta, s=s).box(), lambda tr: (tr[0], abs(tr[1])), solve)]
+    rows = []
+    for (t, r), solved in _solve_mirrored(RegionSpec(delta=delta, s=s).box(),
+                                          lambda point: (point[0], abs(point[1])), solve):
+        rows.append({"s": s, "t": t, "r": r, "alpha": alpha, "delta": delta,
+                     "lambda": lam, "capital_lambda": lam_cap, **solved})
+    return rows
 
 
 def sigma_grid_rows(window: tuple[float, float], s: int, alpha: float, t: float,

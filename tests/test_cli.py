@@ -931,7 +931,7 @@ _CAUSES = {
     "bound-nu-squared": ({"command": "simulate", "nu": 5e-324, "n_modes": 16,
                           "s": 1, "lambda": 1.0, "dt": 1e-300, "t_final": 1e-299,
                           "sample_every": 1}, None, 2,
-                         "config error: nu: nu^2 underflows to 0"),
+                         "config error: nu: the forcing amplitude"),
     # the start passes, and the first sample's check names the limit it computed
     "cfl-mid-run": ({"command": "simulate", "nu": 0.01, "n_modes": 32, "s": 2,
                      "lambda": 1e6, "dt": 0.05, "t_final": 20.0, "sample_every": 1,
