@@ -290,7 +290,8 @@ def lift_mode(triple: SquireTriple, two_d: StabilityResult, setup: Setup3D,
     s, nu, alpha = setup.s, setup.nu, setup.alpha
 
     nu_eff = nu * ah / a
-    c = 1j * (nu_eff * two_d.sigma_hat) / ah
+    sigma = nu_eff * two_d.sigma_hat
+    c = 1j * sigma / ah
 
     e, M = two_d.eigenvector, m_max
     if M is None:  # every entry above 1e-14 of the peak, and one shear coupling
