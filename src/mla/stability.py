@@ -235,6 +235,7 @@ class GeneralizedEigSystem:
         """e.Ae / e.Be: the eigenvalue of a converged eigenvector e."""
         return float(e @ self.apply_a(e)) / float(e @ (self.diag_b * e))
 
+    @np.errstate(over="ignore")
     def residual(self, sigma_hat: float, e: np.ndarray) -> float:
         """||Ae - sigma_hat Be|| / ||Be||, each norm a ``_norm``, which cannot
         overflow where the norm is finite."""
@@ -244,14 +245,13 @@ class GeneralizedEigSystem:
 
 def _norm(x: np.ndarray, what: str) -> float:
     """||x||, or NumericalError naming ``what`` where it is not finite.  Where
-    only the squares of x's entries overflow, the plain norm is taken again
-    over x scaled by its largest entry."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(x))
-        if norm == math.inf:
-            peak = float(np.max(np.abs(x)))
-            if math.isfinite(peak):
-                norm = peak * float(np.linalg.norm(x / peak))
+    only the squares of x's entries overflow (its callers ignore that warning),
+    the plain norm is taken again over x scaled by its largest entry."""
+    norm = float(np.linalg.norm(x))
+    if norm == math.inf:
+        peak = float(np.max(np.abs(x)))
+        if math.isfinite(peak):
+            norm = peak * float(np.linalg.norm(x / peak))
     if not math.isfinite(norm):
         raise NumericalError(f"the norm of {what} is not finite (got {norm})")
     return norm
