@@ -31,7 +31,6 @@ from .spectral import (
     _jacobian_buffers,
     _norms,
     _real_zero_mean,
-    laplacian,
 )
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "AsymptoticReport",
     "kolmogorov_forcing",
     "stationary_psi",
-    "rhs",
     "dt_max",
     "step_imex",
     "run",
@@ -168,15 +166,6 @@ def _nonlinear(psi: np.ndarray, params: ModelParams, forcing: np.ndarray,
     np.divide(psi[:, :m], buffers.helmholtz[:, :m], out=buffers.filtered)
     jac = _jacobian(grid, buffers.stream, buffers.filtered, buffers.jacobian, out)
     return np.subtract(forcing, jac, out=jac)
-
-
-def rhs(state: SolverState, forcing: ScalarField) -> ScalarField:
-    """nu Lap(psi) - J(Lap^{-1} psi, (I-a^2 Lap)^{-1} psi) + F."""
-    state.psi._require_same_grid(forcing)
-    p = state.params
-    return ScalarField(p.grid, p.nu * laplacian(state.psi).coeffs
-                       + _nonlinear(state.psi.coeffs, p, forcing.coeffs,
-                                    _run_buffers(p)))
 
 
 def dt_max(state: SolverState, cfl: float = 0.5) -> float:

@@ -49,10 +49,8 @@ __all__ = [
     "SpectralGrid",
     "ScalarField",
     "FieldNorms",
-    "laplacian",
     "jacobian",
     "norms",
-    "field_to_json",
     "field_from_json",
     "save_field",
     "load_field",
@@ -283,10 +281,6 @@ class ScalarField:
         self._require_same_grid(other)
         return ScalarField(self.grid, self.coeffs + other.coeffs)
 
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        self._require_same_grid(other)
-        return ScalarField(self.grid, self.coeffs - other.coeffs)
-
     def __mul__(self, scalar: float) -> "ScalarField":
         return ScalarField(self.grid, self.coeffs * scalar)
 
@@ -301,10 +295,6 @@ class FieldNorms(NamedTuple):
 # ---------------------------------------------------------------------
 # Fourier-multiplier operators
 # ---------------------------------------------------------------------
-
-def laplacian(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, -f.grid.k_sq * f.coeffs)
-
 
 def _jacobian_buffers(grid: SpectralGrid) -> tuple[np.ndarray, ...]:
     """Work arrays of ``_jacobian``: a half-spectrum whose columns past the
@@ -391,7 +381,7 @@ FIELD_FORMAT = "mla-field-v1"
 
 
 def _field_json_chunks(f: ScalarField):
-    """``field_to_json(f)`` in pieces: the header, then each k2 column's modes."""
+    """``save_field``'s text in pieces: the header, then each k2 column's modes."""
     n, half = f.grid.n_modes, f.grid.n_modes // 2
     yield json.dumps({"format": FIELD_FORMAT, "n_modes": n,
                       "dealias_fraction": str(f.grid.dealias_fraction),
@@ -408,18 +398,8 @@ def _field_json_chunks(f: ScalarField):
     yield "]}"
 
 
-def field_to_json(f: ScalarField) -> str:
-    """Serialize the independent half-spectrum (nonzero modes only).
-
-    Modes are listed k2-major, one column at a time as ``save_field`` streams
-    them: k1 = 1..n/2 on k2 = 0, k1 = -n/2..n/2 (+-n/2 twice) on k2 = 1..n/2.
-    Floats pass through ``repr`` via the json encoder: the round trip is bit-exact.
-    """
-    return "".join(_field_json_chunks(f))
-
-
 def field_from_json(text: str) -> ScalarField:
-    """Read ``field_to_json``'s container.  ValueError where it is malformed:
+    """Read ``save_field``'s container.  ValueError where it is malformed:
     not an object of this format, a key missing, or a size or wavenumber that
     is not a JSON integer (int() would truncate it)."""
     doc = json.loads(text)
@@ -436,6 +416,8 @@ def field_from_json(text: str) -> ScalarField:
 
 
 def save_field(f: ScalarField, path) -> None:
+    """The nonzero half-spectrum, k2-major: k1 = 1..n/2 on k2 = 0, -n/2..n/2 (+-n/2
+    twice) on k2 = 1..n/2.  Floats go through ``repr``: the round trip is bit-exact."""
     with _atomic_open(path) as fh:
         fh.writelines(_field_json_chunks(f))
 

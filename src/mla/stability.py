@@ -59,7 +59,6 @@ __all__ = [
     "StabilityResult",
     "capital_lambda",
     "region_contains_point",
-    "lattice_points",
     "region_area",
     "build_recurrence_system",
     "principal_sigma",
@@ -129,12 +128,6 @@ def region_contains_point(delta: float, s: float, t: float, r: float) -> bool:
         and t >= delta * s
         and -s / 6.0 < r < s / 6.0
     )
-
-
-def lattice_points(spec: RegionSpec) -> list[tuple[int, int]]:
-    """The integer pairs of the bounding box that lie in the region."""
-    return [(t, r) for t, r in spec.box()
-            if region_contains_point(spec.delta, spec.s, t, r)]
 
 
 def _segment(c: float, d: float) -> float:

@@ -11,7 +11,8 @@ import pytest
 from mla import bounds as bounds_mod
 from mla import dynamics, spectral, squire, stability
 from spectral_oracles import deriv, inner
-from test_stability import derived_lower_coefficient, full_linearization_spectrum
+from test_stability import (derived_lower_coefficient, full_linearization_spectrum,
+                            lattice_points)
 
 mp.mp.dps = 60
 
@@ -81,8 +82,10 @@ def test_criterion_2_stationarity_matrix():
                     spec = dynamics.ForcingSpec(s=s, lam=lam)
                     psi = dynamics.stationary_psi(spec, params)
                     F = dynamics.kolmogorov_forcing(spec, params)
-                    state = dynamics.SolverState(psi=psi, time=0.0, params=params)
-                    res = spectral.norms(dynamics.rhs(state, F)).l2
+                    # the right-hand side through the kernel that run steps with
+                    rhs = -nu * grid.k_sq * psi.coeffs + dynamics._nonlinear(
+                        psi.coeffs, params, F.coeffs, dynamics._run_buffers(params))
+                    res = spectral.norms(spectral.ScalarField(grid, rhs)).l2
                     worst = max(worst, res / spectral.norms(F).l2)
     elapsed = time.monotonic() - t0
     assert worst < 1e-12
@@ -110,7 +113,7 @@ def test_criterion_3_solver_order():
         return dynamics.run(state, T, dt, forcing, sample_every=steps).final_state.psi
 
     ref = integrate(2.5e-3 / 16)
-    errs = [spectral.norms(integrate(dt) - ref).l2
+    errs = [spectral.norms(spectral.ScalarField(grid, integrate(dt).coeffs - ref.coeffs)).l2
             for dt in (1e-2, 5e-3, 2.5e-3)]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 1.9
@@ -158,7 +161,7 @@ def test_criterion_4_asymptotic_bounds():
 def test_criterion_5_recurrence_vs_dense_oracle():
     t0 = time.monotonic()
     s, delta = 4, 0.3
-    pairs = stability.lattice_points(stability.RegionSpec(delta=delta, s=s))
+    pairs = lattice_points(stability.RegionSpec(delta=delta, s=s))
     assert pairs  # A(0.3) is nonempty at s=4
     # amplitudes kept below threshold so the depth-3 chain the cutoff-3s
     # matrix carries is fully converged (the comparison's validity window)
@@ -189,7 +192,7 @@ def test_criterion_6_thresholds():
     t0 = time.monotonic()
     cases = []
     for s, delta in ((4, 0.3), (6, 0.2), (8, 0.3), (10, 0.3)):
-        for (t, r) in stability.lattice_points(
+        for (t, r) in lattice_points(
                 stability.RegionSpec(delta=delta, s=s)):
             for alpha in (0.0, 0.1):
                 cases.append((s, delta, t, r, alpha))
@@ -222,7 +225,7 @@ def test_criterion_7_area_constant():
     dstar, value = stability.DELTA_STAR, stability.MAX_A_DELTA_SCALED
     assert abs(value - 0.012) <= 0.1 * 0.012
     a_star = stability.region_area(dstar)
-    density = len(stability.lattice_points(
+    density = len(lattice_points(
         stability.RegionSpec(delta=dstar, s=200))) / 200**2
     assert abs(density - a_star) / a_star < 0.05
     _report(7, f"max a(delta) delta^(4/3) = {value:.5f} at delta*={dstar:.4f}; "

@@ -493,6 +493,26 @@ def test_shipped_artifacts_are_byte_identical(tmp_path):
     assert shipped_artifact_hashes(tmp_path) == json.loads(SHIPPED_SHA256.read_text())
 
 
+def test_shipped_runs_call_no_field_wrapper(tmp_path, monkeypatch):
+    # spectral.jacobian, dynamics.step_imex and dynamics.dt_max wrap the run
+    # kernels for the benchmark's baseline and tracer; no shipped run calls them
+    def off_the_run_path(*args, **kw):
+        raise AssertionError("a shipped run called a field wrapper")
+
+    for owner, name in ((spectral, "jacobian"), (dynamics, "step_imex"), (dynamics, "dt_max")):
+        monkeypatch.setattr(owner, name, off_the_run_path)
+    want = json.loads(SHIPPED_SHA256.read_text())
+    for name in ("stability_scan", "squire_study", "bounds_grid", "two_sided_report",
+                 "simulate_kolmogorov"):
+        doc = json.loads((Path(__file__).parents[1] / "configs" / f"{name}.json").read_text())
+        if doc["command"] == "simulate":  # 200 steps, not the shipped 10,000
+            doc["t_final"] = 200 * doc["dt"]
+        manifest = run_command(parse_config(json.dumps(doc)), out_dir=tmp_path / name)
+        assert manifest.status == "ok"
+        if name in want:
+            assert {o["path"]: o["sha256"] for o in manifest.outputs} == want[name]
+
+
 def test_report_command(tmp_path):
     doc = {
         "command": "report",

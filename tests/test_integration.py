@@ -96,7 +96,7 @@ def test_nonlinear_growth_matches_eigenvalue():
     times, dists = [], []
     for _ in range(100):
         state = run(state, state.time + 25 * dt, dt, forcing, sample_every=25).final_state
-        d = norms(state.psi - psi_s).l2
+        d = norms(ScalarField(grid, state.psi.coeffs - psi_s.coeffs)).l2
         times.append(state.time)
         dists.append(d)
         if d > 1e-2:

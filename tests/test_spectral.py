@@ -20,9 +20,7 @@ from mla.spectral import (
     _jacobian,
     _jacobian_buffers,
     field_from_json,
-    field_to_json,
     jacobian,
-    laplacian,
     load_field,
     norms,
     save_field,
@@ -41,7 +39,7 @@ def rel_err(got, want):
 
 
 def field_dist(f, g):
-    return norms(f - g).l2
+    return norms(ScalarField(f.grid, f.coeffs - g.coeffs)).l2
 
 
 # ---------------------------------------------------------------------
@@ -130,19 +128,29 @@ def test_grid_mismatch_raises():
 
 
 # ---------------------------------------------------------------------
-# laplacian / inverses
+# laplacian / inverses: the Laplacian is the symbol -k_sq
 # ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [8, 32, 48])
+def test_k_sq_matches_second_derivative_oracle(n):
+    # the symbol the stepper's tables and the H1 norm read, on every mode but
+    # the Nyquist row and column (a fraction of 1 keeps all the others): the
+    # oracle's first derivative of their self-conjugate modes is pinned to 0
+    f = ScalarField.random(SpectralGrid(n, 1), np.random.default_rng(n), decay=0.0)
+    want = deriv(deriv(f, 1), 1) + deriv(deriv(f, 2), 2)
+    assert rel_err(-f.grid.k_sq * f.coeffs, want.coeffs) < 1e-15
+
 
 def test_laplacian_eigenfunction():
     f = ScalarField.harmonic(GRID, 1, 0)
-    assert field_dist(laplacian(f), -1.0 * f) < 1e-14
+    assert field_dist(ScalarField(GRID, -GRID.k_sq * f.coeffs), -1.0 * f) < 1e-14
 
 
 @pytest.mark.parametrize("s", [1, 2, 5])
 def test_laplacian_kolmogorov_mode(s):
     # -nu Lap(psi_s) = F_s hinges on Lap cos(s x2) = -s^2 cos(s x2)
     f = ScalarField.harmonic(GRID, 0, s)
-    assert field_dist(laplacian(f), -float(s * s) * f) < 1e-12
+    assert field_dist(ScalarField(GRID, -GRID.k_sq * f.coeffs), -float(s * s) * f) < 1e-12
 
 
 def test_laplacian_matches_finite_differences():
@@ -158,7 +166,7 @@ def test_laplacian_matches_finite_differences():
         + np.roll(phys, 1, axis=1) + np.roll(phys, -1, axis=1)
         - 4 * phys
     ) / h**2
-    spectral = laplacian(f).to_physical()
+    spectral = grid.to_physical(-grid.k_sq * f.coeffs)
     err = np.linalg.norm(spectral - fd) / np.linalg.norm(spectral)
     assert err < 1e-4
 
@@ -173,8 +181,10 @@ def test_inv_laplacian_roundtrip_random():
     worst = 0.0
     for _ in range(100):
         f = ScalarField.random(GRID, rng)
-        worst = max(worst, field_dist(laplacian(inv_laplacian(f)), f))
-        worst = max(worst, field_dist(inv_laplacian(laplacian(f)), f))
+        lap = ScalarField(GRID, -GRID.k_sq * f.coeffs)
+        lap_of_inv = ScalarField(GRID, -GRID.k_sq * inv_laplacian(f).coeffs)
+        worst = max(worst, field_dist(lap_of_inv, f))
+        worst = max(worst, field_dist(inv_laplacian(lap), f))
     assert worst < 1e-13
 
 
@@ -217,7 +227,7 @@ def test_helmholtz_roundtrip_random():
     for _ in range(25):
         f = ScalarField.random(GRID, rng)
         g = helmholtz_inv(f, alpha)
-        back = g - alpha**2 * laplacian(g)  # (I - a^2 Lap) g
+        back = ScalarField(GRID, g.coeffs + alpha**2 * GRID.k_sq * g.coeffs)  # (I - a^2 Lap) g
         worst = max(worst, field_dist(back, f))
     assert worst < 1e-13
 
@@ -225,9 +235,9 @@ def test_helmholtz_roundtrip_random():
 def test_diagonal_operators_commute():
     rng = np.random.default_rng(13)
     f = ScalarField.random(GRID, rng)
-    a = helmholtz_inv(laplacian(f), 0.3)
-    b = laplacian(helmholtz_inv(f, 0.3))
-    assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-15 * np.max(np.abs(a.coeffs))
+    a = helmholtz_inv(ScalarField(GRID, -GRID.k_sq * f.coeffs), 0.3).coeffs
+    b = -GRID.k_sq * helmholtz_inv(f, 0.3).coeffs
+    assert np.max(np.abs(a - b)) < 1e-15 * np.max(np.abs(a))
 
 
 # ---------------------------------------------------------------------
@@ -513,25 +523,27 @@ def test_h_norms_quadrature_oracle():
 # serialization
 # ---------------------------------------------------------------------
 
-def test_field_json_roundtrip_bit_exact():
+def test_field_json_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(43)
     f = ScalarField.random(GRID, rng)
-    g = field_from_json(field_to_json(f))
+    save_field(f, tmp_path / "field.json")
+    g = load_field(tmp_path / "field.json")
     assert g.grid == f.grid
     assert np.array_equal(g.coeffs, f.coeffs)
 
 
-def test_field_fixture_reserializes_byte_identical():
+def test_field_fixture_reserializes_byte_identical(tmp_path):
     # written by the full-spectrum implementation's save_field: a random
     # field, unmasked noise, and modes on the k2 = 0 line, the k1 = n/2 row
     # and the k2 = n/2 column
     path = DATA / "field_n16_v1.json"
-    assert field_to_json(load_field(path)).encode() == path.read_bytes()
+    save_field(load_field(path), tmp_path / "field.json")
+    assert (tmp_path / "field.json").read_bytes() == path.read_bytes()
 
 
 def _whole_document_field_json(f):
     """The serializer that built the whole document before writing it, kept
-    as the byte oracle for the column-streamed ``field_to_json``."""
+    as the byte oracle for the column-streamed ``save_field``."""
     half = f.grid.n_modes // 2
     k1, k2 = np.meshgrid(np.arange(-half, half + 1), np.arange(half + 1))
     keep = (k2 > 0) | (k1 > 0)
@@ -572,7 +584,6 @@ def _nan_field():
 def test_field_json_matches_whole_document_oracle(make, stepped_field_256, tmp_path):
     f = make(stepped_field_256)
     want = _whole_document_field_json(f)
-    assert field_to_json(f) == want
     save_field(f, tmp_path / "field.json")
     assert (tmp_path / "field.json").read_bytes() == want.encode()
 
@@ -612,12 +623,13 @@ def test_field_json_rejects_malformed_containers(doc, message):
         field_from_json(json.dumps(doc))
 
 
-def test_field_json_half_spectrum_axis_line():
+def test_field_json_half_spectrum_axis_line(tmp_path):
     # modes on the k2 = 0 line keep only k1 > 0 representatives
     f = ScalarField.from_modes(GRID, {(3, 0): 2.0 / 2j})
-    g = field_from_json(field_to_json(f))
+    save_field(f, tmp_path / "field.json")
+    g = load_field(tmp_path / "field.json")
     assert np.array_equal(g.coeffs, f.coeffs)
-    doc = json.loads(field_to_json(f))
+    doc = json.loads((tmp_path / "field.json").read_text())
     assert all(k2 > 0 or (k2 == 0 and k1 > 0) for k1, k2, _, _ in doc["modes"])
 
 

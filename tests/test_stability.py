@@ -34,7 +34,6 @@ from mla.stability import (
     build_recurrence_system,
     capital_lambda,
     lambda0_threshold,
-    lattice_points,
     lu_interval,
     principal_sigma,
     region_area,
@@ -51,6 +50,11 @@ A_DELTA_MAX = 0.012
 
 def lam_from_cap(cap, s, alpha):
     return cap * SQRT2PI2 * (1.0 + alpha**2 * s**2)
+
+
+def lattice_points(spec):
+    """The pairs of ``RegionSpec.box()`` that lie in the region: the lattice count."""
+    return [(t, r) for t, r in spec.box() if region_contains_point(spec.delta, spec.s, t, r)]
 
 
 # ---------------------------------------------------------------------
