@@ -133,11 +133,11 @@ def stationary_psi(spec: ForcingSpec, params: ModelParams) -> ScalarField:
 
 
 class _RunBuffers(NamedTuple):
-    """What every step of one run reuses: the symbol of I - alpha^2 Lap, the
-    Jacobian's two (n, m) band arguments, one full-width ``work`` and the
-    Jacobian's work arrays.  ``run`` drops them."""
+    """What every step of one run reuses: the filter 1 / (1 + alpha^2 |k|^2)
+    of I - alpha^2 Lap, the Jacobian's two (n, m) band arguments, one
+    full-width ``work`` and the Jacobian's work arrays.  ``run`` drops them."""
 
-    helmholtz: np.ndarray
+    helmholtz_inv: np.ndarray
     stream: np.ndarray
     filtered: np.ndarray
     work: np.ndarray
@@ -150,7 +150,8 @@ def _run_buffers(params: ModelParams) -> _RunBuffers:
     # raised a simulate run's peak RSS at n = 256 by 0.6 MB.
     grid.neg_inv_k_sq, grid._jacobian_symbols
     band = (grid.n_modes, grid.dealias_band)
-    return _RunBuffers(grid.helmholtz(params.alpha),
+    h = grid.helmholtz(params.alpha)  # inverted in place: one array less at peak
+    return _RunBuffers(np.divide(1.0, h, out=h),
                        np.empty(band, dtype=np.complex128),
                        np.empty(band, dtype=np.complex128),
                        np.empty(grid.shape, dtype=np.complex128),
@@ -163,7 +164,7 @@ def _nonlinear(psi: np.ndarray, params: ModelParams, forcing: np.ndarray,
     over the Jacobian's result (``out``, or fresh); its arguments are band-only."""
     grid, m = params.grid, params.grid.dealias_band
     np.multiply(psi[:, :m], grid.neg_inv_k_sq[:, :m], out=buffers.stream)
-    np.divide(psi[:, :m], buffers.helmholtz[:, :m], out=buffers.filtered)
+    np.multiply(psi[:, :m], buffers.helmholtz_inv[:, :m], out=buffers.filtered)
     jac = _jacobian(grid, buffers.stream, buffers.filtered, buffers.jacobian, out)
     return np.subtract(forcing, jac, out=jac)
 
@@ -174,11 +175,11 @@ def dt_max(state: SolverState, cfl: float = 0.5) -> float:
 
 
 def _dt_max(grid: SpectralGrid, psi: np.ndarray, cfl: float, buffers: _RunBuffers) -> float:
-    """``dt_max`` of the coefficient array psi.  u takes the Jacobian's 1-D
-    passes in ``buffers``: only ``velocity`` allocates."""
+    """``dt_max`` of the coefficient array psi.  u = (-d2, d1) stream takes
+    the Jacobian's 1-D passes in ``buffers``: only its two products allocate."""
     stream = np.multiply(grid.neg_inv_k_sq, psi, out=buffers.work)
     u1, u2 = buffers.jacobian[1:3]
-    for c, phys in zip(grid.velocity(stream), (u1, u2)):
+    for c, phys in zip((-1j * grid.k2 * stream, 1j * grid.k1 * stream), (u1, u2)):
         np.fft.ifft(c, axis=0, norm="forward", out=c)
         np.fft.irfft(c, grid.n_modes, axis=1, norm="forward", out=phys)
         phys *= phys
@@ -287,12 +288,12 @@ def run(state: SolverState, t_final: float, dt: float, forcing: ScalarField,
             raise NumericalError(f"dt={dt} exceeds advective limit {limit} at start")
         acc = 0.0
         # norms of phi = (I - alpha^2 Lap)^{-1} psi, formed in the work array
-        phi = np.divide(psi, buffers.helmholtz, out=buffers.work)
+        phi = np.multiply(psi, buffers.helmholtz_inv, out=buffers.work)
         g_prev = _norms(grid, phi).h1_semi ** 2
         for i in range(n_steps):
             psi = _step(psi, t, dt, params, f, etd, buffers)
             t += dt
-            m = _norms(grid, np.divide(psi, buffers.helmholtz, out=phi))
+            m = _norms(grid, np.multiply(psi, buffers.helmholtz_inv, out=phi))
             acc += 0.5 * (g_prev + m.h1_semi ** 2) * dt
             g_prev = m.h1_semi ** 2
             if (i + 1) % sample_every == 0:

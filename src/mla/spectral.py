@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -79,9 +80,12 @@ class SpectralGrid:
     def __post_init__(self):
         if self.n_modes < 8 or self.n_modes % 2 != 0:
             raise ValueError(f"n_modes must be even and >= 8, got {self.n_modes}")
-        frac = Fraction(self.dealias_fraction)
+        try:
+            frac = Fraction(self.dealias_fraction)
+        except (ZeroDivisionError, OverflowError):  # "1/0", or an infinite float
+            frac = math.nan
         if not (0 < frac <= 1):
-            raise ValueError(f"dealias_fraction must lie in (0, 1], got {frac}")
+            raise ValueError(f"dealias_fraction must lie in (0, 1], got {self.dealias_fraction}")
         object.__setattr__(self, "dealias_fraction", frac)
 
     @cached_property
@@ -125,15 +129,6 @@ class SpectralGrid:
         it is not finite (see ``helmholtz_max``)."""
         self.helmholtz_max(alpha)
         return 1.0 + alpha**2 * self.k_sq
-
-    def velocity(self, stream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficient arrays of u = (-d2, d1) stream."""
-        return -1j * self.k2 * stream, 1j * self.k1 * stream
-
-    def to_physical(self, c: np.ndarray) -> np.ndarray:
-        """Values of the coefficient array c at the nodes 2 pi (i1, i2) / n."""
-        n = self.n_modes
-        return np.fft.irfft2(c, s=(n, n)) * n**2
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -214,10 +209,6 @@ class ScalarField:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zeros(cls, grid: SpectralGrid) -> "ScalarField":
-        return cls(grid, np.zeros(grid.shape, dtype=np.complex128))
-
-    @classmethod
     def harmonic(cls, grid: SpectralGrid, k1: int, k2: int,
                  amplitude: float = 1.0) -> "ScalarField":
         """amplitude * cos(k.x) as a field."""
@@ -258,17 +249,6 @@ class ScalarField:
         # an overflowing quotient would make the masked modes inf * 0 = nan
         return f * scale if math.isfinite(scale) else f * (1.0 / l2) * amplitude
 
-    # -- basic queries ------------------------------------------------
-
-    def coeff(self, k1: int, k2: int) -> complex:
-        """c_k for |k1|, |k2| <= n/2; k2 < 0 reads conj(c_{-k})."""
-        if k2 < 0:
-            return self.coeff(-k1, -k2).conjugate()
-        return complex(self.coeffs[self.grid.index_of(k1, k2)])
-
-    def to_physical(self) -> np.ndarray:
-        return self.grid.to_physical(self.coeffs)
-
     # -- arithmetic ---------------------------------------------------
 
     def _require_same_grid(self, other: "ScalarField") -> None:
@@ -283,8 +263,6 @@ class ScalarField:
 
     def __mul__(self, scalar: float) -> "ScalarField":
         return ScalarField(self.grid, self.coeffs * scalar)
-
-    __rmul__ = __mul__
 
 
 class FieldNorms(NamedTuple):
@@ -400,8 +378,10 @@ def _field_json_chunks(f: ScalarField):
 
 def field_from_json(text: str) -> ScalarField:
     """Read ``save_field``'s container.  ValueError where it is malformed:
-    not an object of this format, a key missing, or a size or wavenumber that
-    is not a JSON integer (int() would truncate it)."""
+    not an object of this format, a key missing, a size or wavenumber that
+    is not a JSON integer (int() would truncate it), a dealias fraction
+    outside (0, 1] such as "1/0", or a coefficient that is not a finite
+    float (NaN, Infinity, -Infinity, or a literal such as 1e999)."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != FIELD_FORMAT:
         raise ValueError(f"not an {FIELD_FORMAT} field container")
@@ -411,7 +391,10 @@ def field_from_json(text: str) -> ScalarField:
             and all(type(v) in (int, float) for v in m[2:]) for m in modes)):
         raise ValueError(f"an {FIELD_FORMAT} container needs an integer n_modes, a string "
                          "dealias_fraction and modes [k1, k2, re, im], k1 and k2 integers")
-    return ScalarField.from_modes(SpectralGrid(n, Fraction(frac)), {
+    for m in modes:  # NaN <= max is false, and an int compares exactly
+        if not all(abs(v) <= sys.float_info.max for v in m[2:]):
+            raise ValueError(f"{FIELD_FORMAT} mode {m}: a coefficient is not a finite float")
+    return ScalarField.from_modes(SpectralGrid(n, frac), {
         (k1, k2): complex(re, im) for k1, k2, re, im in modes})
 
 

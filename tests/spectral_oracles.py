@@ -1,7 +1,13 @@
 """Field operators that only the tests use: spectral derivatives, the
-inverse Laplacian and Helmholtz operators, the L2 inner product and the
-physical nodes.  Each builds a new ``ScalarField`` or array per call; the
-package's stepper works on coefficient arrays instead."""
+inverse Laplacian and Helmholtz operators, the L2 inner product, the
+physical nodes and a coefficient read.  Each builds a new ``ScalarField`` or
+array per call; the package's stepper works on coefficient arrays instead.
+
+Two are the independent references for the run's two-pass kernels:
+``to_physical``, the whole-grid ``irfft2`` transform to node values, which
+the Jacobian, ``dt_max`` and norm tests compare ``spectral._jacobian`` and
+``dynamics._dt_max`` against, and ``velocity``, the products of u =
+(-d2, d1) stream that ``dynamics._dt_max`` forms inline."""
 
 import numpy as np
 
@@ -41,7 +47,30 @@ def inner(f: ScalarField, g: ScalarField) -> float:
     return float(np.real(_full_sum(f.coeffs * np.conj(g.coeffs))) * vol)
 
 
+def coeff(f: ScalarField, k1: int, k2: int) -> complex:
+    """c_k of f for |k1|, |k2| <= n/2; k2 < 0 reads conj(c_{-k})."""
+    if k2 < 0:
+        return coeff(f, -k1, -k2).conjugate()
+    return complex(f.coeffs[f.grid.index_of(k1, k2)])
+
+
+def velocity(grid: SpectralGrid, stream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient arrays of u = (-d2, d1) stream."""
+    return -1j * grid.k2 * stream, 1j * grid.k1 * stream
+
+
+def to_physical(grid: SpectralGrid, c: np.ndarray) -> np.ndarray:
+    """Values of the coefficient array c at the nodes 2 pi (i1, i2) / n."""
+    n = grid.n_modes
+    return np.fft.irfft2(c, s=(n, n)) * n**2
+
+
+def field_values(f: ScalarField) -> np.ndarray:
+    """``to_physical`` of a field's coefficients."""
+    return to_physical(f.grid, f.coeffs)
+
+
 def physical_nodes(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The (x1, x2) nodes of ``SpectralGrid.to_physical``, indexed [i1, i2]."""
+    """The (x1, x2) nodes of ``to_physical``, indexed [i1, i2]."""
     x = 2.0 * np.pi * np.arange(grid.n_modes) / grid.n_modes
     return np.meshgrid(x, x, indexing="ij")

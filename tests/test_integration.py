@@ -28,8 +28,8 @@ from mla.stability import (
 )
 
 GRID = SpectralGrid(16)
-_STATE = SolverState(psi=ScalarField.zeros(GRID), time=0.0,
-                     params=ModelParams(nu=1.0, alpha=0.0, grid=GRID))
+_ZERO = ScalarField(GRID, np.zeros(GRID.shape, complex))
+_STATE = SolverState(psi=_ZERO, time=0.0, params=ModelParams(nu=1.0, alpha=0.0, grid=GRID))
 # each library entry point outside its domain: (call, start of the ValueError)
 _OUT_OF_DOMAIN = {
     "params-nu": (lambda: ModelParams(nu=0.0, alpha=0.0, grid=GRID), "nu must be positive"),
@@ -37,8 +37,8 @@ _OUT_OF_DOMAIN = {
                      "alpha must be nonnegative"),
     "forcing-s": (lambda: ForcingSpec(s=0, lam=1.0), "s must be a positive integer"),
     "forcing-lam": (lambda: ForcingSpec(s=1, lam=0.0), "lam must be positive"),
-    "run-sample-every": (lambda: run(_STATE, 1.0, 0.1, ScalarField.zeros(GRID),
-                                     sample_every=0), "sample_every must be"),
+    "run-sample-every": (lambda: run(_STATE, 1.0, 0.1, _ZERO, sample_every=0),
+                         "sample_every must be"),
     "field-shape": (lambda: ScalarField(GRID, np.zeros((16, 16))), "coeffs shape"),
     "field-harmonic-00": (lambda: ScalarField.harmonic(GRID, 0, 0),
                           "harmonic requires a nonzero wavevector"),
