@@ -126,6 +126,10 @@ DEFAULTS: dict[str, dict[str, tuple]] = {
         "alpha": ("number", 0.0, _nonneg, "must be >= 0"),
         "lambda": ("number", None, lambda x: x is None or x > 0,
                    "must be > 0 when given (default: the sqrt(2)-boosted driver)"),
+        # the count window's defaults.  c2 = 0.105 keeps the +-c2 s corners
+        # inside the region (which needs c3 > sqrt(c2 (2 - c2)) = 0.446) while
+        # the floor(c2 s) window stays nearly proportional across s; (0.46,
+        # 0.56) is the widest annulus that then fits under sqrt(1/3 - c2^2).
         "delta_star": ("number", 0.2, lambda x: 0 < x < 1 / math.sqrt(3),
                        "must lie in (0, 1/sqrt(3))"),
         "c2": ("number", 0.105, _positive, "must be > 0"),
@@ -176,10 +180,16 @@ def _plan_simulate(p: dict) -> dict:
         errors.append(f"{cause}: the forcing amplitude nu^2 lambda s^3 / (sqrt2 pi) "
                       f"or its bound (nu^2 lambda s^2)^2 / nu^2 is not finite "
                       f"(nu = {p['nu']!r}, lambda = {p['lambda']!r})")
-    try:  # the run divides by the Helmholtz symbol
-        grid.helmholtz_max(p["alpha"])
-    except ValueError as exc:
-        errors.append(f"alpha: {exc}")
+    # numpy makes no array of more than sys.maxsize bytes; on such a grid the
+    # Helmholtz symbol's |k|^2 may overflow a float whatever alpha is
+    if (n := p["n_modes"]) * (n // 2 + 1) * 16 > sys.maxsize:
+        errors.append(f"n_modes: one complex half-spectrum, n_modes (n_modes/2 + 1) 16 bytes, "
+                      f"exceeds the largest array of {sys.maxsize:,} bytes (n_modes = {n})")
+    else:
+        try:  # the run divides by the Helmholtz symbol
+            grid.helmholtz_max(p["alpha"])
+        except ValueError as exc:
+            errors.append(f"alpha: {exc}")
     # run takes round(t_final / dt) steps; the quotient may overflow to inf
     if p["t_final"] / p["dt"] > MAX_STEPS:
         errors.append(f"t_final: t_final / dt = {p['t_final'] / p['dt']:.3g} "

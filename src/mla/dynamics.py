@@ -12,7 +12,7 @@ fixed points are exactly stationary.  Its phi1 and phi2 tables (Cox and
 Matthews, J. Comput. Phys. 176, 2002) come from one pass, ``_etd_tables``.
 ``run`` steps plain coefficient
 arrays through the private kernels ``_step`` and ``_dt_max`` and wraps only
-the state it returns; ``step_imex`` and ``dt_max`` wrap the same kernels.
+the state it returns; ``step_imex`` wraps the same step kernel.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "AsymptoticReport",
     "kolmogorov_forcing",
     "stationary_psi",
-    "dt_max",
     "step_imex",
     "run",
     "check_asymptotic_bounds",
@@ -169,14 +168,10 @@ def _nonlinear(psi: np.ndarray, params: ModelParams, forcing: np.ndarray,
     return np.subtract(forcing, jac, out=jac)
 
 
-def dt_max(state: SolverState, cfl: float = 0.5) -> float:
-    """Advective limit dt <= cfl / (max|u| k_max); inf for a quiescent field."""
-    return _dt_max(state.psi.grid, state.psi.coeffs, cfl, _run_buffers(state.params))
-
-
 def _dt_max(grid: SpectralGrid, psi: np.ndarray, cfl: float, buffers: _RunBuffers) -> float:
-    """``dt_max`` of the coefficient array psi.  u = (-d2, d1) stream takes
-    the Jacobian's 1-D passes in ``buffers``: only its two products allocate."""
+    """The advective limit dt <= cfl / (max|u| k_max) of the coefficient array
+    psi; inf for a quiescent field.  u = (-d2, d1) stream takes the Jacobian's
+    1-D passes in ``buffers``: only its two products allocate."""
     stream = np.multiply(grid.neg_inv_k_sq, psi, out=buffers.work)
     u1, u2 = buffers.jacobian[1:3]
     for c, phys in zip((-1j * grid.k2 * stream, 1j * grid.k1 * stream), (u1, u2)):
@@ -218,9 +213,9 @@ def step_imex(state: SolverState, dt: float, forcing: ScalarField) -> SolverStat
 
     Steady states (N balancing diffusion exactly) are fixed points of the
     update, and smooth solutions converge at second order.  Callers are
-    responsible for the advective limit dt <= dt_max(state); see run(),
-    which takes its steps through the same kernel with tables and buffers
-    built once.  This call builds both for its one step.
+    responsible for the advective limit; see run(), which checks it with
+    ``_dt_max`` and takes its steps through the same kernel with tables and
+    buffers built once.  This call builds both for its one step.
     """
     p = state.params
     etd = _etd_tables(p.grid, p.nu, dt)

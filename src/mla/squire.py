@@ -58,7 +58,6 @@ __all__ = [
     "count_triples",
     "lambda2_threshold",
     "lambda3_driver",
-    "DEFAULT_WINDOW",
 ]
 
 _SQRT2PI = math.sqrt(2.0) * math.pi
@@ -401,7 +400,7 @@ class CountWindow:
     c2: float
     c3: float
     c4: float
-    delta_star: float = 0.2
+    delta_star: float
 
     def __post_init__(self):
         if not (0 < self.c2 and 0 < self.c3 < self.c4):
@@ -425,13 +424,6 @@ class CountWindow:
         return 0.5 * math.pi * self.c2 * (self.c4**2 - self.c3**2)
 
 
-#: c2 = 0.105 keeps the +-c2 s corners inside the region (which needs
-#: c3 > sqrt(c2 (2 - c2)) = 0.446) while the floor(c2 s) window stays
-#: nearly proportional across s; (0.46, 0.56) is the widest annulus that
-#: then fits under sqrt(1/3 - c2^2).
-DEFAULT_WINDOW = CountWindow(c2=0.105, c3=0.46, c4=0.56, delta_star=0.2)
-
-
 @dataclass(frozen=True)
 class TripleCount:
     s: int
@@ -439,21 +431,22 @@ class TripleCount:
     c5_fit: float
 
 
+#: relative widening of the window's edges against float boundaries
+_WINDOW_EPS = 1e-9
+
+
 def _window_r_max(s: int, window: CountWindow) -> int:
-    """Largest |r| in the window: floor(c2 s), with a tiny tolerance
-    against float boundaries."""
-    return int(math.floor(window.c2 * s * (1 + 1e-9)))
+    """Largest |r| in the window: floor(c2 s), edge widened."""
+    return int(math.floor(window.c2 * s * (1 + _WINDOW_EPS)))
 
 
 def _window_rows(s: int, window: CountWindow):
     """Rows (a, b_lo, b_hi), a ascending: the integer (a, b) with |b| <= a
-    and c3 s <= sqrt(a^2+b^2) <= c4 s (inclusive bounds, tiny tolerance
-    against float boundaries) are those with b_lo <= |b| <= b_hi.  The
-    bounds on a^2 + b^2 are rounded inward once, so every comparison after
-    that is exact in integers."""
-    eps = 1e-9
-    lo = math.ceil((window.c3 * s) ** 2 * (1 - eps))
-    hi = math.floor((window.c4 * s) ** 2 * (1 + eps))
+    and c3 s <= sqrt(a^2+b^2) <= c4 s (inclusive bounds, edges widened) are
+    those with b_lo <= |b| <= b_hi.  The bounds on a^2 + b^2 are rounded
+    inward once, so every comparison after that is exact in integers."""
+    lo = math.ceil((window.c3 * s) ** 2 * (1 - _WINDOW_EPS))
+    hi = math.floor((window.c4 * s) ** 2 * (1 + _WINDOW_EPS))
     for a in range(1, math.isqrt(hi) + 1):
         b_hi = min(a, math.isqrt(hi - a * a))
         b_lo = math.isqrt(lo - a * a - 1) + 1 if lo > a * a else 0
@@ -461,7 +454,7 @@ def _window_rows(s: int, window: CountWindow):
             yield a, b_lo, b_hi
 
 
-def admissible_triples(s: int, window: CountWindow = DEFAULT_WINDOW):
+def admissible_triples(s: int, window: CountWindow):
     """Yield the integer (a, b, r) of the window rows (``_window_rows``)
     with |r| <= c2 s, in (a, b, r) order, each built when it is taken.
 
@@ -484,7 +477,7 @@ def admissible_triples(s: int, window: CountWindow = DEFAULT_WINDOW):
                 yield tr
 
 
-def count_triples(s: int, window: CountWindow = DEFAULT_WINDOW) -> TripleCount:
+def count_triples(s: int, window: CountWindow) -> TripleCount:
     """Exact count of ``admissible_triples`` from the window rows (O(s)
     time and memory), plus the density fit count/s^3."""
     pairs = sum(2 * (b_hi - b_lo + 1) - (b_lo == 0)

@@ -11,6 +11,7 @@ import pytest
 from mla import bounds as bounds_mod
 from mla import dynamics, spectral, squire, stability
 from spectral_oracles import coeff, deriv, field_values, inner
+from test_squire import SHIPPED_WINDOW
 from test_stability import (derived_lower_coefficient, full_linearization_spectrum,
                             lattice_points)
 
@@ -319,7 +320,8 @@ def test_criterion_10_squire_pipeline():
         worst_growth = max(worst_growth, float(np.max(vals.real)))
     assert worst_growth < 1e-10
 
-    fits = {ss: squire.count_triples(ss).c5_fit for ss in (50, 100, 200, 400)}
+    fits = {ss: squire.count_triples(ss, SHIPPED_WINDOW).c5_fit
+            for ss in (50, 100, 200, 400)}
     for ss in (50, 100, 200):
         assert abs(fits[ss] / fits[400] - 1.0) < 0.10
     elapsed = time.monotonic() - t0

@@ -93,6 +93,23 @@ def test_parse_rejects_negative_seed():
         parse_config(json.dumps(dict(MINIMAL_SIMULATE, seed=-1)))
 
 
+@pytest.mark.parametrize("doc,error", [
+    ({"command": "nope"}, "command: must be one of simulate, stability, bounds, squire, "
+                          "report, got 'nope'"),
+    ({"s": 4}, "command: must be one of simulate, stability, bounds, squire, report, "
+               "got None"),
+    (dict(MINIMAL_SIMULATE, output_dir=3), "output_dir: must be a string"),
+    (dict(MINIMAL_SIMULATE, dealias_fraction="abc"),
+     "dealias_fraction: must be a fraction in (0, 1] (got 'abc')"),
+    (dict(MINIMAL_SIMULATE, dealias_fraction="1/0"),
+     "dealias_fraction: must be a fraction in (0, 1] (got '1/0')"),
+], ids=["unknown-command", "missing-command", "output_dir", "fraction-abc", "fraction-1/0"])
+def test_parse_error_message_is_pinned(doc, error):
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.errors == [error]
+
+
 # A valid document per command: generated overrides of its keys reach the
 # cross-field checks as well as the per-field ones.
 _VALID = {
@@ -494,12 +511,12 @@ def test_shipped_artifacts_are_byte_identical(tmp_path):
 
 
 def test_shipped_runs_call_no_field_wrapper(tmp_path, monkeypatch):
-    # spectral.jacobian, dynamics.step_imex and dynamics.dt_max wrap the run
-    # kernels for the benchmark's baseline and tracer; no shipped run calls them
+    # spectral.jacobian and dynamics.step_imex wrap the run kernels; only
+    # perfbench/baseline.py calls them, and no shipped run does
     def off_the_run_path(*args, **kw):
         raise AssertionError("a shipped run called a field wrapper")
 
-    for owner, name in ((spectral, "jacobian"), (dynamics, "step_imex"), (dynamics, "dt_max")):
+    for owner, name in ((spectral, "jacobian"), (dynamics, "step_imex")):
         monkeypatch.setattr(owner, name, off_the_run_path)
     want = json.loads(SHIPPED_SHA256.read_text())
     for name in ("stability_scan", "squire_study", "bounds_grid", "two_sided_report",
@@ -778,7 +795,12 @@ def test_main_non_finite_number_is_one_config_error(tmp_path, capsys, token, whe
     ({"command": "squire", "s": 6, "delta_star": 1e-160}, "delta_star"),
     (dict(MINIMAL_SIMULATE, t_final=1e300, dt=0.01), "t_final"),
     (dict(MINIMAL_SIMULATE, t_final=1e300, dt=1e-300), "t_final"),
-], ids=["delta", "delta_star", "delta_inf", "delta_star_inf", "steps", "steps_inf"])
+    # each run ended in "internal error: ValueError: array is too big" or
+    # "Maximum allowed dimension exceeded"; at 10**200 the Helmholtz check
+    # blamed alpha = 0 as well
+    *((dict(MINIMAL_SIMULATE, n_modes=n), "n_modes") for n in (2**40, 2**62, 10**30, 10**200)),
+], ids=["delta", "delta_star", "delta_inf", "delta_star_inf", "steps", "steps_inf",
+        "n_modes-2^40", "n_modes-2^62", "n_modes-10^30", "n_modes-10^200"])
 def test_main_underflow_and_step_count_are_one_config_error(tmp_path, capsys,
                                                             doc, field):
     # parse_config only: none of these runs is started
@@ -789,6 +811,15 @@ def test_main_underflow_and_step_count_are_one_config_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_half_spectrum_ceiling_is_inclusive():
+    # parse only: at the ceiling the plan is built, and makes no array
+    n = 2 * math.isqrt(sys.maxsize // 32)  # the largest even n within it
+    assert n * (n // 2 + 1) * 16 <= sys.maxsize < (n + 2) * (n // 2 + 2) * 16
+    assert parse_config(json.dumps(dict(MINIMAL_SIMULATE, n_modes=n))).plan["grid"].n_modes == n
+    with pytest.raises(ConfigError, match="n_modes: one complex half-spectrum"):
+        parse_config(json.dumps(dict(MINIMAL_SIMULATE, n_modes=n + 2)))
 
 
 def test_step_count_ceiling_is_inclusive():
@@ -1317,13 +1348,6 @@ def test_plan_is_no_part_of_config_equality_or_repr():
     assert cfg == twin and repr(cfg) == repr(twin)
     assert "plan" not in repr(cfg) and "plan" not in serialize_config(cfg)
     assert cfg.plan["grid"] == spectral.SpectralGrid(64)
-
-
-def test_squire_window_defaults_are_the_default_window():
-    # cli.DEFAULTS states them as literals, so that parsing loads no module
-    defaults = {key: cli.DEFAULTS["squire"][key][1]
-                for key in ("c2", "c3", "c4", "delta_star")}
-    assert squire.CountWindow(**defaults) == squire.DEFAULT_WINDOW
 
 
 if __name__ == "__main__":

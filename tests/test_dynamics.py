@@ -21,7 +21,6 @@ from mla.dynamics import (
     _run_buffers,
     _step,
     check_asymptotic_bounds,
-    dt_max,
     initial_state,
     kolmogorov_forcing,
     run,
@@ -50,6 +49,11 @@ SQRT2PI = math.sqrt(2.0) * math.pi
 
 def params(nu=1.0, alpha=0.0, grid=GRID):
     return ModelParams(nu=nu, alpha=alpha, grid=grid)
+
+
+def advective_limit(state, cfl=0.5):
+    """The run's advective limit of a state: ``_dt_max`` with fresh buffers."""
+    return _dt_max(state.psi.grid, state.psi.coeffs, cfl, _run_buffers(state.params))
 
 
 def dist(f, g):
@@ -407,7 +411,7 @@ def test_cfl_guard():
     psi0 = ScalarField.random(GRID, rng, amplitude=50.0)
     state = SolverState(psi=psi0, time=0.0, params=p)
     F = ScalarField(GRID, np.zeros(GRID.shape, complex))
-    limit = dt_max(state)
+    limit = advective_limit(state)
     assert np.isfinite(limit)
     with pytest.raises(NumericalError, match="advective limit"):
         run(state, t_final=1.0, dt=limit * 10, forcing=F)
@@ -420,8 +424,8 @@ def test_cfl_guard_mid_run_names_the_limit():
     F = kolmogorov_forcing(ForcingSpec(s=2, lam=1e6), p)
     state = SolverState(psi=ScalarField(GRID, np.zeros(GRID.shape, complex)),
                         time=0.0, params=p)
-    assert dt_max(state) == math.inf
-    limit = dt_max(step_imex(state, 0.05, F))
+    assert advective_limit(state) == math.inf
+    limit = advective_limit(step_imex(state, 0.05, F))
     assert 0.0 < limit < 0.05
     with pytest.raises(NumericalError) as exc:
         run(state, t_final=20.0, dt=0.05, forcing=F)
@@ -429,7 +433,7 @@ def test_cfl_guard_mid_run_names_the_limit():
 
 
 def _dt_max_reference(state, cfl=0.5):
-    """dt_max as it was before it reused the run's buffers: each velocity
+    """The advective limit as it was before it reused the run's buffers: each velocity
     component through irfft2 (``spectral_oracles.to_physical``), then the max
     of |u|.  The oracle for the buffered path."""
     grid = state.psi.grid
@@ -465,7 +469,7 @@ def test_buffered_dt_max_is_bit_identical_to_irfft2_reference(n):
     for state, buffers in _dt_max_states(n):
         want = _dt_max_reference(state, 0.3)
         assert _dt_max(state.psi.grid, state.psi.coeffs, 0.3, buffers) == want
-        assert dt_max(state, 0.3) == want
+        assert advective_limit(state, 0.3) == want
 
 
 def test_buffered_dt_max_matches_irfft2_reference_to_rounding():
@@ -479,7 +483,7 @@ def test_dt_max_of_quiescent_field_is_inf():
     p = params(grid=SpectralGrid(64))
     state = SolverState(psi=ScalarField(p.grid, np.zeros(p.grid.shape, complex)),
                         time=0.0, params=p)
-    assert dt_max(state) == math.inf == _dt_max_reference(state)
+    assert advective_limit(state) == math.inf == _dt_max_reference(state)
 
 
 def _traced_peak(call):

@@ -22,10 +22,9 @@ from hypothesis import strategies as st
 
 from mla import NumericalError, squire
 from mla.bounds import lower_bound_dim3d
-from mla.cli import parse_config
+from mla.cli import DEFAULTS, main, parse_config
 from mla.squire import (
     CountWindow,
-    DEFAULT_WINDOW,
     Mode1DProfile,
     Setup3D,
     SquireTriple,
@@ -47,6 +46,9 @@ from mla.squire import (
 )
 
 S, ALPHA, NU, DSTAR = 6, 0.0, 1.0, 0.2
+#: the shipped count window, from the one statement of its defaults
+SHIPPED_WINDOW = CountWindow(**{key: DEFAULTS["squire"][key][1]
+                                for key in ("c2", "c3", "c4", "delta_star")})
 
 
 def driver_setup(s=S, alpha=ALPHA, nu=NU, delta=DSTAR):
@@ -499,6 +501,33 @@ def test_lift_residuals_across_admissible_band():
         assert mode.incompressibility_residual() < 1e-10
 
 
+def test_lift_residual_gate_names_the_residuals(monkeypatch):
+    # the lifts of these tests stay far below the gate, so it is lowered to reach it
+    setup = driver_setup()
+    triple = SquireTriple(a=3, b=1, r=0)
+    two_d = solve_hat_mode(triple, setup)
+    residuals = lift_mode(triple, two_d, setup).residuals
+    monkeypatch.setattr(squire, "LIFT_RESIDUAL_TOL", 0.0)
+    with pytest.raises(NumericalError) as exc:
+        lift_mode(triple, two_d, setup)
+    assert str(exc.value) == f"lifted mode residuals {residuals} exceed 0.0"
+
+
+def test_lift_residual_failure_exits_3_without_triples(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(squire, "LIFT_RESIDUAL_TOL", 0.0)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps({"command": "squire", "s": S, "max_lifts": 1,
+                               "count_s": [20]}))
+    assert main(["squire", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: lifted mode residuals {'eq1': ")
+    assert err.count("\n") == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error" and manifest["outputs"] == []
+    assert manifest["error"].startswith("NumericalError: lifted mode residuals")
+    assert not (out / "triples.csv").exists()
+
+
 def triple_threshold_margin(triple):
     """sqrt(2) a / a_hat - 1 >= 0 for |b| <= a: the per-triple check that
     the sqrt(2)-boosted amplitude clears the rescaled threshold."""
@@ -625,7 +654,7 @@ def test_a0_matches_full_pencil_oracle():
 
 def test_count_window_validation():
     with pytest.raises(ValueError):
-        CountWindow(c2=0.1, c3=0.3, c4=0.2)
+        CountWindow(c2=0.1, c3=0.3, c4=0.2, delta_star=0.2)
     # the (0.1, 0.2, 0.3) rectangle pokes outside the region: the corner
     # (0.3, 0.1) has 0.09 + 0.81 = 0.90 < 1 on the shifted circle
     with pytest.raises(ValueError):
@@ -634,7 +663,7 @@ def test_count_window_validation():
 
 
 def test_count_matches_bruteforce():
-    w = DEFAULT_WINDOW
+    w = SHIPPED_WINDOW
     s = 10
     brute = 0
     for a in range(1, 12):
@@ -660,9 +689,9 @@ def _float_admissible_triples(s, w):
             for r in range(-r_hi, r_hi + 1)]
 
 
-@pytest.mark.parametrize("w", [DEFAULT_WINDOW,
-                               CountWindow(c2=0.08, c3=0.45, c4=0.5),
-                               CountWindow(c2=0.02, c3=0.3, c4=0.55)])
+@pytest.mark.parametrize("w", [SHIPPED_WINDOW,
+                               CountWindow(c2=0.08, c3=0.45, c4=0.5, delta_star=0.2),
+                               CountWindow(c2=0.02, c3=0.3, c4=0.55, delta_star=0.2)])
 def test_window_rows_match_float_window_oracle(w):
     # the same triples in the same (a, b, r) order, and a count that agrees
     for s in range(1, 121):
@@ -684,28 +713,28 @@ def _dense_count(s, w):
     return pairs * (2 * int(math.floor(w.c2 * s * (1 + eps))) + 1)
 
 
-@pytest.mark.parametrize("w", [DEFAULT_WINDOW,
-                               CountWindow(c2=0.08, c3=0.45, c4=0.5)])
+@pytest.mark.parametrize("w", [SHIPPED_WINDOW,
+                               CountWindow(c2=0.08, c3=0.45, c4=0.5, delta_star=0.2)])
 def test_count_matches_dense_grid_oracle(w):
     for s in list(range(1, 300)) + [1000, 1600]:
         assert count_triples(s, w).count == _dense_count(s, w)
 
 
 def test_count_b_reflection_symmetry():
-    trs = list(admissible_triples(20, DEFAULT_WINDOW))
+    trs = list(admissible_triples(20, SHIPPED_WINDOW))
     keys = set((t.a, t.b, t.r) for t in trs)
     for t in trs:
         assert (t.a, -t.b, t.r) in keys
 
 
 def test_count_density_converges():
-    fits = {s: count_triples(s).c5_fit for s in (50, 100, 200, 400)}
+    w = SHIPPED_WINDOW
+    fits = {s: count_triples(s, w).c5_fit for s in (50, 100, 200, 400)}
     for s in (50, 100, 200):
         assert abs(fits[s] / fits[400] - 1.0) < 0.10
     # the empirical density lands on the full-window candidate, twice the
     # half-window one; both are reported, neither adjudicated
-    w = DEFAULT_WINDOW
-    assert count_triples(400).c5_fit == pytest.approx(w.c5_fullwindow(), rel=0.05)
+    assert count_triples(400, w).c5_fit == pytest.approx(w.c5_fullwindow(), rel=0.05)
     assert w.c5_fullwindow() == pytest.approx(2.0 * w.c5_halfwindow(), rel=1e-12)
 
 

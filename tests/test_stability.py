@@ -42,6 +42,7 @@ from mla.stability import (
 )
 from mla.cli import parse_config
 from mla.squire import admissible_triples, hat_problem, lambda2_threshold
+from test_squire import SHIPPED_WINDOW
 
 SQRT2PI2 = 2.0 * math.sqrt(2.0) * math.pi
 #: max over delta of a(delta) * delta^(4/3), to the reported two digits.
@@ -739,7 +740,7 @@ def test_fast_selection_agrees_with_dense_oracle_on_squire_hat_chains(monkeypatc
     from mla import squire
 
     lam = squire.lambda3_driver(20, 0.05, 0.2)
-    triples = list(squire.admissible_triples(20))
+    triples = list(squire.admissible_triples(20, SHIPPED_WINDOW))
     for i in np.random.default_rng(5).choice(len(triples), 3, replace=False):
         prob = squire.hat_problem(triples[i], 20, lam, 0.05)
         assert _agree(*_fast_and_dense(
