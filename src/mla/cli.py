@@ -165,7 +165,7 @@ def _plan_simulate(p: dict) -> dict:
     errors = []
     if not grid.keeps(0, p["s"]):  # the forcing's mode
         errors.append(f"s: forcing wavenumber s={p['s']} is at or beyond the dealias "
-                      f"cutoff {grid.dealias_cutoff}")
+                      f"band m = {grid.dealias_band}")
     # the forcing amplitude and bounds_report.json's bound may overflow (to inf
     # or in **) or divide by a nu**2 that underflowed to 0.  The steady state's
     # nu lam s is at most max(lam, nu^2 lam s^3), so it is finite when both are.
@@ -346,6 +346,10 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(
             [f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
+    except ConfigError:
+        raise
+    except (ValueError, RecursionError) as exc:  # an int past the digit limit, deep nesting
+        raise ConfigError([f"cannot read the JSON: {exc}"]) from None
     errors: list[str] = []
     if not isinstance(doc, dict):
         raise ConfigError(["top level must be a JSON object"])

@@ -15,8 +15,8 @@ through physical space, with the 2/3-rule (configurable fraction) applied
 to its result.  Symbol tables and array operators live on ``SpectralGrid``;
 the stepper in ``mla.dynamics`` uses them and the array kernel
 ``_jacobian`` without building fields.  The grid states the dealias rule
-once: a mode is kept iff max(|k1|, |k2|) < m = ceil(cutoff) (``keeps``,
-``dealias_band``).
+once, in integers: a mode is kept iff max(|k1|, |k2|) < m, with
+m = ceil(dealias_fraction * n/2) computed exactly (``keeps``, ``dealias_band``).
 
 Each 2-D transform of the Jacobian is two 1-D passes with the scaling
 inside (``norm="forward"``), so dealiasing the result only zeroes the modes
@@ -71,7 +71,7 @@ class SpectralGrid:
 
     ``dealias_fraction`` is the cutoff fraction of the Nyquist wavenumber;
     modes with max(|k1|, |k2|) >= dealias_fraction * n_modes/2 are dropped
-    by the dealiasing mask (2/3-rule by default).
+    by dealiasing (2/3-rule by default).
     """
 
     n_modes: int
@@ -89,13 +89,10 @@ class SpectralGrid:
         object.__setattr__(self, "dealias_fraction", frac)
 
     @cached_property
-    def wavenumbers(self) -> np.ndarray:
-        """Integer wavenumbers in FFT order, shape (n_modes,)."""
-        return np.fft.fftfreq(self.n_modes, d=1.0 / self.n_modes).astype(np.int64)
-
-    @cached_property
     def k1(self) -> np.ndarray:
-        return self.wavenumbers[:, None].astype(np.float64)
+        """Wavenumbers 0..n/2-1, -n/2..-1 in FFT order, as an (n, 1) column."""
+        n = self.n_modes
+        return ((np.arange(n) + n // 2) % n - n // 2)[:, None].astype(np.float64)
 
     @cached_property
     def k2(self) -> np.ndarray:
@@ -135,31 +132,23 @@ class SpectralGrid:
         """Shape of a stored coefficient array (the rfft2 half-spectrum)."""
         return (self.n_modes, self.n_modes // 2 + 1)
 
-    @property
-    def dealias_cutoff(self) -> float:
-        """Largest |k_i| kept is the biggest integer strictly below this."""
-        return float(self.dealias_fraction) * self.n_modes / 2.0
-
     @cached_property
     def dealias_band(self) -> int:
-        """m = ceil(cutoff): the largest |k_i| kept is m - 1."""
-        return math.ceil(self.dealias_cutoff)
+        """m = ceil(dealias_fraction * n_modes/2), exact: the largest |k_i| kept
+        is m - 1."""
+        return math.ceil(self.dealias_fraction * self.n_modes / 2)
 
     def keeps(self, k1, k2):
-        """Whether the mask keeps (k1, k2), integers or broadcast arrays."""
+        """Whether dealiasing keeps (k1, k2), integers or broadcast arrays."""
         return (abs(k1) < self.dealias_band) & (abs(k2) < self.dealias_band)
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        return self.keeps(self.k1, self.k2)
 
     @cached_property
     def _jacobian_symbols(self) -> tuple[np.ndarray, np.ndarray]:
         """Masked i k1 and i k2 on the dealias band k2 < m, which holds every
         kept mode: an (n, 1) column and an (n, m) array."""
-        mask = self.dealias_mask[:, :self.dealias_band]
-        return (np.where(mask[:, :1], 1j * self.k1, 0j),
-                np.where(mask, 1j * self.k2[:, :mask.shape[1]], 0j))
+        k2 = self.k2[:, :self.dealias_band]
+        return (np.where(self.keeps(self.k1, 0), 1j * self.k1, 0j),
+                np.where(self.keeps(self.k1, k2), 1j * k2, 0j))
 
     def index_of(self, k1: int, k2: int) -> tuple[int, int]:
         """Storage index of the wavevector (k1, k2), |k1| <= n/2, 0 <= k2 <= n/2."""
@@ -215,8 +204,8 @@ class ScalarField:
         if (k1, k2) == (0, 0):
             raise ValueError("harmonic requires a nonzero wavevector")
         if not grid.keeps(k1, k2):
-            raise ValueError(f"wavevector ({k1},{k2}) is beyond the dealias cutoff "
-                             f"{grid.dealias_cutoff}")
+            raise ValueError(f"wavevector ({k1},{k2}) is outside the dealias band "
+                             f"max(|k1|, |k2|) < {grid.dealias_band}")
         return cls.from_modes(grid, {(k1, k2): amplitude / 2.0})
 
     @classmethod
@@ -242,7 +231,7 @@ class ScalarField:
         c = np.fft.rfft2(phys) / phys.size
         c *= np.exp(-decay * np.sqrt(grid.k_sq))
         c[0, 0] = 0.0
-        c = np.where(grid.dealias_mask, c, 0.0)
+        c = np.where(grid.keeps(grid.k1, grid.k2), c, 0.0)
         f = cls(grid, c)
         l2 = norms(f).l2
         scale = amplitude / l2 if l2 > 0 else 1.0

@@ -3,6 +3,14 @@ inverse Laplacian and Helmholtz operators, the L2 inner product, the
 physical nodes and a coefficient read.  Each builds a new ``ScalarField`` or
 array per call; the package's stepper works on coefficient arrays instead.
 
+``wavenumbers``, ``dealias_cutoff`` and ``dealias_mask`` are the grid's
+former float statement of the dealias rule: fftfreq's wavenumbers cast to
+integers and the cutoff fraction * n/2 in floats.  They are the references
+for ``SpectralGrid.k1`` and the integer band ``SpectralGrid.dealias_band``.
+The float cutoff differs from the band only where fraction * n/2 is an
+integer that its float product rounds above, as at (154, "9/11"); no grid
+that reads it here is one of those.
+
 Two are the independent references for the run's two-pass kernels:
 ``to_physical``, the whole-grid ``irfft2`` transform to node values, which
 the Jacobian, ``dt_max`` and norm tests compare ``spectral._jacobian`` and
@@ -74,3 +82,21 @@ def physical_nodes(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
     """The (x1, x2) nodes of ``to_physical``, indexed [i1, i2]."""
     x = 2.0 * np.pi * np.arange(grid.n_modes) / grid.n_modes
     return np.meshgrid(x, x, indexing="ij")
+
+
+def wavenumbers(grid: SpectralGrid) -> np.ndarray:
+    """Integer wavenumbers in FFT order, shape (n_modes,)."""
+    return np.fft.fftfreq(grid.n_modes, d=1.0 / grid.n_modes).astype(np.int64)
+
+
+def dealias_cutoff(grid: SpectralGrid) -> float:
+    """fraction * n/2 in floats: the largest |k_i| kept is the biggest integer
+    strictly below it, where the product is exact."""
+    return float(grid.dealias_fraction) * grid.n_modes / 2.0
+
+
+def dealias_mask(grid: SpectralGrid) -> np.ndarray:
+    """The modes kept below the float cutoff, in the stored layout."""
+    c = dealias_cutoff(grid)
+    k2 = np.arange(grid.n_modes // 2 + 1)
+    return (np.abs(wavenumbers(grid))[:, None] < c) & (k2[None, :] < c)

@@ -786,6 +786,23 @@ def test_main_non_finite_number_is_one_config_error(tmp_path, capsys, token, whe
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key,token", [
+    # an integer literal past int()'s 4,300-digit limit, and nesting past the
+    # recursion limit: json.loads raised ValueError and RecursionError (exit 1)
+    ("n_modes", "1" + "0" * 5000),
+    ("seed", "1" + "0" * 5000),
+    ("t_final", "[" * 100_000 + "]" * 100_000),
+], ids=["n_modes-digits", "seed-digits", "nesting"])
+def test_main_unreadable_json_is_one_config_error(tmp_path, capsys, key, token):
+    doc = dict(MINIMAL_SIMULATE, output_dir=str(tmp_path / "out"), **{key: "@"})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc).replace('"@"', token))
+    assert cli.main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read the JSON: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("doc,field", [
     ({"command": "stability", "s": 8, "alpha": 0.1,
       "delta": 1.9448369489134733e-188, "lambda": 120.0}, "delta"),
@@ -797,10 +814,13 @@ def test_main_non_finite_number_is_one_config_error(tmp_path, capsys, token, whe
     (dict(MINIMAL_SIMULATE, t_final=1e300, dt=1e-300), "t_final"),
     # each run ended in "internal error: ValueError: array is too big" or
     # "Maximum allowed dimension exceeded"; at 10**200 the Helmholtz check
-    # blamed alpha = 0 as well
-    *((dict(MINIMAL_SIMULATE, n_modes=n), "n_modes") for n in (2**40, 2**62, 10**30, 10**200)),
+    # blamed alpha = 0 as well, and 10**400 overflowed the float dealias
+    # cutoff into a line that named no key
+    *((dict(MINIMAL_SIMULATE, n_modes=n), "n_modes")
+      for n in (2**40, 2**62, 10**30, 10**200, 10**400)),
 ], ids=["delta", "delta_star", "delta_inf", "delta_star_inf", "steps", "steps_inf",
-        "n_modes-2^40", "n_modes-2^62", "n_modes-10^30", "n_modes-10^200"])
+        "n_modes-2^40", "n_modes-2^62", "n_modes-10^30", "n_modes-10^200",
+        "n_modes-10^400"])
 def test_main_underflow_and_step_count_are_one_config_error(tmp_path, capsys,
                                                             doc, field):
     # parse_config only: none of these runs is started
@@ -922,6 +942,18 @@ def _raise(exc):
     return fail
 
 
+def _region_fails_after_parse(monkeypatch):
+    # the region test fails once the config is parsed: CountWindow checks its
+    # corners with it at parse
+    parse = cli.parse_config
+
+    def parse_then_fail(text):
+        config = parse(text)
+        monkeypatch.setattr(squire, "region_contains_point", lambda *args: False)
+        return config
+    monkeypatch.setattr(cli, "parse_config", parse_then_fail)
+
+
 def _stable_phase(monkeypatch):
     # the omega2 solve gets the phase speed of a decaying mode
     solve = squire.reconstruct_omega2
@@ -1025,6 +1057,11 @@ _CAUSES = {
     "key-error": (_BOUNDS, lambda mp: mp.setattr(cli, "_write_csv",
                                                  _raise(KeyError("g"))), 1,
                   "internal error: KeyError: 'g'"),
+    # a window triple outside the region is a geometry defect
+    "window-geometry": ({"command": "squire", "s": 6, "max_lifts": 1, "count_s": [3]},
+                        _region_fails_after_parse, 1,
+                        "internal error: RuntimeError: window triple "
+                        "SquireTriple(a=2, b=-2, r=0) fell outside the region at s=6"),
 }
 
 

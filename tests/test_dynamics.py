@@ -36,11 +36,13 @@ from mla.spectral import (
 )
 from spectral_oracles import (
     coeff,
+    dealias_cutoff,
     field_values,
     helmholtz_inv,
     inv_laplacian,
     to_physical,
     velocity,
+    wavenumbers,
 )
 
 GRID = SpectralGrid(32)
@@ -86,7 +88,7 @@ def test_forcing_coefficients():
     want = -0.5 / SQRT2PI
     assert coeff(F, 0, 1) == pytest.approx(want, rel=1e-14)
     assert coeff(F, 0, -1) == pytest.approx(want, rel=1e-14)
-    wav = [int(k) for k in GRID.wavenumbers]
+    wav = wavenumbers(GRID).tolist()
     nonzero = {(k1, k2) for k1 in wav for k2 in wav if coeff(F, k1, k2) != 0}
     assert nonzero == {(0, 1), (0, -1)}
     # the stored half holds one of the pair
@@ -440,7 +442,8 @@ def _dt_max_reference(state, cfl=0.5):
     stream = grid.neg_inv_k_sq * state.psi.coeffs
     u1, u2 = (to_physical(grid, c) for c in velocity(grid, stream))
     umax = float(np.max(np.sqrt(u1**2 + u2**2)))
-    kmax = float(np.max(np.abs(grid.wavenumbers[np.abs(grid.wavenumbers) < grid.dealias_cutoff])))
+    k = wavenumbers(grid)
+    kmax = float(np.max(np.abs(k[np.abs(k) < dealias_cutoff(grid)])))
     return math.inf if umax * kmax == 0.0 else cfl / (umax * kmax)
 
 

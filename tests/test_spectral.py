@@ -27,6 +27,8 @@ from mla.spectral import (
 )
 from spectral_oracles import (
     coeff,
+    dealias_cutoff,
+    dealias_mask,
     deriv,
     field_values,
     helmholtz_inv,
@@ -35,6 +37,7 @@ from spectral_oracles import (
     physical_nodes,
     to_physical,
     velocity,
+    wavenumbers,
 )
 
 GRID = SpectralGrid(32)
@@ -75,26 +78,38 @@ def test_zero_mean_enforced_by_construction():
         ScalarField(GRID, c)
 
 
-@pytest.mark.parametrize("n", [8, 10, 64, 96])
-@pytest.mark.parametrize("frac", ["1", "2/3", "1/2", "1/1000"])
-def test_dealias_band_gives_the_float_cutoff_rules(n, frac):
-    # the band m = ceil(cutoff) against each comparison with the float cutoff
-    # made before: the mask, harmonic and the forcing check, and the largest
-    # kept wavenumber that dynamics._dt_max masked out per call
+@pytest.mark.parametrize("frac,n", [
+    (frac, n) for frac in ("1", "2/3", "1/2", "1/1000") for n in (8, 10, 64, 96)
+] + [
+    # fraction * n/2 is the integer 63 (27), and its float product rounds above it
+    ("9/11", 154), ("9/14", 84),
+])
+def test_dealias_band_gives_the_float_cutoff_rules(frac, n):
+    # the band m against the exact cutoff c = fraction * n/2, in each form the
+    # float cutoff took before: the largest kept wavenumber (dynamics._dt_max's
+    # CFL wavenumber), the Jacobian's mask, and harmonic and the forcing check
     grid = SpectralGrid(n, frac)
-    c, k = grid.dealias_cutoff, grid.wavenumbers
-    assert grid.dealias_band - 1 == float(np.max(np.abs(k[np.abs(k) < c])))
-    assert np.array_equal(grid.dealias_mask, (np.abs(grid.k1) < c) & (grid.k2 < c))
+    c = Fraction(frac) * n / 2
+    k = wavenumbers(grid).tolist()
+    assert grid.dealias_band - 1 == max(abs(k1) for k1 in k if abs(k1) < c)
+    kept = [[abs(k1) < c and k2 < c for k2 in range(n // 2 + 1)] for k1 in k]
+    assert np.array_equal(grid.keeps(grid.k1, grid.k2), kept)
     for k1 in range(-n // 2, n // 2 + 1):
         for k2 in range(-n // 2, n // 2 + 1):
             assert grid.keeps(k1, k2) is (abs(k1) < c and abs(k2) < c)
+
+
+def test_k1_is_fftfreq_order_in_integers():
+    for n in range(8, 4097, 2):
+        grid = SpectralGrid(n)
+        assert np.array_equal(grid.k1[:, 0], wavenumbers(grid))
 
 
 def test_random_field_reaches_the_float_maximum():
     # amplitude / l2 overflows: scaled in one step, the masked modes were inf * 0 = nan
     f = ScalarField.random(GRID, np.random.default_rng(0), amplitude=1e308)
     assert np.all(np.isfinite(f.coeffs))
-    assert np.all(f.coeffs[~GRID.dealias_mask] == 0)
+    assert np.all(f.coeffs[~dealias_mask(GRID)] == 0)
     assert np.max(np.abs(f.coeffs)) > 1e306
 
 
@@ -282,7 +297,7 @@ def test_jacobian_self_is_zero():
 
 def _full_spectrum(f):
     """f's coefficients in the n x n fft2 layout, read through coeff."""
-    wav = [int(k) for k in f.grid.wavenumbers]
+    wav = wavenumbers(f.grid).tolist()
     return np.array([[coeff(f, k1, k2) for k2 in wav] for k1 in wav])
 
 
@@ -293,7 +308,7 @@ def _convolution_jacobian(a, b):
     full_a, full_b = _full_spectrum(a), _full_spectrum(b)
     nz_a = list(zip(*np.nonzero(full_a)))
     nz_b = list(zip(*np.nonzero(full_b)))
-    wav = grid.wavenumbers
+    wav = wavenumbers(grid)
     for ia in nz_a:
         p = (wav[ia[0]], wav[ia[1]])
         ca = full_a[ia]
@@ -302,7 +317,7 @@ def _convolution_jacobian(a, b):
             cb = full_b[ib]
             k = (p[0] + q[0], p[1] + q[1])
             out[k] = out.get(k, 0.0) + (p[1] * q[0] - p[0] * q[1]) * ca * cb
-    cutoff = grid.dealias_cutoff
+    cutoff = dealias_cutoff(grid)
     out = {(int(k1), int(k2)): val for (k1, k2), val in out.items()
            if (k1, k2) != (0, 0) and abs(k1) < cutoff and abs(k2) < cutoff}
     return ScalarField.from_modes(grid, out)
@@ -312,9 +327,9 @@ def _full_spectrum_jacobian(a, b):
     """Oracle: the full-spectrum implementation, fft2/ifft2 on n x n arrays
     with a 2-D Hermitian projection of the product."""
     grid = a.grid
-    k = grid.wavenumbers.astype(np.float64)
+    k = wavenumbers(grid).astype(np.float64)
     k1, k2 = k[:, None], k[None, :]
-    mask = (np.abs(k1) < grid.dealias_cutoff) & (np.abs(k2) < grid.dealias_cutoff)
+    mask = (np.abs(k1) < dealias_cutoff(grid)) & (np.abs(k2) < dealias_cutoff(grid))
     n_sq = grid.n_modes**2
     ca, cb = _full_spectrum(a), _full_spectrum(b)
 
@@ -334,8 +349,9 @@ def _jacobian_2d(grid, a, b):
     """Oracle: the 2-D kernel, irfft2/rfft2 on every column, scaled by n^2
     on the way in and masked with mask / n^2 on the way out.  It builds its
     own full masked symbols, so it reads nothing of the kernel's."""
-    d1, d2 = (np.where(grid.dealias_mask, 1j * k, 0j) for k in (grid.k1, grid.k2))
-    out = np.where(grid.dealias_mask & (grid.k_sq > 0), 1.0 / grid.n_modes**2, 0.0)
+    mask = dealias_mask(grid)
+    d1, d2 = (np.where(mask, 1j * k, 0j) for k in (grid.k1, grid.k2))
+    out = np.where(mask & (grid.k_sq > 0), 1.0 / grid.n_modes**2, 0.0)
     a1, a2, b1, b2 = (to_physical(grid, d * c) for c in (a, b) for d in (d1, d2))
     return np.fft.rfft2(a1 * b2 - a2 * b1) * out
 
