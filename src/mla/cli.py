@@ -180,16 +180,14 @@ def _plan_simulate(p: dict) -> dict:
         errors.append(f"{cause}: the forcing amplitude nu^2 lambda s^3 / (sqrt2 pi) "
                       f"or its bound (nu^2 lambda s^2)^2 / nu^2 is not finite "
                       f"(nu = {p['nu']!r}, lambda = {p['lambda']!r})")
-    # numpy makes no array of more than sys.maxsize bytes; on such a grid the
-    # Helmholtz symbol's |k|^2 may overflow a float whatever alpha is
-    if (n := p["n_modes"]) * (n // 2 + 1) * 16 > sys.maxsize:
-        errors.append(f"n_modes: one complex half-spectrum, n_modes (n_modes/2 + 1) 16 bytes, "
-                      f"exceeds the largest array of {sys.maxsize:,} bytes (n_modes = {n})")
-    else:
+    try:  # where no array fits, the Helmholtz |k|^2 may overflow whatever alpha is
+        grid.check_size()
         try:  # the run divides by the Helmholtz symbol
             grid.helmholtz_max(p["alpha"])
         except ValueError as exc:
             errors.append(f"alpha: {exc}")
+    except ValueError as exc:
+        errors.append(f"n_modes: {exc}")
     # run takes round(t_final / dt) steps; the quotient may overflow to inf
     if p["t_final"] / p["dt"] > MAX_STEPS:
         errors.append(f"t_final: t_final / dt = {p['t_final'] / p['dt']:.3g} "
@@ -470,11 +468,11 @@ _PLOT_KINDS = {
     "bounds_vs_g": ("g", ("lower", "upper1", "upper2"), "line", True),
     "sigma_vs_lambda": ("capital_lambda", ("sigma_hat",), "line", False),
     "lattice_density": ("s", ("density",), "line", False),
-    "spectrum_scatter": ("re", ("im",), "scatter", False),
+    "a0_spectrum": ("re", ("im",), "scatter", False),
 }
 
 
-def emit_plot_data(results: list[dict], kind: str, out_dir, basename=None):
+def emit_plot_data(results: list[dict], kind: str, out_dir):
     """Write <kind>.csv and <kind>.svg (line or scatter) from result rows.
 
     Empty results produce a header-only CSV and an axes-only SVG.  The SVG
@@ -486,8 +484,7 @@ def emit_plot_data(results: list[dict], kind: str, out_dir, basename=None):
     xfield, yfields, style, logscale = _PLOT_KINDS[kind]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = basename or kind
-    csv_path = out_dir / f"{base}.csv"
+    csv_path = out_dir / f"{kind}.csv"
     _write_csv(csv_path, ",".join((xfield,) + yfields), results)
 
     width, height, margin = 640, 480, 50
@@ -530,7 +527,7 @@ def emit_plot_data(results: list[dict], kind: str, out_dir, basename=None):
         body.append(f'<text x="{margin}" y="{margin - 10}" font-size="12">'
                     f'{", ".join(s[0] for s in series)}: [{y0:.4g}, {y1:.4g}]'
                     f'{" (log10)" if logscale else ""}</text>')
-    svg_path = out_dir / f"{base}.svg"
+    svg_path = out_dir / f"{kind}.svg"
     with _atomic_open(svg_path) as fh:
         fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
                  f'height="{height}" viewBox="0 0 {width} {height}">\n')
@@ -640,10 +637,8 @@ def _cmd_squire(p: dict, plan: dict, out: Path, seed: int, written: list[Path]) 
     density_rows = [{"s": c.s, "density": c.c5_fit} for c in counts]
     written += emit_plot_data(density_rows, "lattice_density", out)
     a0_vals = squire.a0_stability_spectrum(1, nu, k_cutoff=4 * s + 16)
-    written += emit_plot_data(
-        [{"re": float(v.real), "im": float(v.imag)} for v in a0_vals],
-        "spectrum_scatter", out, basename="a0_spectrum",
-    )
+    written += emit_plot_data([{"re": float(v.real), "im": float(v.imag)} for v in a0_vals],
+                              "a0_spectrum", out)
     written.append(_write_json(out / "summary.json", {
         "lambda": plan["lambda"],
         "count": {str(c.s): c.count for c in counts},

@@ -31,6 +31,7 @@ from .spectral import (
     _jacobian_buffers,
     _norms,
     _real_zero_mean,
+    _to_physical,
 )
 
 __all__ = [
@@ -170,13 +171,12 @@ def _nonlinear(psi: np.ndarray, params: ModelParams, forcing: np.ndarray,
 
 def _dt_max(grid: SpectralGrid, psi: np.ndarray, cfl: float, buffers: _RunBuffers) -> float:
     """The advective limit dt <= cfl / (max|u| k_max) of the coefficient array
-    psi; inf for a quiescent field.  u = (-d2, d1) stream takes the Jacobian's
-    1-D passes in ``buffers``: only its two products allocate."""
-    stream = np.multiply(grid.neg_inv_k_sq, psi, out=buffers.work)
+    psi; inf for a quiescent field.  Each component of u = (-d2, d1) stream is formed
+    in ``buffers.work`` and ``_to_physical`` runs there: nothing grid-sized is allocated."""
     u1, u2 = buffers.jacobian[1:3]
-    for c, phys in zip((-1j * grid.k2 * stream, 1j * grid.k1 * stream), (u1, u2)):
-        np.fft.ifft(c, axis=0, norm="forward", out=c)
-        np.fft.irfft(c, grid.n_modes, axis=1, norm="forward", out=phys)
+    for d, phys in ((-1j * grid.k2, u1), (1j * grid.k1, u2)):
+        stream = np.multiply(grid.neg_inv_k_sq, psi, out=buffers.work)
+        _to_physical(d, stream, stream, phys)
         phys *= phys
     umax = float(np.sqrt(np.max(np.add(u1, u2, out=u1))))  # sqrt is monotone
     kmax = grid.dealias_band - 1  # the largest kept |k_i|

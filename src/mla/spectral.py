@@ -10,24 +10,22 @@ Coefficients are stored in ``numpy.fft.rfft2`` layout, shape (n, n/2 + 1):
 k2 = 0..n/2.  Modes with k2 < 0 are implied as conjugates, so Hermitian
 symmetry is structural except on the columns k2 = 0 and n/2, which
 ``_real_zero_mean`` makes exact, in ``ScalarField`` and after each step.
-All linear operators are Fourier multipliers; only the Jacobian goes
-through physical space, with the 2/3-rule (configurable fraction) applied
-to its result.  Symbol tables and array operators live on ``SpectralGrid``;
-the stepper in ``mla.dynamics`` uses them and the array kernel
-``_jacobian`` without building fields.  The grid states the dealias rule
-once, in integers: a mode is kept iff max(|k1|, |k2|) < m, with
-m = ceil(dealias_fraction * n/2) computed exactly (``keeps``, ``dealias_band``).
-
-Each 2-D transform of the Jacobian is two 1-D passes with the scaling
-inside (``norm="forward"``), so dealiasing the result only zeroes the modes
-outside the mask.  The masked derivative symbols live on the band k2 < m
-alone, so the Jacobian reads only that band of its arguments and runs the
-pass along k1 on it.  Every pass writes into work arrays from
-``_jacobian_buffers``, the result into an optional ``out``: a stepper run
-allocates them once and drops them when it returns, and ``jacobian`` makes
-its own per call.
-No work array is cached on ``SpectralGrid``.  ``save_field`` streams the
-``mla-field-v1`` text one k2 column, O(n) modes, at a time.
+All linear operators are Fourier multipliers.  Physical space is reached
+through one kernel, ``_to_physical``: a product with a derivative symbol, then
+two 1-D passes with the scaling inside (``norm="forward"``), the ifft along k1
+on the columns it is given and the irfft along k2.  Its callers are the
+Jacobian and the CFL check of the stepper in ``mla.dynamics``, which works on
+arrays, not fields.  ``SpectralGrid`` holds the symbol tables and states the
+dealias rule once, in integers: a mode is kept iff max(|k1|, |k2|) < m, with
+m = ceil(dealias_fraction * n/2) computed exactly (``keeps``, ``dealias_band``;
+the 2/3-rule by default).  The masked derivative symbols live on the band
+k2 < m, so the Jacobian hands the kernel only that band of its arguments, and
+dealiasing its result only zeroes the modes outside the mask.  It works in
+arrays from ``_jacobian_buffers`` and writes into an optional ``out``: a stepper
+run allocates them once and drops them when it returns, ``jacobian`` makes its
+own per call, and none is cached on the grid.  ``check_size`` bounds n by the
+largest array numpy makes.  ``save_field`` streams the ``mla-field-v1`` text one
+k2 column, O(n) modes, at a time.
 """
 
 from __future__ import annotations
@@ -126,6 +124,12 @@ class SpectralGrid:
         it is not finite (see ``helmholtz_max``)."""
         self.helmholtz_max(alpha)
         return 1.0 + alpha**2 * self.k_sq
+
+    def check_size(self) -> None:
+        """ValueError where a half-spectrum passes numpy's largest array, sys.maxsize bytes."""
+        if (n := self.n_modes) * (n // 2 + 1) * 16 > sys.maxsize:
+            raise ValueError(f"one complex half-spectrum, n_modes (n_modes/2 + 1) 16 bytes, "
+                             f"exceeds the largest array of {sys.maxsize:,} bytes (n_modes = {n})")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -271,6 +275,13 @@ def _jacobian_buffers(grid: SpectralGrid) -> tuple[np.ndarray, ...]:
             np.empty((n, n)), np.empty((n, n)), np.empty((n, n)))
 
 
+def _to_physical(d, c, spec, phys):
+    """d c into spec's first c.shape[1] columns, ifft along k1 there, irfft along k2 to phys."""
+    band = np.multiply(d, c, out=spec[:, :c.shape[1]])
+    np.fft.ifft(band, axis=0, norm="forward", out=band)
+    np.fft.irfft(spec, phys.shape[1], axis=1, norm="forward", out=phys)
+
+
 def _jacobian(grid: SpectralGrid, a: np.ndarray, b: np.ndarray,
               buffers: tuple[np.ndarray, ...] | None = None,
               out: np.ndarray | None = None) -> np.ndarray:
@@ -285,18 +296,12 @@ def _jacobian(grid: SpectralGrid, a: np.ndarray, b: np.ndarray,
     d1, d2 = grid._jacobian_symbols
     n, m = grid.n_modes, grid.dealias_band
     spec, p, q, r = buffers or _jacobian_buffers(grid)
-    band = spec[:, :m]
-
-    def to_physical(d, c, phys):
-        np.multiply(d, c[:, :m], out=band)
-        np.fft.ifft(band, axis=0, norm="forward", out=band)
-        np.fft.irfft(spec, n, axis=1, norm="forward", out=phys)
-
-    to_physical(d1, a, p)
-    to_physical(d2, b, q)
+    a, b = a[:, :m], b[:, :m]
+    _to_physical(d1, a, spec, p)
+    _to_physical(d2, b, spec, q)
     p *= q
-    to_physical(d2, a, q)
-    to_physical(d1, b, r)
+    _to_physical(d2, a, spec, q)
+    _to_physical(d1, b, spec, r)
     q *= r
     p -= q
     res = np.fft.rfft(p, axis=1, norm="forward", out=out)
@@ -366,12 +371,15 @@ def _field_json_chunks(f: ScalarField):
 
 
 def field_from_json(text: str) -> ScalarField:
-    """Read ``save_field``'s container.  ValueError where it is malformed:
-    not an object of this format, a key missing, a size or wavenumber that
-    is not a JSON integer (int() would truncate it), a dealias fraction
-    outside (0, 1] such as "1/0", or a coefficient that is not a finite
-    float (NaN, Infinity, -Infinity, or a literal such as 1e999)."""
-    doc = json.loads(text)
+    """Read ``save_field``'s container.  ValueError where it is malformed: not
+    an object of this format, nested too deep to parse, a key missing, a size or
+    wavenumber that is not a JSON integer (int() would truncate it), an n_modes past
+    ``check_size``, a dealias fraction outside (0, 1] such as "1/0", or a coefficient
+    that is not a finite float (NaN, Infinity, -Infinity, or a literal such as 1e999)."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"an {FIELD_FORMAT} container nested too deep to read") from None
     if not isinstance(doc, dict) or doc.get("format") != FIELD_FORMAT:
         raise ValueError(f"not an {FIELD_FORMAT} field container")
     n, frac, modes = (doc.get(k) for k in ("n_modes", "dealias_fraction", "modes"))
@@ -383,7 +391,9 @@ def field_from_json(text: str) -> ScalarField:
     for m in modes:  # NaN <= max is false, and an int compares exactly
         if not all(abs(v) <= sys.float_info.max for v in m[2:]):
             raise ValueError(f"{FIELD_FORMAT} mode {m}: a coefficient is not a finite float")
-    return ScalarField.from_modes(SpectralGrid(n, frac), {
+    grid = SpectralGrid(n, frac)
+    grid.check_size()  # before from_modes makes the array
+    return ScalarField.from_modes(grid, {
         (k1, k2): complex(re, im) for k1, k2, re, im in modes})
 
 

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mla import NumericalError
+from mla import NumericalError, dynamics, spectral
 from mla.bounds import grashof
 from mla.dynamics import (
     ForcingSpec,
@@ -515,14 +515,33 @@ def test_run_working_set_is_bounded_in_half_spectra():
 
 
 def test_dt_max_with_run_buffers_allocates_only_the_velocity():
-    # the two velocity arrays, numpy's one 8192-element casting buffer for
-    # the real-by-complex stream product, and a few KB; before, dt_max also
-    # made the stream and four full-size temporaries per component
+    # numpy's one 8192-element casting buffer for the real-by-complex stream
+    # product, and a few KB: each velocity component is formed in the run's
+    # work array, so no half-spectrum is allocated
     state, _ = _kolmogorov_256()
     buffers = _run_buffers(state.params)
-    half = state.psi.coeffs.nbytes
     peak = _traced_peak(lambda: _dt_max(state.psi.grid, state.psi.coeffs, 0.5, buffers))
-    assert peak <= 2 * half + 8192 * 16 + 16 * 1024
+    assert peak <= 8192 * 16 + 16 * 1024
+
+
+def test_jacobian_and_cfl_check_share_one_physical_space_kernel(monkeypatch):
+    # the Jacobian brings its four derivatives to physical space, the CFL
+    # check its two velocity components, each through spectral._to_physical
+    calls = []
+    kernel = spectral._to_physical
+
+    def counted(*args):
+        calls.append(args)
+        kernel(*args)
+
+    monkeypatch.setattr(spectral, "_to_physical", counted)
+    monkeypatch.setattr(dynamics, "_to_physical", counted)
+    p = params(nu=1.0, alpha=0.1)
+    psi = initial_state(p, seed=4, amplitude=1.0).psi
+    jacobian(psi, psi * 0.5)
+    assert len(calls) == 4
+    _dt_max(p.grid, psi.coeffs, 0.5, _run_buffers(p))
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("n", [16, 64, 256])

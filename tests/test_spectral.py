@@ -642,11 +642,22 @@ _FIELD_DOC = {"format": "mla-field-v1", "n_modes": 16, "dealias_fraction": "2/3"
     ([_FIELD_DOC], "not an mla-field-v1"),
     (dict(_FIELD_DOC, modes=[[1.5, 0, 1.0, 0.0]]), "k1 and k2 integers"),
     (dict(_FIELD_DOC, n_modes=16.7), "an integer n_modes"),
-], ids=["missing-key", "not-an-object", "fractional-k1", "fractional-n_modes"])
+    # numpy's "Maximum allowed dimension exceeded", which named no key
+    (dict(_FIELD_DOC, n_modes=10**30), f"largest array .* \\(n_modes = {10**30}\\)"),
+], ids=["missing-key", "not-an-object", "fractional-k1", "fractional-n_modes",
+        "n_modes-10^30"])
 def test_field_json_rejects_malformed_containers(doc, message):
     field_from_json(json.dumps(_FIELD_DOC))  # the well-formed twin reads
     with pytest.raises(ValueError, match=message):
         field_from_json(json.dumps(doc))
+
+
+def test_field_json_rejects_nesting_too_deep_to_parse():
+    # json.loads raised RecursionError
+    deep = "[" * 100_000 + "]" * 100_000
+    text = json.dumps(_FIELD_DOC).replace("[[1, 0, 1.0, 0.0]]", deep)
+    with pytest.raises(ValueError, match="nested too deep"):
+        field_from_json(text)
 
 
 @pytest.mark.parametrize("part", ["re", "im"])
