@@ -13,6 +13,8 @@ DECAY_TAIL_TOL = 1e-8  # eigenvector tail below which a mode counts as decaying
 RESIDUAL_TOL = 1e-8  # residual ceiling of an accepted eigenpair
 LAMBDA0_REL_WIDTH = 1e-8  # relative width across which sigma_hat changes sign at Lambda_0
 LIFT_RESIDUAL_TOL = 1e-8  # ceiling on each relative residual of a lifted mode's equations
+INCOMPRESSIBILITY_TOL = 1e-10  # ceiling on a 3-D mode's relative divergence
+OMEGA2_SOLVE_TOL = 1e-10  # ceiling on the relative residual of a lift's omega2 solve
 _MEAN_TOL = 1e-14  # a field's mean coefficient, relative to max(1, largest |coefficient|)
 _TOLERANCES = {
     "sigma_real_tol": SIGMA_REAL_TOL,
@@ -20,6 +22,8 @@ _TOLERANCES = {
     "eigen_residual_tol": RESIDUAL_TOL,
     "lambda0_rel_width": LAMBDA0_REL_WIDTH,
     "lift_residual_tol": LIFT_RESIDUAL_TOL,
+    "incompressibility_tol": INCOMPRESSIBILITY_TOL,
+    "omega2_solve_tol": OMEGA2_SOLVE_TOL,
     "field_mean_tol": _MEAN_TOL,
 }
 

@@ -238,29 +238,36 @@ def _check_amplitude(lam: float, s: int, alpha: float) -> None:
                            f"s = {s}, lambda = {lam!r})"])
 
 
-def _window_error(name: str, value: float) -> ConfigError:
-    return ConfigError([f"{name}: the upper edge of the Lambda_0 window, which grows as "
-                        f"1/{name}^2, is not finite (got {value!r})"])
+def _check_delta(key: str, delta: float, edge_at_max: float) -> None:
+    """An upper edge of the Lambda_0 window, which grows as 1/delta^2, is not
+    finite at ``key`` = delta.  That is the fault of delta only where the edge
+    at the largest valid delta, 1/sqrt(3), is finite; otherwise it is alpha's."""
+    if edge_at_max < math.inf:
+        raise ConfigError([f"{key}: the upper edge of the Lambda_0 window, which grows as "
+                           f"1/{key}^2, is not finite (got {delta!r})"])
 
 
 def _plan_stability(p: dict) -> dict:
     from . import bounds, stability
     # alpha^2 s^2 of the rescaled amplitude and its window may overflow a
-    # float.  With the amplitude finite only 1/delta^2 can make the window
-    # infinite, or divide by 0 where delta^2 underflows.
-    _check_amplitude(p["lambda"], p["s"], p["alpha"])
+    # float, and the window's 1/delta^2 may too, or divide by 0
+    s, alpha = p["s"], p["alpha"]
+    _check_amplitude(p["lambda"], s, alpha)
     try:
-        window = stability.lu_interval(p["s"], p["delta"], p["alpha"])
+        window = stability.lu_interval(s, p["delta"], alpha)
     except ZeroDivisionError:
         window = (0.0, math.inf)
     if window[1] == math.inf:
-        raise _window_error("delta", p["delta"])
-    g = bounds.grashof(p["lambda"], p["s"])
+        _check_delta("delta", p["delta"], stability.lu_interval(s, 1 / math.sqrt(3), alpha)[1])
+        raise ConfigError([f"alpha: the upper edge of the Lambda_0 window, which grows as "
+                           f"s (1 + alpha^2 s^2) / delta^2, is not finite even at delta = "
+                           f"1/sqrt(3) (alpha = {alpha!r}, s = {s})"])
+    g = bounds.grashof(p["lambda"], s)
     if not math.isfinite(g):  # lambda s^2 may overflow a float to inf
         return {"window": window, "grashof": None,
                 "lower_bound_2d": {"note": "G = lambda s^2 overflows a float"}}
     return {"window": window, "grashof": g,
-            "lower_bound_2d": asdict(bounds.lower_bound_dim2d(g, p["alpha"]))}
+            "lower_bound_2d": asdict(bounds.lower_bound_dim2d(g, alpha))}
 
 
 def _plan_squire(p: dict) -> dict:
@@ -281,9 +288,9 @@ def _plan_squire(p: dict) -> dict:
         except OverflowError:  # raised only by its factor (1 + alpha^2 s^2)^2
             raise ConfigError([f"alpha: the default driver's (1 + alpha^2 s^2)^2 is too "
                                f"large (got {alpha!r})"]) from None
-        # an inf driver is delta_star's fault where the driver at delta = 1 is finite
-        if lam == math.inf and squire.lambda3_driver(s, alpha, 1.0) < math.inf:
-            raise _window_error("delta_star", p["delta_star"])
+        if lam == math.inf:  # where not delta_star's, alpha's fault, named below
+            _check_delta("delta_star", p["delta_star"],
+                         squire.lambda3_driver(s, alpha, 1 / math.sqrt(3)))
     _check_amplitude(lam, s, alpha)
     plan = {"window": window, "lambda": lam,
             "counts": [squire.count_triples(cs, window) for cs in p["count_s"]],

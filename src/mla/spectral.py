@@ -43,8 +43,6 @@ import numpy as np
 from . import _MEAN_TOL, _atomic_open
 
 __all__ = [
-    "GridMismatchError",
-    "NonZeroMeanError",
     "SpectralGrid",
     "ScalarField",
     "FieldNorms",
@@ -54,14 +52,6 @@ __all__ = [
     "save_field",
     "load_field",
 ]
-
-class GridMismatchError(ValueError):
-    """Operands live on different spectral grids."""
-
-
-class NonZeroMeanError(ValueError):
-    """A zero-mean field was required but the (0,0) coefficient is not 0."""
-
 
 @dataclass(frozen=True)
 class SpectralGrid:
@@ -168,8 +158,7 @@ def _real_zero_mean(c: np.ndarray) -> None:
     # the tolerance _MEAN_TOL * max(1, max|c|) needs max|c| only above _MEAN_TOL
     scale = max(1.0, float(np.max(np.abs(c)))) if abs(c[0, 0]) > _MEAN_TOL else 1.0
     if abs(c[0, 0]) > _MEAN_TOL * scale:
-        raise NonZeroMeanError(
-            f"mean coefficient {c[0, 0]} exceeds tolerance {_MEAN_TOL * scale}")
+        raise ValueError(f"mean coefficient {c[0, 0]} exceeds tolerance {_MEAN_TOL * scale}")
     c[0, 0] = 0.0
     # Columns k2 = 0 and k2 = n/2 hold both k and -k: the k1 > 0 half is
     # authoritative and copied, conjugated, onto k1 < 0; the modes that
@@ -246,9 +235,7 @@ class ScalarField:
 
     def _require_same_grid(self, other: "ScalarField") -> None:
         if self.grid != other.grid:
-            raise GridMismatchError(
-                f"grids differ: {self.grid} vs {other.grid}"
-            )
+            raise ValueError(f"grids differ: {self.grid} vs {other.grid}")
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         self._require_same_grid(other)

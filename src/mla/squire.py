@@ -14,12 +14,12 @@ unstable 3-D modes: omega2 solves a coercive 1-D system and
 omega1 = (a_hat omega1_hat - b omega2)/a completes incompressibility.
 
 Everything here works on x3-Fourier coefficient arrays indexed by
-m in [-m_max, m_max].  The shear is a single +-s mode, so multiplying by
-sin/cos(s x3) is the two-shift stencil ``_shift`` (w[m-s] -+ w[m+s]),
-and the omega2 solve splits into s tridiagonal lanes, one per residue of
-m mod s.  ``lift_rows`` solves and lifts each (a, +-b, r) pair of triples
-once, by stability's ``_solve_mirrored``, as both give the same row bit for
-bit.  ``count_triples`` feeds a closed form of ``mla.bounds``.
+m in [-M, M], M read from their length.  The shear is a single +-s
+mode, so multiplying by sin/cos(s x3) is the two-shift stencil ``_shift``
+(w[m-s] -+ w[m+s]), and the omega2 solve splits into s tridiagonal
+lanes, one per residue of m mod s.  ``lift_rows`` solves and lifts each
+(a, +-b, r) pair of triples once, by stability's ``_solve_mirrored``, as
+both give the same row bit for bit.  ``count_triples`` feeds a closed form of ``mla.bounds``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import LIFT_RESIDUAL_TOL, NumericalError
+from . import INCOMPRESSIBILITY_TOL, LIFT_RESIDUAL_TOL, OMEGA2_SOLVE_TOL, NumericalError
 from .stability import (
     RecurrenceProblem,
     StabilityResult,
@@ -149,11 +149,11 @@ def _wave_tables(setup: Setup3D, a_hat_sq: float, m_max: int):
 @dataclass(frozen=True, eq=False)
 class Mode1DProfile:
     """Full 3-D mode (omega1, omega2, omega3, q)(x3) on the (a, b) wave
-    with phase speed c; incompressibility holds to 1e-10 by construction."""
+    with phase speed c, each array on the modes m in [-M, M];
+    incompressibility holds to INCOMPRESSIBILITY_TOL by construction."""
 
     a: int
     b: int
-    m_max: int
     omega1: np.ndarray
     omega2: np.ndarray
     omega3: np.ndarray
@@ -163,11 +163,11 @@ class Mode1DProfile:
 
     def __post_init__(self):
         res = self.incompressibility_residual()
-        if res > 1e-10:
+        if res > INCOMPRESSIBILITY_TOL:
             raise NumericalError(f"mode is not incompressible: residual {res}")
 
     def incompressibility_residual(self) -> float:
-        m = _modes(self.m_max)
+        m = _modes(len(self.omega3) // 2)
         div = (1j * self.a * self.omega1 + 1j * self.b * self.omega2
                + 1j * m * self.omega3)
         scale = max(_norm(self.omega1, "omega1"), _norm(self.omega2, "omega2"),
@@ -196,7 +196,7 @@ def lineareq3_residuals(mode: Mode1DProfile, setup: Setup3D) -> dict:
     """
     a, b = mode.a, mode.b
     ah_sq = float(a * a + b * b)
-    m, D, H, u0_h, du0_h = _wave_tables(setup, ah_sq, mode.m_max)
+    m, D, H, u0_h, du0_h = _wave_tables(setup, ah_sq, len(mode.q) // 2)
     nu, c = setup.nu, mode.c
     w1, w2, w3, q = mode.omega1, mode.omega2, mode.omega3, mode.q
 
@@ -235,8 +235,8 @@ def solve_hat_mode(triple: SquireTriple, setup: Setup3D) -> StabilityResult:
 
 
 def reconstruct_omega2(triple: SquireTriple, q: np.ndarray, setup: Setup3D,
-                       c: complex, m_max: int) -> np.ndarray:
-    """Solve -(nu D + i a c - i a u0 H) w2 = -i b q on the mode grid.
+                       c: complex) -> np.ndarray:
+    """Solve -(nu D + i a c - i a u0 H) w2 = -i b q on the modes of q.
 
     Requires Re(i a c) < 0 (an unstable mode), which makes the operator
     coercive; a near-singular solve is reported as an error since it
@@ -246,7 +246,7 @@ def reconstruct_omega2(triple: SquireTriple, q: np.ndarray, setup: Setup3D,
     if np.real(1j * a * c) >= 0:
         raise NumericalError(
             f"reconstruction requires Re(iac) < 0, got {np.real(1j * a * c)}")
-    _, D, H, u0_h, _ = _wave_tables(setup, triple.a_hat**2, m_max)
+    _, D, H, u0_h, _ = _wave_tables(setup, triple.a_hat**2, len(q) // 2)
     s, diag = setup.s, setup.nu * D + 1j * a * c
     # -i a u0 H couples only modes s apart: row j holds +(a u0_amp/2) H w at
     # j + s and -(a u0_amp/2) H w at j - s, so each residue class mod s is
@@ -262,15 +262,14 @@ def reconstruct_omega2(triple: SquireTriple, q: np.ndarray, setup: Setup3D,
     if rhs_norm != 0:
         t_w2 = diag * w2 - 1j * a * u0_h(w2)
         res = _norm(t_w2 - rhs, "the omega2 solve residual") / rhs_norm
-        if not res <= 1e-10:
+        if not res <= OMEGA2_SOLVE_TOL:
             raise NumericalError(f"omega2 solve residual {res} (near-singular "
                                  "system; parameters contradict coercivity)")
     return w2
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def lift_mode(triple: SquireTriple, two_d: StabilityResult, setup: Setup3D,
-              m_max: int | None = None) -> Mode1DProfile:
+def lift_mode(triple: SquireTriple, two_d: StabilityResult, setup: Setup3D) -> Mode1DProfile:
     """Lift an unstable reduced-chain mode to the full 3-torus.
 
     The chain eigenvector gives the reduced vorticity profile; the
@@ -292,16 +291,16 @@ def lift_mode(triple: SquireTriple, two_d: StabilityResult, setup: Setup3D,
     sigma = nu_eff * two_d.sigma_hat
     c = 1j * sigma / ah
 
-    e, M = two_d.eigenvector, m_max
-    if M is None:  # every entry above 1e-14 of the peak, and one shear coupling
-        big = np.abs(e) > 1e-14 * np.abs(e).max()
-        n_keep = int(np.max(np.abs(two_d.offsets[big])))
-        M = max(4 * s + 16, s * (n_keep + 1) + abs(r) + s)
+    # the modes M keep every chain entry above 1e-14 of the peak, and one
+    # shear coupling; e holds the chain offsets n = -N..N, N = n_trunc_used
+    e, n = two_d.eigenvector, np.arange(-two_d.n_trunc_used, two_d.n_trunc_used + 1)
+    n_keep = int(np.max(np.abs(n[np.abs(e) > 1e-14 * np.abs(e).max()])))
+    M = max(4 * s + 16, s * (n_keep + 1) + abs(r) + s)
     m, D, H, u0_h, du0_h = _wave_tables(setup, ah * ah, M)
     ksq = -D
 
     # vorticity coefficients w_m = e_n / g_m of the chain's modes m = s n + r
-    at = M + s * two_d.offsets + r
+    at = M + s * n + r
     fits = (at >= 0) & (at <= 2 * M)
     w = np.zeros(2 * M + 1, dtype=np.complex128)
     w[at[fits]] = e[fits] / ((ksq - s * s) / (ksq + alpha**2 * ksq**2))[at[fits]]
@@ -319,11 +318,10 @@ def lift_mode(triple: SquireTriple, two_d: StabilityResult, setup: Setup3D,
     qh[M] = rhs1_0 / (1j * ah)
 
     q = qh * (a / ah)
-    w2 = reconstruct_omega2(triple, q, setup, c, M)
+    w2 = reconstruct_omega2(triple, q, setup, c)
     w1 = (ah * w1h - b * w2) / a
 
-    mode = Mode1DProfile(a=a, b=b, m_max=M, omega1=w1, omega2=w2,
-                         omega3=w3h.copy(), q=q, c=c)
+    mode = Mode1DProfile(a=a, b=b, omega1=w1, omega2=w2, omega3=w3h.copy(), q=q, c=c)
     res = lineareq3_residuals(mode, setup)
     if max(res.values()) > LIFT_RESIDUAL_TOL:
         raise NumericalError(f"lifted mode residuals {res} exceed {LIFT_RESIDUAL_TOL}")

@@ -265,12 +265,12 @@ def build_recurrence_system(prob: RecurrenceProblem,
 
 @dataclass(frozen=True, eq=False)
 class StabilityResult:
-    """Principal real eigenvalue of a chain, with its decaying eigenvector."""
+    """Principal real eigenvalue of a chain, with its decaying eigenvector
+    on the offsets n = -n_trunc_used..n_trunc_used."""
 
     sigma_hat: float
     eigen_residual: float
     eigenvector: np.ndarray
-    offsets: np.ndarray
     n_trunc_used: int
 
     def __post_init__(self):
@@ -481,7 +481,6 @@ def principal_sigma(prob: RecurrenceProblem) -> StabilityResult:
         sigma_hat=sigma,
         eigen_residual=sys.residual(sigma, vec),
         eigenvector=vec,
-        offsets=prob.offsets(trunc),
         n_trunc_used=trunc,
     )
 

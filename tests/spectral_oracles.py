@@ -20,7 +20,7 @@ the Jacobian, ``dt_max`` and norm tests compare ``spectral._jacobian`` and
 import numpy as np
 
 from mla import _MEAN_TOL
-from mla.spectral import NonZeroMeanError, ScalarField, SpectralGrid, _full_sum
+from mla.spectral import ScalarField, SpectralGrid, _full_sum
 
 
 def deriv(f: ScalarField, axis: int) -> ScalarField:
@@ -37,7 +37,7 @@ def deriv(f: ScalarField, axis: int) -> ScalarField:
 def inv_laplacian(f: ScalarField) -> ScalarField:
     """Inverse Laplacian on zero-mean fields: c_k -> -c_k / |k|^2."""
     if abs(f.coeffs[0, 0]) > _MEAN_TOL:
-        raise NonZeroMeanError("inv_laplacian requires a zero-mean field")
+        raise ValueError("inv_laplacian requires a zero-mean field")
     return ScalarField(f.grid, f.coeffs * f.grid.neg_inv_k_sq)
 
 

@@ -189,6 +189,8 @@ def test_bounds_grid_rows_and_manifest(tmp_path):
     saved = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert saved["status"] == "ok"
     assert saved["tolerances"]["eigen_residual_tol"] == 1e-8
+    assert saved["tolerances"]["incompressibility_tol"] == 1e-10
+    assert saved["tolerances"]["omega2_solve_tol"] == 1e-10
     # each reported tolerance is its one constant in mla, which the module
     # that enforces it imports rather than redefines
     owners = {
@@ -197,6 +199,8 @@ def test_bounds_grid_rows_and_manifest(tmp_path):
         "eigen_residual_tol": ("RESIDUAL_TOL", stability),
         "lambda0_rel_width": ("LAMBDA0_REL_WIDTH", stability),
         "lift_residual_tol": ("LIFT_RESIDUAL_TOL", squire),
+        "incompressibility_tol": ("INCOMPRESSIBILITY_TOL", squire),
+        "omega2_solve_tol": ("OMEGA2_SOLVE_TOL", squire),
         "field_mean_tol": ("_MEAN_TOL", spectral),
     }
     assert set(saved["tolerances"]) == set(owners)
@@ -886,6 +890,9 @@ def test_main_upper_bound_overflow_is_one_config_error(tmp_path, capsys, command
 _EPS_OVERFLOW = "config error: eps_g: (4 + eps_g)^3 overflows a float (eps_g=1e+200)\n"
 _CAP_OVERFLOW = ("config error: alpha: capital_lambda = lambda / (2 sqrt2 pi "
                  "(1 + alpha^2 s^2)) is not finite and > 0: alpha^2 s^2 is too large ")
+_WINDOW_OVERFLOW = ("config error: alpha: the upper edge of the Lambda_0 window, which grows "
+                    "as s (1 + alpha^2 s^2) / delta^2, is not finite even at delta = 1/sqrt(3) "
+                    "(alpha = 4e+152, s = 8)\n")
 
 
 @pytest.mark.parametrize("doc,start", [
@@ -902,13 +909,21 @@ _CAP_OVERFLOW = ("config error: alpha: capital_lambda = lambda / (2 sqrt2 pi "
     ({"command": "squire", "s": 2, "alpha": 5e76}, _CAP_OVERFLOW),
     ({"command": "squire", "s": 2, "lambda": 1.0, "alpha": 1e110, "count_s": [30]},
      "config error: alpha: alpha^3 overflows a float (got 1e+110)\n"),
+    # the window's edge is inf even at delta = 1/sqrt(3): each was blamed on delta
+    ({"command": "stability", "s": 8, "alpha": 4e152, "delta": 0.3, "lambda": 120.0},
+     _WINDOW_OVERFLOW),
+    ({"command": "stability", "s": 8, "alpha": 4e152, "delta": 0.57, "lambda": 120.0},
+     _WINDOW_OVERFLOW),
+    ({"command": "squire", "s": 6, "alpha": 5e75, "max_lifts": 0, "count_s": [50]},
+     _CAP_OVERFLOW),
     # alpha**2 of the run's Helmholtz symbol was an internal error (exit 1)
     (dict(MINIMAL_SIMULATE, alpha=1e200),
      "config error: alpha: the Helmholtz symbol 1 + alpha^2 |k|^2 is not finite at "
      "|k|^2 = 2048 (alpha = 1e+200, n_modes = 64)\n"),
 ], ids=["bounds-eps_g", "report-eps_g", "stability-alpha", "squire-alpha-lambda",
         "squire-alpha-driver", "squire-alpha-driver-inf", "squire-alpha-cubed",
-        "simulate-alpha"])
+        "stability-alpha-window", "stability-alpha-window-wide-delta",
+        "squire-alpha-window", "simulate-alpha"])
 def test_main_overflow_names_its_key_and_formula(tmp_path, capsys, doc, start):
     # each was "config error: a number is too large: (34, 'Numerical result
     # out of range')", from an OverflowError that named no key
@@ -958,7 +973,7 @@ def _stable_phase(monkeypatch):
     # the omega2 solve gets the phase speed of a decaying mode
     solve = squire.reconstruct_omega2
     monkeypatch.setattr(squire, "reconstruct_omega2",
-                        lambda tr, q, setup, c, m_max: solve(tr, q, setup, -c, m_max))
+                        lambda tr, q, setup, c: solve(tr, q, setup, -c))
 
 
 _LIFT = {"command": "squire", "s": 6, "max_lifts": 1, "count_s": [20]}

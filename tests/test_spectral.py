@@ -13,8 +13,6 @@ import pytest
 from mla.dynamics import ForcingSpec, ModelParams, initial_state, kolmogorov_forcing, run
 from mla.spectral import (
     FieldNorms,
-    GridMismatchError,
-    NonZeroMeanError,
     ScalarField,
     SpectralGrid,
     _jacobian,
@@ -74,7 +72,7 @@ def test_zero_mean_enforced_by_construction():
     f = ScalarField(GRID, c)
     assert f.coeffs[0, 0] == 0
     c[0, 0] = 0.5
-    with pytest.raises(NonZeroMeanError):
+    with pytest.raises(ValueError, match="mean coefficient"):
         ScalarField(GRID, c)
 
 
@@ -146,9 +144,9 @@ def test_self_conjugate_columns_are_exact_mirrors():
 def test_grid_mismatch_raises():
     f = ScalarField.harmonic(SpectralGrid(16), 1, 0)
     g = ScalarField.harmonic(SpectralGrid(32), 1, 0)
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(ValueError, match="grids differ"):
         jacobian(f, g)
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(ValueError, match="grids differ"):
         f + g
 
 
@@ -218,7 +216,7 @@ def test_inv_laplacian_rejects_nonzero_mean():
     # exercise the operator-level guard
     g = ScalarField(GRID, np.zeros(GRID.shape, complex))
     g.coeffs[0, 0] = 1e-6
-    with pytest.raises(NonZeroMeanError):
+    with pytest.raises(ValueError, match="requires a zero-mean field"):
         inv_laplacian(g)
 
 

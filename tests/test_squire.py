@@ -128,7 +128,7 @@ def squire_reduce(triple: SquireTriple, mode: Mode1DProfile) -> Reduced2D:
     return Reduced2D(
         a_hat=ah,
         delta_scale=ah / a,
-        m_max=mode.m_max,
+        m_max=len(mode.q) // 2,
         omega1_hat=(a * mode.omega1 + b * mode.omega2) / ah,
         omega3_hat=mode.omega3.copy(),
         q_hat=mode.q * (ah / a),
@@ -236,8 +236,7 @@ def _synthetic_mode(a, b, m_max=6, seed=0):
     # choose omega1 to satisfy incompressibility exactly
     w1 = -(b * w2 + m * w3) / a
     q = rng.standard_normal(2 * m_max + 1) + 1j * rng.standard_normal(2 * m_max + 1)
-    return Mode1DProfile(a=a, b=b, m_max=m_max, omega1=w1, omega2=w2,
-                         omega3=w3, q=q, c=0.3 + 0.2j)
+    return Mode1DProfile(a=a, b=b, omega1=w1, omega2=w2, omega3=w3, q=q, c=0.3 + 0.2j)
 
 
 def test_reduce_b0_is_identity():
@@ -307,17 +306,18 @@ def test_a0_generator_matches_dense_coupling():
 
 
 def test_lift_memory_is_linear_in_truncation():
-    # the dense shear matrices needed about 80 MB at m_max = 500
-    setup = driver_setup()
-    triple = SquireTriple(a=3, b=1, r=0)
+    # the dense shear matrices needed about 80 MB at M = 500; at s = 30 the
+    # lift's own truncation is past that (M = 570)
+    setup = driver_setup(s=30)
+    triple = SquireTriple(a=14, b=3, r=0)
     res2d = solve_hat_mode(triple, setup)
     tracemalloc.start()
     try:
-        mode = lift_mode(triple, res2d, setup, m_max=500)
+        mode = lift_mode(triple, res2d, setup)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert mode.m_max == 500 and max(mode.residuals.values()) < 1e-8
+    assert len(mode.q) >= 2 * 500 + 1 and max(mode.residuals.values()) < 1e-8
     assert peak < 8e6
 
 
@@ -329,7 +329,7 @@ def test_reconstruct_b0_gives_zero():
     setup = driver_setup()
     triple = SquireTriple(a=3, b=0, r=0)
     q = np.ones(2 * 20 + 1, dtype=complex)
-    w2 = reconstruct_omega2(triple, q, setup, c=0.5j, m_max=20)
+    w2 = reconstruct_omega2(triple, q, setup, c=0.5j)
     assert np.max(np.abs(w2)) == 0.0
 
 
@@ -337,8 +337,7 @@ def test_reconstruct_requires_unstable_phase():
     setup = driver_setup()
     triple = SquireTriple(a=3, b=1, r=0)
     with pytest.raises(NumericalError, match="Re\\(iac\\) < 0"):
-        reconstruct_omega2(triple, np.ones(41, dtype=complex), setup,
-                           c=-0.5j, m_max=20)
+        reconstruct_omega2(triple, np.ones(41, dtype=complex), setup, c=-0.5j)
 
 
 def test_reconstruct_rejects_a_non_finite_solve():
@@ -347,7 +346,7 @@ def test_reconstruct_rejects_a_non_finite_solve():
     q = np.ones(41, dtype=complex)
     q[7] = np.nan
     with pytest.raises(NumericalError, match=r"right-hand side i b q is not finite \(got nan\)"):
-        reconstruct_omega2(triple, q, setup, c=0.5j, m_max=20)
+        reconstruct_omega2(triple, q, setup, c=0.5j)
 
 
 def test_norm_rescales_where_the_squares_overflow():
@@ -367,7 +366,7 @@ def test_reconstruct_checks_the_solve_residual(monkeypatch, lane, cause):
     monkeypatch.setattr(squire, "_gtsv", lambda dl, d, du, b: [lane] * len(b))
     with pytest.raises(NumericalError, match=cause):
         reconstruct_omega2(SquireTriple(a=3, b=1, r=0), np.ones(41, dtype=complex),
-                           driver_setup(), c=0.5j, m_max=20)
+                           driver_setup(), c=0.5j)
 
 
 @pytest.mark.parametrize("s,alpha,a,b", [(6, 0.0, 3, 1), (20, 0.05, 7, -6)])
@@ -381,7 +380,7 @@ def test_reconstruct_matches_dense_solve(s, alpha, a, b):
     cu = _conv_sin(setup.u0_amp, s, m_max)
     dense = np.diag(setup.nu * D + 1j * a * c) - 1j * a * (cu * H[None, :])
     want = np.linalg.solve(dense, 1j * b * q)
-    got = reconstruct_omega2(triple, q, setup, c, m_max)
+    got = reconstruct_omega2(triple, q, setup, c)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -397,7 +396,7 @@ def test_reconstruct_lanes_match_banded_solve(s, alpha, a, b, m_max):
     rng = np.random.default_rng(s + m_max)
     q = rng.standard_normal(2 * m_max + 1) + 1j * rng.standard_normal(2 * m_max + 1)
     want = _banded_omega2(triple, q, setup, c, m_max)
-    got = reconstruct_omega2(triple, q, setup, c, m_max)
+    got = reconstruct_omega2(triple, q, setup, c)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -405,10 +404,10 @@ def test_reconstruct_truncation_converged():
     setup = driver_setup()
     triple = SquireTriple(a=3, b=1, r=0)
     mode = lift_mode(triple, solve_hat_mode(triple, setup), setup)
-    M = mode.m_max
+    M = len(mode.q) // 2
     q_big = np.zeros(2 * (2 * M) + 1, dtype=complex)
     q_big[2 * M - M: 2 * M + M + 1] = mode.q
-    w2_big = reconstruct_omega2(triple, q_big, setup, mode.c, 2 * M)
+    w2_big = reconstruct_omega2(triple, q_big, setup, mode.c)
     inner = w2_big[2 * M - M: 2 * M + M + 1]
     scale = np.max(np.abs(mode.omega2))
     assert np.max(np.abs(inner - mode.omega2)) < 1e-9 * scale

@@ -501,7 +501,7 @@ def test_stability_result_residual_invariant():
     with pytest.raises(NumericalError):
         StabilityResult(
             sigma_hat=1.0, eigen_residual=1e-6,
-            eigenvector=np.ones(3), offsets=np.arange(-1, 2), n_trunc_used=1,
+            eigenvector=np.ones(3), n_trunc_used=1,
         )
 
 
@@ -1135,7 +1135,8 @@ def test_mirrored_chains_share_their_eigenpair():
         assert plus.n_trunc_used == minus.n_trunc_used
         assert abs(plus.sigma_hat - minus.sigma_hat) <= 1e-14 * max(
             1.0, abs(plus.sigma_hat)), (s, t, r)
-        flip = (-1.0) ** plus.offsets * plus.eigenvector[::-1]
+        n = plus.n_trunc_used
+        flip = (-1.0) ** np.arange(-n, n + 1) * plus.eigenvector[::-1]
         flip /= flip[np.argmax(np.abs(flip))]
         assert np.max(np.abs(flip - minus.eigenvector)) <= 1e-12, (s, t, r)
 
