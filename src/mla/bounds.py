@@ -14,15 +14,12 @@ they raise ValueError: the inputs are then out of range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import NumericalError
 
 __all__ = [
     "BoundInputs",
-    "LowerBound2D",
-    "LowerBound3D",
-    "TwoSidedReport",
     "grashof",
     "lower_bound_dim2d",
     "lower_bound_dim3d",
@@ -84,26 +81,18 @@ class BoundInputs:
             raise ValueError(f"eps_G must be nonnegative, got {self.eps_g}")
 
 
-@dataclass(frozen=True)
-class LowerBound2D:
-    """coeff * G^(2/3) with the regime's two-digit coefficient, plus the
-    symbolic small-alpha window whose constants the analysis leaves free."""
-
-    g: float
-    alpha: float
-    coefficient: float
-    value: float
-    regime: str
-    alpha_regime_forms: dict
-
-
-def lower_bound_dim2d(g: float, alpha: float) -> LowerBound2D:
+def lower_bound_dim2d(g: float, alpha: float) -> dict:
     """Attractor-dimension lower bound coeff * G^(2/3).
 
     alpha = 0 uses 0.006; 0 < alpha << 1 (the G ~ alpha^-3 regime) uses
     0.0018.  The pure alpha-scaling forms C1/alpha^2 and
     C2 alpha^-2 (log 1/alpha)^(1/3) are reported symbolically: C1 and C2
     are structurally unspecified.
+
+    Returns the dict summary.json's ``lower_bound_2d`` holds: ``g``,
+    ``alpha``, the regime's two-digit ``coefficient``, ``value`` = coeff *
+    G^(2/3), ``regime``, and ``alpha_regime_forms``, the symbolic
+    small-alpha window whose constants the analysis leaves free.
     """
     BoundInputs(g=g, alpha=alpha)  # ValueError unless G > 0 and alpha >= 0
     coeff = LOWER_COEFF_ALPHA0 if alpha == 0.0 else LOWER_COEFF_SMALL_ALPHA
@@ -115,10 +104,10 @@ def lower_bound_dim2d(g: float, alpha: float) -> LowerBound2D:
         "C2": None,
         "note": "C1, C2 unspecified by the analysis",
     }
-    return LowerBound2D(
-        g=g, alpha=alpha, coefficient=coeff, value=coeff * g ** (2.0 / 3.0),
-        regime=regime, alpha_regime_forms=forms,
-    )
+    return {
+        "g": g, "alpha": alpha, "coefficient": coeff, "value": coeff * g ** (2.0 / 3.0),
+        "regime": regime, "alpha_regime_forms": forms,
+    }
 
 
 def _filtered_l(inputs: BoundInputs) -> float:
@@ -161,29 +150,15 @@ def upper_bound_2(inputs: BoundInputs) -> float:
                    * bracket ** (1.0 / 3.0))
 
 
-@dataclass(frozen=True)
-class TwoSidedReport:
-    """Lower vs upper dimension bounds at one (G, alpha) point.
+def two_sided_report(inputs: BoundInputs) -> dict:
+    """Tabulate the 2-D lower bound against min(upper1, upper2) at one
+    (G, alpha) point.
 
-    ``upper1``/``upper2`` are None when the log-bracket is non-positive
-    (with the reason recorded in ``notes``); the ratio is upper_min /
-    lower when both sides exist.
-    """
-
-    g: float
-    alpha: float
-    lower: float
-    upper1: float | None
-    upper2: float | None
-    upper_min: float | None
-    ratio: float | None
-    alpha_regime_forms: dict
-    notes: tuple[str, ...] = field(default_factory=tuple)
-
-
-def two_sided_report(inputs: BoundInputs) -> TwoSidedReport:
-    """Tabulate the 2-D lower bound against min(upper1, upper2).
-
+    Returns the row that bounds.csv and two_sided.csv hold: ``g``,
+    ``alpha``, ``lower``, ``upper1``, ``upper2``, ``upper_min``, ``ratio``,
+    ``alpha_regime_forms`` and ``notes``.  ``upper1``/``upper2`` are None
+    when the log-bracket is non-positive (with the reason recorded in
+    ``notes``); the ratio is upper_min / lower when both sides exist.
     The small-alpha scaling window C1/alpha^2 <= dim <= C2 alpha^-2
     (log 1/alpha)^(1/3) is reported symbolically; its constants are
     structurally unspecified.
@@ -203,18 +178,18 @@ def two_sided_report(inputs: BoundInputs) -> TwoSidedReport:
     except NumericalError as exc:
         notes.append(f"upper2 domain error: {exc}")
     upper_min = min((u for u in (u1, u2) if u is not None), default=None)
-    ratio = upper_min / lower.value if upper_min is not None else None
-    return TwoSidedReport(
-        g=inputs.g,
-        alpha=inputs.alpha,
-        lower=lower.value,
-        upper1=u1,
-        upper2=u2,
-        upper_min=upper_min,
-        ratio=ratio,
-        alpha_regime_forms=lower.alpha_regime_forms,
-        notes=tuple(notes),
-    )
+    ratio = upper_min / lower["value"] if upper_min is not None else None
+    return {
+        "g": inputs.g,
+        "alpha": inputs.alpha,
+        "lower": lower["value"],
+        "upper1": u1,
+        "upper2": u2,
+        "upper_min": upper_min,
+        "ratio": ratio,
+        "alpha_regime_forms": lower["alpha_regime_forms"],
+        "notes": notes,
+    }
 
 
 def _alpha_cubed(alpha: float) -> float:
@@ -226,27 +201,18 @@ def _alpha_cubed(alpha: float) -> float:
     return cubed
 
 
-@dataclass(frozen=True)
-class LowerBound3D:
-    g: float
-    alpha: float
-    gamma: float
-    c6: float
-    value: float
-    raw_count: float
-    upper_form: str
-
-
-def lower_bound_dim3d(g: float, alpha: float, gamma: float,
-                      c6: float) -> LowerBound3D:
+def lower_bound_dim3d(g: float, alpha: float, gamma: float, c6: float) -> dict:
     """c6 G^gamma / alpha^(3(1-gamma)) in the small-alpha regime.
 
-    c6 is an input (the analysis leaves it symbolic; the count pipeline's
-    c5 is the documented default).  ``raw_count`` is c6/alpha^3, the mode
-    count at s = 1/alpha; with G = alpha^-3 the bound equals it for every
-    gamma.  The paired upper bound c8 (G/alpha)^(3/2) is reported as a
-    formula only.  ValueError names alpha^3 where it underflows or
-    overflows, and the formula where ``value`` or ``raw_count`` overflows.
+    Returns the dict summary.json's ``lower_bound_3d`` holds: the inputs
+    ``g``, ``alpha``, ``gamma`` and ``c6``, the bound ``value``,
+    ``raw_count`` and ``upper_form``.  c6 is an input (the analysis leaves
+    it symbolic; the count pipeline's c5 is the documented default).
+    ``raw_count`` is c6/alpha^3, the mode count at s = 1/alpha; with
+    G = alpha^-3 the bound equals it for every gamma.  The paired upper
+    bound c8 (G/alpha)^(3/2) is reported as a formula only, ``upper_form``.
+    ValueError names alpha^3 where it underflows or overflows, and the
+    formula where ``value`` or ``raw_count`` overflows.
     """
     if alpha <= 0:
         raise ValueError("the bound is the small-alpha regime; alpha > 0 required")
@@ -256,10 +222,10 @@ def lower_bound_dim3d(g: float, alpha: float, gamma: float,
         raise ValueError("require G > 0 and c6 > 0")
     # value divides by alpha^(3(1-gamma)), which lies between 1 and alpha^3
     cubed = _alpha_cubed(alpha)
-    return LowerBound3D(
-        g=g, alpha=alpha, gamma=gamma, c6=c6,
-        value=_finite("value = c6 G^gamma / alpha^(3(1-gamma))",
-                      lambda: c6 * g**gamma / alpha ** (3.0 * (1.0 - gamma))),
-        raw_count=_finite("raw_count = c6 / alpha^3", lambda: c6 / cubed),
-        upper_form="c8 * (G/alpha)^(3/2), sharp exponent in (1, 3/2)",
-    )
+    return {
+        "g": g, "alpha": alpha, "gamma": gamma, "c6": c6,
+        "value": _finite("value = c6 G^gamma / alpha^(3(1-gamma))",
+                         lambda: c6 * g**gamma / alpha ** (3.0 * (1.0 - gamma))),
+        "raw_count": _finite("raw_count = c6 / alpha^3", lambda: c6 / cubed),
+        "upper_form": "c8 * (G/alpha)^(3/2), sharp exponent in (1, 3/2)",
+    }

@@ -28,7 +28,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -37,7 +37,6 @@ from . import _TOLERANCES, NumericalError, _atomic_open, __version__
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
-    "RunManifest",
     "parse_config",
     "serialize_config",
     "run_command",
@@ -176,10 +175,13 @@ def _plan_simulate(p: dict) -> dict:
     except (OverflowError, ZeroDivisionError):
         amplitude = bound = math.inf
     if not (math.isfinite(amplitude) and math.isfinite(bound)):
-        cause = "nu" if p["nu"] * p["nu"] == 0.0 else "lambda"  # ** raises on an overflow
-        errors.append(f"{cause}: the forcing amplitude nu^2 lambda s^3 / (sqrt2 pi) "
-                      f"or its bound (nu^2 lambda s^2)^2 / nu^2 is not finite "
-                      f"(nu = {p['nu']!r}, lambda = {p['lambda']!r})")
+        # an s^3 past the float range overflows whatever nu and lambda are
+        cause = ("s" if p["s"] ** 3 > sys.float_info.max
+                 else "nu" if p["nu"] * p["nu"] == 0.0 else "lambda")  # ** raises on an overflow
+        if cause != "s" or grid.keeps(0, p["s"]):  # else the dealias line names s
+            errors.append(f"{cause}: the forcing amplitude nu^2 lambda s^3 / (sqrt2 pi) "
+                          f"or its bound (nu^2 lambda s^2)^2 / nu^2 is not finite "
+                          f"(nu = {p['nu']!r}, lambda = {p['lambda']!r})")
     try:  # where no array fits, the Helmholtz |k|^2 may overflow whatever alpha is
         grid.check_size()
         try:  # the run divides by the Helmholtz symbol
@@ -212,15 +214,22 @@ def _plan_bounds(p: dict) -> dict:
     for g in p["g_values"]:
         for alpha in p["alpha_values"]:
             try:
-                rows.append(asdict(bounds.two_sided_report(bounds.BoundInputs(
+                rows.append(bounds.two_sided_report(bounds.BoundInputs(
                     g=float(g), alpha=float(alpha), lambda1=p["lambda1"],
-                    l_const=p["l_const"], eps_g=p["eps_g"]))))
+                    l_const=p["l_const"], eps_g=p["eps_g"])))
             except ValueError as exc:
                 errors.setdefault(str(exc), (g, alpha))
     if errors:
         raise ConfigError([f"g_values/alpha_values: {cause} at (g, alpha) = ({g!r}, {alpha!r})"
                            for cause, (g, alpha) in errors.items()])
     return {"rows": rows}
+
+
+def _check_s_squared(s: int) -> None:
+    # alpha^2 s^2 overflows for every alpha, 0 included, once s^2 alone does
+    if s * s > sys.float_info.max:
+        raise ConfigError([f"s: s^2 overflows a float, and so does alpha^2 s^2 for every "
+                           f"alpha, 0 included (s = {s})"])
 
 
 def _check_amplitude(lam: float, s: int, alpha: float) -> None:
@@ -252,6 +261,7 @@ def _plan_stability(p: dict) -> dict:
     # alpha^2 s^2 of the rescaled amplitude and its window may overflow a
     # float, and the window's 1/delta^2 may too, or divide by 0
     s, alpha = p["s"], p["alpha"]
+    _check_s_squared(s)
     _check_amplitude(p["lambda"], s, alpha)
     try:
         window = stability.lu_interval(s, p["delta"], alpha)
@@ -267,7 +277,7 @@ def _plan_stability(p: dict) -> dict:
         return {"window": window, "grashof": None,
                 "lower_bound_2d": {"note": "G = lambda s^2 overflows a float"}}
     return {"window": window, "grashof": g,
-            "lower_bound_2d": asdict(bounds.lower_bound_dim2d(g, alpha))}
+            "lower_bound_2d": bounds.lower_bound_dim2d(g, alpha)}
 
 
 def _plan_squire(p: dict) -> dict:
@@ -277,6 +287,7 @@ def _plan_squire(p: dict) -> dict:
         window = squire.CountWindow(p["c2"], p["c3"], p["c4"], p["delta_star"])
     except ValueError as exc:
         raise ConfigError([f"c2/c3/c4/delta_star: {exc}"]) from None
+    _check_s_squared(s)
     # the amplitude, given (then > 0) or the default driver, may overflow a
     # float; the driver also grows as 1/delta_star^2, which may divide by 0
     lam = p["lambda"]
@@ -307,8 +318,8 @@ def _plan_squire(p: dict) -> dict:
         raise ConfigError([f"count_s: no triples at s={p['count_s'][-1]}, so the default "
                            "c6 (the c5 fit there) is 0; use a larger last s or set c6"])
     try:
-        plan["lower_bound_3d"] = asdict(bounds.lower_bound_dim3d(
-            bounds.grashof(lam, s), alpha, p["gamma"], c6))
+        plan["lower_bound_3d"] = bounds.lower_bound_dim3d(
+            bounds.grashof(lam, s), alpha, p["gamma"], c6)
     except ValueError as exc:
         raise ConfigError([f"alpha: {exc} (alpha = {alpha!r}, c6 = {c6!r})"]) from None
     return plan
@@ -454,19 +465,6 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config: dict
-    version: str
-    started_at: str
-    finished_at: str
-    tolerances: dict
-    outputs: list[dict] = field(default_factory=list)
-    status: str = "ok"
-    error: str | None = None
-
-
 # ---------------------------------------------------------------------
 # plot emission: CSV plus a dependency-free SVG
 # ---------------------------------------------------------------------
@@ -562,8 +560,7 @@ def _cmd_simulate(p: dict, plan: dict, out: Path, seed: int, written: list[Path]
         zip(diag.times, diag.phi_l2, diag.grad_phi_l2, diag.avg_grad_sq)))
     if len(diag):
         report = dynamics.check_asymptotic_bounds(diag, f_l2=plan["f_l2"], nu=params.nu)
-        written.append(_write_json(out / "bounds_report.json",
-                                   {**asdict(report), "ok": report.ok}))
+        written.append(_write_json(out / "bounds_report.json", report))
     spectral.save_field(diag.final_state.psi, out / "final_field.json")
     written.append(out / "final_field.json")
 
@@ -672,43 +669,40 @@ _COMMAND_TABLE = {
 COMMANDS = tuple(_COMMAND_TABLE)
 
 
-def run_command(config: ExperimentConfig, out_dir=None,
-                threads: int = 1) -> RunManifest:
-    """Dispatch a validated config; write artifacts and the manifest.
+def run_command(config: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
+    """Dispatch a validated config; write artifacts and manifest.json, and
+    return the manifest: the dict that file holds.
 
     Every file the command wrote, and no other file in the output
-    directory, is listed in the manifest with its sha256.  Computation
-    errors are recorded in the manifest (status "error", with the files
-    written before the error) and re-raised after it is written.
-    ``threads`` is accepted and ignored: commands run in one thread.
+    directory, is listed in ``outputs`` with its sha256.  Computation
+    errors are recorded in the manifest (``status`` "error" and ``error``
+    naming the exception, with the files written before the error) and
+    re-raised after it is written.  ``threads`` is accepted and ignored:
+    commands run in one thread.
     """
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    manifest = RunManifest(
-        command=config.command,
-        config=json.loads(serialize_config(config)),
-        version=__version__,
-        started_at=started,
-        finished_at="",
-        tolerances=dict(_TOLERANCES),
-    )
+    manifest = {
+        "command": config.command,
+        "config": json.loads(serialize_config(config)),
+        "version": __version__,
+        "started_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "tolerances": dict(_TOLERANCES),
+        "status": "ok",
+        "error": None,
+    }
     error: Exception | None = None
     written: list[Path] = []
     try:
         _COMMAND_TABLE[config.command][1](config.parameters, config.plan, out,
                                           config.seed, written)
     except Exception as exc:
-        manifest.status = "error"
-        manifest.error = f"{type(exc).__name__}: {exc}"
+        manifest.update(status="error", error=f"{type(exc).__name__}: {exc}")
         error = exc
-    manifest.finished_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    for path in sorted(written):
-        manifest.outputs.append({
-            "path": str(path.relative_to(out)),
-            "sha256": _sha256(path),
-        })
-    _write_json(out / "manifest.json", asdict(manifest))
+    manifest["finished_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    manifest["outputs"] = [{"path": str(path.relative_to(out)), "sha256": _sha256(path)}
+                           for path in sorted(written)]
+    _write_json(out / "manifest.json", manifest)
     if error is not None:
         raise error
     return manifest
@@ -738,7 +732,7 @@ def _main(args) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
-    print(f"ok: {len(manifest.outputs)} artifacts in "
+    print(f"ok: {len(manifest['outputs'])} artifacts in "
           f"{args.out or config.output_dir}")
     return 0
 

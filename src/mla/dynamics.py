@@ -39,7 +39,6 @@ __all__ = [
     "ForcingSpec",
     "SolverState",
     "TrajectoryDiagnostics",
-    "AsymptoticReport",
     "kolmogorov_forcing",
     "stationary_psi",
     "step_imex",
@@ -304,54 +303,38 @@ def run(state: SolverState, t_final: float, dt: float, forcing: ScalarField,
     )
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
-    """Tail-window check of the dissipative a-priori bounds.
-
-    ``phi_sq_bound`` is |f|^2/(lambda1 nu^2), with lambda1 = 1 on the
-    torus, against the tail max of |phi(t)|^2; ``avg_bound`` is |f|^2/nu^2
-    against the tail of the running time average of |grad phi|^2.  Margins
-    are bound minus measured value (nonnegative means the bound holds).
-    """
-
-    tail_start: float
-    tail_count: int
-    phi_sq_tail_max: float
-    phi_sq_bound: float
-    phi_margin: float
-    avg_tail_max: float
-    avg_bound: float
-    avg_margin: float
-
-    @property
-    def ok(self) -> bool:
-        return self.phi_margin >= 0 and self.avg_margin >= 0
-
-
-def check_asymptotic_bounds(diag: TrajectoryDiagnostics, f_l2: float,
-                            nu: float) -> AsymptoticReport:
+def check_asymptotic_bounds(diag: TrajectoryDiagnostics, f_l2: float, nu: float) -> dict:
     """Report whether the sampled tail satisfies the dissipative bounds.
 
     The limsup statements are checked as inequalities over the last half
     of the samples; the caller is responsible for the run being long
     enough that transients have decayed.
+
+    Returns the dict bounds_report.json holds.  ``phi_sq_bound`` is
+    |f|^2/(lambda1 nu^2), with lambda1 = 1 on the torus, against the tail
+    max of |phi(t)|^2; ``avg_bound`` is |f|^2/nu^2 against the tail of the
+    running time average of |grad phi|^2.  Margins are bound minus measured
+    value (nonnegative means the bound holds), and ``ok`` is whether both
+    margins are.  ``tail_start`` and ``tail_count`` locate the tail.
     """
     if len(diag) == 0:
         raise ValueError("diagnostics are empty")
     start = min(len(diag) // 2, len(diag) - 1)
-    phi_sq_tail = diag.phi_l2[start:] ** 2
-    avg_tail = diag.avg_grad_sq[start:]
-    phi_bound = avg_bound = _dissipative_bound(f_l2, nu)
-    return AsymptoticReport(
-        tail_start=float(diag.times[start]),
-        tail_count=len(diag) - start,
-        phi_sq_tail_max=float(np.max(phi_sq_tail)),
-        phi_sq_bound=phi_bound,
-        phi_margin=float(phi_bound - np.max(phi_sq_tail)),
-        avg_tail_max=float(np.max(avg_tail)),
-        avg_bound=avg_bound,
-        avg_margin=float(avg_bound - np.max(avg_tail)),
-    )
+    phi_sq_max = float(np.max(diag.phi_l2[start:] ** 2))
+    avg_max = float(np.max(diag.avg_grad_sq[start:]))
+    bound = _dissipative_bound(f_l2, nu)
+    phi_margin, avg_margin = float(bound - phi_sq_max), float(bound - avg_max)
+    return {
+        "tail_start": float(diag.times[start]),
+        "tail_count": len(diag) - start,
+        "phi_sq_tail_max": phi_sq_max,
+        "phi_sq_bound": bound,
+        "phi_margin": phi_margin,
+        "avg_tail_max": avg_max,
+        "avg_bound": bound,
+        "avg_margin": avg_margin,
+        "ok": phi_margin >= 0 and avg_margin >= 0,
+    }
 
 
 def initial_state(params: ModelParams, seed: int = 0, amplitude: float = 1e-3,

@@ -293,7 +293,7 @@ def lift_mode(triple: SquireTriple, two_d: StabilityResult, setup: Setup3D) -> M
 
     # the modes M keep every chain entry above 1e-14 of the peak, and one
     # shear coupling; e holds the chain offsets n = -N..N, N = n_trunc_used
-    e, n = two_d.eigenvector, np.arange(-two_d.n_trunc_used, two_d.n_trunc_used + 1)
+    e, n = two_d.eigenvector, _modes(two_d.n_trunc_used)
     n_keep = int(np.max(np.abs(n[np.abs(e) > 1e-14 * np.abs(e).max()])))
     M = max(4 * s + 16, s * (n_keep + 1) + abs(r) + s)
     m, D, H, u0_h, du0_h = _wave_tables(setup, ah * ah, M)

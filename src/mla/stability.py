@@ -194,11 +194,8 @@ class RecurrenceProblem:
             raise NumericalError(
                 f"singular chain: kappa_n^2 = s^2 for some |n| <= {N_TRUNC}")
 
-    def offsets(self, n_trunc: int) -> np.ndarray:
-        return np.arange(-n_trunc, n_trunc + 1)
-
     def kappa_sq(self, n_trunc: int) -> np.ndarray:
-        n = self.offsets(n_trunc)
+        n = np.arange(-n_trunc, n_trunc + 1)
         return self.t**2 + (self.s * n + self.r) ** 2
 
 

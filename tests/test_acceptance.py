@@ -148,11 +148,11 @@ def test_criterion_4_asymptotic_bounds():
                         sample_every=100)
     report = dynamics.check_asymptotic_bounds(
         diag, f_l2=nu**2 * lam * s**2, nu=nu)
-    assert report.phi_margin >= 0.0
-    assert report.avg_margin >= 0.0
-    _report(4, f"G=50 run to t=200: |phi|^2 tail {report.phi_sq_tail_max:.4g} "
-               f"<= {report.phi_sq_bound:.4g}, avg |grad phi|^2 tail "
-               f"{report.avg_tail_max:.4g} <= {report.avg_bound:.4g}")
+    assert report["phi_margin"] >= 0.0
+    assert report["avg_margin"] >= 0.0
+    _report(4, f"G=50 run to t=200: |phi|^2 tail {report['phi_sq_tail_max']:.4g} "
+               f"<= {report['phi_sq_bound']:.4g}, avg |grad phi|^2 tail "
+               f"{report['avg_tail_max']:.4g} <= {report['avg_bound']:.4g}")
 
 
 # ---------------------------------------------------------------------
@@ -238,9 +238,9 @@ def test_criterion_7_area_constant():
 # ---------------------------------------------------------------------
 
 def test_criterion_8_lower_coefficients():
-    assert bounds_mod.lower_bound_dim2d(1000.0, 0.0).value == pytest.approx(
+    assert bounds_mod.lower_bound_dim2d(1000.0, 0.0)["value"] == pytest.approx(
         0.006 * 1000.0 ** (2.0 / 3.0), rel=1e-15)
-    assert bounds_mod.lower_bound_dim2d(1000.0, 0.01).value == pytest.approx(
+    assert bounds_mod.lower_bound_dim2d(1000.0, 0.01)["value"] == pytest.approx(
         0.0018 * 1000.0 ** (2.0 / 3.0), rel=1e-15)
     derived0 = derived_lower_coefficient(True)
     derived_a = derived_lower_coefficient(False)
@@ -275,7 +275,7 @@ def test_criterion_9_upper_bounds_oracle():
             worst = max(worst, abs(u1 - float(ref1)) / float(ref1))
             worst = max(worst, abs(u2 - float(ref2)) / float(ref2))
 
-            lower = bounds_mod.lower_bound_dim2d(g, alpha).value
+            lower = bounds_mod.lower_bound_dim2d(g, alpha)["value"]
             assert min(u1, u2) >= lower
     assert worst < 1e-12
     _report(9, f"5x5 grid vs 60-digit oracle: worst relative gap {worst:.2e}; "

@@ -131,16 +131,16 @@ def test_two_sided_lower_below_upper_on_grid():
     for g in np.geomspace(1e2, 1e8, 7):
         for alpha in (0.0, 1e-3, 1e-2, 1e-1):
             rep = two_sided_report(BoundInputs(g=float(g), alpha=float(alpha)))
-            assert rep.upper_min is not None
-            assert rep.lower <= rep.upper_min
-            assert rep.ratio >= 1.0
+            assert rep["upper_min"] is not None
+            assert rep["lower"] <= rep["upper_min"]
+            assert rep["ratio"] >= 1.0
 
 
 def test_two_sided_report_specific_values():
     rep = two_sided_report(BoundInputs(g=1e6, alpha=0.0))
-    assert rep.lower == pytest.approx(0.006 * 1e4, rel=1e-12)
-    assert rep.alpha_regime_forms["C1"] is None
-    assert any("eps_G" in n for n in rep.notes)
+    assert rep["lower"] == pytest.approx(0.006 * 1e4, rel=1e-12)
+    assert rep["alpha_regime_forms"]["C1"] is None
+    assert any("eps_G" in n for n in rep["notes"])
 
 
 def test_two_sided_ratio_grows_like_cuberoot_log():
@@ -149,7 +149,7 @@ def test_two_sided_ratio_grows_like_cuberoot_log():
     ratios = []
     for g in gs:
         rep = two_sided_report(BoundInputs(g=float(g)))
-        ratios.append(rep.upper2 / rep.lower)
+        ratios.append(rep["upper2"] / rep["lower"])
     scaled = np.array(ratios) / np.log(gs) ** (1.0 / 3.0)
     # slowly-varying residual: spread well under the raw ratio growth
     assert np.max(scaled) / np.min(scaled) < np.max(ratios) / np.min(ratios)
@@ -158,5 +158,5 @@ def test_two_sided_ratio_grows_like_cuberoot_log():
 
 def test_two_sided_report_domain_error_noted():
     rep = two_sided_report(BoundInputs(g=1.0, alpha=0.0))
-    assert rep.upper1 is None
-    assert any("domain error" in n for n in rep.notes)
+    assert rep["upper1"] is None
+    assert any("domain error" in n for n in rep["notes"])

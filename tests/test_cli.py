@@ -180,7 +180,7 @@ def test_bounds_grid_rows_and_manifest(tmp_path):
         assert float(row["lower"]) <= float(row["upper1"])
         assert float(row["lower"]) <= float(row["upper2"])
     # manifest lists every artifact with a correct hash
-    listed = {o["path"]: o["sha256"] for o in manifest.outputs}
+    listed = {o["path"]: o["sha256"] for o in manifest["outputs"]}
     for name in ("bounds.csv", "summary.json", "bounds_vs_g.csv",
                  "bounds_vs_g.svg"):
         assert name in listed
@@ -215,7 +215,7 @@ def test_manifest_lists_only_files_the_run_wrote(tmp_path):
     (out / "stale.txt").write_text("left by an earlier run\n")
     doc = {"command": "bounds", "g_values": [1e4], "alpha_values": [0.0]}
     manifest = run_command(parse_config(json.dumps(doc)), out_dir=out)
-    listed = sorted(o["path"] for o in manifest.outputs)
+    listed = sorted(o["path"] for o in manifest["outputs"])
     assert listed == ["bounds.csv", "bounds_vs_g.csv", "bounds_vs_g.svg",
                       "summary.json"]
     saved = json.loads((out / "manifest.json").read_text())
@@ -529,9 +529,9 @@ def test_shipped_runs_call_no_field_wrapper(tmp_path, monkeypatch):
         if doc["command"] == "simulate":  # 200 steps, not the shipped 10,000
             doc["t_final"] = 200 * doc["dt"]
         manifest = run_command(parse_config(json.dumps(doc)), out_dir=tmp_path / name)
-        assert manifest.status == "ok"
+        assert manifest["status"] == "ok"
         if name in want:
-            assert {o["path"]: o["sha256"] for o in manifest.outputs} == want[name]
+            assert {o["path"]: o["sha256"] for o in manifest["outputs"]} == want[name]
 
 
 def test_report_command(tmp_path):
@@ -893,6 +893,8 @@ _CAP_OVERFLOW = ("config error: alpha: capital_lambda = lambda / (2 sqrt2 pi "
 _WINDOW_OVERFLOW = ("config error: alpha: the upper edge of the Lambda_0 window, which grows "
                     "as s (1 + alpha^2 s^2) / delta^2, is not finite even at delta = 1/sqrt(3) "
                     "(alpha = 4e+152, s = 8)\n")
+_S_SQUARED_OVERFLOW = ("config error: s: s^2 overflows a float, and so does alpha^2 s^2 for "
+                       f"every alpha, 0 included (s = {10**308})\n")
 
 
 @pytest.mark.parametrize("doc,start", [
@@ -920,10 +922,21 @@ _WINDOW_OVERFLOW = ("config error: alpha: the upper edge of the Lambda_0 window,
     (dict(MINIMAL_SIMULATE, alpha=1e200),
      "config error: alpha: the Helmholtz symbol 1 + alpha^2 |k|^2 is not finite at "
      "|k|^2 = 2048 (alpha = 1e+200, n_modes = 64)\n"),
+    # s^2 (or s^3) alone overflows, whatever alpha is: each was blamed on
+    # alpha, and simulate's on lambda too
+    ({"command": "stability", "s": 10**308, "delta": 0.3, "lambda": 120.0},
+     _S_SQUARED_OVERFLOW),
+    ({"command": "squire", "s": 10**308, "max_lifts": 0, "count_s": [50]},
+     _S_SQUARED_OVERFLOW),
+    ({"command": "simulate", "s": 10**400, "nu": 1.0, "lambda": 1.0, "dt": 0.01,
+      "t_final": 1.0},
+     f"config error: s: forcing wavenumber s={10**400} is at or beyond the dealias band "
+     "m = 22\n"),
 ], ids=["bounds-eps_g", "report-eps_g", "stability-alpha", "squire-alpha-lambda",
         "squire-alpha-driver", "squire-alpha-driver-inf", "squire-alpha-cubed",
         "stability-alpha-window", "stability-alpha-window-wide-delta",
-        "squire-alpha-window", "simulate-alpha"])
+        "squire-alpha-window", "simulate-alpha", "stability-s-squared",
+        "squire-s-squared", "simulate-s-cubed"])
 def test_main_overflow_names_its_key_and_formula(tmp_path, capsys, doc, start):
     # each was "config error: a number is too large: (34, 'Numerical result
     # out of range')", from an OverflowError that named no key

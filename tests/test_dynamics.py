@@ -623,8 +623,8 @@ def test_asymptotic_bounds_stationary_closed_form():
     diag = run(state, t_final=1.0, dt=0.01, forcing=kolmogorov_forcing(spec, p),
                sample_every=10)
     report = check_asymptotic_bounds(diag, f_l2=f_l2, nu=nu)
-    assert report.ok
-    assert report.phi_margin >= 0 and report.avg_margin >= 0
+    assert report["ok"]
+    assert report["phi_margin"] >= 0 and report["avg_margin"] >= 0
 
 
 def test_asymptotic_bounds_supercritical_run():
@@ -637,7 +637,7 @@ def test_asymptotic_bounds_supercritical_run():
     diag = run(state, t_final=25.0, dt=0.005, forcing=F, sample_every=200)
     rep = check_asymptotic_bounds(diag, f_l2=p.nu**2 * spec.lam * spec.s**2,
                                   nu=p.nu)
-    assert rep.ok
+    assert rep["ok"]
     psi_s = stationary_psi(spec, p)
     assert dist(diag.final_state.psi, psi_s) > 1.0  # genuinely departed
 
@@ -648,5 +648,5 @@ def test_asymptotic_bounds_zero_forcing():
     F = ScalarField(GRID, np.zeros(GRID.shape, complex))
     diag = run(state, t_final=5.0, dt=0.01, forcing=F, sample_every=25)
     report = check_asymptotic_bounds(diag, f_l2=1.0, nu=p.nu)
-    assert report.ok
-    assert report.phi_sq_tail_max < 1e-4  # left sides decay toward zero
+    assert report["ok"]
+    assert report["phi_sq_tail_max"] < 1e-4  # left sides decay toward zero

@@ -11,7 +11,7 @@ import math
 import re
 import sys
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mla import NumericalError, squire
+from mla import LIFT_RESIDUAL_TOL, NumericalError, squire
 from mla.bounds import lower_bound_dim3d
 from mla.cli import DEFAULTS, main, parse_config
 from mla.squire import (
@@ -41,6 +41,7 @@ from mla.squire import (
     lambda3_driver,
     lift_mode,
     lift_rows,
+    lineareq3_residuals,
     reconstruct_omega2,
     solve_hat_mode,
 )
@@ -500,6 +501,22 @@ def test_lift_residuals_across_admissible_band():
         assert mode.incompressibility_residual() < 1e-10
 
 
+def test_lift_residuals_catch_a_wrong_mode():
+    # the oracle is sensitive: a 1e-6 change of the pressure or of the phase
+    # speed moves eq1-eq3 past the gate, and leaves the divergence eq4 alone
+    setup = driver_setup(alpha=0.05)
+    triple = SquireTriple(a=3, b=1, r=0)
+    mode = lift_mode(triple, solve_hat_mode(triple, setup), setup)
+    exact = lineareq3_residuals(mode, setup)
+    assert max(exact.values()) < LIFT_RESIDUAL_TOL
+    dq = [1.0, 1j] @ np.random.default_rng(0).standard_normal((2, len(mode.q)))
+    dq *= 1e-6 * np.linalg.norm(mode.q) / np.linalg.norm(dq)
+    for wrong in (replace(mode, q=mode.q + dq), replace(mode, c=mode.c * (1.0 + 1e-6))):
+        res = lineareq3_residuals(wrong, setup)
+        assert min(res["eq1"], res["eq2"], res["eq3"]) > LIFT_RESIDUAL_TOL
+        assert res["eq4"] == exact["eq4"]
+
+
 def test_lift_residual_gate_names_the_residuals(monkeypatch):
     # the lifts of these tests stay far below the gate, so it is lowered to reach it
     setup = driver_setup()
@@ -744,7 +761,7 @@ def test_count_density_converges():
 def test_lower_bound_3d_gamma_limit():
     g, alpha, c6 = 1000.0, 0.05, 0.02
     near_one = lower_bound_dim3d(g, alpha, 1.0 - 1e-12, c6)
-    assert near_one.value == pytest.approx(c6 * g, rel=1e-9)
+    assert near_one["value"] == pytest.approx(c6 * g, rel=1e-9)
 
 
 def test_lower_bound_3d_consistency_at_coupling():
@@ -752,8 +769,8 @@ def test_lower_bound_3d_consistency_at_coupling():
     g = alpha**-3
     for gamma in (0.2, 0.5, 0.8):
         res = lower_bound_dim3d(g, alpha, gamma, c6)
-        assert res.value == pytest.approx(c6 / alpha**3, rel=1e-12)
-        assert res.raw_count == pytest.approx(c6 / alpha**3, rel=1e-12)
+        assert res["value"] == pytest.approx(c6 / alpha**3, rel=1e-12)
+        assert res["raw_count"] == pytest.approx(c6 / alpha**3, rel=1e-12)
 
 
 def test_lower_bound_3d_validation():
@@ -764,7 +781,7 @@ def test_lower_bound_3d_validation():
     with pytest.raises(ValueError, match="underflows"):  # was a ZeroDivisionError
         lower_bound_dim3d(10.0, 5e-324, 0.5, 1.0)
     rep = lower_bound_dim3d(10.0, 0.1, 0.5, 1.0)
-    assert "(G/alpha)^(3/2)" in rep.upper_form
+    assert "(G/alpha)^(3/2)" in rep["upper_form"]
 
 
 @pytest.mark.parametrize("alpha,gamma,c6,formula", [

@@ -1037,11 +1037,11 @@ def test_full_matrix_cutoff_guard():
 # ---------------------------------------------------------------------
 
 def test_lower_bound_values():
-    assert lower_bound_dim2d(1000.0, 0.0).value == pytest.approx(0.6, rel=1e-12)
-    assert lower_bound_dim2d(1000.0, 0.01).value == pytest.approx(0.18, rel=1e-12)
+    assert lower_bound_dim2d(1000.0, 0.0)["value"] == pytest.approx(0.6, rel=1e-12)
+    assert lower_bound_dim2d(1000.0, 0.01)["value"] == pytest.approx(0.18, rel=1e-12)
     res = lower_bound_dim2d(10.0, 0.05)
-    assert res.regime == "small-alpha"
-    assert res.alpha_regime_forms["C1"] is None
+    assert res["regime"] == "small-alpha"
+    assert res["alpha_regime_forms"]["C1"] is None
 
 
 def derived_lower_coefficient(alpha_zero):
